@@ -6,7 +6,7 @@
 //	rock [-metric kl|js-divergence|js-distance] [-depth D] [-window W]
 //	     [-workers N] [-cache DIR] [-invalidate LEVEL] [-incr-from SNAP]
 //	     [-evidence slm,subtype] [-fuse-weights slm=1,subtype=5]
-//	     [-structural-only] [-dense-dist] [-stats] [-trace FILE] [-v] image.rbin
+//	     [-structural-only] [-stats] [-trace FILE] [-v] image.rbin
 //	rock -corpus DIR [flags]
 //
 // The input is an image produced by this repository's compiler (see
@@ -75,7 +75,6 @@ func main() {
 	window := flag.Int("window", 7, "object tracelet window length")
 	shared := cliutil.Register(flag.CommandLine)
 	structuralOnly := flag.Bool("structural-only", false, "skip the behavioral analysis (type families and possible parents only)")
-	denseDist := flag.Bool("dense-dist", false, "compute the full per-family pairwise distance matrix instead of the sparse candidate-pair sweep (same hierarchy, quadratic cost)")
 	corpusDir := flag.String("corpus", "", "analyze every *.rbin under this directory as one batch on a shared worker pool")
 	stats := flag.Bool("stats", false, "print the per-stage observability table (wall time, allocs, cache attribution)")
 	traceFile := flag.String("trace", "", "write a chrome-tracing (Perfetto) JSON trace of the run to this file")
@@ -99,7 +98,6 @@ func main() {
 		Evidence:        shared.Evidence,
 		FuseWeights:     shared.FuseWeights,
 		StructuralOnly:  *structuralOnly,
-		DenseDistances:  *denseDist,
 	}
 	var trace *rock.Trace
 	if *traceFile != "" {
@@ -244,9 +242,8 @@ func runCorpus(ctx context.Context, dir string, opts rock.Options, stats bool, t
 			fmt.Print(it.Stats.Table())
 		}
 	}
-	fmt.Printf("corpus: %d images (%d warm, %d cold) in %s, peak heap %.1f MiB\n",
-		len(paths), rep.Warm, rep.Cold, elapsed.Round(time.Millisecond),
-		float64(rep.PeakHeap)/(1<<20))
+	fmt.Printf("corpus: %d images (%d warm, %d cold) in %s\n",
+		len(paths), rep.Warm, len(paths)-rep.Warm, elapsed.Round(time.Millisecond))
 	if failed > 0 {
 		fatal(fmt.Errorf("%d of %d images failed", failed, len(paths)))
 	}

@@ -51,9 +51,8 @@ func measureOp(fn func()) (nsPerOp, allocsPerOp, bytesPerOp float64) {
 }
 
 // snapshotResultsEqual compares the analysis outcome of two runs field by
-// field. Funcs and Models are deliberately excluded: a warm run never
-// lifts functions or retains builder-form models (both are documented as
-// nil when their stage is restored from a snapshot).
+// field. Funcs is deliberately excluded: a warm run never lifts functions
+// (documented as nil when the extraction is restored from a snapshot).
 func snapshotResultsEqual(cold, warm *core.Result) bool {
 	return reflect.DeepEqual(cold.VTables, warm.VTables) &&
 		reflect.DeepEqual(cold.Structural, warm.Structural) &&

@@ -10,10 +10,8 @@
 //	rockbench -metrics      §6.4 "Other Metrics": DKL vs JS variants
 //	rockbench -scale        sub-quadratic sweep benchmark: one wide synthetic
 //	                        family at -sizes (default 1000,3000,10000 types),
-//	                        sparse candidate-pair sweep vs the dense n×n
-//	                        matrix (measured up to -densemax types,
-//	                        model-estimated above; every measured dense run
-//	                        is asserted to reconstruct the same hierarchy);
+//	                        wall-clock and the admissible vs pruned pair
+//	                        counts of the sparse candidate-pair sweep;
 //	                        -json FILE writes the result, e.g.
 //	                        BENCH_scale.json
 //	rockbench -pipeline     serial vs parallel pipeline wall-clock on the
@@ -25,13 +23,6 @@
 //	                        Table 2 suite through the content-addressed
 //	                        snapshot cache (-json FILE writes the result,
 //	                        e.g. BENCH_snapshot.json)
-//	rockbench -corpus       corpus batch engine: the whole Table 2 suite as
-//	                        one batch on a shared worker pool — sequential
-//	                        loop vs corpus at workers 1 and N, cold vs warm
-//	                        cached passes, peak heap/RSS; every corpus
-//	                        result is asserted deep-equal to the sequential
-//	                        loop (-json FILE writes the result, e.g.
-//	                        BENCH_corpus.json)
 //	rockbench -synth        adversarial accuracy grid: seeded generator
 //	                        shapes x compiler hard-case modes, scored per
 //	                        edge (precision/recall/F1 + tier); -json FILE
@@ -71,13 +62,13 @@
 //	rockbench -all          everything above except -emit
 //
 // Each mode lives in its own file (paper.go, pipeline.go, slm.go,
-// snapshot.go, corpus.go, synth.go, fusion.go, incr.go, serve.go) over
+// snapshot.go, synth.go, fusion.go, incr.go, serve.go) over
 // the shared harness in harness.go.
 //
 // The global -workers flag bounds the analysis worker pool in every mode
 // (0 = all CPUs, 1 = serial), and -cache/-invalidate thread the snapshot
-// cache settings into every analysis (the -snapshot and -corpus modes
-// measure their own temporary caches regardless). -cpuprofile FILE and
+// cache settings into every analysis (the -snapshot mode measures its own
+// temporary caches regardless). -cpuprofile FILE and
 // -memprofile FILE write pprof profiles covering whichever experiments
 // ran, so perf work can measure instead of guess:
 //
@@ -113,13 +104,11 @@ func main() {
 	slmdump := flag.Bool("slmdump", false, "dump the Fig. 8 SLM")
 	fig9 := flag.Bool("fig9", false, "print the Fig. 9 hierarchies")
 	metrics := flag.Bool("metrics", false, "run the §6.4 metric ablation")
-	scale := flag.Bool("scale", false, "benchmark the sparse distance sweep against the dense matrix on one wide synthetic family")
+	scale := flag.Bool("scale", false, "benchmark the sparse distance sweep on one wide synthetic family")
 	sizes := flag.String("sizes", "1000,3000,10000", "with -scale: comma-separated family sizes (types per family)")
-	denseMax := flag.Int("densemax", 1000, "with -scale: largest size at which the dense baseline is actually run (estimated above)")
 	pipeline := flag.Bool("pipeline", false, "measure serial vs parallel pipeline wall-clock")
 	slmBench := flag.Bool("slm", false, "measure the builder vs frozen SLM query kernel")
 	snapBench := flag.Bool("snapshot", false, "measure cold vs warm analysis through the snapshot cache")
-	corpusBench := flag.Bool("corpus", false, "measure the corpus batch engine against a sequential per-image loop")
 	synthGrid := flag.Bool("synth", false, "run the adversarial accuracy grid and score reconstruction per edge")
 	fusionMode := flag.Bool("fusion", false, "rerun the adversarial grid with the subtype evidence provider fused in, compare against SLM-only, and measure the overhead")
 	fusionBenchOut := flag.String("fusion-bench", "", "with -fusion: write the timing artifact to this JSON file (e.g. BENCH_fusion.json)")
@@ -127,7 +116,7 @@ func main() {
 	incrBench := flag.Bool("incr", false, "measure incremental re-analysis of a patched binary against a prior snapshot vs from scratch")
 	serveBench := flag.Bool("serve", false, "load-generate against an in-process rockd daemon and assert its serving-path claims (singleflight, hot cache, admission isolation)")
 	patches := flag.String("patches", "1,5,25", "with -incr: comma-separated patch sizes (functions modified per case)")
-	jsonOut := flag.String("json", "", "write the -pipeline, -slm, -snapshot, -corpus, or -synth result to this JSON file")
+	jsonOut := flag.String("json", "", "write the -scale, -pipeline, -slm, -snapshot, -synth, -fusion, -incr, or -serve result to this JSON file")
 	emit := flag.String("emit", "", "write benchmark images to this directory")
 	all := flag.Bool("all", false, "run every experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile to this file")
@@ -138,16 +127,16 @@ func main() {
 		cliutil.Usage("rockbench", err.Error())
 	}
 	if *all {
-		*table2, *motivating, *slmdump, *fig9, *metrics, *scale, *pipeline, *slmBench, *snapBench, *corpusBench, *synthGrid, *fusionMode, *incrBench, *serveBench = true, true, true, true, true, true, true, true, true, true, true, true, true, true
+		*table2, *motivating, *slmdump, *fig9, *metrics, *scale, *pipeline, *slmBench, *snapBench, *synthGrid, *fusionMode, *incrBench, *serveBench = true, true, true, true, true, true, true, true, true, true, true, true, true
 	}
 	jsonModes := 0
-	for _, on := range []bool{*scale, *pipeline, *slmBench, *snapBench, *corpusBench, *synthGrid, *fusionMode, *incrBench, *serveBench} {
+	for _, on := range []bool{*scale, *pipeline, *slmBench, *snapBench, *synthGrid, *fusionMode, *incrBench, *serveBench} {
 		if on {
 			jsonModes++
 		}
 	}
 	if *jsonOut != "" && jsonModes > 1 && !*all {
-		cliutil.Usage("rockbench", "-json names a single output file; run -scale, -pipeline, -slm, -snapshot, -corpus, -synth, -fusion, -incr, and -serve separately")
+		cliutil.Usage("rockbench", "-json names a single output file; run -scale, -pipeline, -slm, -snapshot, -synth, -fusion, -incr, and -serve separately")
 	}
 	if *floors != "" && !*synthGrid && !*fusionMode {
 		cliutil.Usage("rockbench", "-floors requires -synth or -fusion")
@@ -189,11 +178,11 @@ func main() {
 	}
 	if *motivating {
 		ran = true
-		runMotivating()
+		runMotivating(os.Stdout, benchConfig())
 	}
 	if *slmdump {
 		ran = true
-		runSLMDump()
+		runSLMDump(os.Stdout, benchConfig())
 	}
 	if *fig9 {
 		ran = true
@@ -205,7 +194,7 @@ func main() {
 	}
 	if *scale {
 		ran = true
-		runScale(*jsonOut, *sizes, *denseMax)
+		runScale(*jsonOut, *sizes)
 	}
 	if *pipeline {
 		ran = true
@@ -231,18 +220,10 @@ func main() {
 		}
 		runSnapshotBench(jp)
 	}
-	if *corpusBench {
-		ran = true
-		jp := *jsonOut
-		if *scale || *pipeline || *slmBench || *snapBench {
-			jp = "" // -all: the single -json path belongs to an earlier mode
-		}
-		runCorpusBench(jp)
-	}
 	if *synthGrid {
 		ran = true
 		jp := *jsonOut
-		if *scale || *pipeline || *slmBench || *snapBench || *corpusBench {
+		if *scale || *pipeline || *slmBench || *snapBench {
 			jp = "" // -all: the single -json path belongs to an earlier mode
 		}
 		runSynth(jp, *floors)
@@ -250,7 +231,7 @@ func main() {
 	if *fusionMode {
 		ran = true
 		jp := *jsonOut
-		if *scale || *pipeline || *slmBench || *snapBench || *corpusBench || *synthGrid {
+		if *scale || *pipeline || *slmBench || *snapBench || *synthGrid {
 			jp = "" // -all: the single -json path belongs to an earlier mode
 		}
 		runFusion(jp, *fusionBenchOut, *floors)
@@ -258,7 +239,7 @@ func main() {
 	if *incrBench {
 		ran = true
 		jp := *jsonOut
-		if *scale || *pipeline || *slmBench || *snapBench || *corpusBench || *synthGrid || *fusionMode {
+		if *scale || *pipeline || *slmBench || *snapBench || *synthGrid || *fusionMode {
 			jp = "" // -all: the single -json path belongs to an earlier mode
 		}
 		runIncrBench(jp, *patches)
@@ -266,7 +247,7 @@ func main() {
 	if *serveBench {
 		ran = true
 		jp := *jsonOut
-		if *scale || *pipeline || *slmBench || *snapBench || *corpusBench || *synthGrid || *fusionMode || *incrBench {
+		if *scale || *pipeline || *slmBench || *snapBench || *synthGrid || *fusionMode || *incrBench {
 			jp = "" // -all: the single -json path belongs to an earlier mode
 		}
 		runServe(jp)

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/objtrace"
 	"repro/internal/slm"
 )
 
@@ -26,30 +28,26 @@ func runTable2() {
 }
 
 // runMotivating reproduces the §2 walk-through end to end.
-func runMotivating() {
-	fmt.Println("== §2 motivating example (Stream / Confirmable / Flushable) ==")
+func runMotivating(w io.Writer, cfg core.Config) {
+	fmt.Fprintln(w, "== §2 motivating example (Stream / Confirmable / Flushable) ==")
 	img, err := compiler.Compile(bench.Motivating(), compiler.DefaultOptions())
 	if err != nil {
 		fatal(err)
 	}
-	cfg := benchConfig()
-	// This walk-through prints every pairwise DKL value, so it needs the
-	// full matrix, not just the admissible candidate pairs.
-	cfg.DenseDist = true
 	res, err := core.Analyze(img.Strip(), cfg)
 	if err != nil {
 		fatal(err)
 	}
 	name := core.TypeNamer(img.Meta)
 
-	fmt.Println("\nFig. 7 — usage sequences extracted from the stripped binary:")
+	fmt.Fprintln(w, "\nFig. 7 — usage sequences extracted from the stripped binary:")
 	var vts []uint64
 	for _, v := range res.VTables {
 		vts = append(vts, v.Addr)
 	}
 	sort.Slice(vts, func(i, j int) bool { return vts[i] < vts[j] })
 	for _, t := range vts {
-		fmt.Printf("  %s:\n", name(t))
+		fmt.Fprintf(w, "  %s:\n", name(t))
 		for _, seq := range res.Tracelets.RawPerType[t] {
 			s := ""
 			for i, e := range seq {
@@ -58,33 +56,64 @@ func runMotivating() {
 				}
 				s += e.String()
 			}
-			fmt.Printf("    %s\n", s)
+			fmt.Fprintf(w, "    %s\n", s)
 		}
 	}
 
-	fmt.Println("\npairwise DKL distances (parent || child):")
+	// The walk-through prints every ordered pair, not just the admissible
+	// candidates the sweep scored, so it measures each one directly over
+	// the family's word set.
+	if len(res.Structural.Families) != 1 {
+		fatal(fmt.Errorf("motivating example: %d type families, want 1", len(res.Structural.Families)))
+	}
+	calc := slm.NewDistanceCalculator(cfg.Metric, familyWords(res, res.Structural.Families[0]))
+	fmt.Fprintln(w, "\npairwise DKL distances (parent || child):")
 	for _, p := range vts {
 		for _, c := range vts {
 			if p == c {
 				continue
 			}
-			fmt.Printf("  D( %-22s || %-22s ) = %.4f\n", name(p), name(c), res.Dist[[2]uint64{p, c}])
+			fmt.Fprintf(w, "  D( %-22s || %-22s ) = %.4f\n", name(p), name(c), calc.Distance(res.Frozen[p], res.Frozen[c]))
 		}
 	}
 
-	fmt.Println("\nreconstructed hierarchy (Fig. 6a):")
-	fmt.Print(res.Hierarchy.String(name))
+	fmt.Fprintln(w, "\nreconstructed hierarchy (Fig. 6a):")
+	fmt.Fprint(w, res.Hierarchy.String(name))
+}
+
+// familyWords rebuilds the word set the pipeline measures a family over:
+// the members' distinct encoded tracelets, unioned in family order.
+func familyWords(res *core.Result, fam []uint64) [][]int {
+	sym := make(map[objtrace.Event]int, len(res.Alphabet))
+	for i, e := range res.Alphabet {
+		sym[e] = i
+	}
+	seen := map[string]bool{}
+	var words [][]int
+	for _, t := range fam {
+		for _, tl := range res.Tracelets.PerType[t] {
+			if k := tl.String(); !seen[k] {
+				seen[k] = true
+				word := make([]int, len(tl))
+				for i, e := range tl {
+					word[i] = sym[e]
+				}
+				words = append(words, word)
+			}
+		}
+	}
+	return words
 }
 
 // runSLMDump prints the trained SLM of the FlushableStream type — the
 // paper's Fig. 8 "trained statistical language model of Class3".
-func runSLMDump() {
-	fmt.Println("== Fig. 8: trained SLM (depth 2) of FlushableStream (Class3) ==")
+func runSLMDump(w io.Writer, cfg core.Config) {
+	fmt.Fprintln(w, "== Fig. 8: trained SLM (depth 2) of FlushableStream (Class3) ==")
 	img, err := compiler.Compile(bench.Motivating(), compiler.DefaultOptions())
 	if err != nil {
 		fatal(err)
 	}
-	res, err := core.Analyze(img.Strip(), benchConfig())
+	res, err := core.Analyze(img.Strip(), cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,8 +121,7 @@ func runSLMDump() {
 	if tm == nil {
 		fatal(fmt.Errorf("FlushableStream not emitted"))
 	}
-	m := res.Models[tm.VTable]
-	fmt.Print(m.Dump(res.SymbolName))
+	fmt.Fprint(w, res.Frozen[tm.VTable].Dump(res.SymbolName))
 }
 
 func runFig9() {

@@ -1,19 +1,13 @@
 package main
 
 // The -scale mode: the sub-quadratic distance-sweep benchmark. It drives
-// the synth generator at 1k–10k types in a single wide family (the
-// scaling wall ROADMAP names: one family of n types used to cost an n×n
-// distance matrix), analyzes each size with the default sparse sweep and
-// — up to -densemax — with the DenseDist reporting sweep, and reports the
-// wall-clock ratio alongside the pair counts that explain it. Every
-// measured dense run is also a correctness smoke: its reconstruction must
-// match the sparse run's exactly (hierarchies, arborescences, multiple
-// parents) and every sparse Dist entry must be bit-identical to the dense
-// one, or the mode fatals.
+// the synth generator at 1k–10k types in a single wide family (one family
+// of n types has n(n-1) ordered pairs, of which the sweep scores only the
+// structurally admissible ones), analyzes each size, and reports the
+// wall-clock alongside the pair counts that explain it.
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -28,7 +22,7 @@ import (
 )
 
 // ScaleSchema identifies the BENCH_scale.json format.
-const ScaleSchema = "rock-bench-scale/v1"
+const ScaleSchema = "rock-bench-scale/v2"
 
 // scaleRow is one family size's measurement.
 type scaleRow struct {
@@ -45,26 +39,12 @@ type scaleRow struct {
 	// AdmissiblePairs counts the (parent, child) pairs the structural
 	// analysis admits — the edges Edmonds can actually consume.
 	AdmissiblePairs int64 `json:"admissible_pairs"`
-	// DensePairs is Σ n·(n-1) over families — what the dense sweep reduces.
-	DensePairs int64 `json:"dense_pairs"`
-	// SparseNs is the end-to-end sparse analysis wall-clock.
-	SparseNs int64 `json:"sparse_ns"`
-	// SparseDistPairs / SparseDistPairsPruned are the sparse run's observed
-	// sweep counters: pairs reduced and pairs skipped.
-	SparseDistPairs       int64 `json:"sparse_dist_pairs"`
-	SparseDistPairsPruned int64 `json:"sparse_dist_pairs_pruned"`
-	// DenseMeasured reports whether the dense sweep actually ran at this
-	// size (sizes above -densemax only get the model-based estimate).
-	DenseMeasured bool `json:"dense_measured"`
-	// DenseNs is the measured dense analysis wall-clock (0 if not measured).
-	DenseNs int64 `json:"dense_ns,omitempty"`
-	// DenseEstNs is the model-based dense estimate for unmeasured sizes:
-	// the measured sparse time plus the largest measured dense-sweep excess
-	// scaled by (dense_pairs × words), the dense reduction volume.
-	DenseEstNs int64 `json:"dense_est_ns,omitempty"`
-	// Speedup is dense / sparse wall-clock (measured when available, else
-	// estimated; 0 when no dense reference exists).
-	Speedup float64 `json:"speedup,omitempty"`
+	// WallNs is the end-to-end analysis wall-clock.
+	WallNs int64 `json:"wall_ns"`
+	// DistPairs / DistPairsPruned are the run's observed sweep counters:
+	// pairs reduced and ordered family pairs skipped.
+	DistPairs       int64 `json:"dist_pairs"`
+	DistPairsPruned int64 `json:"dist_pairs_pruned"`
 	// ParentAcc is the fraction of types whose reconstructed parent edge
 	// matches the generator's ground truth.
 	ParentAcc float64 `json:"parent_acc"`
@@ -75,10 +55,9 @@ type scaleRow struct {
 
 // scaleReport is the rockbench -scale output (BENCH_scale.json).
 type scaleReport struct {
-	Schema   string     `json:"schema"`
-	Workers  int        `json:"workers"`
-	DenseMax int        `json:"dense_max"`
-	Rows     []scaleRow `json:"rows"`
+	Schema  string     `json:"schema"`
+	Workers int        `json:"workers"`
+	Rows    []scaleRow `json:"rows"`
 }
 
 // parseSizes parses the -sizes spec ("1000,3000,10000").
@@ -118,10 +97,9 @@ func scaleImage(n int) *image.Image {
 
 // analyzeScale runs one observed, timed analysis. Observation costs a few
 // atomic adds against multi-second runs, so the timed and counted run are
-// one and the same for both modes (a fair comparison).
-func analyzeScale(img *image.Image, dense bool) (*core.Result, time.Duration, *obs.Report) {
+// one and the same.
+func analyzeScale(img *image.Image) (*core.Result, time.Duration, *obs.Report) {
 	cfg := benchConfig()
-	cfg.DenseDist = dense
 	bus := obs.NewBus()
 	cfg.Obs = bus
 	start := time.Now()
@@ -132,38 +110,9 @@ func analyzeScale(img *image.Image, dense bool) (*core.Result, time.Duration, *o
 	return res, time.Since(start), bus.Report()
 }
 
-// assertScaleEquivalent fatals unless the dense and sparse runs agree
-// everywhere the sparse sweep claims equivalence: same hierarchy, same
-// arborescences (weights excluded — the sparse root bound legitimately
-// differs), same multi-parent choices, and bit-identical Dist entries for
-// every pair the sparse sweep computed.
-func assertScaleEquivalent(n int, sparse, dense *core.Result) {
-	if !reflect.DeepEqual(sparse.Hierarchy, dense.Hierarchy) {
-		fatal(fmt.Errorf("scale n=%d: sparse and dense hierarchies differ", n))
-	}
-	if !reflect.DeepEqual(sparse.MultiParents, dense.MultiParents) {
-		fatal(fmt.Errorf("scale n=%d: sparse and dense multi-parent choices differ", n))
-	}
-	if len(sparse.Families) != len(dense.Families) {
-		fatal(fmt.Errorf("scale n=%d: family counts differ", n))
-	}
-	for i := range sparse.Families {
-		s, d := sparse.Families[i], dense.Families[i]
-		if !reflect.DeepEqual(s.Types, d.Types) || !reflect.DeepEqual(s.Arbs, d.Arbs) || s.Truncated != d.Truncated {
-			fatal(fmt.Errorf("scale n=%d: family %d arborescences differ", n, i))
-		}
-	}
-	for pc, sd := range sparse.Dist {
-		if dd, ok := dense.Dist[pc]; !ok || dd != sd {
-			fatal(fmt.Errorf("scale n=%d: Dist[%v] sparse %v vs dense %v", n, pc, sd, dd))
-		}
-	}
-}
-
-// runScale benchmarks the sparse sweep against the dense baseline across
-// family sizes.
-func runScale(jsonPath, sizesSpec string, denseMax int) {
-	fmt.Println("== scale: sparse candidate-pair sweep vs dense n×n matrix, one wide family ==")
+// runScale benchmarks the sparse sweep across family sizes.
+func runScale(jsonPath, sizesSpec string) {
+	fmt.Println("== scale: sparse candidate-pair sweep, one wide family ==")
 	sizes, err := parseSizes(sizesSpec)
 	if err != nil {
 		fatal(err)
@@ -172,24 +121,19 @@ func runScale(jsonPath, sizesSpec string, denseMax int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rep := &scaleReport{Schema: ScaleSchema, Workers: workers, DenseMax: denseMax}
-	fmt.Printf("%7s %8s %10s %12s %12s %12s %10s %9s\n",
-		"types", "words", "admissible", "dense pairs", "sparse", "dense", "speedup", "parentAcc")
-	// refExcess is the dense-sweep cost beyond the sparse run at the
-	// largest measured dense size, with its reduction volume — the basis
-	// for estimates above -densemax.
-	var refExcess time.Duration
-	var refVolume float64
+	rep := &scaleReport{Schema: ScaleSchema, Workers: workers}
+	fmt.Printf("%7s %8s %10s %12s %12s %9s\n",
+		"types", "words", "admissible", "pruned", "wall", "parentAcc")
 	for _, n := range sizes {
 		img := scaleImage(n)
 		meta := img.Meta
-		res, sparseWall, srep := analyzeScale(img, false)
+		res, wall, srep := analyzeScale(img)
 
 		row := scaleRow{
 			Types:    len(res.VTables),
 			Funcs:    len(img.Entries),
 			Families: len(res.Structural.Families),
-			SparseNs: sparseWall.Nanoseconds(),
+			WallNs:   wall.Nanoseconds(),
 		}
 		words := map[string]bool{}
 		for _, tls := range res.Tracelets.PerType {
@@ -201,11 +145,8 @@ func runScale(jsonPath, sizesSpec string, denseMax int) {
 		for _, ps := range res.Structural.PossibleParents {
 			row.AdmissiblePairs += int64(len(ps))
 		}
-		for _, fam := range res.Structural.Families {
-			row.DensePairs += int64(len(fam) * (len(fam) - 1))
-		}
-		row.SparseDistPairs = srep.Counters["dist_pairs"]
-		row.SparseDistPairsPruned = srep.Counters["dist_pairs_pruned"]
+		row.DistPairs = srep.Counters["dist_pairs"]
+		row.DistPairsPruned = srep.Counters["dist_pairs_pruned"]
 
 		gt, err := eval.GroundTruthForest(meta)
 		if err != nil {
@@ -221,33 +162,11 @@ func runScale(jsonPath, sizesSpec string, denseMax int) {
 			}
 		}
 		row.ParentAcc = float64(correct) / float64(total)
-
-		denseCol := "-"
-		if n <= denseMax {
-			dres, denseWall, _ := analyzeScale(img, true)
-			assertScaleEquivalent(n, res, dres)
-			row.DenseMeasured = true
-			row.DenseNs = denseWall.Nanoseconds()
-			row.Speedup = float64(row.DenseNs) / float64(row.SparseNs)
-			denseCol = denseWall.Round(time.Millisecond).String()
-			if excess := denseWall - sparseWall; excess > refExcess {
-				refExcess = excess
-				refVolume = float64(row.DensePairs) * float64(row.Words)
-			}
-		} else if refVolume > 0 {
-			// The dense sweep's excess over sparse is the pair-reduction
-			// volume: dense_pairs reductions, each O(words). Scale the
-			// largest measured excess by the volume ratio.
-			est := sparseWall + time.Duration(float64(refExcess)*float64(row.DensePairs)*float64(row.Words)/refVolume)
-			row.DenseEstNs = est.Nanoseconds()
-			row.Speedup = float64(row.DenseEstNs) / float64(row.SparseNs)
-			denseCol = "~" + est.Round(time.Second).String()
-		}
 		row.PeakRSSKB = peakRSSKB()
 		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("%7d %8d %10d %12d %12s %12s %9.1fx %8.1f%%\n",
-			row.Types, row.Words, row.AdmissiblePairs, row.DensePairs,
-			sparseWall.Round(time.Millisecond), denseCol, row.Speedup, 100*row.ParentAcc)
+		fmt.Printf("%7d %8d %10d %12d %12s %8.1f%%\n",
+			row.Types, row.Words, row.AdmissiblePairs, row.DistPairsPruned,
+			wall.Round(time.Millisecond), 100*row.ParentAcc)
 	}
 	writeJSON(jsonPath, rep)
 }

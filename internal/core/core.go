@@ -72,19 +72,6 @@ type Config struct {
 	// passthrough of that provider — {slm: 1, subtype: 0} is bit-identical
 	// to the pure-SLM pipeline.
 	FuseWeights map[string]float64
-	// DenseDist restores the full n×n per-family distance sweep: every
-	// family-internal ordered pair is reduced into Result.Dist and the
-	// virtual-root weight derives from the exact dense maximum. By default
-	// the sweep is sparse — only the structurally-admissible (parent,
-	// child) pairs the arborescence can consume are reduced, Result.Dist
-	// holds just those entries, and the root weight uses a cheap upper
-	// bound on the dense maximum (slm.DistanceCalculator.PairBound) — so a
-	// family costs Θ(n + |admissible|) reductions instead of Θ(n²). Dist
-	// entries present in both modes are bit-identical; enable dense only
-	// for reporting that needs the full matrix (e.g. rockbench
-	// -motivating prints every pairwise DKL). Dense mode is an SLM
-	// reporting format, so it requires the default evidence configuration.
-	DenseDist bool
 	// EnumLimit caps the number of co-optimal arborescences enumerated per
 	// family.
 	EnumLimit int
@@ -99,16 +86,6 @@ type Config struct {
 	// all parallel stages write to index-owned slots and are merged in a
 	// fixed order.
 	Workers int
-	// Pool, when non-nil, draws every fan-out's helper goroutines from a
-	// corpus-wide shared worker pool instead of the private Workers budget,
-	// so concurrent analyses compete for one global parallelism bound (see
-	// internal/pool and internal/corpus). Results are unaffected.
-	Pool *pool.Shared
-	// Scratch, when non-nil, supplies the reusable per-goroutine query
-	// scratch for the distance sweep, letting concurrent analyses share one
-	// recycled buffer set instead of warming private ones. Results are
-	// unaffected. Nil uses the process-wide default pool.
-	Scratch *slm.ScratchPool
 	// CacheDir, when non-empty, enables the content-addressed snapshot
 	// cache (internal/snapshot): after a cold analysis the derived
 	// artifacts are persisted under this directory keyed by the image's
@@ -128,17 +105,24 @@ type Config struct {
 	// extraction bundles, types whose training input is unchanged reuse
 	// their frozen models, and families untouched by any retrained type
 	// restore verbatim. The file must load (an unreadable path is an
-	// error), but a snapshot without a function-granular section — e.g. a
-	// v2 file — silently degrades to a cold run. When empty but CacheDir
-	// is set, the lane auto-discovers the nearest prior snapshot of the
-	// same image family (matched by hashed module name) in the cache
-	// directory.
+	// error), but a snapshot without a function-granular section, or one
+	// in another format version, silently degrades to a cold run. When
+	// empty but CacheDir is set, the lane auto-discovers the nearest prior
+	// snapshot of the same image family (matched by hashed module name) in
+	// the cache directory.
 	IncrementalFrom string
 	// Obs, when non-nil, records the run on an observer bus: per-stage
 	// wall time, allocation estimates, cache-hit attribution, and domain
 	// counters, plus trace spans when the bus carries a Trace. Results are
 	// unaffected, and a nil Obs costs nothing on the hot path.
 	Obs *obs.Bus
+
+	// pool and scratch are set only by Shared.Analyze: every fan-out then
+	// draws its helpers from the shared worker pool instead of the private
+	// Workers budget, and the distance sweep borrows its query scratch
+	// from the shared recycled set. Results are unaffected.
+	pool    *pool.Shared
+	scratch *slm.ScratchPool
 }
 
 // Invalidate selects the snapshot-reuse granularity of a cached run.
@@ -230,19 +214,13 @@ type Result struct {
 	VTables    []*vtable.VTable
 	Structural *structural.Result
 	Tracelets  *objtrace.Result
-	// Models maps each type to its trained SLM (UseSLM only). It is nil on
-	// a warm run that restored the frozen models from a snapshot: the
-	// mutable builders are never persisted, and Frozen answers every query
-	// identically.
-	Models map[uint64]*slm.Model
 	// Frozen maps each type to the frozen flat-trie form of its SLM
 	// (UseSLM only). Every model is frozen immediately after training and
-	// the distance sweep queries only the frozen forms; Models is kept as
-	// the mutable training representation (and for Dump-style reporting).
-	// The two answer identically — frozen queries are bit-identical.
+	// its mutable builder dropped; the distance sweep and Frozen.Dump
+	// answer bit-identically to the builder.
 	Frozen map[uint64]*slm.Frozen
-	// Dist holds the pairwise distances computed for family-internal
-	// ordered pairs [parent, child] (UseSLM only).
+	// Dist holds the pairwise distances the sweep computed, one per
+	// structurally admissible [parent, child] pair (UseSLM only).
 	Dist map[[2]uint64]float64
 	// Families holds the per-family arborescence outcomes (UseSLM only).
 	Families []FamilyResult
@@ -274,7 +252,7 @@ type Result struct {
 	// fnDigests memoizes image.FunctionDigests for this run.
 	fnDigests [][32]byte
 	// fnExts holds the per-function extraction bundles when the tracelets
-	// stage ran (fresh or reused); they become the snapshot's v3 function
+	// stage ran (fresh or reused); they become the snapshot's function
 	// section.
 	fnExts []*objtrace.FnExtraction
 	// fnCtxDigest is objtrace.ContextDigest for this run's extraction.
@@ -369,7 +347,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	c.Trace.Workers = c.Workers
-	c.Trace.Pool = c.Pool
+	c.Trace.Pool = c.pool
 	return c
 }
 
@@ -534,8 +512,7 @@ func encode(idx map[objtrace.Event]int, tl objtrace.Tracelet) []int {
 // worker pool; models land in index-owned slots and the maps are
 // assembled serially. On the incremental lane, types whose training input
 // is provably unchanged (TypeKey match) adopt the prior frozen model and
-// skip training — those types then have no builder in Models, mirroring
-// how warm snapshot runs never carry builders.
+// skip training.
 func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 	ctx = obs.WithRegion(ctx, cfg.Obs, "train")
 	idx := r.symIndex()
@@ -544,9 +521,8 @@ func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 		alpha = 1
 	}
 	reuse := r.reusableModels()
-	models := make([]*slm.Model, len(r.VTables))
 	frozen := make([]*slm.Frozen, len(r.VTables))
-	if err := pool.ForEach(ctx, cfg.Pool, cfg.Workers, len(r.VTables), func(i int) {
+	if err := pool.ForEach(ctx, cfg.pool, cfg.Workers, len(r.VTables), func(i int) {
 		if f := reuse[r.VTables[i].Addr]; f != nil {
 			frozen[i] = f
 			return
@@ -555,17 +531,12 @@ func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 		for _, tl := range r.Tracelets.PerType[r.VTables[i].Addr] {
 			m.Train(encode(idx, tl))
 		}
-		models[i] = m
 		frozen[i] = m.Freeze()
 	}); err != nil {
 		return err
 	}
-	r.Models = make(map[uint64]*slm.Model, len(r.VTables))
 	r.Frozen = make(map[uint64]*slm.Frozen, len(r.VTables))
 	for i, v := range r.VTables {
-		if models[i] != nil {
-			r.Models[v.Addr] = models[i]
-		}
 		r.Frozen[v.Addr] = frozen[i]
 	}
 	if r.Incremental != nil {
@@ -625,7 +596,7 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 	// encoded serially for exactly the types the re-solved families read
 	// (restored families never touch theirs).
 	outs := make([]*familyOutcome, len(r.Structural.Families))
-	restored := r.restoreFamilies(cfg, outs)
+	restored := r.restoreFamilies(outs)
 	if r.Incremental != nil {
 		r.Incremental.FamiliesRestored = restored
 		r.Incremental.FamiliesResolved = len(outs) - restored
@@ -640,7 +611,7 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 	if cfg.hasSLM() {
 		r.buildWordsFor(solving)
 	}
-	if err := pool.ForEach(ctx, cfg.Pool, cfg.Workers, len(r.Structural.Families), func(i int) {
+	if err := pool.ForEach(ctx, cfg.pool, cfg.Workers, len(r.Structural.Families), func(i int) {
 		if outs[i] == nil {
 			outs[i] = r.analyzeFamily(ctx, cfg, r.Structural.Families[i])
 		}
@@ -729,13 +700,9 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 	}
 	cfg.Obs.Add(obs.CntEvidenceEdges, int64(len(pairs)*len(r.providers)))
 	fused := evidence.Fuse(all, r.provWeights)
-	if fused.Dense != nil {
-		out.dist = fused.Dense
-	} else {
-		out.dist = make(map[[2]uint64]float64, len(pairs))
-		for k, pc := range pairs {
-			out.dist[pc] = fused.Edge[k]
-		}
+	out.dist = make(map[[2]uint64]float64, len(pairs))
+	for k, pc := range pairs {
+		out.dist[pc] = fused.Edge[k]
 	}
 	// Graph: node 0 is the virtual root; types follow in family order.
 	nodeOf := map[uint64]int{}

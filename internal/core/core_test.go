@@ -117,20 +117,26 @@ func TestMotivatingExamplePipeline(t *testing.T) {
 }
 
 // TestFrozenModelsMatchBuilders: the pipeline freezes every trained SLM
-// and the distance sweep runs over the frozen forms; the two
-// representations must agree bit for bit on the tracelets the pipeline
-// actually scores, and every discovered type must carry both.
+// and the distance sweep runs over the frozen forms; a builder trained
+// here on the same tracelets must agree with the pipeline's frozen form
+// bit for bit on the tracelets the pipeline actually scores, and every
+// discovered type must carry a frozen model.
 func TestFrozenModelsMatchBuilders(t *testing.T) {
 	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
-	res, err := Analyze(img, DefaultConfig())
+	cfg := DefaultConfig()
+	res, err := Analyze(img, cfg)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
 	idx := res.symIndex()
 	for _, v := range res.VTables {
-		m, f := res.Models[v.Addr], res.Frozen[v.Addr]
-		if m == nil || f == nil {
-			t.Fatalf("type 0x%x: missing model (%v) or frozen form (%v)", v.Addr, m, f)
+		f := res.Frozen[v.Addr]
+		if f == nil {
+			t.Fatalf("type 0x%x: missing frozen model", v.Addr)
+		}
+		m := slm.New(cfg.SLMDepth, len(res.Alphabet))
+		for _, tl := range res.Tracelets.PerType[v.Addr] {
+			m.Train(encode(idx, tl))
 		}
 		q := f.NewQuerier()
 		for _, other := range res.VTables {

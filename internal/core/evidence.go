@@ -111,9 +111,6 @@ func (c Config) validateEvidence() error {
 	if !nonzero {
 		return fmt.Errorf("core: every fusion weight is zero — no evidence would reach the solve")
 	}
-	if c.DenseDist && !c.evidenceDefault() {
-		return fmt.Errorf("core: dense reporting mode supports the default slm evidence configuration only")
-	}
 	return nil
 }
 
@@ -132,10 +129,9 @@ func (r *Result) buildEvidence(ctx context.Context, cfg Config) error {
 			r.providers = append(r.providers, slmkl.New(slmkl.Config{
 				Metric:           cfg.Metric,
 				RootWeightFactor: cfg.RootWeightFactor,
-				Dense:            cfg.DenseDist,
 				Workers:          cfg.Workers,
-				Pool:             cfg.Pool,
-				Scratch:          cfg.Scratch,
+				Pool:             cfg.pool,
+				Scratch:          cfg.scratch,
 				Obs:              cfg.Obs,
 			}))
 		case evidence.NameSubtype:
@@ -145,7 +141,7 @@ func (r *Result) buildEvidence(ctx context.Context, cfg Config) error {
 				Structs:     r.Tracelets.Structs,
 				InstallerOf: r.Structural.InstallerOf,
 				FnVTables:   r.Tracelets.FnVTables,
-			}, cfg.Workers, cfg.Pool)
+			}, cfg.Workers, cfg.pool)
 			if err != nil {
 				return fmt.Errorf("core: building subtype evidence index: %w", err)
 			}

@@ -22,12 +22,12 @@ func cacheFile(t *testing.T, dir string) string {
 // TestEvidenceSnapshotCompat proves that snapshots written before the
 // evidence-provider refactor stay valid: a default SLM-only run today
 // writes the same key bytes the pre-refactor core did (pinned by
-// TestFingerprintCompat), so re-encoding today's snapshot under both
-// surviving format versions stands in for a pre-refactor cache file.
-// Both must still validate and warm-restore the whole pipeline under the
-// default configuration, while enabling the subtype provider must NOT
-// claim the cached hierarchy section — its canon is different — yet
-// still salvage the extraction and model sections.
+// TestFingerprintCompat), so re-encoding today's snapshot stands in for a
+// pre-refactor cache file. It must still validate and warm-restore the
+// whole pipeline under the default configuration, while enabling the
+// subtype provider must NOT claim the cached hierarchy section — its
+// canon is different — yet still salvage the extraction and model
+// sections.
 func TestEvidenceSnapshotCompat(t *testing.T) {
 	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
 	cfg := DefaultConfig()
@@ -35,25 +35,22 @@ func TestEvidenceSnapshotCompat(t *testing.T) {
 	cold := analyzeCached(t, img, cfg)
 	path := cacheFile(t, cfg.CacheDir)
 
-	for _, version := range []uint32{2, 3} {
-		snap, err := snapshot.Load(path)
-		if err != nil {
-			t.Fatalf("loading written snapshot: %v", err)
-		}
-		data, err := snap.EncodeVersion(version)
-		if err != nil {
-			t.Fatalf("re-encoding at version %d: %v", version, err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		warm := analyzeCached(t, img, cfg)
-		if warm.SnapshotReuse != snapshot.LevelHierarchy {
-			t.Fatalf("version-%d snapshot reused level %d, want full hierarchy restore",
-				version, warm.SnapshotReuse)
-		}
-		assertResultsEqual(t, "pre-refactor snapshot warm restore", cold, warm)
+	snap, err := snapshot.Load(path)
+	if err != nil {
+		t.Fatalf("loading written snapshot: %v", err)
 	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("re-encoding: %v", err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	warm := analyzeCached(t, img, cfg)
+	if warm.SnapshotReuse != snapshot.LevelHierarchy {
+		t.Fatalf("re-encoded snapshot reused level %d, want full hierarchy restore", warm.SnapshotReuse)
+	}
+	assertResultsEqual(t, "pre-refactor snapshot warm restore", cold, warm)
 
 	// A fused configuration must key its hierarchy section apart from the
 	// cached SLM-only one (different Dist/edge payload) but still reuse

@@ -11,11 +11,12 @@ import (
 )
 
 // TestFingerprintCompat pins the graph-derived snapshot fingerprints to
-// the legacy hand-maintained scheme (one fingerprint per section, hashing
-// "tag|canon" with the canon laid out exactly as the pre-pipeline core
-// formatted it). Existing .rsnap caches were written under those bytes;
-// any divergence silently invalidates every user's cache, so this test
-// recomputes the legacy bytes from scratch and compares.
+// the hand-maintained scheme existing .rsnap caches were written under
+// (one fingerprint per section, hashing "tag|canon" with the canon laid
+// out exactly as the pre-pipeline core formatted it, plus the sparse
+// sweep's " sweep=sparse" hierarchy marker). Any divergence silently
+// invalidates every user's cache, so this test recomputes the bytes from
+// scratch and compares.
 func TestFingerprintCompat(t *testing.T) {
 	legacy := func(stage, canon string) [32]byte {
 		return sha256.Sum256([]byte(stage + "|" + canon))
@@ -34,50 +35,24 @@ func TestFingerprintCompat(t *testing.T) {
 				cfg.Structural.DisablePurecallRule)),
 			pipeline.SecModels: legacy("model", fmt.Sprintf("depth=%d", cfg.SLMDepth)),
 			pipeline.SecHierarchy: legacy("hier", fmt.Sprintf(
-				"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g",
+				"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse",
 				cfg.Metric, cfg.RootWeightFactor, cfg.EnumLimit, cfg.EnumEps)),
 		}
 		for sec := pipeline.Section(0); sec < pipeline.NumSections; sec++ {
 			if fps[sec] != want[sec] {
-				t.Errorf("%s: %s fingerprint diverged from the legacy scheme", name, sec.Tag())
+				t.Errorf("%s: %s fingerprint diverged from the pinned scheme", name, sec.Tag())
 			}
 		}
 	}
-
-	// The legacy bytes belong to the dense sweep — every pre-sparse
-	// snapshot was written by it, and DenseDist must keep reusing them.
-	dense := DefaultConfig()
-	dense.DenseDist = true
-	check("default+dense", dense)
+	check("default", DefaultConfig())
 
 	ablated := DefaultConfig()
-	ablated.DenseDist = true
 	ablated.SLMDepth = 3
 	ablated.Structural.DisableCtorCalls = true
 	ablated.Trace.MaxPaths = 7
 	ablated.EnumLimit = 5
 	ablated.RootWeightFactor = 2.5
-	check("ablated+dense", ablated)
-
-	// The default sparse sweep persists a different Dist payload, so its
-	// hierarchy section is fingerprinted apart from the legacy bytes —
-	// with a pinned marker — while extraction and models stay shared with
-	// dense-mode (and pre-sparse) snapshots.
-	sparse := DefaultConfig().withDefaults()
-	sfps := sparse.graph(nil).Fingerprints()
-	dfps := dense.withDefaults().graph(nil).Fingerprints()
-	if sfps[pipeline.SecExtraction] != dfps[pipeline.SecExtraction] || sfps[pipeline.SecModels] != dfps[pipeline.SecModels] {
-		t.Error("sparse sweep changed the extraction/models fingerprints; pre-sparse snapshots lost staged reuse")
-	}
-	wantSparse := legacy("hier", fmt.Sprintf(
-		"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse",
-		sparse.Metric, sparse.RootWeightFactor, sparse.EnumLimit, sparse.EnumEps))
-	if sfps[pipeline.SecHierarchy] != wantSparse {
-		t.Error("sparse hierarchy fingerprint diverged from the pinned sweep=sparse canon")
-	}
-	if sfps[pipeline.SecHierarchy] == dfps[pipeline.SecHierarchy] {
-		t.Error("sparse and dense sweeps share a hierarchy fingerprint; stale Dist payloads would cross modes")
-	}
+	check("ablated", ablated)
 
 	// Workers, Pool, and the observer must not influence the key.
 	a := DefaultConfig().withDefaults()

@@ -116,7 +116,7 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 			Name:    "train",
 			Section: pipeline.SecModels,
 			Inputs:  []pipeline.Artifact{pipeline.ArtVTables, pipeline.ArtTracelets, pipeline.ArtAlphabet},
-			Outputs: []pipeline.Artifact{pipeline.ArtModels, pipeline.ArtFrozen},
+			Outputs: []pipeline.Artifact{pipeline.ArtFrozen},
 			Canon:   fmt.Sprintf("depth=%d", c.SLMDepth),
 			Run: bind(func(ctx context.Context) error {
 				if err := res.trainModels(ctx, c); err != nil {
@@ -173,22 +173,16 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 }
 
 // hierarchyCanon renders the hierarchy stage's fingerprinted
-// configuration. Dense mode keeps the exact legacy bytes, so snapshots
-// written before the sparse sweep existed stay fully reusable under
-// DenseDist; the default sparse mode appends a marker because it changes
-// the persisted payload (Result.Dist holds only admissible pairs) and the
-// root-weight bound. A non-default evidence configuration (providers
-// beyond the SLM sweep, or a non-unit SLM weight) appends a second
-// marker; the default appends nothing, so pre-provider snapshots keep
-// validating and warm-restoring under SLM-only configurations.
-// Extraction and model sections are unaffected either way — evidence and
-// sweep changes invalidate only the hierarchy section.
+// configuration. The " sweep=sparse" marker is part of the bytes every
+// existing snapshot was written under, so it stays. A non-default
+// evidence configuration (providers beyond the SLM sweep, or a non-unit
+// SLM weight) appends a second marker; the default appends nothing, so
+// pre-provider snapshots keep validating and warm-restoring under
+// SLM-only configurations. Extraction and model sections are unaffected
+// either way — evidence changes invalidate only the hierarchy section.
 func (c Config) hierarchyCanon() string {
-	canon := fmt.Sprintf("metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g",
+	canon := fmt.Sprintf("metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse",
 		c.Metric, c.RootWeightFactor, c.EnumLimit, c.EnumEps)
-	if !c.DenseDist {
-		canon += " sweep=sparse"
-	}
 	if !c.evidenceDefault() {
 		canon += " evidence=" + c.evidenceCanon()
 	}
@@ -318,16 +312,15 @@ func AnalyzeContext(ctx context.Context, img *image.Image, cfg Config) (*Result,
 	}
 
 	// Restore every section the chain covers; the corresponding stages
-	// are then skipped as cached. Funcs and Models stay nil on restored
-	// sections (documented Result behavior): disassembly is skipped
-	// entirely and the mutable builders are never persisted.
+	// are then skipped as cached. Funcs stays nil on a restored extraction
+	// (documented Result behavior): disassembly is skipped entirely.
 	if level >= snapshot.LevelExtraction {
 		res.VTables = snap.VTables
 		res.Tracelets = snap.Tracelets
 		res.Structural = snap.Structural
 		res.Alphabet = snap.Alphabet
-		// The extraction never reran, so the prior function section (when
-		// the file was v3) is still exact; carry it into any rewrite.
+		// The extraction never reran, so the prior function section (if the
+		// file has one) is still exact; carry it into any rewrite.
 		res.fnSection = snap.Funcs
 	}
 	if level >= snapshot.LevelModels {

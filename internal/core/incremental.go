@@ -14,8 +14,8 @@
 //	                   models fingerprint
 //	family solutions   restored verbatim when every member's TypeKey and
 //	                   candidate-parent set match and the prior snapshot
-//	                   holds every distance entry the current sweep mode
-//	                   needs, additionally under a matching hierarchy
+//	                   holds every distance entry the sweep needs,
+//	                   additionally under a matching hierarchy
 //	                   fingerprint
 //
 // Each gate certifies bit-equality of the reused artifact's inputs, so
@@ -28,6 +28,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,16 +64,17 @@ func (st *incrState) hierarchyOK() bool {
 }
 
 // priorUsable is the lane's engagement gate: the prior must carry a
-// function-granular section (v2 files never do — they silently degrade to
-// a cold run) and its extraction fingerprint must match the current
-// configuration.
+// function-granular section (a producer may skip it — the run then
+// silently degrades to cold) and its extraction fingerprint must match
+// the current configuration.
 func priorUsable(s *snapshot.Snapshot, key snapshot.Key) bool {
 	return s.Funcs != nil && s.Key.FPs[pipeline.SecExtraction] == key.FPs[pipeline.SecExtraction]
 }
 
 // findPrior locates the snapshot to diff against. An explicit
 // IncrementalFrom that cannot be loaded is an error (the caller asked for
-// a specific file); one that loads but is unusable degrades to nil (cold).
+// a specific file); one that loads but is unusable, or is written in
+// another format version, degrades to nil (cold): a snapshot is a cache.
 // Auto-discovery scans the cache directory's headers for prior versions
 // of the same image family — same hashed name, same extraction
 // fingerprint, different content digest — and picks the candidate whose
@@ -81,6 +83,9 @@ func priorUsable(s *snapshot.Snapshot, key snapshot.Key) bool {
 func (r *Result) findPrior(cfg Config, key snapshot.Key) (*snapshot.Snapshot, string, error) {
 	if cfg.IncrementalFrom != "" {
 		s, err := snapshot.Load(cfg.IncrementalFrom)
+		if errors.Is(err, snapshot.ErrVersion) {
+			return nil, "", nil
+		}
 		if err != nil {
 			return nil, "", fmt.Errorf("core: incremental-from %s: %w", cfg.IncrementalFrom, err)
 		}
@@ -277,10 +282,10 @@ func (r *Result) reusableModels() map[uint64]*slm.Frozen {
 // provably identical to what re-solving would produce, returning how many
 // it restored. A family restores when the prior run had a family with the
 // same members (in order), every member's TypeKey and candidate-parent
-// set is unchanged, and the prior Dist table holds every entry the
-// current sweep mode would emit for it. Single-member families are left
-// to analyzeFamily — their solve is O(1).
-func (r *Result) restoreFamilies(cfg Config, outs []*familyOutcome) int {
+// set is unchanged, and the prior Dist table holds every entry the sweep
+// would emit for it. Single-member families are left to analyzeFamily —
+// their solve is O(1).
+func (r *Result) restoreFamilies(outs []*familyOutcome) int {
 	if r.incr == nil || !r.incr.hierarchyOK() {
 		return 0
 	}
@@ -311,7 +316,7 @@ func (r *Result) restoreFamilies(cfg Config, outs []*familyOutcome) int {
 		if !ok {
 			continue
 		}
-		dist, ok := r.priorFamilyDist(cfg, fam, prior)
+		dist, ok := r.priorFamilyDist(fam, prior)
 		if !ok {
 			continue
 		}
@@ -325,35 +330,18 @@ func (r *Result) restoreFamilies(cfg Config, outs []*familyOutcome) int {
 }
 
 // priorFamilyDist collects from the prior snapshot exactly the distance
-// entries the current sweep mode would emit for this family — admissible
-// (parent, child) pairs under the sparse default, all ordered pairs under
-// DenseDist. Any missing entry vetoes the restore. (The sweep mode is
-// part of the hierarchy fingerprint, so a usable prior was produced in
-// the same mode.)
-func (r *Result) priorFamilyDist(cfg Config, fam []uint64, prior *snapshot.Snapshot) (map[[2]uint64]float64, bool) {
-	var pairs [][2]uint64
-	if cfg.DenseDist {
-		for _, p := range fam {
-			for _, c := range fam {
-				if p != c {
-					pairs = append(pairs, [2]uint64{p, c})
-				}
+// entries the sweep would emit for this family: its admissible (parent,
+// child) pairs. Any missing entry vetoes the restore.
+func (r *Result) priorFamilyDist(fam []uint64, prior *snapshot.Snapshot) (map[[2]uint64]float64, bool) {
+	out := map[[2]uint64]float64{}
+	for _, c := range fam {
+		for _, p := range r.Structural.PossibleParents[c] {
+			d, ok := prior.Dist[[2]uint64{p, c}]
+			if !ok {
+				return nil, false
 			}
+			out[[2]uint64{p, c}] = d
 		}
-	} else {
-		for _, c := range fam {
-			for _, p := range r.Structural.PossibleParents[c] {
-				pairs = append(pairs, [2]uint64{p, c})
-			}
-		}
-	}
-	out := make(map[[2]uint64]float64, len(pairs))
-	for _, pc := range pairs {
-		d, ok := prior.Dist[pc]
-		if !ok {
-			return nil, false
-		}
-		out[pc] = d
 	}
 	return out, true
 }
@@ -362,9 +350,9 @@ func (r *Result) priorFamilyDist(cfg Config, fam []uint64, prior *snapshot.Snaps
 // run that executed (or reused) bundles persists them with fresh digests;
 // a whole-image warm run carries the prior section forward verbatim
 // (extraction never reran, so it is still exact). A run whose extraction
-// was restored from a v2 file has no bundles to persist, but still
-// records the context digest and TypeKeys so a later sibling can at least
-// reuse models.
+// was restored from a snapshot without a function section has no bundles
+// to persist, but still records the context digest and TypeKeys so a
+// later sibling can at least reuse models.
 func (r *Result) buildFnSection() *snapshot.FnSection {
 	if r.fnExts != nil {
 		digests := r.functionDigests()

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/image"
-	"repro/internal/snapshot"
 )
 
 // synthPatchable builds a synth-grid image with plenty of safely
@@ -130,10 +129,10 @@ func TestIncrementalDeterminism(t *testing.T) {
 	}
 }
 
-// TestIncrementalV2PriorColdFallback: a v2 prior snapshot has no
-// function-granular section, so the lane must silently decline — never
-// error — and the analysis must still be correct (satellite: v2 files
-// stay readable as whole-image-valid, at worst cold for the lane).
+// TestIncrementalV2PriorColdFallback: a prior snapshot in another format
+// version (here a v2 version field) is a miss for the incremental lane,
+// never an error — auto-discovery skips it and an explicit prior degrades
+// to a cold run, both deep-equal to a from-scratch analysis.
 func TestIncrementalV2PriorColdFallback(t *testing.T) {
 	img, cands := synthPatchable(t)
 
@@ -141,37 +140,17 @@ func TestIncrementalV2PriorColdFallback(t *testing.T) {
 	cfg.CacheDir = t.TempDir()
 	analyzeCached(t, img, cfg)
 	path := filepath.Join(cfg.CacheDir, cfg.withDefaults().snapshotKey(img).FileName())
-
-	// Rewrite the cached prior in the v2 layout.
-	snap, err := snapshot.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := snap.EncodeVersion(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The rewritten v2 slot still warm-restores the unchanged image whole.
-	warm := analyzeCached(t, img, cfg)
-	if warm.SnapshotReuse != snapshot.LevelHierarchy {
-		t.Fatalf("v2 cache slot restored level %d, want %d", warm.SnapshotReuse, snapshot.LevelHierarchy)
-	}
+	rewriteVersion(t, path, 2)
 
 	patched := patchedCopy(t, img, cands, 1)
 	cold := analyzeCached(t, patched, DefaultConfig())
 
-	// Auto-discovery skips the v2 file (no name hash in its header).
 	auto := analyzeCached(t, patched, cfg)
 	if auto.Incremental != nil {
 		t.Fatalf("lane engaged on a v2 prior: %+v", auto.Incremental)
 	}
 	assertResultsEqual(t, "v2-auto vs cold", cold, auto)
 
-	// An explicit v2 prior loads fine but is unusable: cold, no error.
 	fromCfg := DefaultConfig()
 	fromCfg.IncrementalFrom = path
 	expl := analyzeCached(t, patched, fromCfg)

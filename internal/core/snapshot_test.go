@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"os"
 	"reflect"
 	"testing"
@@ -12,8 +14,8 @@ import (
 )
 
 // assertResultsEqual compares two analysis results field by field,
-// excluding Funcs and Models (documented nil on warm runs) and the reuse
-// level itself.
+// excluding Funcs (documented nil on warm runs) and the reuse level
+// itself.
 func assertResultsEqual(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	check := func(name string, x, y any) {
@@ -54,15 +56,15 @@ func TestSnapshotWarmRunMatchesCold(t *testing.T) {
 	if cold.SnapshotReuse != snapshot.LevelNone {
 		t.Fatalf("cold run reused level %d", cold.SnapshotReuse)
 	}
-	if cold.Funcs == nil || cold.Models == nil {
-		t.Fatal("cold run must lift functions and keep builder models")
+	if cold.Funcs == nil {
+		t.Fatal("cold run must lift functions")
 	}
 	warm := analyzeCached(t, img, cfg)
 	if warm.SnapshotReuse != snapshot.LevelHierarchy {
 		t.Fatalf("warm run reused level %d, want %d", warm.SnapshotReuse, snapshot.LevelHierarchy)
 	}
-	if warm.Funcs != nil || warm.Models != nil {
-		t.Error("warm run must not lift functions or rebuild builder models")
+	if warm.Funcs != nil {
+		t.Error("warm run must not lift functions")
 	}
 	assertResultsEqual(t, "warm vs cold", cold, warm)
 }
@@ -157,6 +159,52 @@ func TestSnapshotCorruptCacheIsMiss(t *testing.T) {
 	assertResultsEqual(t, "post-corruption cold vs original", cold, res)
 	if warm := analyzeCached(t, img, cfg); warm.SnapshotReuse != snapshot.LevelHierarchy {
 		t.Errorf("slot not repaired: level %d", warm.SnapshotReuse)
+	}
+}
+
+// rewriteVersion sets the version field of the snapshot file at path to v
+// and reseals its checksum, so the version is the file's only defect.
+func rewriteVersion(t *testing.T, path string, v uint32) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[4:8], v)
+	payload := data[:len(data)-sha256.Size]
+	sum := sha256.Sum256(payload)
+	copy(data[len(payload):], sum[:])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotVersionMiss: a cache file in another format version is a
+// plain miss — the run is cold, deep-equal to a cacheless run, and
+// rewrites the slot in the current version.
+func TestSnapshotVersionMiss(t *testing.T) {
+	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
+	cfg := DefaultConfig()
+	cfg.CacheDir = t.TempDir()
+	analyzeCached(t, img, cfg)
+	path := cacheFile(t, cfg.CacheDir)
+	rewriteVersion(t, path, 2)
+
+	want := analyzeCached(t, img, DefaultConfig())
+	got := analyzeCached(t, img, cfg)
+	// Every exported field matches; the unexported memos legitimately
+	// differ (the cached run digested the image to write its snapshot).
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		if f := gv.Type().Field(i); f.IsExported() && !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Errorf("version-miss run: %s diverged from a cacheless run", f.Name)
+		}
+	}
+	if h, err := snapshot.ReadHeader(path); err != nil || h.Version != snapshot.Version {
+		t.Errorf("slot not rewritten in version %d: %+v, %v", snapshot.Version, h, err)
+	}
+	if warm := analyzeCached(t, img, cfg); warm.SnapshotReuse != snapshot.LevelHierarchy {
+		t.Errorf("rewritten slot reused level %d", warm.SnapshotReuse)
 	}
 }
 

@@ -17,12 +17,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/hierarchy"
 	"repro/internal/image"
-	"repro/internal/pool"
-	"repro/internal/slm"
-	"repro/internal/snapshot"
 )
 
 // Row is one Table 2 line: measured values plus the paper's reference.
@@ -212,11 +208,11 @@ type BenchOutcome struct {
 }
 
 // RunBenchmarksWithConfig builds every registered benchmark and analyzes
-// the whole suite through the corpus batch engine (internal/corpus): all
-// images share ONE bounded worker pool of cfg.Workers, images whose
-// snapshots probe fully warm bypass the analysis queue, and the outcomes
-// come back in Table 2 order, deep-equal to a sequential per-image loop
-// for every worker count.
+// the whole suite as one batch (core.Shared.AnalyzeBatch): all images
+// share ONE bounded worker pool of cfg.Workers, images whose snapshots
+// probe fully warm decode without a pool token, and the outcomes come
+// back in Table 2 order, deep-equal to a sequential per-image loop for
+// every worker count.
 func RunBenchmarksWithConfig(ctx context.Context, cfg core.Config) ([]*BenchOutcome, error) {
 	benches := bench.All()
 	outs := make([]*BenchOutcome, len(benches))
@@ -227,35 +223,45 @@ func RunBenchmarksWithConfig(ctx context.Context, cfg core.Config) ([]*BenchOutc
 		}
 		outs[i] = &BenchOutcome{Bench: b, Image: img, Meta: meta}
 	}
-	cfg.UseSLM = true
-	scratch := slm.NewScratchPool()
-	items, _, err := corpus.Run(ctx, len(outs), corpus.Options{Workers: cfg.Workers},
-		func(i int) bool {
-			return core.ProbeSnapshot(outs[i].Image, cfg) == snapshot.LevelHierarchy
-		},
-		func(ctx context.Context, i int, sh *pool.Shared) (*core.Result, error) {
-			c := cfg
-			c.Pool = sh
-			c.Scratch = scratch
-			return core.AnalyzeContext(ctx, outs[i].Image, c)
-		})
+	imgs := make([]*image.Image, len(outs))
+	for i, o := range outs {
+		imgs[i] = o.Image
+	}
+	res, err := analyzeBatch(ctx, imgs, cfg, func(i int) string { return "bench " + benches[i].Name })
 	if err != nil {
 		return nil, err
 	}
-	for i, it := range items {
-		if it.Err != nil {
-			return nil, fmt.Errorf("bench %s: %w", benches[i].Name, it.Err)
-		}
-		outs[i].Res = it.Value
+	for i, r := range res {
+		outs[i].Res = r
 	}
 	return outs, nil
 }
 
+// analyzeBatch analyzes imgs as one batch on a fresh shared pool of
+// cfg.Workers and returns the results in input order, or the first
+// failure in input order, prefixed with label(i).
+func analyzeBatch(ctx context.Context, imgs []*image.Image, cfg core.Config, label func(i int) string) ([]*core.Result, error) {
+	cfg.UseSLM = true
+	res := make([]*core.Result, len(imgs))
+	errs := make([]error, len(imgs))
+	err := core.NewShared(cfg.Workers).AnalyzeBatch(ctx, imgs,
+		func(int) core.Config { return cfg },
+		func(i int, r *core.Result, _ core.Admission, err error) { res[i], errs[i] = r, err })
+	if err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", label(i), err)
+		}
+	}
+	return res, nil
+}
+
 // RunAllWithConfig evaluates every registered benchmark in Table 2 order
 // under a custom pipeline configuration (e.g. a fixed worker-pool size).
-// The suite is scheduled by the corpus engine — cross-image concurrency on
-// one shared pool — and the rows are identical to evaluating each
-// benchmark alone.
+// The suite runs as one batch — cross-image concurrency on one shared
+// pool — and the rows are identical to evaluating each benchmark alone.
 func RunAllWithConfig(cfg core.Config) ([]*Row, error) {
 	outs, err := RunBenchmarksWithConfig(context.Background(), cfg)
 	if err != nil {

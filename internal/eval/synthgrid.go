@@ -8,11 +8,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/image"
-	"repro/internal/pool"
-	"repro/internal/slm"
-	"repro/internal/snapshot"
 )
 
 // AccSchema identifies the ACC_synth.json report format.
@@ -49,44 +45,26 @@ type AccuracyReport struct {
 }
 
 // RunSynthGrid builds every config of the adversarial grid, analyzes the
-// images through the corpus batch engine (one shared worker pool, same
-// scheduling contract as the Table 2 suite), and scores each
-// reconstruction per edge.
+// images as one batch (one shared worker pool, same scheduling contract
+// as the Table 2 suite), and scores each reconstruction per edge.
 func RunSynthGrid(ctx context.Context, cfg core.Config) (*AccuracyReport, error) {
 	grid := bench.SynthGrid()
-	type built struct {
-		img  *image.Image
-		meta *image.Metadata
-	}
-	outs := make([]built, len(grid))
+	imgs := make([]*image.Image, len(grid))
+	metas := make([]*image.Metadata, len(grid))
 	for i, c := range grid {
 		img, meta, err := c.Build()
 		if err != nil {
 			return nil, err
 		}
-		outs[i] = built{img: img, meta: meta}
+		imgs[i], metas[i] = img, meta
 	}
-	cfg.UseSLM = true
-	scratch := slm.NewScratchPool()
-	items, _, err := corpus.Run(ctx, len(outs), corpus.Options{Workers: cfg.Workers},
-		func(i int) bool {
-			return core.ProbeSnapshot(outs[i].img, cfg) == snapshot.LevelHierarchy
-		},
-		func(ctx context.Context, i int, sh *pool.Shared) (*core.Result, error) {
-			c := cfg
-			c.Pool = sh
-			c.Scratch = scratch
-			return core.AnalyzeContext(ctx, outs[i].img, c)
-		})
+	res, err := analyzeBatch(ctx, imgs, cfg, func(i int) string { return "synth config " + grid[i].Name })
 	if err != nil {
 		return nil, err
 	}
 	rep := &AccuracyReport{Schema: AccSchema}
-	for i, it := range items {
-		if it.Err != nil {
-			return nil, fmt.Errorf("synth config %s: %w", grid[i].Name, it.Err)
-		}
-		row, err := ScoreSynth(grid[i], outs[i].meta, it.Value)
+	for i, r := range res {
+		row, err := ScoreSynth(grid[i], metas[i], r)
 		if err != nil {
 			return nil, err
 		}

@@ -93,10 +93,6 @@ type Scores struct {
 	// Root is the provider's virtual-root edge weight; see the package
 	// contract (Root >= max Edge).
 	Root float64
-	// Dense, non-nil only in the SLM provider's dense reporting mode,
-	// carries the full ordered-pair matrix keyed [parent, child] for
-	// Result.Dist. Entries shared with Edge are bit-identical.
-	Dense map[[2]uint64]float64
 }
 
 // Provider is one edge-evidence backend.
@@ -113,7 +109,7 @@ type Provider interface {
 // arborescence solve consumes: fused.Edge[k] = Σᵢ weights[i]·scores[i].Edge[k]
 // and fused.Root = Σᵢ weights[i]·scores[i].Root. When exactly one
 // provider has a nonzero weight and that weight is 1, the provider's
-// Scores is returned unchanged (including its Dense matrix), making the
+// Scores is returned unchanged, making the
 // single-provider path bit-identical to running that provider alone.
 // scores and weights are parallel; callers guarantee at least one
 // nonzero weight.

@@ -6,11 +6,11 @@ import (
 )
 
 func TestFusePassthrough(t *testing.T) {
-	a := &Scores{Edge: []float64{1, 2}, Root: 9, Dense: map[[2]uint64]float64{{1, 2}: 1}}
+	a := &Scores{Edge: []float64{1, 2}, Root: 9}
 	b := &Scores{Edge: []float64{5, 5}, Root: 50}
 
 	// A single provider at weight 1 passes through untouched — pointer
-	// identity, so even the Dense matrix survives bit-identical.
+	// identity, so its scores survive bit-identical.
 	if got := Fuse([]*Scores{a}, []float64{1}); got != a {
 		t.Error("single provider at weight 1 was not passed through")
 	}
@@ -23,9 +23,6 @@ func TestFusePassthrough(t *testing.T) {
 	got := Fuse([]*Scores{a}, []float64{2})
 	if got == a || !reflect.DeepEqual(got.Edge, []float64{2, 4}) || got.Root != 18 {
 		t.Errorf("single provider at weight 2: got %+v", got)
-	}
-	if got.Dense != nil {
-		t.Error("weighted sum must not carry a Dense matrix through")
 	}
 }
 

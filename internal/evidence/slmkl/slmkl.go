@@ -27,9 +27,6 @@ const (
 	modelGrain = 8
 	// pairGrain groups admissible-pair divergence reductions.
 	pairGrain = 32
-	// cellGrain groups dense-matrix cells (the Dense reporting mode;
-	// diagonal cells are nearly free, so ranges are larger).
-	cellGrain = 256
 )
 
 // Config parameterizes the sweep. Metric and RootWeightFactor are
@@ -42,11 +39,6 @@ type Config struct {
 	// RootWeightFactor scales the virtual-root weight relative to the
 	// family's largest pairwise distance (Heuristic 4.1); must exceed 1.
 	RootWeightFactor float64
-	// Dense computes the full n×n ordered-pair matrix (Scores.Dense) with
-	// the root weight from the exact dense maximum, instead of the sparse
-	// admissible-pair sweep with the PairBound upper bound. Entries
-	// present in both modes are bit-identical.
-	Dense bool
 	// Workers/Pool bound and share the fan-out (see core.Config).
 	Workers int
 	Pool    *pool.Shared
@@ -73,8 +65,7 @@ func (p *Provider) Name() string { return evidence.NameSLM }
 // distribution over the family's shared word set is derived exactly once
 // (the DistanceCalculator memoizes per model, each chunk scored by the
 // blocked multi-model batch kernel); then the sweep reduces the cached
-// distributions over in.Pairs — or over all n² ordered cells under
-// cfg.Dense — in deterministically-owned chunks.
+// distributions over in.Pairs in deterministically-owned chunks.
 func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*evidence.Scores, error) {
 	cfg := p.cfg
 	calc := slm.NewDistanceCalculator(cfg.Metric, in.Words)
@@ -87,42 +78,7 @@ func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*eviden
 	}); err != nil {
 		return nil, err
 	}
-	out := &evidence.Scores{}
-	if cfg.Dense {
-		fam := in.Types
-		dists := make([]float64, n*n)
-		if err := pool.ForEachChunk(ctx, cfg.Pool, cfg.Workers, n*n, cellGrain, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				a, b := fam[k/n], fam[k%n]
-				if a == b {
-					continue
-				}
-				dists[k] = calc.Distance(in.Scorer(a), in.Scorer(b))
-			}
-		}); err != nil {
-			return nil, err
-		}
-		cfg.Obs.Add(obs.CntDistPairs, int64(n*(n-1)))
-		out.Dense = make(map[[2]uint64]float64, n*(n-1))
-		maxD := 0.0
-		for k, d := range dists {
-			a, b := fam[k/n], fam[k%n]
-			if a == b {
-				continue
-			}
-			out.Dense[[2]uint64{a, b}] = d
-			if d > maxD {
-				maxD = d
-			}
-		}
-		out.Edge = make([]float64, len(in.Pairs))
-		for k, pc := range in.Pairs {
-			out.Edge[k] = out.Dense[pc]
-		}
-		out.Root = maxD*cfg.RootWeightFactor + 1
-		return out, nil
-	}
-	out.Edge = make([]float64, len(in.Pairs))
+	out := &evidence.Scores{Edge: make([]float64, len(in.Pairs))}
 	if err := pool.ForEachChunk(ctx, cfg.Pool, cfg.Workers, len(in.Pairs), pairGrain, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			out.Edge[k] = calc.Distance(in.Scorer(in.Pairs[k][0]), in.Scorer(in.Pairs[k][1]))
@@ -132,8 +88,9 @@ func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*eviden
 	}
 	cfg.Obs.Add(obs.CntDistPairs, int64(len(in.Pairs)))
 	cfg.Obs.Add(obs.CntDistPairsPruned, int64(n*(n-1)-len(in.Pairs)))
-	// PairBound ≥ the true dense maximum, so Heuristic 4.1's "root edges
-	// are always the worst choice" ordering survives the sparse sweep.
+	// PairBound ≥ the largest distance over all n(n-1) ordered pairs, so
+	// Heuristic 4.1's "root edges are always the worst choice" ordering
+	// holds although only the admissible pairs were scored.
 	out.Root = calc.PairBound(in.Scorers)*cfg.RootWeightFactor + 1
 	return out, nil
 }

@@ -14,9 +14,8 @@
 // analysis's worker goroutines; one Bus observes one analysis.
 //
 // Allocation deltas are process-wide runtime/metrics samples: with
-// concurrent analyses (the corpus engine) they are an attribution
-// estimate, not an exact per-stage measurement — the same caveat as the
-// corpus scheduler's per-image HeapGrowth.
+// concurrent analyses (a corpus batch) they are an attribution estimate,
+// not an exact per-stage measurement.
 package obs
 
 import (

@@ -53,8 +53,6 @@ const (
 	ArtStructural Artifact = "structural"
 	// ArtAlphabet is the interned event alphabet and per-type word memo.
 	ArtAlphabet Artifact = "alphabet"
-	// ArtModels is the mutable trained SLMs.
-	ArtModels Artifact = "models"
 	// ArtFrozen is the frozen flat-trie SLM forms.
 	ArtFrozen Artifact = "frozen"
 	// ArtEvidence is the constructed evidence-provider set (the scoring

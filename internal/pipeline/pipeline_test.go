@@ -15,8 +15,8 @@ func chain(t *testing.T) *Graph {
 	g, err := New([]Artifact{ArtImage},
 		Stage{Name: "a", Section: SecExtraction, Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtFuncs}},
 		Stage{Name: "b", Section: SecExtraction, Inputs: []Artifact{ArtFuncs}, Outputs: []Artifact{ArtVTables}, Canon: "x=1"},
-		Stage{Name: "c", Section: SecModels, Inputs: []Artifact{ArtVTables}, Outputs: []Artifact{ArtModels}, Canon: "y=2"},
-		Stage{Name: "d", Section: SecHierarchy, Inputs: []Artifact{ArtModels}, Outputs: []Artifact{ArtHierarchy}},
+		Stage{Name: "c", Section: SecModels, Inputs: []Artifact{ArtVTables}, Outputs: []Artifact{ArtFrozen}, Canon: "y=2"},
+		Stage{Name: "d", Section: SecHierarchy, Inputs: []Artifact{ArtFrozen}, Outputs: []Artifact{ArtHierarchy}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +40,8 @@ func TestValidation(t *testing.T) {
 			{Name: "b", Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtFuncs}},
 		}},
 		{"section regression", []Artifact{ArtImage}, []Stage{
-			{Name: "a", Section: SecModels, Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtModels}},
-			{Name: "b", Section: SecExtraction, Inputs: []Artifact{ArtModels}, Outputs: []Artifact{ArtFuncs}},
+			{Name: "a", Section: SecModels, Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtFrozen}},
+			{Name: "b", Section: SecExtraction, Inputs: []Artifact{ArtFrozen}, Outputs: []Artifact{ArtFuncs}},
 		}},
 		{"unnamed stage", []Artifact{ArtImage}, []Stage{
 			{Inputs: []Artifact{ArtImage}},
@@ -125,8 +125,8 @@ func TestExecute(t *testing.T) {
 	}
 	g, err := New([]Artifact{ArtImage},
 		mk("a", SecExtraction, ArtImage, ArtFuncs, false),
-		mk("b", SecModels, ArtFuncs, ArtModels, false),
-		mk("c", SecHierarchy, ArtModels, ArtHierarchy, false),
+		mk("b", SecModels, ArtFuncs, ArtFrozen, false),
+		mk("c", SecHierarchy, ArtFrozen, ArtHierarchy, false),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +154,8 @@ func TestExecute(t *testing.T) {
 	order = nil
 	g2, err := New([]Artifact{ArtImage},
 		mk("a", SecExtraction, ArtImage, ArtFuncs, false),
-		mk("boom", SecModels, ArtFuncs, ArtModels, true),
-		mk("c", SecHierarchy, ArtModels, ArtHierarchy, false),
+		mk("boom", SecModels, ArtFuncs, ArtFrozen, true),
+		mk("c", SecHierarchy, ArtFrozen, ArtHierarchy, false),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 // Package pool provides the bounded fan-out primitives shared by the
 // pipeline's parallel stages (SLM training, per-family distance matrices,
-// arborescence solving, and the objtrace front-end) and by the corpus
-// batch engine (internal/corpus). Every stage follows the same
-// discipline: workers write only to state owned by their index, and the
-// caller merges the slots in a fixed order afterwards, so results are
-// identical for any worker count.
+// arborescence solving, and the objtrace front-end) and by the shared
+// admission rule of many concurrent analyses (core.Shared). Every stage
+// follows the same discipline: workers write only to state owned by their
+// index, and the caller merges the slots in a fixed order afterwards, so
+// results are identical for any worker count.
 //
 // Two execution regimes share one code path:
 //

@@ -22,7 +22,7 @@
 //     concurrency slots and queue depths keep bulk jobs from starving
 //     interactive latency; over-depth submissions are rejected (429)
 //     instead of queueing unboundedly. Fully-warm submissions bypass
-//     admission entirely, like the corpus engine's warm lane.
+//     admission entirely, as core.Shared's admission rule lets them.
 //   - Client disconnects propagate: each waiter holds a reference on its
 //     flight, and when the last waiter disconnects the flight's context
 //     is canceled, draining the analysis through the pool's cancellation
@@ -455,12 +455,20 @@ func (s *Server) Metrics() *Metrics {
 	return m
 }
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request header: a client that never finishes one has its connection
+// closed instead of holding it and a goroutine forever.
+const readHeaderTimeout = 10 * time.Second
+
+// headerTimeout is the ReadHeaderTimeout Serve applies; tests shorten it.
+var headerTimeout = readHeaderTimeout
+
 // Serve accepts connections on ln until ctx is canceled, then drains
 // gracefully: new submissions are rejected with 503, in-flight HTTP
 // requests and async flights get up to DrainTimeout to finish, and
 // whatever remains is hard-canceled. Returns nil after a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: headerTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

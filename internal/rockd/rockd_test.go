@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -425,6 +426,49 @@ func TestServeGracefulDrain(t *testing.T) {
 	// Post-drain submissions are rejected at the singleflight gate.
 	if _, _, err := s.joinFlight([32]byte{1}, nil, ClassInteractive); err != errDraining {
 		t.Fatalf("post-drain join: err = %v, want errDraining", err)
+	}
+}
+
+// TestServeClosesStalledHeader: a client that sends half a request header
+// and stalls gets its connection closed once the header timeout passes,
+// while a concurrent health check is served normally.
+func TestServeClosesStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { headerTimeout = d }(headerTimeout)
+	headerTimeout = 200 * time.Millisecond
+	s := newTestServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/analyze HTTP/1.1\r\nHost: rockd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	waitHealthy(t, "http://"+ln.Addr().String())
+
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("stalled connection still open after the header timeout")
+	}
+	if n != 0 || err == nil {
+		t.Fatalf("stalled connection read %d bytes, err %v; want it closed", n, err)
 	}
 }
 

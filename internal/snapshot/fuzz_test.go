@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 )
 
@@ -8,46 +10,38 @@ import (
 // panic, hang, or allocate beyond what the input size warrants, no matter
 // how corrupted the bytes are — a bad snapshot is a cache miss, not a
 // crash. Anything Decode accepts must also re-encode cleanly (the decoded
-// structure is internally consistent). Both supported format versions
-// seed the corpus: v3 (with the function-granular section) and v2 (the
-// compat layout).
+// structure is internally consistent).
 func FuzzDecodeSnapshot(f *testing.F) {
 	valid, err := sampleSnapshot().Encode()
 	if err != nil {
 		f.Fatal(err)
 	}
-	v2, err := sampleSnapshot().EncodeVersion(2)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(valid)
-	f.Add(v2)
+	// Other format versions behind an intact checksum: the version gate,
+	// not the checksum, must turn them away.
+	for _, v := range []uint32{2, Version + 1} {
+		f.Add(resealed(valid, v))
+	}
 	// Truncations at section-ish boundaries and corruptions of the
 	// length-prefix bytes seed the mutator near the interesting guards:
-	// both header sizes, the body, and the tail where the function
+	// the header fields, the body, and the tail where the function
 	// section and its type-key table live.
-	for _, n := range []int{0, 3, 4, 8, headerLenV2, HeaderLen, len(valid) / 2, len(valid) - 1} {
+	for _, n := range []int{0, 3, 4, 8, 40, HeaderLen - 32, HeaderLen - 1, HeaderLen, len(valid) / 2, len(valid) - sha256.Size, len(valid) - 1} {
 		if n <= len(valid) {
 			f.Add(append([]byte(nil), valid[:n]...))
 		}
 	}
-	for _, n := range []int{headerLenV2, len(v2) / 2, len(v2) - 1} {
-		f.Add(append([]byte(nil), v2[:n]...))
-	}
-	for _, off := range []int{4, headerLenV2, HeaderLen, HeaderLen + 4, 200, len(valid) - 100, len(valid) - 40, len(valid) - 8} {
+	for _, off := range []int{4, HeaderLen - 32, HeaderLen, HeaderLen + 4, 200, len(valid) - 100, len(valid) - 40, len(valid) - 8} {
 		if off >= 0 && off < len(valid) {
 			mut := append([]byte(nil), valid...)
 			mut[off] ^= 0xff
 			f.Add(mut)
 		}
 	}
-	// A huge count right where each version's alphabet length lives.
+	// A huge count right where the alphabet length lives.
 	huge := append([]byte(nil), valid[:HeaderLen]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(huge)
-	hugeV2 := append([]byte(nil), v2[:headerLenV2]...)
-	hugeV2 = append(hugeV2, 0xff, 0xff, 0xff, 0x7f)
-	f.Add(hugeV2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
@@ -58,4 +52,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("decoded snapshot fails to re-encode: %v", err)
 		}
 	})
+}
+
+// resealed returns a copy of an encoded snapshot with its version field
+// set to v and the checksum recomputed over the edited payload.
+func resealed(data []byte, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[4:8], v)
+	payload := out[:len(out)-sha256.Size]
+	sum := sha256.Sum256(payload)
+	copy(out[len(payload):], sum[:])
+	return out
 }

@@ -45,6 +45,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -62,26 +63,24 @@ import (
 const (
 	magic = "RSNP"
 	// Version is the snapshot format version; bumped on any layout change.
-	// A version mismatch is a cache miss, never a decode attempt — with one
-	// deliberate exception: version 2 files (the pre-incremental layout)
-	// stay fully decodable as whole-image-valid snapshots, they just carry
-	// no function-granular section (Funcs == nil), so they can warm an
-	// identical image but never feed the incremental lane.
-	// v2: Family carries the enumeration-truncation flag.
-	// v3: header gains the image-family name hash; body gains the
-	// function-granular extraction section (per-function bundles keyed by
-	// content digest + per-type training-input keys).
+	// Exactly one version is readable: a file of any other version fails
+	// with ErrVersion, which callers treat as a cache miss (one cold run).
+	// v3 (the current layout): the header carries the image-family name
+	// hash; the body ends with the function-granular extraction section
+	// (per-function bundles keyed by content digest + per-type
+	// training-input keys).
 	Version = 3
 
-	// headerLenV2 is the v2 fixed header: magic, version, image digest,
-	// and one fingerprint per pipeline section.
-	headerLenV2 = 4 + 4 + (1+int(pipeline.NumSections))*32
-	// HeaderLen is the v3 fixed header: the v2 header plus the
-	// image-family name hash. parseHeader/appendHeader are the only code
-	// that knows this layout; ReadKey, ReadHeader, Encode, and Decode all
-	// go through them.
-	HeaderLen = headerLenV2 + 32
+	// HeaderLen is the fixed header: magic, version, image digest, one
+	// fingerprint per pipeline section, and the image-family name hash.
+	// parseHeader/appendHeader are the only code that knows this layout;
+	// ReadKey, ReadHeader, Encode, and Decode all go through them.
+	HeaderLen = 4 + 4 + (1+int(pipeline.NumSections))*32 + 32
 )
+
+// ErrVersion reports a snapshot file written in a format version other
+// than Version.
+var ErrVersion = errors.New("snapshot: unsupported format version")
 
 // Section reuse levels, in dependency order: level k means the first k
 // pipeline sections are reusable. Derived from the stage graph so the
@@ -132,16 +131,15 @@ func (k Key) Usable(s *Snapshot) int {
 }
 
 // Header is the decoded fixed-size file header: the format version, the
-// content-addressed key, and (v3+) the image-family name hash. It is the
-// single description of the header layout shared by the encoder and every
+// content-addressed key, and the image-family name hash. It is the single
+// description of the header layout shared by the encoder and every
 // reader.
 type Header struct {
 	Version uint32
 	Key     Key
-	// NameHash identifies the image family (HashName of the module name;
-	// zero for v2 files). The incremental lane's auto-discovery scans cache
-	// headers for prior versions of the same family without decoding
-	// bodies.
+	// NameHash identifies the image family (HashName of the module name).
+	// The incremental lane's auto-discovery scans cache headers for prior
+	// versions of the same family without decoding bodies.
 	NameHash [32]byte
 }
 
@@ -152,7 +150,7 @@ func HashName(name string) [32]byte {
 	return sha256.Sum256([]byte("rockname\x00" + name))
 }
 
-// appendHeader serializes a header. Version 2 omits the name hash.
+// appendHeader serializes a header.
 func appendHeader(buf []byte, h Header) []byte {
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, h.Version)
@@ -160,41 +158,33 @@ func appendHeader(buf []byte, h Header) []byte {
 	for sec := range h.Key.FPs {
 		buf = append(buf, h.Key.FPs[sec][:]...)
 	}
-	if h.Version >= 3 {
-		buf = append(buf, h.NameHash[:]...)
-	}
-	return buf
+	return append(buf, h.NameHash[:]...)
 }
 
-// parseHeader decodes the fixed header from the start of data and returns
-// it with the number of bytes it occupied. Only versions 2 and 3 parse;
-// anything else (including future versions) is an error, which callers
-// treat as a cache miss.
-func parseHeader(data []byte) (Header, int, error) {
-	if len(data) < headerLenV2 {
-		return Header{}, 0, fmt.Errorf("snapshot: short header (%d bytes)", len(data))
+// parseHeader decodes the fixed header from the start of data. Only
+// Version parses; anything else (older or future versions) fails with
+// ErrVersion, which callers treat as a cache miss.
+func parseHeader(data []byte) (Header, error) {
+	if len(data) < 8 {
+		return Header{}, fmt.Errorf("snapshot: short header (%d bytes)", len(data))
 	}
 	if string(data[:4]) != magic {
-		return Header{}, 0, fmt.Errorf("snapshot: bad magic")
+		return Header{}, fmt.Errorf("snapshot: bad magic")
 	}
 	var h Header
 	h.Version = binary.LittleEndian.Uint32(data[4:8])
-	if h.Version != 2 && h.Version != Version {
-		return Header{}, 0, fmt.Errorf("snapshot: unsupported version %d", h.Version)
+	if h.Version != Version {
+		return Header{}, fmt.Errorf("%w %d", ErrVersion, h.Version)
+	}
+	if len(data) < HeaderLen {
+		return Header{}, fmt.Errorf("snapshot: short header (%d bytes)", len(data))
 	}
 	copy(h.Key.Digest[:], data[8:40])
 	for sec := range h.Key.FPs {
 		copy(h.Key.FPs[sec][:], data[40+32*sec:])
 	}
-	n := headerLenV2
-	if h.Version >= 3 {
-		if len(data) < HeaderLen {
-			return Header{}, 0, fmt.Errorf("snapshot: short v3 header (%d bytes)", len(data))
-		}
-		copy(h.NameHash[:], data[headerLenV2:HeaderLen])
-		n = HeaderLen
-	}
-	return h, n, nil
+	copy(h.NameHash[:], data[HeaderLen-32:HeaderLen])
+	return h, nil
 }
 
 // FnBundle is one function's cached extraction, addressed by the
@@ -206,7 +196,7 @@ type FnBundle struct {
 	Ext    objtrace.FnExtraction
 }
 
-// FnSection is the v3 function-granular extraction section: everything
+// FnSection is the function-granular extraction section: everything
 // the incremental lane needs to re-analyze a patched sibling of this
 // image without re-running unchanged work.
 type FnSection struct {
@@ -238,8 +228,8 @@ type Family struct {
 // Snapshot is the decoded cache content.
 type Snapshot struct {
 	Key Key
-	// NameHash is the image-family name hash (HashName; zero when decoded
-	// from a v2 file or when the producer declined to name the image).
+	// NameHash is the image-family name hash (HashName; zero when the
+	// producer declined to name the image).
 	NameHash [32]byte
 
 	// Extraction section (LevelExtraction).
@@ -260,8 +250,8 @@ type Snapshot struct {
 	// MultiParents maps multiple-inheritance types to their parent sets.
 	MultiParents map[uint64][]uint64
 
-	// Funcs is the function-granular extraction section (nil for v2 files
-	// and for producers that skip it). Its validity is guarded separately:
+	// Funcs is the function-granular extraction section (nil for producers
+	// that skip it). Its validity is guarded separately:
 	// bundle reuse re-checks per-function digests and the context digest,
 	// so a nil or stale section degrades to re-execution, never to wrong
 	// results.
@@ -292,8 +282,7 @@ func ReadKey(path string) (Key, error) {
 
 // ReadHeader reads only the fixed-size header of a snapshot file without
 // loading or checksumming the body. Like ReadKey it is advisory: the full
-// Load still validates the checksum. Version 2 headers parse with a zero
-// NameHash.
+// Load still validates the checksum.
 func ReadHeader(path string) (Header, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -301,17 +290,10 @@ func ReadHeader(path string) (Header, error) {
 	}
 	defer f.Close()
 	var hdr [HeaderLen]byte
-	n, err := io.ReadFull(f, hdr[:])
-	if err == io.ErrUnexpectedEOF && n >= headerLenV2 {
-		// A file shorter than the v3 header can still carry a complete v2
-		// header; parseHeader sorts it out from the version field.
-		err = nil
-	}
-	if err != nil {
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return Header{}, fmt.Errorf("snapshot: short header: %w", err)
 	}
-	h, _, err := parseHeader(hdr[:n])
-	return h, err
+	return parseHeader(hdr[:])
 }
 
 // WriteFile atomically writes the encoded snapshot: the bytes land in a
@@ -349,19 +331,8 @@ func (s *Snapshot) WriteFile(path string) error {
 // in sorted order, so the same snapshot content always produces the same
 // bytes.
 func (s *Snapshot) Encode() ([]byte, error) {
-	return s.EncodeVersion(Version)
-}
-
-// EncodeVersion encodes in an explicit format version. Version 2 emits
-// the pre-incremental layout — no name hash, no function-granular
-// section — and exists so migration tests (and tools) can materialize old
-// files; everything else uses Encode.
-func (s *Snapshot) EncodeVersion(v uint32) ([]byte, error) {
-	if v != 2 && v != Version {
-		return nil, fmt.Errorf("snapshot: cannot encode version %d", v)
-	}
 	w := &writer{}
-	w.buf = appendHeader(w.buf, Header{Version: v, Key: s.Key, NameHash: s.NameHash})
+	w.buf = appendHeader(w.buf, Header{Version: Version, Key: s.Key, NameHash: s.NameHash})
 
 	// Extraction section. Tracelet events are stored as indices into the
 	// interned alphabet (every event appearing in a tracelet is interned
@@ -476,51 +447,49 @@ func (s *Snapshot) EncodeVersion(v uint32) ([]byte, error) {
 	w.pairsMap(s.Parents)
 	w.addrsMap(s.MultiParents)
 
-	// Function-granular section (v3 only), behind a presence flag so
+	// Function-granular section, behind a presence flag so
 	// producers can skip it without ambiguity. Bundle events are stored
 	// raw (kind + operand), not as alphabet indices: a bundle can carry
 	// segments that never reached any type's tracelets (and thus the
 	// alphabet), and a patched sibling's alphabet differs anyway.
-	if v >= 3 {
-		if s.Funcs == nil {
-			w.u8(0)
-		} else {
-			w.u8(1)
-			w.raw(string(s.Funcs.ContextDigest[:]))
-			w.u32(uint32(len(s.Funcs.Funcs)))
-			for _, fb := range s.Funcs.Funcs {
-				w.raw(string(fb.Digest[:]))
-				w.u64(fb.Ext.Entry)
-				w.u32(uint32(len(fb.Ext.Segments)))
-				for _, seg := range fb.Ext.Segments {
-					w.u64(seg.VT)
-					w.u32(uint32(len(seg.Events)))
-					for _, e := range seg.Events {
-						w.u8(uint8(e.Kind))
-						w.u64(e.N)
-					}
-				}
-				// Struct Fn duplicates the bundle entry; reconstructed on
-				// decode.
-				w.u32(uint32(len(fb.Ext.Structs)))
-				for _, os := range fb.Ext.Structs {
-					w.bool(os.EntryThis)
-					w.u32(uint32(len(os.Events)))
-					for _, e := range os.Events {
-						w.bool(e.Install)
-						w.u32(uint32(e.Off))
-						w.u64(e.VT)
-						w.u64(e.Callee)
-					}
+	if s.Funcs == nil {
+		w.u8(0)
+	} else {
+		w.u8(1)
+		w.raw(string(s.Funcs.ContextDigest[:]))
+		w.u32(uint32(len(s.Funcs.Funcs)))
+		for _, fb := range s.Funcs.Funcs {
+			w.raw(string(fb.Digest[:]))
+			w.u64(fb.Ext.Entry)
+			w.u32(uint32(len(fb.Ext.Segments)))
+			for _, seg := range fb.Ext.Segments {
+				w.u64(seg.VT)
+				w.u32(uint32(len(seg.Events)))
+				for _, e := range seg.Events {
+					w.u8(uint8(e.Kind))
+					w.u64(e.N)
 				}
 			}
-			tk := sortedKeys(s.Funcs.TypeKeys)
-			w.u32(uint32(len(tk)))
-			for _, t := range tk {
-				w.u64(t)
-				k := s.Funcs.TypeKeys[t]
-				w.raw(string(k[:]))
+			// Struct Fn duplicates the bundle entry; reconstructed on
+			// decode.
+			w.u32(uint32(len(fb.Ext.Structs)))
+			for _, os := range fb.Ext.Structs {
+				w.bool(os.EntryThis)
+				w.u32(uint32(len(os.Events)))
+				for _, e := range os.Events {
+					w.bool(e.Install)
+					w.u32(uint32(e.Off))
+					w.u64(e.VT)
+					w.u64(e.Callee)
+				}
 			}
+		}
+		tk := sortedKeys(s.Funcs.TypeKeys)
+		w.u32(uint32(len(tk)))
+		for _, t := range tk {
+			w.u64(t)
+			k := s.Funcs.TypeKeys[t]
+			w.raw(string(k[:]))
 		}
 	}
 	sum := sha256.Sum256(w.buf)
@@ -536,11 +505,11 @@ func Decode(data []byte) (*Snapshot, error) {
 	if sum := sha256.Sum256(payload); string(sum[:]) != string(data[len(payload):]) {
 		return nil, fmt.Errorf("snapshot: checksum mismatch")
 	}
-	h, hlen, err := parseHeader(payload)
+	h, err := parseHeader(payload)
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{data: payload, pos: hlen}
+	r := &reader{data: payload, pos: HeaderLen}
 	s := &Snapshot{Key: h.Key, NameHash: h.NameHash}
 
 	// Extraction section.
@@ -661,61 +630,58 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.Parents = r.pairsMap()
 	s.MultiParents = r.addrsMap()
 
-	// Function-granular section (v3 only; v2 files end here with a nil
-	// Funcs, which every consumer treats as "no incremental data").
-	if h.Version >= 3 {
-		switch r.u8() {
-		case 0:
-		case 1:
-			fs := &FnSection{}
-			copy(fs.ContextDigest[:], r.bytes(32))
-			nf := r.count(48) // digest 32 + entry u64 + two counts
-			for i := 0; i < nf && r.err == nil; i++ {
-				var fb FnBundle
-				copy(fb.Digest[:], r.bytes(32))
-				fb.Ext.Entry = r.u64()
-				ns := r.count(12) // vt u64 + event count u32
-				for j := 0; j < ns && r.err == nil; j++ {
-					seg := objtrace.Segment{VT: r.u64()}
-					ne := r.count(9) // kind u8 + n u64
-					for k := 0; k < ne && r.err == nil; k++ {
-						kind := r.u8()
-						if r.err == nil && kind > uint8(objtrace.EvCallF) {
-							r.fail(fmt.Errorf("snapshot: unknown event kind %d in function bundle", kind))
-							break
-						}
-						seg.Events = append(seg.Events, objtrace.Event{Kind: objtrace.EventKind(kind), N: r.u64()})
+	// Function-granular section.
+	switch r.u8() {
+	case 0:
+	case 1:
+		fs := &FnSection{}
+		copy(fs.ContextDigest[:], r.bytes(32))
+		nf := r.count(48) // digest 32 + entry u64 + two counts
+		for i := 0; i < nf && r.err == nil; i++ {
+			var fb FnBundle
+			copy(fb.Digest[:], r.bytes(32))
+			fb.Ext.Entry = r.u64()
+			ns := r.count(12) // vt u64 + event count u32
+			for j := 0; j < ns && r.err == nil; j++ {
+				seg := objtrace.Segment{VT: r.u64()}
+				ne := r.count(9) // kind u8 + n u64
+				for k := 0; k < ne && r.err == nil; k++ {
+					kind := r.u8()
+					if r.err == nil && kind > uint8(objtrace.EvCallF) {
+						r.fail(fmt.Errorf("snapshot: unknown event kind %d in function bundle", kind))
+						break
 					}
-					fb.Ext.Segments = append(fb.Ext.Segments, seg)
+					seg.Events = append(seg.Events, objtrace.Event{Kind: objtrace.EventKind(kind), N: r.u64()})
 				}
-				nos := r.count(5) // entryThis u8 + event count u32
-				for j := 0; j < nos && r.err == nil; j++ {
-					os := objtrace.ObjStruct{Fn: fb.Ext.Entry, EntryThis: r.bool()}
-					ne := r.count(21)
-					for k := 0; k < ne && r.err == nil; k++ {
-						os.Events = append(os.Events, objtrace.StructEvent{
-							Install: r.bool(),
-							Off:     int32(r.u32()),
-							VT:      r.u64(),
-							Callee:  r.u64(),
-						})
-					}
-					fb.Ext.Structs = append(fb.Ext.Structs, os)
+				fb.Ext.Segments = append(fb.Ext.Segments, seg)
+			}
+			nos := r.count(5) // entryThis u8 + event count u32
+			for j := 0; j < nos && r.err == nil; j++ {
+				os := objtrace.ObjStruct{Fn: fb.Ext.Entry, EntryThis: r.bool()}
+				ne := r.count(21)
+				for k := 0; k < ne && r.err == nil; k++ {
+					os.Events = append(os.Events, objtrace.StructEvent{
+						Install: r.bool(),
+						Off:     int32(r.u32()),
+						VT:      r.u64(),
+						Callee:  r.u64(),
+					})
 				}
-				fs.Funcs = append(fs.Funcs, fb)
+				fb.Ext.Structs = append(fb.Ext.Structs, os)
 			}
-			nt := r.count(40) // type u64 + key 32
-			fs.TypeKeys = make(map[uint64][32]byte, nt)
-			for i := 0; i < nt && r.err == nil; i++ {
-				t := r.u64()
-				var k [32]byte
-				copy(k[:], r.bytes(32))
-				fs.TypeKeys[t] = k
-			}
-			s.Funcs = fs
-		default:
-			r.fail(fmt.Errorf("snapshot: bad function-section flag"))
+			fs.Funcs = append(fs.Funcs, fb)
 		}
+		nt := r.count(40) // type u64 + key 32
+		fs.TypeKeys = make(map[uint64][32]byte, nt)
+		for i := 0; i < nt && r.err == nil; i++ {
+			t := r.u64()
+			var k [32]byte
+			copy(k[:], r.bytes(32))
+			fs.TypeKeys[t] = k
+		}
+		s.Funcs = fs
+	default:
+		r.fail(fmt.Errorf("snapshot: bad function-section flag"))
 	}
 	if r.err != nil {
 		return nil, r.err

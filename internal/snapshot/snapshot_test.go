@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -218,10 +219,20 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Error("bad magic accepted")
 	}
-	bad = append([]byte(nil), data...)
-	bad[4] = Version + 1
-	if _, err := Decode(bad); err == nil {
-		t.Error("future version accepted")
+	// Any other version is turned away by the version gate even behind
+	// an intact checksum, and so is its header alone.
+	for _, v := range []uint32{2, Version + 1} {
+		other := resealed(data, v)
+		if _, err := Decode(other); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: Decode err = %v, want ErrVersion", v, err)
+		}
+		path := filepath.Join(t.TempDir(), "other.rsnap")
+		if err := os.WriteFile(path, other, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadHeader(path); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: ReadHeader err = %v, want ErrVersion", v, err)
+		}
 	}
 	if _, err := Decode(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
@@ -236,55 +247,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if got, err := Decode(noFn); err != nil || got.Funcs != nil {
 		t.Errorf("nil-Funcs round trip: funcs=%v err=%v", got.Funcs, err)
-	}
-}
-
-// TestV2CompatRoundTrip pins the migration contract: a v2-encoded file
-// (pre-incremental layout) still decodes as a whole-image-valid snapshot —
-// same key and sections, nil function section, zero name hash — and its
-// header parses through both probes.
-func TestV2CompatRoundTrip(t *testing.T) {
-	s := sampleSnapshot()
-	data, err := s.EncodeVersion(2)
-	if err != nil {
-		t.Fatalf("encode v2: %v", err)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatalf("decode v2: %v", err)
-	}
-	if got.Funcs != nil {
-		t.Error("v2 decode produced a function section")
-	}
-	if got.NameHash != ([32]byte{}) {
-		t.Error("v2 decode produced a name hash")
-	}
-	want := sampleSnapshot()
-	want.Funcs = nil
-	want.NameHash = [32]byte{}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("v2 round trip lost sections")
-	}
-	if got.Key.Usable(got) != LevelHierarchy {
-		t.Error("v2 snapshot not fully usable for its own key")
-	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v2.rsnap")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	k, err := ReadKey(path)
-	if err != nil || k != s.Key {
-		t.Errorf("ReadKey on v2 file: key match=%v err=%v", k == s.Key, err)
-	}
-	h, err := ReadHeader(path)
-	if err != nil || h.Version != 2 || h.NameHash != ([32]byte{}) {
-		t.Errorf("ReadHeader on v2 file: %+v err=%v", h, err)
-	}
-
-	if _, err := s.EncodeVersion(1); err == nil {
-		t.Error("EncodeVersion(1) accepted")
 	}
 }
 

@@ -2,16 +2,12 @@ package rock
 
 import (
 	"context"
-	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/image"
 	"repro/internal/obs"
-	"repro/internal/pool"
-	"repro/internal/slm"
-	"repro/internal/snapshot"
 )
 
 // CorpusOptions configures a batch analysis over many images. The
@@ -20,14 +16,6 @@ import (
 // bound).
 type CorpusOptions struct {
 	Options
-	// MaxInFlight bounds how many cold images are analyzed concurrently.
-	// 0 defaults to Workers.
-	MaxInFlight int
-	// SoftMemBytes, when non-zero, is a corpus-wide soft heap ceiling: new
-	// cold analyses are not admitted while the live heap sits above it and
-	// something is already running. At least one image is always in
-	// flight, so the ceiling throttles but never wedges the batch.
-	SoftMemBytes uint64
 	// OnResult, when non-nil, streams each image's outcome as it completes
 	// (completion order, serialized calls) — for progress display. The
 	// final CorpusReport is always in input order regardless.
@@ -38,8 +26,8 @@ type CorpusOptions struct {
 	Observe bool
 	// Trace, when non-nil, additionally draws every image's stages and
 	// fan-out helpers as chrome-tracing spans on the shared sink (each
-	// image on its own lane, so corpus scheduling is visible in Perfetto).
-	// Implies Observe for the images' buses.
+	// running image on its own lane, so corpus scheduling is visible in
+	// Perfetto). Implies Observe for the images' buses.
 	Trace *Trace
 }
 
@@ -55,8 +43,8 @@ type CorpusItem struct {
 	// Warm reports the image restored fully from its snapshot and bypassed
 	// the analysis queue.
 	Warm bool
-	// Wait is how long the image queued (admission, memory gate, pool
-	// token) before its analysis started.
+	// Wait is how long the image queued before its work started: for its
+	// pool token when cold, for a warm-decode slot when warm.
 	Wait time.Duration
 	// Stats is the image's per-stage observability record; nil unless
 	// CorpusOptions.Observe (or Trace) was set. Same pointer as
@@ -69,19 +57,17 @@ type CorpusReport struct {
 	// Items holds the per-image outcomes in input order — identical to
 	// analyzing each image alone, for every worker count.
 	Items []CorpusItem
-	// PeakHeap is the highest live-heap sample observed during the batch.
-	PeakHeap uint64
-	// Warm and Cold count images per admission path.
-	Warm, Cold int
+	// Warm counts the images that restored fully from their snapshots.
+	Warm int
 }
 
 // AnalyzeCorpus analyzes many images as one batch over a shared bounded
-// worker pool (see internal/corpus): cross-image admission scheduling,
-// cache-aware warm bypass (with a CacheDir, images whose snapshots probe
-// fully warm decode immediately instead of queueing), shared query
-// scratch across analyses, and an optional soft memory ceiling. Per-image
-// results are deep-equal to AnalyzeImage run sequentially; the returned
-// error is non-nil only when ctx was canceled.
+// worker pool (core.Shared.AnalyzeBatch): one goroutine per image, cold
+// analyses bounded by the pool tokens, cache-aware warm bypass (with a
+// CacheDir, images whose snapshots probe fully warm decode without a pool
+// token instead of queueing behind cold ones), and shared query scratch
+// across analyses. Per-image results are deep-equal to AnalyzeImage run
+// sequentially; the returned error is non-nil only when ctx was canceled.
 func AnalyzeCorpus(ctx context.Context, images []*image.Image, opts CorpusOptions) (*CorpusReport, error) {
 	cfg, err := config(opts.Options)
 	if err != nil {
@@ -97,68 +83,42 @@ func AnalyzeCorpus(ctx context.Context, images []*image.Image, opts CorpusOption
 			stripped[i] = img.Strip()
 		}
 	}
-	scratch := slm.NewScratchPool()
-	ch, wait := corpus.Stream(ctx, n,
-		corpus.Options{
-			Workers:      opts.Workers,
-			MaxInFlight:  opts.MaxInFlight,
-			SoftMemBytes: opts.SoftMemBytes,
-		},
-		func(i int) bool {
-			return core.ProbeSnapshot(stripped[i], cfg) == snapshot.LevelHierarchy
-		},
-		func(ctx context.Context, i int, sh *pool.Shared) (*Report, error) {
+	rep := &CorpusReport{Items: make([]CorpusItem, n)}
+	buses := make([]*obs.Bus, n)
+	// mu only serializes OnResult calls, as documented; it guards nothing
+	// the callback could reach, so holding it across the call is safe.
+	var mu sync.Mutex
+	err = core.NewShared(opts.Workers).AnalyzeBatch(ctx, stripped,
+		func(i int) core.Config {
 			c := cfg
-			c.Pool = sh
-			c.Scratch = scratch
 			if opts.Observe || opts.Trace != nil {
-				bus := obs.NewBus()
-				if opts.Trace != nil {
-					// Each image's stage spans draw on a lane of its own for
-					// the image's duration; a released lane is reused, so the
-					// trace's thread count tracks in-flight images, not n.
-					bus.Trace = opts.Trace
-					bus.Lane = opts.Trace.AcquireLane()
-					defer opts.Trace.ReleaseLane(bus.Lane)
-					sp := bus.Span(fmt.Sprintf("image %d", i))
-					defer sp.End()
-				}
-				c.Obs = bus
+				buses[i] = obs.NewBus()
+				buses[i].Trace = opts.Trace
+				c.Obs = buses[i]
 			}
-			res, err := core.AnalyzeContext(ctx, stripped[i], c)
-			if err != nil {
-				return nil, err
+			return c
+		},
+		func(i int, res *core.Result, ad core.Admission, err error) {
+			it := CorpusItem{Index: i, Err: err, Warm: ad.Warm, Wait: ad.Wait}
+			if err == nil {
+				it.Report = buildReport(res, metas[i])
+				it.Report.Stats = buses[i].Report() // nil-safe: unobserved batches stay nil
+				it.Stats = it.Report.Stats
 			}
-			rep := buildReport(res, metas[i])
-			rep.Stats = c.Obs.Report() // nil-safe: unobserved batches stay nil
-			return rep, nil
+			rep.Items[i] = it
+			if opts.OnResult != nil {
+				mu.Lock()
+				opts.OnResult(it)
+				mu.Unlock()
+			}
 		})
-	for it := range ch {
-		if opts.OnResult != nil {
-			opts.OnResult(corpusItem(it))
-		}
-	}
-	items, stats, err := wait()
 	if err != nil {
 		return nil, err
 	}
-	rep := &CorpusReport{
-		Items:    make([]CorpusItem, n),
-		PeakHeap: stats.PeakHeap,
-		Warm:     stats.Warm,
-		Cold:     stats.Cold,
-	}
-	for i, it := range items {
-		rep.Items[i] = corpusItem(it)
+	for _, it := range rep.Items {
+		if it.Warm {
+			rep.Warm++
+		}
 	}
 	return rep, nil
-}
-
-// corpusItem translates a scheduler outcome into the public form.
-func corpusItem(it corpus.Item[*Report]) CorpusItem {
-	ci := CorpusItem{Index: it.Index, Report: it.Value, Err: it.Err, Warm: it.Warm, Wait: it.Wait}
-	if it.Value != nil {
-		ci.Stats = it.Value.Stats
-	}
-	return ci
 }

@@ -1,11 +1,17 @@
 package rock
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"reflect"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/image"
@@ -25,9 +31,70 @@ func buildSuite(t *testing.T) []*image.Image {
 	return imgs
 }
 
-// TestAnalyzeCorpusMatchesSequential: the batch engine's Reports are
-// deep-equal to AnalyzeImage run one image at a time, for a serial pool
-// and a contended one.
+// raggedCopy returns a stripped copy of img whose last function is one
+// byte long, which disassembly rejects.
+func raggedCopy(img *image.Image) *image.Image {
+	bad := *img.Strip()
+	last := bad.Entries[len(bad.Entries)-1]
+	bad.Entries = append(append([]uint64(nil), bad.Entries...), last+1)
+	return &bad
+}
+
+// peakRunning reads a chrome trace and returns the most spans that were
+// open at once among the images' analysis spans and the fan-out helper
+// spans — each of which holds one pool token while it is open.
+func peakRunning(t *testing.T, tr *Trace) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name, Cat string
+		Ts, Dur   float64
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	type edge struct {
+		at    float64
+		delta int
+	}
+	var edges []edge
+	images := 0
+	for _, e := range events {
+		if e.Cat == "fanout" || (e.Cat == "stage" && strings.HasPrefix(e.Name, "image ")) {
+			edges = append(edges, edge{e.Ts, 1}, edge{e.Ts + e.Dur, -1})
+			if e.Cat == "stage" {
+				images++
+			}
+		}
+	}
+	if images == 0 {
+		t.Fatal("trace holds no image spans")
+	}
+	// Ends sort before starts at equal times: a token released and taken
+	// again at the same instant is not an overlap.
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return edges[i].delta < edges[j].delta
+	})
+	cur, peak := 0, 0
+	for _, e := range edges {
+		cur += e.delta
+		peak = max(peak, cur)
+	}
+	return peak
+}
+
+// TestAnalyzeCorpusMatchesSequential: the batch engine's Reports come
+// back index-ordered and deep-equal to AnalyzeImage run one image at a
+// time, for a serial pool and contended ones; one failing image is
+// recorded in its own slot without aborting the others; and the analyses
+// running at once, counting their nested fan-out helpers on the same
+// pool, never exceed the pool capacity.
 func TestAnalyzeCorpusMatchesSequential(t *testing.T) {
 	imgs := buildSuite(t)
 	want := make([]*Report, len(imgs))
@@ -38,11 +105,16 @@ func TestAnalyzeCorpusMatchesSequential(t *testing.T) {
 		}
 		want[i] = rep
 	}
-	for _, workers := range []int{1, 8} {
+	const bad = 7
+	batch := append(append(append([]*image.Image(nil), imgs[:bad]...), raggedCopy(imgs[bad])), imgs[bad:]...)
+	want = append(append(append([]*Report(nil), want[:bad]...), nil), want[bad:]...)
+	for _, workers := range []int{1, 2, 8} {
 		var streamed int
 		var mu sync.Mutex
-		got, err := AnalyzeCorpus(context.Background(), imgs, CorpusOptions{
+		trace := NewTrace()
+		got, err := AnalyzeCorpus(context.Background(), batch, CorpusOptions{
 			Options: Options{Workers: workers},
+			Trace:   trace,
 			OnResult: func(CorpusItem) {
 				mu.Lock()
 				streamed++
@@ -52,26 +124,41 @@ func TestAnalyzeCorpusMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if streamed != len(imgs) {
-			t.Fatalf("workers=%d: streamed %d of %d results", workers, streamed, len(imgs))
+		if streamed != len(batch) {
+			t.Fatalf("workers=%d: streamed %d of %d results", workers, streamed, len(batch))
 		}
-		if got.Cold != len(imgs) || got.Warm != 0 {
+		if got.Warm != 0 {
 			t.Fatalf("workers=%d: cacheless corpus classified %d warm", workers, got.Warm)
 		}
 		for i, it := range got.Items {
+			if it.Index != i {
+				t.Fatalf("workers=%d: items[%d] carries index %d", workers, i, it.Index)
+			}
+			if i == bad {
+				if it.Err == nil || it.Report != nil {
+					t.Errorf("workers=%d: ragged image analyzed without error", workers)
+				}
+				continue
+			}
 			if it.Err != nil {
 				t.Fatalf("workers=%d: image %d: %v", workers, i, it.Err)
 			}
-			if !reflect.DeepEqual(it.Report, want[i]) {
+			rep := *it.Report
+			rep.Stats = nil // observed only for the trace
+			if !reflect.DeepEqual(&rep, want[i]) {
 				t.Errorf("workers=%d: image %d report diverged from sequential AnalyzeImage", workers, i)
 			}
+		}
+		if p := peakRunning(t, trace); p > workers {
+			t.Errorf("workers=%d: %d analyses and helpers ran at once", workers, p)
 		}
 	}
 }
 
-// TestAnalyzeCorpusWarmBypass: with a populated snapshot cache, a second
-// corpus pass classifies every image warm, bypasses the analysis queue,
-// and still returns reports deep-equal to the cold pass.
+// TestAnalyzeCorpusWarmBypass: with a snapshot cache populated for half
+// the suite, a mixed pass classifies exactly those images warm and the
+// rest cold, and a second full pass classifies every image warm; every
+// report stays deep-equal to the cold pass.
 func TestAnalyzeCorpusWarmBypass(t *testing.T) {
 	imgs := buildSuite(t)
 	cacheDir, err := os.MkdirTemp(t.TempDir(), "corpus-cache-")
@@ -79,12 +166,16 @@ func TestAnalyzeCorpusWarmBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := CorpusOptions{Options: Options{Workers: 4, CacheDir: cacheDir}}
-	cold, err := AnalyzeCorpus(context.Background(), imgs, opts)
+	half := len(imgs) / 2
+	if _, err := AnalyzeCorpus(context.Background(), imgs[:half], opts); err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := AnalyzeCorpus(context.Background(), imgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Warm != 0 {
-		t.Fatalf("cold pass classified %d images warm", cold.Warm)
+	if mixed.Warm != half {
+		t.Fatalf("mixed pass classified %d images warm, want %d", mixed.Warm, half)
 	}
 	warm, err := AnalyzeCorpus(context.Background(), imgs, opts)
 	if err != nil {
@@ -94,27 +185,49 @@ func TestAnalyzeCorpusWarmBypass(t *testing.T) {
 		t.Fatalf("warm pass classified only %d of %d images warm", warm.Warm, len(imgs))
 	}
 	for i := range imgs {
+		if mixed.Items[i].Warm != (i < half) {
+			t.Errorf("mixed pass: image %d warm=%v", i, mixed.Items[i].Warm)
+		}
 		if !warm.Items[i].Warm {
 			t.Errorf("image %d not flagged warm", i)
 		}
 		// The provenance fields record HOW each run executed (warm runs
 		// report their snapshot reuse level); everything the analysis
 		// computed must be identical.
-		w, c := *warm.Items[i].Report, *cold.Items[i].Report
-		w.SnapshotReuse, c.SnapshotReuse = 0, 0
-		if !reflect.DeepEqual(w, c) {
+		w, m := *warm.Items[i].Report, *mixed.Items[i].Report
+		w.SnapshotReuse, m.SnapshotReuse = 0, 0
+		if !reflect.DeepEqual(w, m) {
 			t.Errorf("image %d warm report diverged from cold", i)
 		}
 	}
 }
 
-// TestAnalyzeCorpusCancellation: a canceled batch returns the context
-// error rather than partial results.
+// TestAnalyzeCorpusCancellation: a batch canceled before it starts, or
+// midway through, returns the context error rather than partial results,
+// and leaves no goroutine behind.
 func TestAnalyzeCorpusCancellation(t *testing.T) {
 	imgs := buildSuite(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := AnalyzeCorpus(ctx, imgs, CorpusOptions{}); err == nil {
 		t.Fatal("canceled corpus returned nil error")
+	}
+
+	base := runtime.NumGoroutine()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	_, err := AnalyzeCorpus(ctx, imgs, CorpusOptions{
+		Options:  Options{Workers: 2},
+		OnResult: func(CorpusItem) { cancel() },
+	})
+	if err == nil {
+		t.Fatal("corpus canceled midway returned nil error")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > base {
+		t.Errorf("goroutines leaked: %d > baseline %d", g, base)
 	}
 }

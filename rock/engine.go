@@ -2,12 +2,9 @@ package rock
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/image"
-	"repro/internal/pool"
-	"repro/internal/slm"
 	"repro/internal/snapshot"
 )
 
@@ -16,17 +13,15 @@ import (
 // bounded worker pool and one recycled query-scratch pool that every
 // analysis it runs draws from, so concurrent requests compete for a fixed
 // parallelism budget instead of each assuming it owns the machine —
-// exactly the resource model of the corpus batch engine, but for an
-// open-ended request stream instead of a fixed batch. The analysis daemon
+// exactly the resource model of AnalyzeCorpus, but for an open-ended
+// request stream instead of a fixed batch. The analysis daemon
 // (internal/rockd) runs every submission through one Engine.
 //
 // An Engine is safe for concurrent use; results are identical to the
 // one-shot entry points for every pool capacity and interleaving.
 type Engine struct {
-	cfg     core.Config
-	pool    *pool.Shared
-	scratch *slm.ScratchPool
-	workers int
+	cfg core.Config
+	sh  *core.Shared
 }
 
 // NewEngine validates opts once and builds the shared execution state.
@@ -38,20 +33,11 @@ func NewEngine(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Engine{
-		cfg:     cfg,
-		pool:    pool.NewShared(workers),
-		scratch: slm.NewScratchPool(),
-		workers: workers,
-	}, nil
+	return &Engine{cfg: cfg, sh: core.NewShared(cfg.Workers)}, nil
 }
 
 // Workers returns the capacity of the engine's shared worker pool.
-func (e *Engine) Workers() int { return e.workers }
+func (e *Engine) Workers() int { return e.sh.Workers() }
 
 // ProbeWarm predicts, from the snapshot file's header alone, whether img
 // would restore fully warm (no analysis, just a decode) under this
@@ -65,14 +51,13 @@ func (e *Engine) ProbeWarm(img *image.Image) bool {
 	return core.ProbeSnapshot(stripped, e.cfg) == snapshot.LevelHierarchy
 }
 
-// AnalyzeImage analyzes one image on the engine's shared pool. Cold work
-// holds one pool token for its duration — mirroring the corpus
-// scheduler's cold lane, so the number of concurrently *running* analyses
-// never exceeds the pool capacity — while a fully-warm image decodes
-// token-free on the caller's goroutine (a decode is not an analysis).
-// o, when non-nil, observes just this request; its Stats land in
-// Report.Stats. Metadata, if present, is stripped before analysis and
-// used only to decorate the report.
+// AnalyzeImage analyzes one image on the engine's shared pool under
+// core.Shared's admission rule: cold work holds one pool token for its
+// duration, so the number of concurrently running analyses never exceeds
+// the pool capacity, while a fully-warm image decodes without one (a
+// decode is not an analysis). o, when non-nil, observes just this
+// request; its Stats land in Report.Stats. Metadata, if present, is
+// stripped before analysis and used only to decorate the report.
 func (e *Engine) AnalyzeImage(ctx context.Context, img *image.Image, o *Observer) (*Report, error) {
 	meta := img.Meta
 	stripped := img
@@ -80,16 +65,8 @@ func (e *Engine) AnalyzeImage(ctx context.Context, img *image.Image, o *Observer
 		stripped = img.Strip()
 	}
 	c := e.cfg
-	c.Pool = e.pool
-	c.Scratch = e.scratch
 	c.Obs = o
-	if core.ProbeSnapshot(stripped, c) != snapshot.LevelHierarchy {
-		if err := e.pool.Acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.pool.Release()
-	}
-	res, err := core.AnalyzeContext(ctx, stripped, c)
+	res, _, err := e.sh.Analyze(ctx, stripped, c)
 	if err != nil {
 		return nil, err
 	}

@@ -71,13 +71,6 @@ type Options struct {
 	// paper's "without SLMs" baseline: only type families and the
 	// possible-parents relation are reported.
 	StructuralOnly bool
-	// DenseDistances restores the full n×n per-family pairwise distance
-	// matrix instead of the default sparse sweep, which reduces only the
-	// structurally-admissible candidate pairs the arborescence can use.
-	// The reconstructed hierarchy is unaffected; dense mode exists for
-	// reporting and diagnostics that read every pairwise distance, at
-	// quadratic cost per family.
-	DenseDistances bool
 	// Workers bounds the analysis concurrency (tracelet extraction, SLM
 	// training, pairwise distance matrices, per-family arborescences).
 	// 0 uses all CPUs (runtime.GOMAXPROCS); 1 runs fully serially. The
@@ -210,7 +203,6 @@ func config(opts Options) (core.Config, error) {
 		return cfg, fmt.Errorf("rock: unknown metric %q", opts.Metric)
 	}
 	cfg.UseSLM = !opts.StructuralOnly
-	cfg.DenseDist = opts.DenseDistances
 	cfg.Workers = opts.Workers
 	cfg.CacheDir = opts.CacheDir
 	inv, err := core.ParseInvalidate(opts.Invalidate)
