@@ -4,51 +4,16 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
-	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/evidence"
-	"repro/internal/image"
-	"repro/internal/obs"
 )
 
-// providerBenchRow is one evidence provider's cost attribution from the
-// observed fused run (the evidence:NAME stage rows).
-type providerBenchRow struct {
-	Name       string `json:"name"`
-	WallNS     int64  `json:"wall_ns"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-	Allocs     uint64 `json:"allocs"`
-	Families   int64  `json:"families"`
-}
-
-// fusionBenchResult is the JSON record emitted by -fusion's timing half
-// (the CI artifact BENCH_fusion.json): what fusing the subtype provider
-// costs on top of the SLM-only sweep, on the largest Table 2 benchmark.
-type fusionBenchResult struct {
-	Benchmark     string             `json:"benchmark"`
-	Types         int                `json:"types"`
-	Workers       int                `json:"workers"`
-	Runs          int                `json:"runs"`
-	SLMOnlyNS     int64              `json:"slm_only_ns"`
-	FusedNS       int64              `json:"fused_ns"`
-	Overhead      float64            `json:"overhead"`
-	EvidenceEdges int64              `json:"evidence_edges_scored"`
-	Providers     []providerBenchRow `json:"providers"`
-}
-
-// runFusion is the -fusion mode: the accuracy half reruns the
-// adversarial grid under the SLM-only and the fused configuration and
-// writes the paired scores (ACC_fusion.json); the timing half measures
-// the fused sweep's overhead on the largest Table 2 benchmark with
-// per-provider attribution (BENCH_fusion.json). With a floors file both
-// the fusion contract (fused >= SLM everywhere, strictly better on >= 3
-// hard modes) and the checked-in v2 floors gate the run — any regression
-// exits non-zero.
-func runFusion(accPath, benchPath, floorsPath string) {
+// runFusion is the -fusion mode: it reruns the adversarial grid under the
+// SLM-only and the fused configuration and writes the paired scores
+// (ACC_fusion.json). The fusion contract (fused >= SLM everywhere,
+// strictly better on >= 3 hard modes) gates the run, and with a floors
+// file so do the checked-in v2 floors — any regression exits non-zero.
+func runFusion(accPath, floorsPath string) {
 	fmt.Println("== fusion: SLM-only vs slm+subtype on the adversarial grid ==")
 	rep, err := eval.RunFusionGrid(context.Background(), benchConfig())
 	if err != nil {
@@ -56,8 +21,6 @@ func runFusion(accPath, benchPath, floorsPath string) {
 	}
 	fmt.Print(eval.FusionTable(rep))
 	writeJSON(accPath, rep)
-
-	writeJSON(benchPath, measureFusionOverhead())
 
 	gateErr := eval.CheckFusion(rep, 3)
 	if floorsPath != "" {
@@ -82,81 +45,4 @@ func runFusion(accPath, benchPath, floorsPath string) {
 		suffix = fmt.Sprintf(", floors OK (%s)", floorsPath)
 	}
 	fmt.Printf("  fusion contract OK%s\n", suffix)
-}
-
-// measureFusionOverhead times the SLM-only and fused analyses of the
-// largest Table 2 benchmark (best of 3, untimed observer run separately
-// for the per-provider attribution).
-func measureFusionOverhead() fusionBenchResult {
-	var largest *bench.Benchmark
-	var img *image.Image
-	for _, b := range bench.All() {
-		bi, _, err := b.Build()
-		if err != nil {
-			fatal(err)
-		}
-		if img == nil || len(bi.Code)+len(bi.Rodata) > len(img.Code)+len(img.Rodata) {
-			largest, img = b, bi
-		}
-	}
-	slmCfg := benchConfig()
-	fusedCfg := benchConfig()
-	fusedCfg.Evidence = []string{evidence.NameSLM, evidence.NameSubtype}
-
-	const runs = 3
-	measure := func(cfg core.Config) (time.Duration, *core.Result) {
-		best := time.Duration(0)
-		var res *core.Result
-		for i := 0; i < runs; i++ {
-			start := time.Now()
-			r, err := core.Analyze(img, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-			res = r
-		}
-		return best, res
-	}
-	slmD, slmRes := measure(slmCfg)
-	fusedD, _ := measure(fusedCfg)
-
-	obsCfg := fusedCfg
-	obsCfg.Obs = obs.NewBus()
-	if _, err := core.Analyze(img, obsCfg); err != nil {
-		fatal(err)
-	}
-	orep := obsCfg.Obs.Report()
-	out := fusionBenchResult{
-		Benchmark:     largest.Name,
-		Types:         len(slmRes.VTables),
-		Workers:       slmCfg.Workers,
-		Runs:          runs,
-		SLMOnlyNS:     slmD.Nanoseconds(),
-		FusedNS:       fusedD.Nanoseconds(),
-		Overhead:      float64(fusedD) / float64(slmD),
-		EvidenceEdges: orep.Counters["evidence_edges_scored"],
-	}
-	for _, st := range orep.Stages {
-		if !strings.HasPrefix(st.Name, "evidence:") {
-			continue
-		}
-		out.Providers = append(out.Providers, providerBenchRow{
-			Name:       strings.TrimPrefix(st.Name, "evidence:"),
-			WallNS:     st.Wall.Nanoseconds(),
-			AllocBytes: st.AllocBytes,
-			Allocs:     st.Allocs,
-			Families:   st.Count,
-		})
-	}
-	fmt.Printf("  overhead on %s: slm-only %s, fused %s (%.2fx), %d edges scored\n",
-		out.Benchmark, slmD.Round(time.Microsecond), fusedD.Round(time.Microsecond),
-		out.Overhead, out.EvidenceEdges)
-	for _, p := range out.Providers {
-		fmt.Printf("    evidence:%-8s %12s  %8d families\n",
-			p.Name, time.Duration(p.WallNS).Round(time.Microsecond), p.Families)
-	}
-	return out
 }

@@ -8,21 +8,10 @@
 //	rockbench -fig9         Fig. 9: CGridListCtrlEx ground truth vs
 //	                        reconstruction
 //	rockbench -metrics      §6.4 "Other Metrics": DKL vs JS variants
-//	rockbench -scale        sub-quadratic sweep benchmark: one wide synthetic
-//	                        family at -sizes (default 1000,3000,10000 types),
+//	rockbench -scale        §3.2 scalability: one wide synthetic family at
+//	                        -sizes (default 1000,3000,10000 types), printing
 //	                        wall-clock and the admissible vs pruned pair
-//	                        counts of the sparse candidate-pair sweep;
-//	                        -json FILE writes the result, e.g.
-//	                        BENCH_scale.json
-//	rockbench -pipeline     serial vs parallel pipeline wall-clock on the
-//	                        largest benchmark (-json FILE writes the result)
-//	rockbench -slm          SLM micro-bench: map-based builder vs frozen
-//	                        flat-trie query kernel (-json FILE writes the
-//	                        result, e.g. BENCH_slm.json)
-//	rockbench -snapshot     cold vs warm end-to-end analysis over the whole
-//	                        Table 2 suite through the content-addressed
-//	                        snapshot cache (-json FILE writes the result,
-//	                        e.g. BENCH_snapshot.json)
+//	                        counts of the sparse candidate-pair sweep
 //	rockbench -synth        adversarial accuracy grid: seeded generator
 //	                        shapes x compiler hard-case modes, scored per
 //	                        edge (precision/recall/F1 + tier); -json FILE
@@ -30,47 +19,23 @@
 //	                        -floors FILE gates it against checked-in
 //	                        accuracy floors (non-zero exit on regression)
 //	rockbench -fusion       evidence fusion: rerun the adversarial grid with
-//	                        the subtype provider fused into the SLM sweep,
-//	                        pair the per-config scores against SLM-only
-//	                        (-json FILE writes ACC_fusion.json), and measure
-//	                        the fused sweep's overhead with per-provider
-//	                        attribution on the largest benchmark
-//	                        (-fusion-bench FILE writes BENCH_fusion.json);
-//	                        -floors FILE additionally gates both halves
-//	                        against the checked-in v2 accuracy floors
-//	rockbench -incr         incremental re-analysis: a deep synthetic binary
-//	                        is analyzed once to persist its snapshot, then
-//	                        re-linked with -patches functions modified
-//	                        (default 1,5,25) and re-analyzed both from
-//	                        scratch and through the version-diff warm lane
-//	                        (-incr-from); every incremental result is
-//	                        asserted deep-equal to the from-scratch one, and
-//	                        a 1-function patch must be at least 10x faster
-//	                        than cold (-json FILE writes the result, e.g.
-//	                        BENCH_incr.json)
-//	rockbench -serve        rockd daemon loadgen: starts an in-process
-//	                        daemon on a loopback listener and drives it
-//	                        over HTTP — 100 concurrent identical
-//	                        submissions must collapse to exactly 1 analysis
-//	                        (singleflight), hot-cache hits must beat the
-//	                        cold analysis by >= 50x at p50, and the
-//	                        interactive hot path must stay under one
-//	                        cold-analysis time while a batch backlog
-//	                        drains; all three are fatal assertions (-json
-//	                        FILE writes the result, e.g. BENCH_serve.json)
+//	                        the subtype provider fused into the SLM sweep
+//	                        and pair the per-config scores against SLM-only
+//	                        (-json FILE writes ACC_fusion.json); the fusion
+//	                        contract gates the run and -floors FILE also
+//	                        checks the checked-in v2 accuracy floors
 //	rockbench -emit DIR     write every benchmark image to DIR (for cmd/rock)
 //	rockbench -all          everything above except -emit
 //
-// Each mode lives in its own file (paper.go, pipeline.go, slm.go,
-// snapshot.go, synth.go, fusion.go, incr.go, serve.go) over
-// the shared harness in harness.go.
+// Each mode lives in its own file (paper.go, scale.go, synth.go,
+// fusion.go); harness.go holds the shared JSON sink. Performance is
+// measured by the one benchmark harness, cmd/rockperf (BENCHMARK.json).
 //
 // The global -workers flag bounds the analysis worker pool in every mode
 // (0 = all CPUs, 1 = serial), and -cache/-invalidate thread the snapshot
-// cache settings into every analysis (the -snapshot mode measures its own
-// temporary caches regardless). -cpuprofile FILE and
+// cache settings into every analysis. -cpuprofile FILE and
 // -memprofile FILE write pprof profiles covering whichever experiments
-// ran, so perf work can measure instead of guess:
+// ran:
 //
 //	rockbench -table2 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
@@ -106,17 +71,10 @@ func main() {
 	metrics := flag.Bool("metrics", false, "run the §6.4 metric ablation")
 	scale := flag.Bool("scale", false, "benchmark the sparse distance sweep on one wide synthetic family")
 	sizes := flag.String("sizes", "1000,3000,10000", "with -scale: comma-separated family sizes (types per family)")
-	pipeline := flag.Bool("pipeline", false, "measure serial vs parallel pipeline wall-clock")
-	slmBench := flag.Bool("slm", false, "measure the builder vs frozen SLM query kernel")
-	snapBench := flag.Bool("snapshot", false, "measure cold vs warm analysis through the snapshot cache")
 	synthGrid := flag.Bool("synth", false, "run the adversarial accuracy grid and score reconstruction per edge")
-	fusionMode := flag.Bool("fusion", false, "rerun the adversarial grid with the subtype evidence provider fused in, compare against SLM-only, and measure the overhead")
-	fusionBenchOut := flag.String("fusion-bench", "", "with -fusion: write the timing artifact to this JSON file (e.g. BENCH_fusion.json)")
+	fusionMode := flag.Bool("fusion", false, "rerun the adversarial grid with the subtype evidence provider fused in and compare against SLM-only")
 	floors := flag.String("floors", "", "with -synth or -fusion: compare the report against this accuracy-floors JSON file and exit non-zero on regression")
-	incrBench := flag.Bool("incr", false, "measure incremental re-analysis of a patched binary against a prior snapshot vs from scratch")
-	serveBench := flag.Bool("serve", false, "load-generate against an in-process rockd daemon and assert its serving-path claims (singleflight, hot cache, admission isolation)")
-	patches := flag.String("patches", "1,5,25", "with -incr: comma-separated patch sizes (functions modified per case)")
-	jsonOut := flag.String("json", "", "write the -scale, -pipeline, -slm, -snapshot, -synth, -fusion, -incr, or -serve result to this JSON file")
+	jsonOut := flag.String("json", "", "write the -synth or -fusion report to this JSON file")
 	emit := flag.String("emit", "", "write benchmark images to this directory")
 	all := flag.Bool("all", false, "run every experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile to this file")
@@ -127,25 +85,13 @@ func main() {
 		cliutil.Usage("rockbench", err.Error())
 	}
 	if *all {
-		*table2, *motivating, *slmdump, *fig9, *metrics, *scale, *pipeline, *slmBench, *snapBench, *synthGrid, *fusionMode, *incrBench, *serveBench = true, true, true, true, true, true, true, true, true, true, true, true, true
+		*table2, *motivating, *slmdump, *fig9, *metrics, *scale, *synthGrid, *fusionMode = true, true, true, true, true, true, true, true
 	}
-	jsonModes := 0
-	for _, on := range []bool{*scale, *pipeline, *slmBench, *snapBench, *synthGrid, *fusionMode, *incrBench, *serveBench} {
-		if on {
-			jsonModes++
-		}
-	}
-	if *jsonOut != "" && jsonModes > 1 && !*all {
-		cliutil.Usage("rockbench", "-json names a single output file; run -scale, -pipeline, -slm, -snapshot, -synth, -fusion, -incr, and -serve separately")
+	if *jsonOut != "" && *synthGrid == *fusionMode {
+		cliutil.Usage("rockbench", "-json requires exactly one of -synth or -fusion")
 	}
 	if *floors != "" && !*synthGrid && !*fusionMode {
 		cliutil.Usage("rockbench", "-floors requires -synth or -fusion")
-	}
-	if *fusionBenchOut != "" && !*fusionMode {
-		cliutil.Usage("rockbench", "-fusion-bench requires -fusion")
-	}
-	if *patches != "1,5,25" && !*incrBench {
-		cliutil.Usage("rockbench", "-patches requires -incr")
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -194,63 +140,15 @@ func main() {
 	}
 	if *scale {
 		ran = true
-		runScale(*jsonOut, *sizes)
-	}
-	if *pipeline {
-		ran = true
-		jp := *jsonOut
-		if *scale {
-			jp = "" // -all: the single -json path belongs to -scale
-		}
-		runPipeline(jp)
-	}
-	if *slmBench {
-		ran = true
-		jp := *jsonOut
-		if *scale || *pipeline {
-			jp = "" // -all: the single -json path belongs to an earlier mode
-		}
-		runSLMBench(jp)
-	}
-	if *snapBench {
-		ran = true
-		jp := *jsonOut
-		if *scale || *pipeline || *slmBench {
-			jp = "" // -all: the single -json path belongs to an earlier mode
-		}
-		runSnapshotBench(jp)
+		runScale(*sizes)
 	}
 	if *synthGrid {
 		ran = true
-		jp := *jsonOut
-		if *scale || *pipeline || *slmBench || *snapBench {
-			jp = "" // -all: the single -json path belongs to an earlier mode
-		}
-		runSynth(jp, *floors)
+		runSynth(*jsonOut, *floors)
 	}
 	if *fusionMode {
 		ran = true
-		jp := *jsonOut
-		if *scale || *pipeline || *slmBench || *snapBench || *synthGrid {
-			jp = "" // -all: the single -json path belongs to an earlier mode
-		}
-		runFusion(jp, *fusionBenchOut, *floors)
-	}
-	if *incrBench {
-		ran = true
-		jp := *jsonOut
-		if *scale || *pipeline || *slmBench || *snapBench || *synthGrid || *fusionMode {
-			jp = "" // -all: the single -json path belongs to an earlier mode
-		}
-		runIncrBench(jp, *patches)
-	}
-	if *serveBench {
-		ran = true
-		jp := *jsonOut
-		if *scale || *pipeline || *slmBench || *snapBench || *synthGrid || *fusionMode || *incrBench {
-			jp = "" // -all: the single -json path belongs to an earlier mode
-		}
-		runServe(jp)
+		runFusion(*jsonOut, *floors)
 	}
 	if *emit != "" {
 		ran = true

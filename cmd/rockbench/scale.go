@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -20,45 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/synth"
 )
-
-// ScaleSchema identifies the BENCH_scale.json format.
-const ScaleSchema = "rock-bench-scale/v2"
-
-// scaleRow is one family size's measurement.
-type scaleRow struct {
-	// Types is the number of discovered binary types (family size + 1 root).
-	Types int `json:"types"`
-	// Funcs is the image's function count.
-	Funcs int `json:"funcs"`
-	// Words is the number of distinct tracelets image-wide — the shared
-	// word set every distribution is measured over.
-	Words int `json:"words"`
-	// Families is the structural family count (1 when the generator's
-	// single family survives intact).
-	Families int `json:"families"`
-	// AdmissiblePairs counts the (parent, child) pairs the structural
-	// analysis admits — the edges Edmonds can actually consume.
-	AdmissiblePairs int64 `json:"admissible_pairs"`
-	// WallNs is the end-to-end analysis wall-clock.
-	WallNs int64 `json:"wall_ns"`
-	// DistPairs / DistPairsPruned are the run's observed sweep counters:
-	// pairs reduced and ordered family pairs skipped.
-	DistPairs       int64 `json:"dist_pairs"`
-	DistPairsPruned int64 `json:"dist_pairs_pruned"`
-	// ParentAcc is the fraction of types whose reconstructed parent edge
-	// matches the generator's ground truth.
-	ParentAcc float64 `json:"parent_acc"`
-	// PeakRSSKB is the process high-water resident set after this size
-	// (process-wide, monotone across rows).
-	PeakRSSKB int64 `json:"peak_rss_kb"`
-}
-
-// scaleReport is the rockbench -scale output (BENCH_scale.json).
-type scaleReport struct {
-	Schema  string     `json:"schema"`
-	Workers int        `json:"workers"`
-	Rows    []scaleRow `json:"rows"`
-}
 
 // parseSizes parses the -sizes spec ("1000,3000,10000").
 func parseSizes(spec string) ([]int, error) {
@@ -110,45 +70,34 @@ func analyzeScale(img *image.Image) (*core.Result, time.Duration, *obs.Report) {
 	return res, time.Since(start), bus.Report()
 }
 
-// runScale benchmarks the sparse sweep across family sizes.
-func runScale(jsonPath, sizesSpec string) {
+// runScale prints one row per family size: types, distinct words,
+// admissible and pruned pair counts, wall-clock and parent accuracy.
+func runScale(sizesSpec string) {
 	fmt.Println("== scale: sparse candidate-pair sweep, one wide family ==")
 	sizes, err := parseSizes(sizesSpec)
 	if err != nil {
 		fatal(err)
 	}
-	workers := benchConfig().Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rep := &scaleReport{Schema: ScaleSchema, Workers: workers}
 	fmt.Printf("%7s %8s %10s %12s %12s %9s\n",
 		"types", "words", "admissible", "pruned", "wall", "parentAcc")
 	for _, n := range sizes {
 		img := scaleImage(n)
-		meta := img.Meta
 		res, wall, srep := analyzeScale(img)
 
-		row := scaleRow{
-			Types:    len(res.VTables),
-			Funcs:    len(img.Entries),
-			Families: len(res.Structural.Families),
-			WallNs:   wall.Nanoseconds(),
-		}
+		// The shared word set every distribution is measured over.
 		words := map[string]bool{}
 		for _, tls := range res.Tracelets.PerType {
 			for _, tl := range tls {
 				words[tl.String()] = true
 			}
 		}
-		row.Words = len(words)
+		// The (parent, child) pairs the structural analysis admits.
+		admissible := 0
 		for _, ps := range res.Structural.PossibleParents {
-			row.AdmissiblePairs += int64(len(ps))
+			admissible += len(ps)
 		}
-		row.DistPairs = srep.Counters["dist_pairs"]
-		row.DistPairsPruned = srep.Counters["dist_pairs_pruned"]
 
-		gt, err := eval.GroundTruthForest(meta)
+		gt, err := eval.GroundTruthForest(img.Meta)
 		if err != nil {
 			fatal(err)
 		}
@@ -161,12 +110,8 @@ func runScale(jsonPath, sizesSpec string) {
 				correct++
 			}
 		}
-		row.ParentAcc = float64(correct) / float64(total)
-		row.PeakRSSKB = peakRSSKB()
-		rep.Rows = append(rep.Rows, row)
 		fmt.Printf("%7d %8d %10d %12d %12s %8.1f%%\n",
-			row.Types, row.Words, row.AdmissiblePairs, row.DistPairsPruned,
-			wall.Round(time.Millisecond), 100*row.ParentAcc)
+			len(res.VTables), len(words), admissible, srep.Counters["dist_pairs_pruned"],
+			wall.Round(time.Millisecond), 100*float64(correct)/float64(total))
 	}
-	writeJSON(jsonPath, rep)
 }

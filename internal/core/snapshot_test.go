@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/compiler"
 	"repro/internal/image"
 	"repro/internal/slm"
@@ -43,30 +44,45 @@ func analyzeCached(t *testing.T, img *image.Image, cfg Config) *Result {
 	return res
 }
 
-// TestSnapshotWarmRunMatchesCold is the satellite acceptance at the core
-// level: a warm run restores the whole pipeline from the snapshot
-// (SnapshotReuse == LevelHierarchy) and every derived artifact is
-// deep-equal to the cold run that wrote it.
+// TestSnapshotWarmRunMatchesCold is the snapshot cache's acceptance on
+// the motivating example and all 19 Table 2 images: a warm run restores
+// the whole pipeline from the snapshot (SnapshotReuse == LevelHierarchy)
+// and every derived artifact is deep-equal to the cold run that wrote it.
 func TestSnapshotWarmRunMatchesCold(t *testing.T) {
-	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
-	cfg := DefaultConfig()
-	cfg.CacheDir = t.TempDir()
+	motImg, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
+	imgs := map[string]*image.Image{"motivating": motImg}
+	names := []string{"motivating"}
+	for _, b := range bench.All() {
+		img, _, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		imgs[b.Name] = img
+		names = append(names, b.Name)
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			img := imgs[name]
+			cfg := DefaultConfig()
+			cfg.CacheDir = t.TempDir()
 
-	cold := analyzeCached(t, img, cfg)
-	if cold.SnapshotReuse != snapshot.LevelNone {
-		t.Fatalf("cold run reused level %d", cold.SnapshotReuse)
+			cold := analyzeCached(t, img, cfg)
+			if cold.SnapshotReuse != snapshot.LevelNone {
+				t.Fatalf("cold run reused level %d", cold.SnapshotReuse)
+			}
+			if cold.Funcs == nil {
+				t.Fatal("cold run must lift functions")
+			}
+			warm := analyzeCached(t, img, cfg)
+			if warm.SnapshotReuse != snapshot.LevelHierarchy {
+				t.Fatalf("warm run reused level %d, want %d", warm.SnapshotReuse, snapshot.LevelHierarchy)
+			}
+			if warm.Funcs != nil {
+				t.Error("warm run must not lift functions")
+			}
+			assertResultsEqual(t, "warm vs cold", cold, warm)
+		})
 	}
-	if cold.Funcs == nil {
-		t.Fatal("cold run must lift functions")
-	}
-	warm := analyzeCached(t, img, cfg)
-	if warm.SnapshotReuse != snapshot.LevelHierarchy {
-		t.Fatalf("warm run reused level %d, want %d", warm.SnapshotReuse, snapshot.LevelHierarchy)
-	}
-	if warm.Funcs != nil {
-		t.Error("warm run must not lift functions")
-	}
-	assertResultsEqual(t, "warm vs cold", cold, warm)
 }
 
 // TestSnapshotInvalidateLevels checks the -invalidate granularity: each

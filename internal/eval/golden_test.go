@@ -75,7 +75,7 @@ func TestTable2Golden(t *testing.T) {
 // snapshot cache: a first pass populates a fresh cache directory, a second
 // fully-warm pass restores every stage from disk — and must reproduce the
 // golden file byte for byte. This is the accuracy half of the snapshot
-// acceptance criterion (the speed half lives in rockbench -snapshot).
+// acceptance criterion (the speed half is rockperf's table2-warm).
 func TestTable2GoldenWarmCache(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.CacheDir = t.TempDir()

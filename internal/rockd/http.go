@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"time"
 
 	"repro/internal/image"
@@ -66,25 +67,47 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// readBodyTimeout bounds how long a client may take to send a submission
+// body: a client that trickles its body gets 408 instead of holding a
+// handler forever. It is a read deadline armed around the body read only,
+// not a server-wide timeout, so neither the analysis nor the response
+// that follows is ever timed.
+const readBodyTimeout = 60 * time.Second
+
+// bodyTimeout is the body deadline readImage applies; tests shorten it.
+var bodyTimeout = readBodyTimeout
+
 // readImage decodes the submission body. Enforces MaxBodyBytes before
-// parsing so an oversized upload fails fast.
+// parsing so an oversized upload fails fast, and bodyTimeout so a slow
+// one does too; a fully read body clears the deadline before analysis.
 func (s *Server) readImage(w http.ResponseWriter, r *http.Request) (*image.Image, Class, bool) {
 	class, err := ParseClass(r.URL.Query().Get("class"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return nil, "", false
 	}
+	// SetReadDeadline fails only on a writer with no connection behind it
+	// (a handler mounted on a test recorder); the body is then unbounded.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyTimeout))
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
+		// The deadline stays armed: the server's drain of the unread body
+		// fails at it and the connection is closed, not left waiting.
 		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+		switch {
+		case errors.As(err, &tooLarge):
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("image exceeds %d bytes", s.cfg.MaxBodyBytes))
-		} else {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			writeError(w, http.StatusRequestTimeout,
+				fmt.Errorf("image body not received within %s", bodyTimeout))
+		default:
 			writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		}
 		return nil, "", false
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	img, err := image.Load(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing image: %w", err))

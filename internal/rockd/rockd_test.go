@@ -1,6 +1,7 @@
 package rockd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -158,6 +159,54 @@ func TestHotCacheHit(t *testing.T) {
 	}
 	if total := m.AnalysesCold + m.AnalysesWarm + m.AnalysesIncremental; total != 1 {
 		t.Fatalf("analyses = %d, want 1", total)
+	}
+}
+
+// TestHotHitBypassesFullAdmission is the serving path's isolation claim
+// without a timing threshold: with every slot of both class queues held
+// and each queue at depth, a first-seen image is rejected (429) while a
+// repeat of an already-analyzed image is still answered from the hot
+// cache, because hot hits never reach admission.
+func TestHotHitBypassesFullAdmission(t *testing.T) {
+	s := newTestServer(t, Config{InteractiveQueue: 1, BatchQueue: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	bin := motivatingBinary(t)
+	if out, code := postAnalyze(t, ts, bin, ""); code != http.StatusOK || out.Source == "hot" {
+		t.Fatalf("priming analysis: status %d", code)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var waiters sync.WaitGroup
+	defer func() { cancel(); waiters.Wait() }()
+	for _, q := range s.queues {
+		for i := 0; i < cap(q.slots); i++ {
+			release, _, err := q.admit(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+		}
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			// Queues behind the held slots until canceled.
+			if release, _, err := q.admit(ctx); err == nil {
+				release()
+			}
+		}()
+		for i := 0; q.queued.Load() == 0 && i < 10000; i++ {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, query := range []string{"", "?class=batch"} {
+		if _, code := postAnalyze(t, ts, synthBinary(t, 7), query); code != http.StatusTooManyRequests {
+			t.Fatalf("%q first-seen image with admission full: status %d, want 429", query, code)
+		}
+		out, code := postAnalyze(t, ts, bin, query)
+		if code != http.StatusOK || out.Source != "hot" {
+			t.Fatalf("%q hot image with admission full: status %d, want 200 from the hot cache", query, code)
+		}
 	}
 }
 
@@ -469,6 +518,86 @@ func TestServeClosesStalledHeader(t *testing.T) {
 	}
 	if n != 0 || err == nil {
 		t.Fatalf("stalled connection read %d bytes, err %v; want it closed", n, err)
+	}
+}
+
+// TestServeFailsStalledBody: a client that sends a full header but only
+// part of its body gets 408 once the body timeout passes, while health
+// checks keep being served; a synchronous analysis that outlives the
+// body timeout (here: held in admission) still completes.
+func TestServeFailsStalledBody(t *testing.T) {
+	defer func(d time.Duration) { bodyTimeout = d }(bodyTimeout)
+	bodyTimeout = 200 * time.Millisecond
+	s := newTestServer(t, Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	url := "http://" + ln.Addr().String()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/analyze HTTP/1.1\r\nHost: rockd\r\nContent-Length: 1000\r\n\r\nRBIN"); err != nil {
+		t.Fatal(err)
+	}
+	waitHealthy(t, url)
+
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("stalled body got no response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("stalled body: status %d, want %d", resp.StatusCode, http.StatusRequestTimeout)
+	}
+	waitHealthy(t, url)
+
+	// Hold every interactive slot so the next analysis waits in admission
+	// for several body timeouts; its request context must survive that.
+	q := s.queues[ClassInteractive]
+	var releases []func()
+	for i := 0; i < cap(q.slots); i++ {
+		release, _, err := q.admit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases = append(releases, release)
+	}
+	bin := motivatingBinary(t)
+	code := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/analyze", "application/octet-stream", bytes.NewReader(bin))
+		if err != nil {
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	for i := 0; q.queued.Load() == 0 && i < 10000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(3 * bodyTimeout)
+	for _, release := range releases {
+		release()
+	}
+	if got := <-code; got != http.StatusOK {
+		t.Fatalf("analysis held past the body timeout: status %d, want 200", got)
 	}
 }
 
