@@ -369,3 +369,72 @@ func BenchmarkWordDist(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPairSweep measures the KL pair sweep alone: one
+// DistanceCalculator.Distance per structurally admissible (parent, child)
+// pair of the largest family of a deep synthetic image (random trees of
+// depth 5, up to four children per class), with every word distribution
+// derived before the timer starts — the reduction the sparse sweep runs
+// per family once the models are scored.
+func BenchmarkPairSweep(b *testing.B) {
+	p := synth.DefaultParams(1)
+	p.Families, p.MaxDepth, p.MaxBranch, p.UseReps = 3, 5, 4, 4
+	prog, _ := synth.Generate(p)
+	img, err := compiler.Compile(prog, compiler.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Analyze(img.Strip(), core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fam []uint64
+	var pairs [][2]uint64
+	for _, f := range res.Structural.Families {
+		var ps [][2]uint64
+		for _, c := range f {
+			for _, p := range res.Structural.PossibleParents[c] {
+				ps = append(ps, [2]uint64{p, c})
+			}
+		}
+		if len(ps) > len(pairs) {
+			fam, pairs = f, ps
+		}
+	}
+	sym := make(map[objtrace.Event]int, len(res.Alphabet))
+	for i, e := range res.Alphabet {
+		sym[e] = i
+	}
+	seen := map[string]bool{}
+	var words [][]int
+	for _, t := range fam {
+		for _, tl := range res.Tracelets.PerType[t] {
+			if k := tl.String(); !seen[k] {
+				seen[k] = true
+				w := make([]int, len(tl))
+				for i, e := range tl {
+					w[i] = sym[e]
+				}
+				words = append(words, w)
+			}
+		}
+	}
+	calc := slm.NewDistanceCalculator(slm.MetricKL, words)
+	scorers := make([][2]slm.WordScorer, len(pairs))
+	for i, pc := range pairs {
+		scorers[i] = [2]slm.WordScorer{res.Frozen[pc[0]], res.Frozen[pc[1]]}
+		calc.Precompute(scorers[i][0])
+		calc.Precompute(scorers[i][1])
+	}
+	b.Logf("family of %d types, %d admissible pairs, %d words", len(fam), len(pairs), len(words))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range scorers {
+			pairSink += calc.Distance(s[0], s[1])
+		}
+	}
+}
+
+// pairSink keeps BenchmarkPairSweep's distances live.
+var pairSink float64

@@ -17,6 +17,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -459,6 +460,8 @@ func (r *Result) buildWordsFor(types []uint64) {
 		r.words = make(map[uint64][][]int, len(types))
 	}
 	var idx map[objtrace.Event]int
+	var w []int
+	var key []byte
 	for _, t := range types {
 		if _, ok := r.words[t]; ok {
 			continue
@@ -469,15 +472,28 @@ func (r *Result) buildWordsFor(types []uint64) {
 		seen := map[string]bool{}
 		var out [][]int
 		for _, tl := range r.Tracelets.PerType[t] {
-			k := tl.String()
-			if seen[k] {
+			w = w[:0]
+			for _, e := range tl {
+				w = append(w, idx[e])
+			}
+			key = appendWordKey(key[:0], w)
+			if seen[string(key)] {
 				continue
 			}
-			seen[k] = true
-			out = append(out, encode(idx, tl))
+			seen[string(key)] = true
+			out = append(out, append([]int(nil), w...))
 		}
 		r.words[t] = out
 	}
+}
+
+// appendWordKey appends the dedup key of an encoded word to dst: one
+// fixed-width symbol after another, so distinct words get distinct keys.
+func appendWordKey(dst []byte, w []int) []byte {
+	for _, s := range w {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
+	}
+	return dst
 }
 
 // symIndex builds the event -> symbol map.
@@ -556,11 +572,12 @@ func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 func (r *Result) familyWords(fam []uint64) [][]int {
 	seen := map[string]bool{}
 	var words [][]int
+	var key []byte
 	for _, t := range fam {
 		for _, w := range r.words[t] {
-			k := fmt.Sprint(w)
-			if !seen[k] {
-				seen[k] = true
+			key = appendWordKey(key[:0], w)
+			if !seen[string(key)] {
+				seen[string(key)] = true
 				words = append(words, w)
 			}
 		}

@@ -14,9 +14,9 @@ import (
 // the hand-maintained scheme existing .rsnap caches were written under
 // (one fingerprint per section, hashing "tag|canon" with the canon laid
 // out exactly as the pre-pipeline core formatted it, plus the sparse
-// sweep's " sweep=sparse" hierarchy marker). Any divergence silently
-// invalidates every user's cache, so this test recomputes the bytes from
-// scratch and compares.
+// sweep's " sweep=sparse" and the dot-product KL kernel's " kl=dot"
+// hierarchy markers). Any divergence silently invalidates every user's
+// cache, so this test recomputes the bytes from scratch and compares.
 func TestFingerprintCompat(t *testing.T) {
 	legacy := func(stage, canon string) [32]byte {
 		return sha256.Sum256([]byte(stage + "|" + canon))
@@ -35,7 +35,7 @@ func TestFingerprintCompat(t *testing.T) {
 				cfg.Structural.DisablePurecallRule)),
 			pipeline.SecModels: legacy("model", fmt.Sprintf("depth=%d", cfg.SLMDepth)),
 			pipeline.SecHierarchy: legacy("hier", fmt.Sprintf(
-				"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse",
+				"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse kl=dot",
 				cfg.Metric, cfg.RootWeightFactor, cfg.EnumLimit, cfg.EnumEps)),
 		}
 		for sec := pipeline.Section(0); sec < pipeline.NumSections; sec++ {

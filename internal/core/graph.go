@@ -174,14 +174,17 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 
 // hierarchyCanon renders the hierarchy stage's fingerprinted
 // configuration. The " sweep=sparse" marker is part of the bytes every
-// existing snapshot was written under, so it stays. A non-default
-// evidence configuration (providers beyond the SLM sweep, or a non-unit
-// SLM weight) appends a second marker; the default appends nothing, so
-// pre-provider snapshots keep validating and warm-restoring under
-// SLM-only configurations. Extraction and model sections are unaffected
-// either way — evidence changes invalidate only the hierarchy section.
+// existing snapshot was written under, so it stays. The " kl=dot" marker
+// names the KL kernel (selfEnt minus a dot product, see slm.klEntries):
+// the hierarchy section persists Dist bits, so snapshots written under
+// the earlier per-term kernel must not warm-restore values a cold run no
+// longer computes. A non-default evidence configuration (providers
+// beyond the SLM sweep, or a non-unit SLM weight) appends a further
+// marker; the default appends nothing. Extraction and model sections are
+// unaffected either way — kernel and evidence changes invalidate only
+// the hierarchy section.
 func (c Config) hierarchyCanon() string {
-	canon := fmt.Sprintf("metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse",
+	canon := fmt.Sprintf("metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse kl=dot",
 		c.Metric, c.RootWeightFactor, c.EnumLimit, c.EnumEps)
 	if !c.evidenceDefault() {
 		canon += " evidence=" + c.evidenceCanon()

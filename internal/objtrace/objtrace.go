@@ -332,6 +332,7 @@ func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, cfg Config) *Res
 		}
 	}
 	structSeen := map[string]bool{}
+	var key []byte
 	for _, ext := range exts {
 		// Deduplicate raw sequences per (object segment type, content);
 		// bundles arrive pre-deduplicated, but restored data is re-checked
@@ -339,11 +340,11 @@ func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, cfg Config) *Res
 		// them.
 		seqSeen := map[string]bool{}
 		for _, seg := range ext.Segments {
-			key := fmt.Sprintf("%d|%s", seg.VT, eventsKey(seg.Events))
-			if seqSeen[key] || len(seg.Events) == 0 {
+			key = appendSegmentKey(key[:0], seg.VT, seg.Events)
+			if seqSeen[string(key)] || len(seg.Events) == 0 {
 				continue
 			}
-			seqSeen[key] = true
+			seqSeen[string(key)] = true
 			types := []uint64{seg.VT}
 			if seg.VT == EntryThisVT {
 				types = res.FnVTables[ext.Entry]
@@ -356,9 +357,9 @@ func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, cfg Config) *Res
 			}
 		}
 		for _, os := range ext.Structs {
-			key := structKey(os)
-			if !structSeen[key] {
-				structSeen[key] = true
+			key = appendStructKey(key[:0], os)
+			if !structSeen[string(key)] {
+				structSeen[string(key)] = true
 				res.Structs = append(res.Structs, os)
 			}
 		}
@@ -426,6 +427,7 @@ func MergeFunctionsDelta(exts []*FnExtraction, changed []bool, priorFns map[uint
 	for _, os := range prior.Structs {
 		priorStructs[os.Fn] = append(priorStructs[os.Fn], os)
 	}
+	var key []byte
 	for i, ext := range exts {
 		// Rebuild the affected types' lists. Restricting the scan to
 		// affected-type segments cannot change dedup outcomes: the keys
@@ -447,14 +449,14 @@ func MergeFunctionsDelta(exts []*FnExtraction, changed []bool, priorFns map[uint
 			if !hit || len(seg.Events) == 0 {
 				continue
 			}
-			key := fmt.Sprintf("%d|%s", seg.VT, eventsKey(seg.Events))
-			if seqSeen[key] {
+			key = appendSegmentKey(key[:0], seg.VT, seg.Events)
+			if seqSeen[string(key)] {
 				continue
 			}
 			if seqSeen == nil {
 				seqSeen = map[string]bool{}
 			}
-			seqSeen[key] = true
+			seqSeen[string(key)] = true
 			for _, t := range types {
 				if !affected[t] {
 					continue
@@ -473,9 +475,9 @@ func MergeFunctionsDelta(exts []*FnExtraction, changed []bool, priorFns map[uint
 		}
 		structSeen := map[string]bool{}
 		for _, os := range ext.Structs {
-			key := structKey(os)
-			if !structSeen[key] {
-				structSeen[key] = true
+			key = appendStructKey(key[:0], os)
+			if !structSeen[string(key)] {
+				structSeen[string(key)] = true
 				res.Structs = append(res.Structs, os)
 			}
 		}
@@ -489,25 +491,26 @@ func MergeFunctionsDelta(exts []*FnExtraction, changed []bool, priorFns map[uint
 // at merge time changes nothing).
 func (ex *executor) extraction() *FnExtraction {
 	out := &FnExtraction{Entry: ex.fn.Entry}
+	var key []byte
 	seqSeen := map[string]bool{}
 	for _, seg := range ex.segments {
 		if len(seg.events) == 0 {
 			continue
 		}
-		key := fmt.Sprintf("%d|%s", seg.vt, eventsKey(seg.events))
-		if seqSeen[key] {
+		key = appendSegmentKey(key[:0], seg.vt, seg.events)
+		if seqSeen[string(key)] {
 			continue
 		}
-		seqSeen[key] = true
+		seqSeen[string(key)] = true
 		out.Segments = append(out.Segments, Segment{VT: seg.vt, Events: seg.events})
 	}
 	structSeen := map[string]bool{}
 	for _, os := range ex.structs {
-		key := structKey(os)
-		if structSeen[key] {
+		key = appendStructKey(key[:0], os)
+		if structSeen[string(key)] {
 			continue
 		}
-		structSeen[key] = true
+		structSeen[string(key)] = true
 		out.Structs = append(out.Structs, os)
 	}
 	return out
@@ -526,20 +529,37 @@ func windows(seq []Event, w int) []Tracelet {
 	return out
 }
 
-func eventsKey(evs []Event) string {
-	s := ""
+// appendSegmentKey appends the dedup key of a (type, event sequence)
+// segment to dst: vt, then each event's kind and operand, all fixed-width,
+// so distinct segments always get distinct keys.
+func appendSegmentKey(dst []byte, vt uint64, evs []Event) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, vt)
 	for _, e := range evs {
-		s += fmt.Sprintf("%d:%d;", e.Kind, e.N)
+		dst = append(dst, byte(e.Kind))
+		dst = binary.LittleEndian.AppendUint64(dst, e.N)
 	}
-	return s
+	return dst
 }
 
-func structKey(os ObjStruct) string {
-	s := fmt.Sprintf("%x|%v|", os.Fn, os.EntryThis)
+// appendStructKey appends the fixed-width dedup key of a structural
+// observation sequence to dst.
+func appendStructKey(dst []byte, os ObjStruct) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, os.Fn)
+	dst = appendBool(dst, os.EntryThis)
 	for _, e := range os.Events {
-		s += fmt.Sprintf("%v:%d:%x:%x;", e.Install, e.Off, e.VT, e.Callee)
+		dst = appendBool(dst, e.Install)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Off))
+		dst = binary.LittleEndian.AppendUint64(dst, e.VT)
+		dst = binary.LittleEndian.AppendUint64(dst, e.Callee)
 	}
-	return s
+	return dst
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
 }
 
 // Symbolic values -------------------------------------------------------------

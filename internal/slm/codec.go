@@ -135,16 +135,24 @@ func DecodeFrozen(data []byte) (*Frozen, []byte, error) {
 }
 
 // validate checks the invariants the query kernel indexes by: every span
-// lies within its arena, child indices name real nodes, symbols lie within
-// the alphabet (they index the querier's exclusion array), and spans are
-// strictly ascending (the binary-search contract).
+// lies within its arena, symbol spans tile their arena in node order (the
+// querier's per-slot log table gives each slot one owner), child indices
+// name real nodes, symbols lie within the alphabet (they index the
+// querier's exclusion array), spans are strictly ascending (the
+// binary-search contract), and counts are positive, as training leaves
+// them (a zero count would put ln 0 or 0/0 into the log tables).
 func (f *Frozen) validate() error {
 	nSyms, nKids, nNodes := int32(len(f.syms)), int32(len(f.childSyms)), int32(len(f.nodes))
+	nextSym := int32(0)
 	for i := range f.nodes {
 		n := &f.nodes[i]
 		if n.symN < 0 || n.symOff < 0 || n.symOff > nSyms || n.symN > nSyms-n.symOff {
 			return fmt.Errorf("slm: frozen node %d symbol span [%d,+%d) outside arena of %d", i, n.symOff, n.symN, nSyms)
 		}
+		if n.symOff != nextSym {
+			return fmt.Errorf("slm: frozen node %d symbol span starts at %d, want %d", i, n.symOff, nextSym)
+		}
+		nextSym += n.symN
 		if n.childN < 0 || n.childOff < 0 || n.childOff > nKids || n.childN > nKids-n.childOff {
 			return fmt.Errorf("slm: frozen node %d child span [%d,+%d) outside arena of %d", i, n.childOff, n.childN, nKids)
 		}
@@ -156,8 +164,8 @@ func (f *Frozen) validate() error {
 			if j > n.symOff && f.syms[j-1] >= s {
 				return fmt.Errorf("slm: frozen node %d symbol span not strictly ascending", i)
 			}
-			if f.counts[j] < 0 {
-				return fmt.Errorf("slm: frozen node %d negative count", i)
+			if f.counts[j] <= 0 {
+				return fmt.Errorf("slm: frozen node %d non-positive count", i)
 			}
 		}
 		for j := n.childOff; j < n.childOff+n.childN; j++ {

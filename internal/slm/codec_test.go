@@ -1,6 +1,7 @@
 package slm
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -82,11 +83,13 @@ func TestDecodeFrozenRejectsTruncation(t *testing.T) {
 // TestDecodeFrozenRejectsCorruption flips each byte of a valid encoding in
 // turn. The decoder must never panic; structural corruption must be caught
 // by validation (a flip inside a count or arena may still decode — but then
-// it decoded into a trie whose invariants all hold, which is safe).
+// it decoded into a trie whose invariants all hold, which is safe, and a
+// trie with corrupted counts still scores every word finitely).
 func TestDecodeFrozenRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	f, _ := randomFrozen(rng, 2, 10, 32, 7)
+	f, corpus := randomFrozen(rng, 2, 10, 32, 7)
 	enc := f.AppendBinary(nil)
+	countsAt := frozenHeaderSize + 20*len(f.nodes) + 4*len(f.syms)
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x41
@@ -98,6 +101,33 @@ func TestDecodeFrozenRejectsCorruption(t *testing.T) {
 		// query kernel relies on, so querying it cannot fault.
 		if verr := dec.validate(); verr != nil {
 			t.Fatalf("byte %d: decoder accepted a trie that fails validation: %v", i, verr)
+		}
+		if i < countsAt || i >= countsAt+4*len(f.counts) {
+			continue
+		}
+		q := dec.NewQuerier()
+		for _, w := range corpus {
+			if lp := q.LogProbSeq(w); math.IsInf(lp, 0) || math.IsNaN(lp) {
+				t.Fatalf("byte %d: accepted trie scores %v as %v", i, w, lp)
+			}
+		}
+	}
+	// Training never stores a zero count, so a decoded one is corruption
+	// (it would put ln 0 or 0/0 into the querier's log tables). A symbol
+	// span that does not start where the previous node's ended is too:
+	// each table slot needs one owning node.
+	for i := range f.counts {
+		mut := append([]byte(nil), enc...)
+		copy(mut[countsAt+4*i:], []byte{0, 0, 0, 0})
+		if _, _, err := DecodeFrozen(mut); err == nil {
+			t.Fatalf("zero count in slot %d accepted", i)
+		}
+	}
+	for n := 1; n < len(f.nodes); n++ {
+		mut := append([]byte(nil), enc...)
+		mut[frozenHeaderSize+20*n]++ // node n's symOff
+		if _, _, err := DecodeFrozen(mut); err == nil {
+			t.Fatalf("node %d: shifted symbol span accepted", n)
 		}
 	}
 	// Header-level corruption that must be rejected outright.

@@ -68,7 +68,8 @@ func wordDist(m WordScorer, words [][]int, s *Scratch) []float64 {
 
 // distFromLogProbs normalizes a log-probability vector into a proper
 // distribution (max-shift, exponentiate, normalize; uniform fallback when
-// every probability underflows to zero).
+// every probability is zero, i.e. every log-probability is −Inf, where
+// the shift itself would be −Inf − −Inf = NaN).
 func distFromLogProbs(lps []float64) []float64 {
 	ps := make([]float64, len(lps))
 	maxLp := math.Inf(-1)
@@ -77,16 +78,16 @@ func distFromLogProbs(lps []float64) []float64 {
 			maxLp = lp
 		}
 	}
-	sum := 0.0
-	for i := range lps {
-		ps[i] = math.Exp(lps[i] - maxLp)
-		sum += ps[i]
-	}
-	if sum == 0 {
+	if math.IsInf(maxLp, -1) {
 		for i := range ps {
 			ps[i] = 1 / float64(len(ps))
 		}
 		return ps
+	}
+	sum := 0.0
+	for i := range lps {
+		ps[i] = math.Exp(lps[i] - maxLp)
+		sum += ps[i]
 	}
 	for i := range ps {
 		ps[i] /= sum
@@ -94,16 +95,18 @@ func distFromLogProbs(lps []float64) []float64 {
 	return ps
 }
 
-// distEntry is one cached derivation: the normalized distribution plus two
-// scalars the sparse sweep's root-weight bound consumes. selfEnt is
-// Σ_{p>0} p·ln p (the negated entropy of P) and logMin is ln of the
-// smallest probability klDist would divide by (actual minimum when
-// positive, the kernel's 1e-300 floor where the distribution has zeros).
-// For any two entries, D_KL(P‖Q) = Σ p·ln p − Σ p·ln q' ≤ selfEnt(P) −
-// logMin(Q), since Σ_{p>0} p = 1 — a per-pair bound in O(1) once the
-// distributions are derived.
+// distEntry is one cached derivation: the normalized distribution, its
+// log vector, and two scalars. logQ[i] is ln q'_i, where q' is the
+// distribution with zeros floored at 1e-300 (what the KL kernel weighs
+// against when the entry is the second argument). selfEnt is Σ_{p>0}
+// p·ln p (the negated entropy of P), so D_KL(P‖Q) = selfEnt(P) − Σ_{p>0}
+// p·logQ(Q) is one dot product per pair (see klEntries). logMin is the
+// smallest logQ; since Σ_{p>0} p = 1, D_KL(P‖Q) ≤ selfEnt(P) − logMin(Q)
+// — the per-pair bound in O(1) that the sparse sweep's root weight
+// consumes.
 type distEntry struct {
 	ps      []float64
+	logQ    []float64
 	selfEnt float64
 	logMin  float64
 }
@@ -111,15 +114,20 @@ type distEntry struct {
 // newDistEntry derives a cache entry from a log-probability vector.
 func newDistEntry(lps []float64) *distEntry {
 	e := &distEntry{ps: distFromLogProbs(lps)}
+	e.logQ = make([]float64, len(e.ps))
 	minQ := math.Inf(1)
-	for _, p := range e.ps {
+	for i, p := range e.ps {
 		if p > 0 {
-			e.selfEnt += p * math.Log(p)
+			e.logQ[i] = math.Log(p)
+			e.selfEnt += p * e.logQ[i]
 			if p < minQ {
 				minQ = p
 			}
-		} else if minQ > 1e-300 {
-			minQ = 1e-300
+		} else {
+			e.logQ[i] = math.Log(1e-300)
+			if minQ > 1e-300 {
+				minQ = 1e-300
+			}
 		}
 	}
 	if len(e.ps) == 0 {
@@ -138,20 +146,20 @@ func WordDistribution(m WordScorer, words [][]int) []float64 {
 	return wordDist(m, words, nil)
 }
 
-// klDist is the divergence kernel over two already-derived distributions.
-func klDist(pa, pb []float64) float64 {
-	d := 0.0
-	for i := range pa {
-		if pa[i] <= 0 {
-			continue
+// klEntries is the divergence kernel over two derived entries:
+// D_KL(P‖Q) = selfEnt(P) − Σ_{p>0} p·ln q', with no Log in the loop. It
+// rounds differently from summing p·ln(p/q') term by term, so for P ≈ Q
+// the difference can land a few ulps below zero; the clamp keeps it a
+// valid (non-negative) edge weight. Identical distributions give exactly
+// 0: the dot product then repeats selfEnt's sum term for term.
+func klEntries(a, b *distEntry) float64 {
+	cross := 0.0
+	for i, p := range a.ps {
+		if p > 0 {
+			cross += p * b.logQ[i]
 		}
-		q := pb[i]
-		if q <= 0 {
-			q = 1e-300
-		}
-		d += pa[i] * math.Log(pa[i]/q)
 	}
-	return d
+	return max(a.selfEnt-cross, 0)
 }
 
 // jsDist is the Jensen–Shannon kernel over two distributions.
@@ -182,7 +190,7 @@ func KL(a, b WordScorer, words [][]int) float64 {
 	if len(words) == 0 {
 		return 0
 	}
-	return klDist(wordDist(a, words, nil), wordDist(b, words, nil))
+	return klEntries(newDistEntry(a.LogProbWords(words, nil)), newDistEntry(b.LogProbWords(words, nil)))
 }
 
 // JSDivergence returns the Jensen–Shannon divergence between the two models
@@ -410,13 +418,13 @@ func (c *DistanceCalculator) Distance(a, b WordScorer) float64 {
 	if len(c.words) == 0 {
 		return 0
 	}
-	pa, pb := c.distribution(a).ps, c.distribution(b).ps
+	ea, eb := c.distribution(a), c.distribution(b)
 	switch c.metric {
 	case MetricJSDivergence:
-		return jsDist(pa, pb)
+		return jsDist(ea.ps, eb.ps)
 	case MetricJSDistance:
-		return math.Sqrt(jsDist(pa, pb))
+		return math.Sqrt(jsDist(ea.ps, eb.ps))
 	default:
-		return klDist(pa, pb)
+		return klEntries(ea, eb)
 	}
 }

@@ -2,6 +2,7 @@ package slm
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -153,8 +154,9 @@ func (f *Frozen) child(n int32, s int32) int32 {
 }
 
 // LogProb returns ln Pr(sym | hist); it equals Model.LogProb bit for bit.
-// It allocates a one-shot Querier — hot paths should hold a Querier (or
-// use LogProbWords) and query through it instead.
+// It allocates a one-shot Querier, whose set-up derives log terms for the
+// whole trie — hot paths should hold a Querier (or use LogProbWords) and
+// query through it instead.
 func (f *Frozen) LogProb(sym int, hist []int) float64 {
 	return f.NewQuerier().LogProb(sym, hist)
 }
@@ -179,8 +181,8 @@ func (f *Frozen) LogProbWords(words [][]int, out []float64) []float64 {
 // Querier carries the per-query scratch state of a frozen model so the
 // hot loop performs zero allocations: an epoch-stamped exclusion array
 // sized to the alphabet (clearing it per query is a single counter
-// increment, not an O(alphabet) wipe) and the context-node stack. A
-// Querier is cheap (one allocation of alphabet uint32s) but not safe for
+// increment, not an O(alphabet) wipe), the context-node stack, and the
+// bound model's exclusion-free log terms. A Querier is not safe for
 // concurrent use; give each goroutine its own.
 type Querier struct {
 	f *Frozen
@@ -191,14 +193,55 @@ type Querier struct {
 	nexcl int
 	// ctx is the reusable context-node stack (root..deepest).
 	ctx []int32
+	// lnSym[i] is ln(counts[i]/denom) and lnEsc[n] is ln(symN/denom) of
+	// the bound model, for the denominators a context has before any
+	// exclusion: the first context level that holds a symbol answers from
+	// these instead of recounting its span and taking a log (see
+	// deriveLogTerms). The buffers are reused across Rebind.
+	lnSym, lnEsc []float64
 }
 
 // NewQuerier returns fresh scratch state for querying f.
 func (f *Frozen) NewQuerier() *Querier {
-	return &Querier{
-		f:         f,
-		exclEpoch: make([]uint32, f.alphabet),
-		ctx:       make([]int32, 0, f.depth+1),
+	q := &Querier{}
+	q.Rebind(f)
+	return q
+}
+
+// deriveLogTerms fills lnSym and lnEsc for the bound model with the exact
+// expressions LogProb evaluates at a level where nothing is excluded yet
+// (total and distinct summed over the whole span, remaining = alphabet),
+// so answering from the tables is bit-identical to recomputing. The
+// tables live in the Querier, not in Frozen, so a decoded model that is
+// never queried (a warm snapshot restore) pays nothing for them. Symbol
+// spans tile the arena (Freeze lays them out so, validate enforces it),
+// so every slot belongs to exactly one node.
+func (q *Querier) deriveLogTerms() {
+	f := q.f
+	if cap(q.lnSym) < len(f.syms) {
+		q.lnSym = make([]float64, len(f.syms))
+	}
+	if cap(q.lnEsc) < len(f.nodes) {
+		q.lnEsc = make([]float64, len(f.nodes))
+	}
+	q.lnSym, q.lnEsc = q.lnSym[:len(f.syms)], q.lnEsc[:len(f.nodes)]
+	for n := range f.nodes {
+		nd := &f.nodes[n]
+		if nd.symN == 0 {
+			continue
+		}
+		total, distinct := 0, int(nd.symN)
+		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+			total += int(f.counts[i])
+		}
+		denom := float64(total + distinct)
+		if distinct >= f.alphabet {
+			denom = float64(total)
+		}
+		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+			q.lnSym[i] = math.Log(float64(f.counts[i]) / denom)
+		}
+		q.lnEsc[n] = math.Log(float64(distinct) / denom)
 	}
 }
 
@@ -226,6 +269,7 @@ func (q *Querier) Rebind(f *Frozen) {
 	if cap(q.ctx) < f.depth+1 {
 		q.ctx = make([]int32, 0, f.depth+1)
 	}
+	q.deriveLogTerms()
 }
 
 // Model returns the frozen model this querier scores against.
@@ -234,7 +278,9 @@ func (q *Querier) Model() *Frozen { return q.f }
 // LogProb returns ln Pr(sym | hist) under PPM-C with the same query-time
 // update exclusion as Model.LogProb, allocation-free. The two paths run
 // the identical arithmetic in the identical order (integer count sums,
-// then one Log per backoff level), so the results are bit-identical.
+// then one Log per backoff level), so the results are bit-identical; the
+// first level that holds a symbol reads that Log from the querier's
+// tables, derived by the same expression.
 func (q *Querier) LogProb(sym int, hist []int) float64 {
 	f := q.f
 	// Context chain root -> deepest context seen in training.
@@ -262,9 +308,30 @@ func (q *Querier) LogProb(sym int, hist []int) float64 {
 	}
 	q.nexcl = 0
 
+	inAlphabet := sym >= 0 && sym < f.alphabet
 	lp := 0.0
 	for k := len(q.ctx) - 1; k >= 0; k-- {
-		nd := &f.nodes[q.ctx[k]]
+		n := q.ctx[k]
+		nd := &f.nodes[n]
+		if q.nexcl == 0 {
+			// Nothing excluded yet: the level's terms are in the tables.
+			if nd.symN == 0 {
+				continue
+			}
+			span := f.syms[nd.symOff : nd.symOff+nd.symN]
+			if i, ok := slices.BinarySearch(span, int32(sym)); ok && inAlphabet {
+				return lp + q.lnSym[int(nd.symOff)+i]
+			}
+			if int(nd.symN) >= f.alphabet {
+				return lp + math.Log(1e-12)
+			}
+			lp += q.lnEsc[n] // escape
+			for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+				q.exclEpoch[f.syms[i]] = q.epoch
+			}
+			q.nexcl = int(nd.symN)
+			continue
+		}
 		total, distinct := 0, 0
 		symCount := -1
 		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {

@@ -496,6 +496,21 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return append(w.buf, sum[:]...), nil
 }
 
+// checkEvent rejects events the extractor never emits: an unknown kind,
+// or a this/ret event with a nonzero operand (objtrace.Event documents N
+// as zero for both, and the event notation, which renders them without
+// it, would conflate two such events that the symbol alphabet keeps
+// apart).
+func checkEvent(e objtrace.Event) error {
+	if e.Kind > objtrace.EvCallF {
+		return fmt.Errorf("snapshot: unknown event kind %d", e.Kind)
+	}
+	if (e.Kind == objtrace.EvThis || e.Kind == objtrace.EvRet) && e.N != 0 {
+		return fmt.Errorf("snapshot: %v event with operand %d", e, e.N)
+	}
+	return nil
+}
+
 // Decode parses an encoded snapshot.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < sha256.Size {
@@ -515,10 +530,11 @@ func Decode(data []byte) (*Snapshot, error) {
 	// Extraction section.
 	n := r.count(9) // kind u8 + n u64
 	for i := 0; i < n && r.err == nil; i++ {
-		kind := r.u8()
-		ev := objtrace.Event{Kind: objtrace.EventKind(kind), N: r.u64()}
-		if r.err == nil && kind > uint8(objtrace.EvCallF) {
-			return nil, fmt.Errorf("snapshot: unknown event kind %d", kind)
+		ev := objtrace.Event{Kind: objtrace.EventKind(r.u8()), N: r.u64()}
+		if r.err == nil {
+			if err := checkEvent(ev); err != nil {
+				return nil, err
+			}
 		}
 		s.Alphabet = append(s.Alphabet, ev)
 	}
@@ -646,12 +662,14 @@ func Decode(data []byte) (*Snapshot, error) {
 				seg := objtrace.Segment{VT: r.u64()}
 				ne := r.count(9) // kind u8 + n u64
 				for k := 0; k < ne && r.err == nil; k++ {
-					kind := r.u8()
-					if r.err == nil && kind > uint8(objtrace.EvCallF) {
-						r.fail(fmt.Errorf("snapshot: unknown event kind %d in function bundle", kind))
-						break
+					ev := objtrace.Event{Kind: objtrace.EventKind(r.u8()), N: r.u64()}
+					if r.err == nil {
+						if err := checkEvent(ev); err != nil {
+							r.fail(fmt.Errorf("%w in function bundle", err))
+							break
+						}
 					}
-					seg.Events = append(seg.Events, objtrace.Event{Kind: objtrace.EventKind(kind), N: r.u64()})
+					seg.Events = append(seg.Events, ev)
 				}
 				fb.Ext.Segments = append(fb.Ext.Segments, seg)
 			}

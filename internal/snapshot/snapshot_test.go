@@ -237,9 +237,25 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+	// this/ret events carry no operand; one that does is hostile input,
+	// whether it sits in the alphabet or in a function bundle.
+	s := sampleSnapshot()
+	s.Alphabet = append(s.Alphabet, objtrace.Event{Kind: objtrace.EvThis, N: 5})
+	if enc, err := s.Encode(); err != nil {
+		t.Fatal(err)
+	} else if _, err := Decode(enc); err == nil {
+		t.Error("alphabet this event with an operand accepted")
+	}
+	s = sampleSnapshot()
+	s.Funcs.Funcs[0].Ext.Segments[1].Events[0].N = 3 // the ret event
+	if enc, err := s.Encode(); err != nil {
+		t.Fatal(err)
+	} else if _, err := Decode(enc); err == nil {
+		t.Error("function-bundle ret event with an operand accepted")
+	}
 	// A snapshot without a function section stays encodable and decodes
 	// with Funcs nil (the presence flag, not heuristics, carries that).
-	s := sampleSnapshot()
+	s = sampleSnapshot()
 	s.Funcs = nil
 	noFn, err := s.Encode()
 	if err != nil {
