@@ -8,18 +8,19 @@
 // handling co-optimal solutions with the paper's majority-vote heuristic.
 //
 // The pipeline itself is declared as a stage graph (internal/pipeline):
-// graph.go builds the stages and AnalyzeContext is a thin driver that
-// consults the snapshot cache, skips restored stages, and executes the
-// rest, optionally recorded on an observer bus (internal/obs). This file
-// holds the configuration, the Result type, and the per-stage algorithm
-// bodies the graph binds.
+// graph.go builds the stages and analyze is a thin driver that consults
+// the snapshot cache, skips restored stages, and executes the rest,
+// optionally recorded on an observer bus (internal/obs). Every analysis
+// runs on a Shared (shared.go), the one resource model; AnalyzeContext
+// runs one image on a Shared of its own. This file holds the
+// configuration, the Result type, and the per-stage algorithm bodies the
+// graph binds.
 package core
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -79,13 +80,15 @@ type Config struct {
 	// EnumEps is the weight tolerance within which two arborescences count
 	// as equally minimal.
 	EnumEps float64
-	// Workers bounds the pipeline's concurrency: per-function tracelet
-	// extraction, SLM training, per-family pairwise distance matrices, and
-	// per-family arborescence solving all run on a worker pool of this
-	// size. 0 (the default) selects runtime.GOMAXPROCS(0); 1 runs the
-	// pipeline fully serially. The result is identical for every value —
-	// all parallel stages write to index-owned slots and are merged in a
-	// fixed order.
+	// Workers bounds the analysis's concurrency: AnalyzeContext runs on a
+	// fresh Shared of this capacity, so per-function tracelet extraction,
+	// SLM training, per-family pairwise distance matrices, and per-family
+	// arborescence solving — nested fan-outs included — together never
+	// run more than Workers goroutines. 0 (the default) selects
+	// runtime.GOMAXPROCS(0); 1 runs the pipeline fully serially.
+	// Shared.Analyze ignores it: the Shared's capacity is the bound. The
+	// result is identical for every value — all parallel stages write to
+	// index-owned slots and are merged in a fixed order.
 	Workers int
 	// CacheDir, when non-empty, enables the content-addressed snapshot
 	// cache (internal/snapshot): after a cold analysis the derived
@@ -118,12 +121,9 @@ type Config struct {
 	// unaffected, and a nil Obs costs nothing on the hot path.
 	Obs *obs.Bus
 
-	// pool and scratch are set only by Shared.Analyze: every fan-out then
-	// draws its helpers from the shared worker pool instead of the private
-	// Workers budget, and the distance sweep borrows its query scratch
-	// from the shared recycled set. Results are unaffected.
-	pool    *pool.Shared
-	scratch *slm.ScratchPool
+	// pool is set by Shared.Analyze: every fan-out draws its helpers from
+	// it. Results are unaffected.
+	pool *pool.Shared
 }
 
 // Invalidate selects the snapshot-reuse granularity of a cached run.
@@ -328,6 +328,16 @@ func Analyze(img *image.Image, cfg Config) (*Result, error) {
 	return AnalyzeContext(context.Background(), img, cfg)
 }
 
+// AnalyzeContext is Analyze with cancellation: when ctx is canceled,
+// every fan-out stops issuing new work, the in-flight units drain, and the
+// analysis returns ctx.Err() promptly without writing a snapshot. It runs
+// the image on a Shared of its own with cfg.Workers capacity, so the
+// analysis, helpers included, never runs more than cfg.Workers goroutines.
+func AnalyzeContext(ctx context.Context, img *image.Image, cfg Config) (*Result, error) {
+	res, _, err := NewShared(cfg.Workers).Analyze(ctx, img, cfg)
+	return res, err
+}
+
 // withDefaults resolves the zero-value Config fields exactly as Analyze
 // does, so probes (ProbeSnapshot) and the analysis itself derive the same
 // snapshot key.
@@ -344,10 +354,6 @@ func (c Config) withDefaults() Config {
 	if c.EnumEps <= 0 {
 		c.EnumEps = 1e-9
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	c.Trace.Workers = c.Workers
 	c.Trace.Pool = c.pool
 	return c
 }
@@ -538,7 +544,7 @@ func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 	}
 	reuse := r.reusableModels()
 	frozen := make([]*slm.Frozen, len(r.VTables))
-	if err := pool.ForEach(ctx, cfg.pool, cfg.Workers, len(r.VTables), func(i int) {
+	if err := pool.ForEach(ctx, cfg.pool, len(r.VTables), func(i int) {
 		if f := reuse[r.VTables[i].Addr]; f != nil {
 			frozen[i] = f
 			return
@@ -628,7 +634,7 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 	if cfg.hasSLM() {
 		r.buildWordsFor(solving)
 	}
-	if err := pool.ForEach(ctx, cfg.pool, cfg.Workers, len(r.Structural.Families), func(i int) {
+	if err := pool.ForEach(ctx, cfg.pool, len(r.Structural.Families), func(i int) {
 		if outs[i] == nil {
 			outs[i] = r.analyzeFamily(ctx, cfg, r.Structural.Families[i])
 		}

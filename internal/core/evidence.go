@@ -129,9 +129,7 @@ func (r *Result) buildEvidence(ctx context.Context, cfg Config) error {
 			r.providers = append(r.providers, slmkl.New(slmkl.Config{
 				Metric:           cfg.Metric,
 				RootWeightFactor: cfg.RootWeightFactor,
-				Workers:          cfg.Workers,
 				Pool:             cfg.pool,
-				Scratch:          cfg.scratch,
 				Obs:              cfg.Obs,
 			}))
 		case evidence.NameSubtype:
@@ -141,7 +139,7 @@ func (r *Result) buildEvidence(ctx context.Context, cfg Config) error {
 				Structs:     r.Tracelets.Structs,
 				InstallerOf: r.Structural.InstallerOf,
 				FnVTables:   r.Tracelets.FnVTables,
-			}, cfg.Workers, cfg.pool)
+			}, cfg.pool)
 			if err != nil {
 				return fmt.Errorf("core: building subtype evidence index: %w", err)
 			}

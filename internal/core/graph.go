@@ -242,20 +242,12 @@ func ProbeSnapshot(img *image.Image, cfg Config) int {
 	return min(key.Usable(&snapshot.Snapshot{Key: onDisk}), cfg.Invalidate.maxLevel())
 }
 
-// AnalyzeContext is Analyze with cancellation: when ctx is canceled,
-// every fan-out stops issuing new work, the in-flight units drain, and the
-// analysis returns ctx.Err() promptly without writing a snapshot.
-//
-// It is the pipeline driver: consult the snapshot cache, restore every
-// section the staged-validity chain covers, then execute the stage graph
-// with the restored (and disabled) stages skipped, each remaining stage
-// recorded on the observer bus.
-func AnalyzeContext(ctx context.Context, img *image.Image, cfg Config) (*Result, error) {
-	if img.Meta != nil {
-		// The analysis must never see ground truth; insist on a stripped
-		// image rather than silently ignoring the metadata.
-		return nil, fmt.Errorf("core: refusing to analyze a non-stripped image (call Strip first)")
-	}
+// analyze is the pipeline driver Shared.Analyze runs once the analysis is
+// admitted: consult the snapshot cache, restore every section the
+// staged-validity chain covers, then execute the stage graph with the
+// restored (and disabled) stages skipped, each remaining stage recorded on
+// the observer bus. Every fan-out draws its helpers from cfg.pool.
+func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.UseSLM {
 		if err := cfg.validateEvidence(); err != nil {

@@ -292,15 +292,18 @@ func (r *Result) restoreFamilies(outs []*familyOutcome) int {
 	prior := r.incr.prior
 	keys := r.computeTypeKeys()
 	byTypes := make(map[string]*snapshot.Family, len(prior.Families))
+	var key []byte
 	for i := range prior.Families {
-		byTypes[fmt.Sprint(prior.Families[i].Types)] = &prior.Families[i]
+		key = appendAddrsKey(key[:0], prior.Families[i].Types)
+		byTypes[string(key)] = &prior.Families[i]
 	}
 	restored := 0
 	for i, fam := range r.Structural.Families {
 		if len(fam) == 1 {
 			continue
 		}
-		pf := byTypes[fmt.Sprint(fam)]
+		key = appendAddrsKey(key[:0], fam)
+		pf := byTypes[string(key)]
 		if pf == nil {
 			continue
 		}
@@ -327,6 +330,16 @@ func (r *Result) restoreFamilies(outs []*familyOutcome) int {
 		restored++
 	}
 	return restored
+}
+
+// appendAddrsKey appends the lookup key of a family's member list to dst:
+// one fixed-width address after another, so distinct lists get distinct
+// keys.
+func appendAddrsKey(dst []byte, addrs []uint64) []byte {
+	for _, a := range addrs {
+		dst = binary.LittleEndian.AppendUint64(dst, a)
+	}
+	return dst
 }
 
 // priorFamilyDist collects from the prior snapshot exactly the distance

@@ -2,28 +2,27 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/image"
 	"repro/internal/pool"
-	"repro/internal/slm"
 	"repro/internal/snapshot"
 )
 
-// Shared is the execution state many concurrent analyses share: one
-// bounded worker pool, one recycled query-scratch set, and a semaphore of
-// the same size for warm snapshot decodes. Shared.Analyze is the one way
-// to run analyses on it — rock.Engine serves a request stream through it
-// and AnalyzeBatch runs a fixed batch — so concurrent analyses compete
-// for one global parallelism bound instead of each assuming it owns the
-// machine. Safe for concurrent use; results are identical to
-// AnalyzeContext for every capacity and interleaving.
+// Shared is the execution state analyses share: one bounded worker pool
+// and a semaphore of the same size for warm snapshot decodes.
+// Shared.Analyze is the one way to run an analysis — AnalyzeContext runs
+// one image on a Shared of its own, rock.Engine serves a request stream
+// through one, and AnalyzeBatch runs a fixed batch — so concurrent
+// analyses compete for one global parallelism bound instead of each
+// assuming it owns the machine. Safe for concurrent use; results are
+// identical for every capacity and interleaving.
 type Shared struct {
-	pool    *pool.Shared
-	scratch *slm.ScratchPool
-	warm    chan struct{}
+	pool *pool.Shared
+	warm chan struct{}
 }
 
 // NewShared returns shared execution state of the given capacity; 0
@@ -33,9 +32,8 @@ func NewShared(workers int) *Shared {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Shared{
-		pool:    pool.NewShared(workers),
-		scratch: slm.NewScratchPool(),
-		warm:    make(chan struct{}, workers),
+		pool: pool.NewShared(workers),
+		warm: make(chan struct{}, workers),
 	}
 }
 
@@ -59,9 +57,13 @@ type Admission struct {
 // capacity; a fully warm image decodes without a token, bounded only by
 // the warm semaphore, so it never waits behind a cold one. When cfg.Obs
 // carries a Trace, the admitted analysis draws on a trace lane of its own,
-// held only while it runs. img must be stripped, as for AnalyzeContext.
+// held only while it runs. img must be stripped: an image carrying
+// metadata is refused, because the analysis must never see ground truth.
 func (s *Shared) Analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, Admission, error) {
-	cfg.pool, cfg.scratch = s.pool, s.scratch
+	if img.Meta != nil {
+		return nil, Admission{}, fmt.Errorf("core: refusing to analyze a non-stripped image (call Strip first)")
+	}
+	cfg.pool = s.pool
 	ad := Admission{Warm: ProbeSnapshot(img, cfg) == snapshot.LevelHierarchy}
 	t0 := time.Now()
 	if ad.Warm {
@@ -83,7 +85,7 @@ func (s *Shared) Analyze(ctx context.Context, img *image.Image, cfg Config) (*Re
 		defer bus.Trace.ReleaseLane(bus.Lane)
 		defer bus.Span("image " + img.Name).End()
 	}
-	res, err := AnalyzeContext(ctx, img, cfg)
+	res, err := analyze(ctx, img, cfg)
 	return res, ad, err
 }
 

@@ -39,12 +39,9 @@ type Config struct {
 	// RootWeightFactor scales the virtual-root weight relative to the
 	// family's largest pairwise distance (Heuristic 4.1); must exceed 1.
 	RootWeightFactor float64
-	// Workers/Pool bound and share the fan-out (see core.Config).
-	Workers int
-	Pool    *pool.Shared
-	// Scratch supplies reusable per-goroutine query scratch; nil uses the
-	// process-wide default pool.
-	Scratch *slm.ScratchPool
+	// Pool lends the sweep's fan-outs their helpers (see internal/pool);
+	// nil runs the sweep serially.
+	Pool *pool.Shared
 	// Obs, when non-nil, receives the sweep's pair counters and batch
 	// spans. Results are unaffected.
 	Obs *obs.Bus
@@ -69,17 +66,16 @@ func (p *Provider) Name() string { return evidence.NameSLM }
 func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*evidence.Scores, error) {
 	cfg := p.cfg
 	calc := slm.NewDistanceCalculator(cfg.Metric, in.Words)
-	calc.SetScratchPool(cfg.Scratch)
 	calc.SetObserver(cfg.Obs)
 	n := len(in.Types)
 	calc.Reserve(n)
-	if err := pool.ForEachChunk(ctx, cfg.Pool, cfg.Workers, n, modelGrain, func(lo, hi int) {
+	if err := pool.ForEachChunk(ctx, cfg.Pool, n, modelGrain, func(lo, hi int) {
 		calc.PrecomputeBatch(in.Scorers[lo:hi])
 	}); err != nil {
 		return nil, err
 	}
 	out := &evidence.Scores{Edge: make([]float64, len(in.Pairs))}
-	if err := pool.ForEachChunk(ctx, cfg.Pool, cfg.Workers, len(in.Pairs), pairGrain, func(lo, hi int) {
+	if err := pool.ForEachChunk(ctx, cfg.Pool, len(in.Pairs), pairGrain, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			out.Edge[k] = calc.Distance(in.Scorer(in.Pairs[k][0]), in.Scorer(in.Pairs[k][1]))
 		}

@@ -131,11 +131,11 @@ type Provider struct {
 }
 
 // New indexes the image's structural observations and returns the
-// provider. The fan-out runs on the worker pool; per-chunk partial
-// tallies land in chunk-owned slots and merge in chunk order, and the
-// merged sums are order-independent, so the index is identical at any
-// worker count.
-func New(ctx context.Context, cfg Config, img Image, workers int, shared *pool.Shared) (*Provider, error) {
+// provider. The fan-out draws its helpers from shared (nil runs it
+// serially); per-chunk partial tallies land in chunk-owned slots and
+// merge in chunk order, and the merged sums are order-independent, so the
+// index is identical at any pool capacity.
+func New(ctx context.Context, cfg Config, img Image, shared *pool.Shared) (*Provider, error) {
 	p := &Provider{
 		cfg:      cfg,
 		byAddr:   make(map[uint64]*vtable.VTable, len(img.VTables)),
@@ -146,7 +146,7 @@ func New(ctx context.Context, cfg Config, img Image, workers int, shared *pool.S
 	}
 	n := len(img.Structs)
 	parts := make([]*counts, (n+structGrain-1)/structGrain)
-	if err := pool.ForEachChunk(ctx, shared, workers, n, structGrain, func(lo, hi int) {
+	if err := pool.ForEachChunk(ctx, shared, n, structGrain, func(lo, hi int) {
 		part := newCounts()
 		for _, os := range img.Structs[lo:hi] {
 			p.tally(part, os, img)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/evidence"
 	"repro/internal/objtrace"
+	"repro/internal/pool"
 	"repro/internal/vtable"
 )
 
@@ -15,9 +16,9 @@ func vt(addr uint64, slots ...uint64) *vtable.VTable {
 	return &vtable.VTable{Addr: addr, Slots: slots}
 }
 
-func mustNew(t *testing.T, img Image, workers int) *Provider {
+func mustNew(t *testing.T, img Image, sh *pool.Shared) *Provider {
 	t.Helper()
-	p, err := New(context.Background(), DefaultConfig(), img, workers, nil)
+	p, err := New(context.Background(), DefaultConfig(), img, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestSlotOverlapOrdering(t *testing.T) {
 	stranger := vt(0x200, 20, 21, 22)
 	child := vt(0x300, 10, 11, 33, 34) // inherits two of parent's slots
 	img := Image{VTables: []*vtable.VTable{parent, stranger, child}, Purecall: purecall}
-	p := mustNew(t, img, 1)
+	p := mustNew(t, img, nil)
 
 	s := score(t, p, [2]uint64{0x100, 0x300}, [2]uint64{0x200, 0x300})
 	if s.Edge[0] >= s.Edge[1] {
@@ -58,7 +59,7 @@ func TestSlotOverlapOrdering(t *testing.T) {
 	// match and the total mismatch.
 	abstract := vt(0x400, purecall, purecall, purecall)
 	img2 := Image{VTables: []*vtable.VTable{abstract, stranger, child}, Purecall: purecall}
-	p2 := mustNew(t, img2, 1)
+	p2 := mustNew(t, img2, nil)
 	s2 := score(t, p2, [2]uint64{0x400, 0x300}, [2]uint64{0x200, 0x300})
 	if s2.Edge[0] >= s2.Edge[1] {
 		t.Errorf("pure-slot parent scored %v, mismatching stranger %v; want neutral < mismatch", s2.Edge[0], s2.Edge[1])
@@ -73,7 +74,7 @@ func TestProximityTieBreak(t *testing.T) {
 	parent := vt(0x200, 10, 11, 20, 21)
 	child := vt(0x300, 10, 11, 20, 21, 30)
 	img := Image{VTables: []*vtable.VTable{grand, parent, child}}
-	p := mustNew(t, img, 1)
+	p := mustNew(t, img, nil)
 	s := score(t, p, [2]uint64{0x200, 0x300}, [2]uint64{0x100, 0x300})
 	if s.Edge[0] >= s.Edge[1] {
 		t.Errorf("direct parent scored %v, grandparent %v; want direct parent strictly lower", s.Edge[0], s.Edge[1])
@@ -98,7 +99,7 @@ func TestInstallFlowEvidence(t *testing.T) {
 			},
 		}},
 	}
-	p := mustNew(t, img, 1)
+	p := mustNew(t, img, nil)
 	s := score(t, p, [2]uint64{0x100, 0x300}, [2]uint64{0x100, 0x400})
 	if s.Edge[0] >= s.Edge[1] {
 		t.Errorf("flow-observed child scored %v, flow-free child %v; want observed strictly lower", s.Edge[0], s.Edge[1])
@@ -123,7 +124,7 @@ func TestParentCallEvidence(t *testing.T) {
 			},
 		}},
 	}
-	p := mustNew(t, img, 1)
+	p := mustNew(t, img, nil)
 	s := score(t, p, [2]uint64{0x100, 0x300}, [2]uint64{0x100, 0x400})
 	if s.Edge[0] >= s.Edge[1] {
 		t.Errorf("parent-calling child scored %v, silent child %v; want caller strictly lower", s.Edge[0], s.Edge[1])
@@ -132,7 +133,7 @@ func TestParentCallEvidence(t *testing.T) {
 
 // TestBuildDeterministic pins the index-build contract: a corpus of
 // observation sequences large enough to span many fan-out chunks
-// produces bit-identical scores at every worker count.
+// produces bit-identical scores serially and at every pool capacity.
 func TestBuildDeterministic(t *testing.T) {
 	var vts []*vtable.VTable
 	var structs []objtrace.ObjStruct
@@ -153,11 +154,11 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 	img := Image{VTables: vts, Structs: structs}
-	want := score(t, mustNew(t, img, 1), pairs...)
-	for _, workers := range []int{2, 8, 32} {
-		got := score(t, mustNew(t, img, workers), pairs...)
+	want := score(t, mustNew(t, img, nil), pairs...)
+	for _, capacity := range []int{2, 8, 32} {
+		got := score(t, mustNew(t, img, pool.NewShared(capacity)), pairs...)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: scores diverged from the serial build", workers)
+			t.Errorf("cap=%d: scores diverged from the serial build", capacity)
 		}
 	}
 }

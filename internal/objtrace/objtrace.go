@@ -126,16 +126,12 @@ type Config struct {
 	Window int
 	// MaxTraceLen caps the raw per-object event sequence length.
 	MaxTraceLen int
-	// Workers bounds how many per-function symbolic executions run
-	// concurrently. 0 or 1 runs the extraction serially. Functions are
-	// mutually independent (each executor sees only its own function), the
-	// per-function results land in index-owned slots, and the merge walks
-	// them in function order, so the Result is byte-identical for every
-	// worker count.
-	Workers int
-	// Pool, when non-nil, draws the extraction's helper goroutines from a
-	// corpus-wide shared worker pool instead of the private Workers budget
-	// (see internal/pool). Neither Pool nor Workers affects the Result.
+	// Pool, when non-nil, lends the per-function symbolic executions
+	// helper goroutines from a shared worker pool (see internal/pool); nil
+	// runs the extraction serially. Functions are mutually independent
+	// (each executor sees only its own function), the per-function results
+	// land in index-owned slots, and the merge walks them in function
+	// order, so the Result is byte-identical for every pool capacity.
 	Pool *pool.Shared
 }
 
@@ -147,7 +143,7 @@ func DefaultConfig() Config {
 // WithDefaults returns the config with unset (zero) bounds replaced by the
 // paper defaults, exactly as Extract resolves them. Snapshot fingerprints
 // hash the resolved values, so an explicit default and an unset field
-// produce the same cache key. Workers is not a bound and stays as-is.
+// produce the same cache key. Pool is not a bound and stays as-is.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 func (c Config) withDefaults() Config {
@@ -295,7 +291,7 @@ func ExtractFunctions(ctx context.Context, img *image.Image, fns []*ir.Function,
 		}
 	}
 	exts := make([]*FnExtraction, len(fns))
-	if err := pool.ForEach(ctx, cfg.Pool, cfg.Workers, len(fns), func(i int) {
+	if err := pool.ForEach(ctx, cfg.Pool, len(fns), func(i int) {
 		if reuse != nil {
 			if b := reuse(i); b != nil {
 				exts[i] = b

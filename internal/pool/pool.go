@@ -1,27 +1,20 @@
 // Package pool provides the bounded fan-out primitives shared by the
 // pipeline's parallel stages (SLM training, per-family distance matrices,
-// arborescence solving, and the objtrace front-end) and by the shared
-// admission rule of many concurrent analyses (core.Shared). Every stage
-// follows the same discipline: workers write only to state owned by their
-// index, and the caller merges the slots in a fixed order afterwards, so
-// results are identical for any worker count.
+// arborescence solving, and the objtrace front-end) and by the admission
+// rule of every analysis (core.Shared). Every stage follows the same
+// discipline: workers write only to state owned by their index, and the
+// caller merges the slots in a fixed order afterwards, so results are
+// identical for any pool capacity.
 //
-// Two execution regimes share one code path:
-//
-//   - Private fan-out (ForEachIndex, or ForEach with a nil Shared): the
-//     stage brings its own concurrency budget — the calling goroutine
-//     participates and up to workers-1 helpers are spawned for the
-//     duration of the stage.
-//
-//   - Shared fan-out (ForEach with a Shared): the stage draws helpers
-//     from a corpus-wide token pool instead of owning them. The calling
-//     goroutine always participates without holding a token, so a stage
-//     makes progress even when the pool is exhausted — nested fan-outs
-//     can never deadlock, and with a single-token pool the whole corpus
-//     degrades to today's serial behavior. Helpers are acquired with a
-//     non-blocking TryAcquire at stage start and released when the index
-//     space drains, so idle cores flow to whichever image has runnable
-//     work.
+// There is one execution regime. A fan-out draws its helpers from a
+// Shared token pool: the calling goroutine always participates without
+// holding a token, so a stage makes progress even when the pool is
+// exhausted — nested fan-outs can never deadlock, and with a
+// single-token pool every analysis degrades to serial execution. Helpers
+// are recruited with a non-blocking TryAcquire as indices are claimed and
+// release their token when the index space drains, so idle cores flow to
+// whichever stage has runnable work. A nil pool lends no helpers: the
+// loop runs serially on the caller.
 package pool
 
 import (
@@ -32,11 +25,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Shared is a corpus-wide bounded worker pool: a fixed budget of tokens,
-// each representing the right to run one goroutine of analysis work.
-// Corpus admission holds one token per in-flight image (the image's
-// calling goroutine), and intra-analysis fan-outs borrow further tokens
-// for transient helpers. The zero value is unusable; call NewShared.
+// Shared is a bounded worker pool: a fixed budget of tokens, each
+// representing the right to run one goroutine of analysis work. Admission
+// holds one token per running analysis (the analysis's calling
+// goroutine), and intra-analysis fan-outs borrow further tokens for
+// transient helpers, so the goroutines doing analysis work never exceed
+// the capacity. The zero value is unusable; call NewShared.
 type Shared struct {
 	tokens chan struct{}
 }
@@ -77,33 +71,22 @@ func (s *Shared) TryAcquire() bool {
 // Release returns a token to the pool.
 func (s *Shared) Release() { <-s.tokens }
 
-// ForEachIndex invokes fn(i) for every i in [0,n), spread over at most
-// workers goroutines (the caller plus workers-1 helpers) pulling indices
-// from a shared atomic counter. With workers <= 1 (or a single item) it
-// degenerates to a plain loop on the calling goroutine — the serial path.
-// fn must only write to state owned by index i; ordering across indices
-// is not guaranteed.
-func ForEachIndex(workers, n int, fn func(i int)) {
-	// A background context can never cancel, so the error is always nil.
-	_ = ForEach(context.Background(), nil, workers, n, fn)
-}
-
 // ForEachChunk invokes fn(lo, hi) over contiguous half-open ranges
 // covering [0,n) in steps of grain (the last range may be short), under
-// the same regimes and guarantees as ForEach. Workers claim whole ranges
-// from the shared counter instead of single indices, so sweeps whose
-// per-index work is trivial (one distance-matrix cell) amortize the claim
-// over grain items instead of drowning in scheduling overhead. The range
-// decomposition is fixed by grain — independent of worker count and claim
-// order — so index ownership stays deterministic; fn must only write to
-// state owned by indices in [lo, hi). Cancellation is checked per range:
-// a non-nil error means some ranges never ran.
-func ForEachChunk(ctx context.Context, sh *Shared, workers, n, grain int, fn func(lo, hi int)) error {
+// the same guarantees as ForEach. Workers claim whole ranges from the
+// shared counter instead of single indices, so sweeps whose per-index
+// work is trivial (one distance-matrix cell) amortize the claim over
+// grain items instead of drowning in scheduling overhead. The range
+// decomposition is fixed by grain — independent of pool capacity and
+// claim order — so index ownership stays deterministic; fn must only
+// write to state owned by indices in [lo, hi). Cancellation is checked
+// per range: a non-nil error means some ranges never ran.
+func ForEachChunk(ctx context.Context, sh *Shared, n, grain int, fn func(lo, hi int)) error {
 	if grain < 1 {
 		grain = 1
 	}
 	chunks := (n + grain - 1) / grain
-	return ForEach(ctx, sh, workers, chunks, func(ci int) {
+	return ForEach(ctx, sh, chunks, func(ci int) {
 		lo := ci * grain
 		fn(lo, min(lo+grain, n))
 	})
@@ -115,47 +98,12 @@ func ForEachChunk(ctx context.Context, sh *Shared, workers, n, grain int, fn fun
 // Callers must treat a non-nil error as "index slots are incomplete" and
 // discard the stage's output.
 //
-// With sh == nil the stage runs on the caller plus up to workers-1
-// spawned helpers (the private regime). With a Shared pool, workers caps
-// nothing: the caller always participates token-free and helpers are
-// limited to the tokens TryAcquire can win, up to n-1 — the shared
-// regime described in the package comment.
-func ForEach(ctx context.Context, sh *Shared, workers, n int, fn func(i int)) error {
+// The caller always participates, token-free; helpers are limited to the
+// tokens TryAcquire can win from sh. With sh == nil there are no helpers
+// and the loop runs serially on the caller. fn must only write to state
+// owned by index i; ordering across indices is not guaranteed.
+func ForEach(ctx context.Context, sh *Shared, n int, fn func(i int)) error {
 	if n <= 0 {
-		return ctx.Err()
-	}
-	helpers := workers - 1
-	if sh != nil {
-		helpers = sh.Cap()
-	}
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-
-	done := ctx.Done()
-	var next atomic.Int64
-	// run pulls indices until the space is exhausted or ctx is canceled.
-	// The cancellation check runs once per index: fn is never started
-	// after ctx is done, but an fn already running is not interrupted.
-	run := func() {
-		for {
-			if done != nil {
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-
-	if helpers <= 0 {
-		run()
 		return ctx.Err()
 	}
 	// Observability: an observed context carries its bus; each spawned
@@ -169,25 +117,44 @@ func ForEach(ctx context.Context, sh *Shared, workers, n int, fn func(i int)) er
 			region = "fanout"
 		}
 	}
+	done := ctx.Done()
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	spawned := 0
-	for w := 0; w < helpers; w++ {
-		if sh != nil && !sh.TryAcquire() {
-			break // pool exhausted: whatever helpers we won suffice
-		}
-		spawned++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if sh != nil {
-				defer sh.Release()
+	// run pulls indices until the space is exhausted or ctx is canceled.
+	// The cancellation check runs once per index: fn is never started
+	// after ctx is done, but an fn already running is not interrupted.
+	// Before each fn, while unclaimed indices remain, it recruits one
+	// helper if sh lends a token. Recruiting per claim rather than only at
+	// stage start lets a token freed mid-stage — a sibling fan-out's helper
+	// finishing — join the stage still running instead of idling.
+	var run func()
+	run = func() {
+		for {
+			if done != nil {
+				select {
+				case <-done:
+					return
+				default:
+				}
 			}
-			hs := bus.HelperSpan(region)
-			run()
-			hs.End()
-		}()
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if sh != nil && next.Load() < int64(n) && sh.TryAcquire() {
+				bus.Add(obs.CntPoolHelpers, 1)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer sh.Release()
+					hs := bus.HelperSpan(region)
+					run()
+					hs.End()
+				}()
+			}
+			fn(i)
+		}
 	}
-	bus.Add(obs.CntPoolHelpers, int64(spawned))
 	run()
 	wg.Wait()
 	return ctx.Err()

@@ -10,21 +10,47 @@ import (
 )
 
 // TestForEachIndex checks the worker-pool primitive: every index is
-// visited exactly once for serial and parallel pool sizes, including the
-// degenerate shapes (empty range, more workers than items).
+// visited exactly once on the nil pool (the serial path) and on pools of
+// several capacities, including the degenerate shapes (empty range, more
+// tokens than items).
 func TestForEachIndex(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4, 13} {
+	for _, capacity := range []int{0, 1, 2, 4, 13} {
 		for _, n := range []int{0, 1, 2, 7, 100} {
+			var sh *Shared
+			if capacity > 0 {
+				sh = NewShared(capacity)
+			}
 			hits := make([]int32, n)
-			ForEachIndex(workers, n, func(i int) {
+			if err := ForEach(context.Background(), sh, n, func(i int) {
 				atomic.AddInt32(&hits[i], 1)
-			})
+			}); err != nil {
+				t.Fatalf("cap=%d n=%d: unexpected error %v", capacity, n, err)
+			}
 			for i, h := range hits {
 				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
+					t.Fatalf("cap=%d n=%d: index %d visited %d times", capacity, n, i, h)
 				}
 			}
 		}
+	}
+}
+
+// TestForEachNilPoolSerial: without a pool no helper is spawned — every
+// fn runs on the calling goroutine, one at a time.
+func TestForEachNilPoolSerial(t *testing.T) {
+	var running atomic.Int32
+	var overlapped atomic.Bool
+	if err := ForEach(context.Background(), nil, 64, func(i int) {
+		if running.Add(1) > 1 {
+			overlapped.Store(true)
+		}
+		time.Sleep(10 * time.Microsecond)
+		running.Add(-1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if overlapped.Load() {
+		t.Fatal("nil pool ran fns concurrently")
 	}
 }
 
@@ -36,7 +62,7 @@ func TestForEachShared(t *testing.T) {
 		sh := NewShared(capacity)
 		var running, peak atomic.Int32
 		hits := make([]int32, 64)
-		err := ForEach(context.Background(), sh, 0, len(hits), func(i int) {
+		err := ForEach(context.Background(), sh, len(hits), func(i int) {
 			r := running.Add(1)
 			for {
 				p := peak.Load()
@@ -65,6 +91,39 @@ func TestForEachShared(t *testing.T) {
 	}
 }
 
+// TestForEachRecruitsFreedTokens: a token freed while a stage runs joins
+// that stage. The pool's only token is held elsewhere when the stage
+// starts, so no helper can join then; fn(0) frees it, and a later claim
+// must recruit a helper that runs fns alongside the caller.
+func TestForEachRecruitsFreedTokens(t *testing.T) {
+	sh := NewShared(1)
+	sh.tokens <- struct{}{} // held by someone else at stage start
+	var running, peak atomic.Int32
+	err := ForEach(context.Background(), sh, 64, func(i int) {
+		if i == 0 {
+			sh.Release() // the holder lets go mid-stage
+		}
+		r := running.Add(1)
+		for {
+			p := peak.Load()
+			if r <= p || peak.CompareAndSwap(p, r) {
+				break
+			}
+		}
+		time.Sleep(200 * time.Microsecond)
+		running.Add(-1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p < 2 {
+		t.Errorf("peak %d concurrent fns: the freed token never joined the stage", p)
+	}
+	if len(sh.tokens) != 0 {
+		t.Errorf("%d tokens leaked", len(sh.tokens))
+	}
+}
+
 // TestForEachSharedNestedProgress: a fan-out nested inside another
 // fan-out's fn must complete even when the pool is fully exhausted — the
 // caller always participates token-free, so nesting cannot deadlock.
@@ -76,8 +135,8 @@ func TestForEachSharedNestedProgress(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = ForEach(context.Background(), sh, 0, 8, func(i int) {
-			_ = ForEach(context.Background(), sh, 0, 4, func(j int) {
+		_ = ForEach(context.Background(), sh, 8, func(i int) {
+			_ = ForEach(context.Background(), sh, 4, func(j int) {
 				count.Add(1)
 			})
 		})
@@ -104,7 +163,7 @@ func TestForEachCancellation(t *testing.T) {
 		release := make(chan struct{})
 		var once sync.Once
 		const n = 10000
-		err := ForEach(ctx, sh, 8, n, func(i int) {
+		err := ForEach(ctx, sh, n, func(i int) {
 			started.Add(1)
 			once.Do(func() {
 				cancel()
@@ -167,24 +226,29 @@ func TestSharedAcquire(t *testing.T) {
 }
 
 // TestForEachChunk checks the chunked variant: the ranges returned for
-// every (n, grain, workers) shape tile [0,n) exactly — contiguous,
+// every (n, grain, pool) shape tile [0,n) exactly — contiguous,
 // non-overlapping, each boundary a multiple of grain — so chunked sweeps
-// keep the index-ownership determinism of ForEach.
+// keep the index-ownership determinism of ForEach. Capacity 0 is the nil
+// pool, the serial path.
 func TestForEachChunk(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
+	for _, capacity := range []int{0, 1, 2, 4} {
+		var sh *Shared
+		if capacity > 0 {
+			sh = NewShared(capacity)
+		}
 		for _, n := range []int{0, 1, 5, 64, 100, 257} {
 			for _, grain := range []int{-1, 0, 1, 3, 64, 1000} {
 				hits := make([]int32, n)
-				err := ForEachChunk(context.Background(), nil, workers, n, grain, func(lo, hi int) {
+				err := ForEachChunk(context.Background(), sh, n, grain, func(lo, hi int) {
 					if lo >= hi {
-						t.Errorf("workers=%d n=%d grain=%d: empty range [%d,%d)", workers, n, grain, lo, hi)
+						t.Errorf("cap=%d n=%d grain=%d: empty range [%d,%d)", capacity, n, grain, lo, hi)
 					}
 					g := grain
 					if g < 1 {
 						g = 1
 					}
 					if lo%g != 0 || (hi != n && hi-lo != g) {
-						t.Errorf("workers=%d n=%d grain=%d: misaligned range [%d,%d)", workers, n, grain, lo, hi)
+						t.Errorf("cap=%d n=%d grain=%d: misaligned range [%d,%d)", capacity, n, grain, lo, hi)
 					}
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&hits[i], 1)
@@ -195,7 +259,7 @@ func TestForEachChunk(t *testing.T) {
 				}
 				for i, h := range hits {
 					if h != 1 {
-						t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times", workers, n, grain, i, h)
+						t.Fatalf("cap=%d n=%d grain=%d: index %d visited %d times", capacity, n, grain, i, h)
 					}
 				}
 			}
@@ -209,7 +273,7 @@ func TestForEachChunk(t *testing.T) {
 func TestForEachChunkShared(t *testing.T) {
 	sh := NewShared(3)
 	hits := make([]int32, 1000)
-	if err := ForEachChunk(context.Background(), sh, 0, len(hits), 16, func(lo, hi int) {
+	if err := ForEachChunk(context.Background(), sh, len(hits), 16, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
@@ -226,7 +290,7 @@ func TestForEachChunkShared(t *testing.T) {
 	var visited atomic.Int32
 	done := make(chan error, 1)
 	go func() {
-		done <- ForEachChunk(ctx, sh, 0, 1<<30, 8, func(lo, hi int) {
+		done <- ForEachChunk(ctx, sh, 1<<30, 8, func(lo, hi int) {
 			visited.Add(1)
 			cancel()
 		})

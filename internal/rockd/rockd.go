@@ -31,9 +31,8 @@
 //   - SIGTERM drains gracefully: in-flight work finishes (bounded by
 //     DrainTimeout), new submissions get 503.
 //
-// All analyses run on one rock.Engine — a single shared worker pool and
-// query-scratch pool — so concurrent requests compete for a fixed
-// parallelism budget. /metrics exposes the server counters, per-class
+// All analyses run on one rock.Engine — a single shared worker pool — so
+// concurrent requests compete for a fixed parallelism budget. /metrics exposes the server counters, per-class
 // queue state and latency quantiles, and a server-level per-stage
 // observability rollup fed by each request's obs bus (merged mid-flight
 // for live analyses — the bus is documented concurrent-read-safe).

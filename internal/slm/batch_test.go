@@ -31,7 +31,7 @@ func batchFleet(t *testing.T, k int) ([]*Frozen, [][]int) {
 // cold scratch, a warm rebound scratch, and a shrunken batch.
 func TestBatchKernelBitIdentical(t *testing.T) {
 	fleet, words := batchFleet(t, 9)
-	s := &Scratch{}
+	s := &queryScratch{}
 	check := func(label string, ms []*Frozen) {
 		t.Helper()
 		rows := s.logProbWordsBatch(ms, words)
@@ -97,7 +97,7 @@ func TestPrecomputeBatchMatchesPrecompute(t *testing.T) {
 // PrecomputeBatch costs nothing.
 func TestBatchKernelZeroAlloc(t *testing.T) {
 	fleet, words := batchFleet(t, 8)
-	s := &Scratch{}
+	s := &queryScratch{}
 	s.logProbWordsBatch(fleet, words) // warm the queriers and rows
 	if n := testing.AllocsPerRun(100, func() { s.logProbWordsBatch(fleet, words) }); n != 0 {
 		t.Errorf("warm logProbWordsBatch allocates %v per pass, want 0", n)

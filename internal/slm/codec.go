@@ -64,11 +64,14 @@ func (f *Frozen) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// DecodeFrozen parses one serialized frozen trie from the front of data,
-// returning the decoded model and the unconsumed remainder. Corrupted or
-// truncated input returns an error; the decoder never panics and never
+// DecodeFrozen parses one serialized frozen trie over an alphabet of the
+// given size from the front of data, returning the decoded model and the
+// unconsumed remainder. Corrupted or truncated input returns an error, and
+// so does a trie declaring any other alphabet: a querier sizes its
+// exclusion array by the alphabet, so the caller's symbol table, not the
+// untrusted header, must bound it. The decoder never panics and never
 // allocates more than the input size warrants.
-func DecodeFrozen(data []byte) (*Frozen, []byte, error) {
+func DecodeFrozen(data []byte, alphabet int) (*Frozen, []byte, error) {
 	if len(data) < frozenHeaderSize {
 		return nil, nil, fmt.Errorf("slm: frozen trie truncated at header (%d bytes)", len(data))
 	}
@@ -76,7 +79,7 @@ func DecodeFrozen(data []byte) (*Frozen, []byte, error) {
 		return nil, nil, fmt.Errorf("slm: bad frozen trie magic")
 	}
 	depth := int(binary.LittleEndian.Uint32(data[4:]))
-	alphabet := int(binary.LittleEndian.Uint32(data[8:]))
+	declared := int(binary.LittleEndian.Uint32(data[8:]))
 	trained := int(binary.LittleEndian.Uint32(data[12:]))
 	nNodes := int(binary.LittleEndian.Uint32(data[16:]))
 	nSyms := int(binary.LittleEndian.Uint32(data[20:]))
@@ -86,8 +89,8 @@ func DecodeFrozen(data []byte) (*Frozen, []byte, error) {
 	if depth < 0 || depth > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("slm: frozen trie depth %d out of range", depth)
 	}
-	if alphabet < 1 || alphabet > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("slm: frozen trie alphabet %d out of range", alphabet)
+	if declared != alphabet || alphabet < 1 {
+		return nil, nil, fmt.Errorf("slm: frozen trie alphabet %d, want %d", declared, alphabet)
 	}
 	if nNodes < 1 {
 		return nil, nil, fmt.Errorf("slm: frozen trie has no nodes")

@@ -46,7 +46,7 @@ func TestFrozenCodecRoundTrip(t *testing.T) {
 		}
 		// A non-empty tail must be handed back untouched.
 		tail := []byte{0xde, 0xad, 0xbe, 0xef}
-		dec, rest, err := DecodeFrozen(append(append([]byte(nil), enc...), tail...))
+		dec, rest, err := DecodeFrozen(append(append([]byte(nil), enc...), tail...), sh.alphabet)
 		if err != nil {
 			t.Fatalf("depth=%d alpha=%d: decode: %v", sh.depth, sh.alphabet, err)
 		}
@@ -74,7 +74,7 @@ func TestDecodeFrozenRejectsTruncation(t *testing.T) {
 	f, _ := randomFrozen(rng, 2, 10, 32, 7)
 	enc := f.AppendBinary(nil)
 	for n := 0; n < len(enc); n++ {
-		if _, _, err := DecodeFrozen(enc[:n]); err == nil {
+		if _, _, err := DecodeFrozen(enc[:n], f.alphabet); err == nil {
 			t.Fatalf("truncation to %d of %d bytes accepted", n, len(enc))
 		}
 	}
@@ -93,7 +93,7 @@ func TestDecodeFrozenRejectsCorruption(t *testing.T) {
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x41
-		dec, _, err := DecodeFrozen(mut)
+		dec, _, err := DecodeFrozen(mut, f.alphabet)
 		if err != nil {
 			continue
 		}
@@ -119,27 +119,54 @@ func TestDecodeFrozenRejectsCorruption(t *testing.T) {
 	for i := range f.counts {
 		mut := append([]byte(nil), enc...)
 		copy(mut[countsAt+4*i:], []byte{0, 0, 0, 0})
-		if _, _, err := DecodeFrozen(mut); err == nil {
+		if _, _, err := DecodeFrozen(mut, f.alphabet); err == nil {
 			t.Fatalf("zero count in slot %d accepted", i)
 		}
 	}
 	for n := 1; n < len(f.nodes); n++ {
 		mut := append([]byte(nil), enc...)
 		mut[frozenHeaderSize+20*n]++ // node n's symOff
-		if _, _, err := DecodeFrozen(mut); err == nil {
+		if _, _, err := DecodeFrozen(mut, f.alphabet); err == nil {
 			t.Fatalf("node %d: shifted symbol span accepted", n)
 		}
 	}
 	// Header-level corruption that must be rejected outright.
 	bad := append([]byte(nil), enc...)
 	bad[0] = 'X'
-	if _, _, err := DecodeFrozen(bad); err == nil {
+	if _, _, err := DecodeFrozen(bad, f.alphabet); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// A huge node count must fail the size check, not allocate.
 	huge := append([]byte(nil), enc...)
 	huge[16], huge[17], huge[18], huge[19] = 0xff, 0xff, 0xff, 0x7f
-	if _, _, err := DecodeFrozen(huge); err == nil {
+	if _, _, err := DecodeFrozen(huge, f.alphabet); err == nil {
 		t.Error("oversized node count accepted")
+	}
+	// A querier sizes its exclusion array by the alphabet, so a declared
+	// alphabet other than the caller's — here 2^31-1 — is rejected before
+	// anything is sized by it.
+	wide := append([]byte(nil), enc...)
+	wide[8], wide[9], wide[10], wide[11] = 0xff, 0xff, 0xff, 0x7f
+	if _, _, err := DecodeFrozen(wide, f.alphabet); err == nil {
+		t.Error("declared alphabet 2^31-1 accepted for a 10-symbol table")
+	}
+	if _, _, err := DecodeFrozen(enc, f.alphabet+1); err == nil {
+		t.Error("alphabet mismatch accepted")
+	}
+	// A declared depth of 2^31-1 describes a valid trie (training stops
+	// where the words end), but the first query must not size anything by
+	// it: the context stack grows only as deep as the trie walk goes.
+	deep := append([]byte(nil), enc...)
+	deep[4], deep[5], deep[6], deep[7] = 0xff, 0xff, 0xff, 0x7f
+	dec, _, err := DecodeFrozen(deep, f.alphabet)
+	if err != nil {
+		t.Fatalf("deep trie rejected: %v", err)
+	}
+	q := dec.NewQuerier()
+	for _, w := range corpus {
+		q.LogProbSeq(w)
+	}
+	if c := cap(q.ctx); c > len(dec.nodes)+1 {
+		t.Errorf("context stack capacity %d for a %d-node trie", c, len(dec.nodes))
 	}
 }

@@ -55,7 +55,7 @@ type WordScorer interface {
 // fresh slice (callers retain it); the intermediate log-probability
 // buffer and the frozen-query scratch come from s when non-nil, so
 // repeated derivations allocate nothing beyond the retained result.
-func wordDist(m WordScorer, words [][]int, s *Scratch) []float64 {
+func wordDist(m WordScorer, words [][]int, s *queryScratch) []float64 {
 	// Work from log-probabilities with a max-shift for numerical stability.
 	var lps []float64
 	if s != nil {
@@ -235,10 +235,9 @@ func Distance(metric Metric, a, b WordScorer, words [][]int) float64 {
 // are cached by identity, so pass frozen models (the pipeline does) or
 // builders consistently, not a mix of both forms of one model.
 type DistanceCalculator struct {
-	metric  Metric
-	words   [][]int
-	scratch *ScratchPool
-	obs     *obs.Bus
+	metric Metric
+	words  [][]int
+	obs    *obs.Bus
 
 	mu    sync.Mutex
 	cache map[WordScorer]*distEntry
@@ -246,15 +245,12 @@ type DistanceCalculator struct {
 
 // NewDistanceCalculator returns a calculator for the given metric and word
 // set. The word set must not be mutated afterwards. Derivations draw
-// their query scratch from the process-wide shared pool; SetScratchPool
-// substitutes an explicit one (the corpus engine shares one pool across
-// every image of a run).
+// their query scratch from the process-wide recycled set (sharedScratch).
 func NewDistanceCalculator(metric Metric, words [][]int) *DistanceCalculator {
 	return &DistanceCalculator{
-		metric:  metric,
-		words:   words,
-		scratch: sharedScratch,
-		cache:   make(map[WordScorer]*distEntry),
+		metric: metric,
+		words:  words,
+		cache:  make(map[WordScorer]*distEntry),
 	}
 }
 
@@ -267,16 +263,6 @@ func (c *DistanceCalculator) Reserve(n int) {
 		c.cache = make(map[WordScorer]*distEntry, n)
 	}
 	c.mu.Unlock()
-}
-
-// SetScratchPool replaces the pool the calculator's derivations borrow
-// query scratch from. Call before the first Precompute/Distance; a nil
-// pool restores the process-wide default.
-func (c *DistanceCalculator) SetScratchPool(sp *ScratchPool) {
-	if sp == nil {
-		sp = sharedScratch
-	}
-	c.scratch = sp
 }
 
 // SetObserver attaches an observer bus: every distribution lookup is then
@@ -295,7 +281,7 @@ func (c *DistanceCalculator) Precompute(m WordScorer) { c.distribution(m) }
 // PrecomputeBatch derives and caches the distributions of every model in
 // ms. Uncached frozen models are scored together by the blocked
 // multi-model batch kernel (each word block visits every model of the
-// batch while its symbol data is hot — see Scratch.logProbWordsBatch);
+// batch while its symbol data is hot — see queryScratch.logProbWordsBatch);
 // other scorer kinds fall back to one single-model derivation each.
 // Already-cached models cost one lookup. The cached entries are
 // bit-identical to Precompute's: the batch kernel reorders only the
@@ -323,13 +309,13 @@ func (c *DistanceCalculator) PrecomputeBatch(ms []WordScorer) {
 		return
 	}
 	c.obs.Add(obs.CntDistMemoMisses, int64(len(todo)))
-	s := c.scratch.Get()
+	s := getScratch()
 	rows := s.logProbWordsBatch(todo, c.words)
 	entries := make([]*distEntry, len(todo))
 	for i := range todo {
 		entries[i] = newDistEntry(rows[i])
 	}
-	c.scratch.Put(s)
+	putScratch(s)
 	c.mu.Lock()
 	for i, f := range todo {
 		// A concurrent derivation of the same model wins ties, matching
@@ -399,9 +385,9 @@ func (c *DistanceCalculator) distribution(m WordScorer) *distEntry {
 		return e
 	}
 	c.obs.Add(obs.CntDistMemoMisses, 1)
-	s := c.scratch.Get()
+	s := getScratch()
 	e = newDistEntry(s.logProbWords(m, c.words))
-	c.scratch.Put(s)
+	putScratch(s)
 	c.mu.Lock()
 	if prev, ok := c.cache[m]; ok {
 		e = prev

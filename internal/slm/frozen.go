@@ -191,7 +191,9 @@ type Querier struct {
 	epoch     uint32
 	// nexcl counts the distinct symbols excluded in the current query.
 	nexcl int
-	// ctx is the reusable context-node stack (root..deepest).
+	// ctx is the reusable context-node stack (root..deepest). It grows
+	// with the deepest trie walk, never from the declared depth, which a
+	// decoded model does not bound.
 	ctx []int32
 	// lnSym[i] is ln(counts[i]/denom) and lnEsc[n] is ln(symN/denom) of
 	// the bound model, for the denominators a context has before any
@@ -265,9 +267,6 @@ func (q *Querier) Rebind(f *Frozen) {
 		for i := old; i < f.alphabet; i++ {
 			q.exclEpoch[i] = 0
 		}
-	}
-	if cap(q.ctx) < f.depth+1 {
-		q.ctx = make([]int32, 0, f.depth+1)
 	}
 	q.deriveLogTerms()
 }

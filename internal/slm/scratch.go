@@ -2,14 +2,14 @@ package slm
 
 import "sync"
 
-// Scratch bundles the reusable query-side buffers one goroutine needs to
-// derive word distributions: a rebindable Querier (the allocation-free
-// frozen-trie query kernel) and the intermediate log-probability buffer,
-// plus the multi-model state of the blocked batch kernel (one querier and
-// one log-probability row per model of the current batch). A Scratch is
-// not safe for concurrent use; obtain one per goroutine from a
-// ScratchPool.
-type Scratch struct {
+// queryScratch bundles the reusable query-side buffers one goroutine
+// needs to derive word distributions: a rebindable Querier (the
+// allocation-free frozen-trie query kernel) and the intermediate
+// log-probability buffer, plus the multi-model state of the blocked batch
+// kernel (one querier and one log-probability row per model of the
+// current batch). A queryScratch is not safe for concurrent use; borrow
+// one per goroutine with getScratch.
+type queryScratch struct {
 	q   *Querier
 	lps []float64
 
@@ -30,9 +30,9 @@ const batchWordBlock = 64
 // Row i of the result is bit-identical to ms[i].LogProbWords(words, nil)
 // — the kernel only reorders the (model, word) loop; the per-(model,
 // word) arithmetic is the unchanged Querier walk. Queriers and rows are
-// retained by the Scratch, so a warm Scratch scores without allocating;
+// retained by the scratch, so a warm scratch scores without allocating;
 // the rows are valid until its next use.
-func (s *Scratch) logProbWordsBatch(ms []*Frozen, words [][]int) [][]float64 {
+func (s *queryScratch) logProbWordsBatch(ms []*Frozen, words [][]int) [][]float64 {
 	for len(s.qs) < len(ms) {
 		s.qs = append(s.qs, nil)
 	}
@@ -65,8 +65,8 @@ func (s *Scratch) logProbWordsBatch(ms []*Frozen, words [][]int) [][]float64 {
 // logProbWords scores every word through the scratch buffers: frozen
 // scorers reuse (or rebind) the pooled Querier, other scorers evaluate
 // directly; either way the log-probability buffer is retained across
-// calls. The returned slice is valid until the next use of the Scratch.
-func (s *Scratch) logProbWords(m WordScorer, words [][]int) []float64 {
+// calls. The returned slice is valid until the next use of the scratch.
+func (s *queryScratch) logProbWords(m WordScorer, words [][]int) []float64 {
 	if f, ok := m.(*Frozen); ok {
 		if s.q == nil {
 			s.q = f.NewQuerier()
@@ -80,31 +80,20 @@ func (s *Scratch) logProbWords(m WordScorer, words [][]int) []float64 {
 	return s.lps
 }
 
-// ScratchPool shares Scratch values across goroutines and across
-// analyses: the corpus engine hands one pool to every image so queriers
-// and distribution buffers stop being re-allocated per image. The zero
-// value is ready to use; the pool is safe for concurrent use and its
-// contents are garbage-collectible under memory pressure (sync.Pool
-// semantics).
-type ScratchPool struct {
-	p sync.Pool
-}
+// sharedScratch recycles queryScratch values across goroutines and across
+// analyses, so every DistanceCalculator in the process — concurrent or
+// sequential — reuses queriers and distribution buffers instead of
+// re-allocating them per family. Its contents are garbage-collectible
+// under memory pressure (sync.Pool semantics).
+var sharedScratch sync.Pool
 
-// NewScratchPool returns an empty pool.
-func NewScratchPool() *ScratchPool { return &ScratchPool{} }
-
-// Get returns a Scratch for exclusive use; pair with Put.
-func (sp *ScratchPool) Get() *Scratch {
-	if s, ok := sp.p.Get().(*Scratch); ok {
+// getScratch returns a scratch for exclusive use; pair with putScratch.
+func getScratch() *queryScratch {
+	if s, ok := sharedScratch.Get().(*queryScratch); ok {
 		return s
 	}
-	return &Scratch{}
+	return &queryScratch{}
 }
 
-// Put returns a Scratch to the pool.
-func (sp *ScratchPool) Put(s *Scratch) { sp.p.Put(s) }
-
-// sharedScratch is the process-wide default pool, used by any
-// DistanceCalculator that was not handed an explicit pool — so even
-// independent sequential analyses in one process reuse query scratch.
-var sharedScratch = NewScratchPool()
+// putScratch returns a queryScratch to the process-wide pool.
+func putScratch(s *queryScratch) { sharedScratch.Put(s) }

@@ -619,7 +619,9 @@ func Decode(data []byte) (*Snapshot, error) {
 		if r.err != nil {
 			break
 		}
-		f, rest, err := slm.DecodeFrozen(r.data[r.pos:])
+		// Every model is trained over the interned alphabet (at least one
+		// symbol), so any other declared size is hostile input.
+		f, rest, err := slm.DecodeFrozen(r.data[r.pos:], max(1, len(s.Alphabet)))
 		if err != nil {
 			return nil, err
 		}

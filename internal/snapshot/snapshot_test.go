@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/objtrace"
@@ -203,7 +204,9 @@ func TestKeyUsable(t *testing.T) {
 
 // TestDecodeRejectsCorruption covers the decode guards the fuzzer also
 // probes: truncations, bad magic, wrong version, and trailing garbage all
-// error without panicking.
+// error without panicking, and hostile models (operand-carrying this/ret
+// events, a model alphabet other than the snapshot's, a huge declared
+// depth) cannot make the first query allocate by their headers.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	data, err := sampleSnapshot().Encode()
 	if err != nil {
@@ -252,6 +255,40 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	} else if _, err := Decode(enc); err == nil {
 		t.Error("function-bundle ret event with an operand accepted")
+	}
+	// Every model is trained over the interned alphabet, and a querier
+	// sizes its exclusion array by the model's alphabet, so a model that
+	// declares another size is hostile input.
+	s = sampleSnapshot()
+	wide := slm.New(2, len(s.Alphabet)+3)
+	wide.Train([]int{0, 1})
+	s.Frozen[0x2010] = wide.Freeze()
+	if enc, err := s.Encode(); err != nil {
+		t.Fatal(err)
+	} else if _, err := Decode(enc); err == nil {
+		t.Error("model over a wider alphabet than the snapshot's accepted")
+	}
+	// A huge declared depth is not corrupt in itself (training stops where
+	// the words end), but the first query of the decoded model must not
+	// size anything by it.
+	s = sampleSnapshot()
+	deep := slm.New(1<<24, len(s.Alphabet))
+	deep.Train([]int{0, 2, 1, 3})
+	s.Frozen[0x2010] = deep.Freeze()
+	enc, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(enc)
+	if err != nil {
+		t.Fatalf("deep model rejected: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got.Frozen[0x2010].NewQuerier().LogProbSeq([]int{0, 2, 1, 3})
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+		t.Errorf("first query of a depth-2^24 model allocated %d bytes", b)
 	}
 	// A snapshot without a function section stays encodable and decodes
 	// with Funcs nil (the presence flag, not heuristics, carries that).

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/disasm"
 	"repro/internal/objtrace"
+	"repro/internal/pool"
 	"repro/internal/vtable"
 )
 
@@ -76,13 +77,13 @@ func TestSynthDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestExtractDeterminismAcrossWorkers pins the newly parallel front end in
-// isolation: objtrace.Extract with Workers: 1 and Workers: 8 must produce
-// deep-equal Results — tracelet multisets, raw sequences, structural
-// observations in function order, and function→vtable attributions — on
-// every Table 2 benchmark. Per-function execution writes to index-owned
+// TestExtractDeterminismAcrossWorkers pins the parallel front end in
+// isolation: objtrace.Extract serially (nil pool) and on an 8-token pool
+// must produce deep-equal Results — tracelet multisets, raw sequences,
+// structural observations in function order, and function→vtable
+// attributions — on every Table 2 benchmark. Per-function execution writes to index-owned
 // slots and the merge (including cross-function dedup) runs serially in
-// function order, so the output is byte-identical for any worker count.
+// function order, so the output is byte-identical for any pool capacity.
 func TestExtractDeterminismAcrossWorkers(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -97,16 +98,15 @@ func TestExtractDeterminismAcrossWorkers(t *testing.T) {
 			}
 			vts := vtable.Discover(img, fns)
 			cfg := objtrace.DefaultConfig()
-			cfg.Workers = 1
 			serial := objtrace.Extract(img, fns, vts, cfg)
-			cfg.Workers = 8
+			cfg.Pool = pool.NewShared(8)
 			parallel := objtrace.Extract(img, fns, vts, cfg)
 			if reflect.DeepEqual(serial, parallel) {
 				return
 			}
 			check := func(name string, a, b any) {
 				if !reflect.DeepEqual(a, b) {
-					t.Errorf("%s diverged between Workers:1 and Workers:8", name)
+					t.Errorf("%s diverged between the nil pool and an 8-token pool", name)
 				}
 			}
 			check("PerType", serial.PerType, parallel.PerType)

@@ -8,13 +8,13 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Engine is a long-lived analyzer for serving workloads: unlike the
-// one-shot Analyze/AnalyzeImage entry points, an Engine owns ONE shared
-// bounded worker pool and one recycled query-scratch pool that every
-// analysis it runs draws from, so concurrent requests compete for a fixed
-// parallelism budget instead of each assuming it owns the machine —
-// exactly the resource model of AnalyzeCorpus, but for an open-ended
-// request stream instead of a fixed batch. The analysis daemon
+// Engine is a long-lived analyzer for serving workloads: where each
+// one-shot Analyze/AnalyzeImage call runs on a pool of its own, an Engine
+// owns ONE shared bounded worker pool that every analysis it runs draws
+// from, so concurrent requests compete for a fixed parallelism budget
+// instead of each assuming it owns the machine — exactly the resource
+// model of AnalyzeCorpus, but for an open-ended request stream instead of
+// a fixed batch. The analysis daemon
 // (internal/rockd) runs every submission through one Engine.
 //
 // An Engine is safe for concurrent use; results are identical to the
@@ -59,18 +59,7 @@ func (e *Engine) ProbeWarm(img *image.Image) bool {
 // request; its Stats land in Report.Stats. Metadata, if present, is
 // stripped before analysis and used only to decorate the report.
 func (e *Engine) AnalyzeImage(ctx context.Context, img *image.Image, o *Observer) (*Report, error) {
-	meta := img.Meta
-	stripped := img
-	if meta != nil {
-		stripped = img.Strip()
-	}
 	c := e.cfg
 	c.Obs = o
-	res, _, err := e.sh.Analyze(ctx, stripped, c)
-	if err != nil {
-		return nil, err
-	}
-	rep := buildReport(res, meta)
-	rep.Stats = o.Report() // nil-safe: unobserved requests stay nil
-	return rep, nil
+	return analyzeOn(ctx, e.sh, img, c)
 }

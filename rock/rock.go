@@ -71,10 +71,14 @@ type Options struct {
 	// paper's "without SLMs" baseline: only type families and the
 	// possible-parents relation are reported.
 	StructuralOnly bool
-	// Workers bounds the analysis concurrency (tracelet extraction, SLM
-	// training, pairwise distance matrices, per-family arborescences).
-	// 0 uses all CPUs (runtime.GOMAXPROCS); 1 runs fully serially. The
-	// Report is identical for every value.
+	// Workers bounds the analysis concurrency: a one-shot analysis runs on
+	// a worker pool of this capacity, and its parallel stages (tracelet
+	// extraction, SLM training, pairwise distance matrices, per-family
+	// arborescences), nested ones included, never run more than Workers
+	// goroutines together. An Engine or a corpus run shares one pool of
+	// this capacity across all its analyses. 0 uses all CPUs
+	// (runtime.GOMAXPROCS); 1 runs fully serially. The Report is
+	// identical for every value.
 	Workers int
 	// CacheDir, when non-empty, enables the content-addressed snapshot
 	// cache: analysis artifacts are persisted under this directory keyed
@@ -230,21 +234,28 @@ func AnalyzeImage(img *image.Image, opts Options) (*Report, error) {
 // AnalyzeImageContext is AnalyzeImage with cancellation (see
 // AnalyzeContext).
 func AnalyzeImageContext(ctx context.Context, img *image.Image, opts Options) (*Report, error) {
-	meta := img.Meta
-	stripped := img
-	if meta != nil {
-		stripped = img.Strip()
-	}
 	cfg, err := config(opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.AnalyzeContext(ctx, stripped, cfg)
+	return analyzeOn(ctx, core.NewShared(cfg.Workers), img, cfg)
+}
+
+// analyzeOn is the one body behind AnalyzeImageContext and
+// Engine.AnalyzeImage: strip the metadata, run the analysis on sh under
+// its admission rule, and decorate the result with the metadata and the
+// observer's Stats.
+func analyzeOn(ctx context.Context, sh *core.Shared, img *image.Image, cfg core.Config) (*Report, error) {
+	stripped := img
+	if img.Meta != nil {
+		stripped = img.Strip()
+	}
+	res, _, err := sh.Analyze(ctx, stripped, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep := buildReport(res, meta)
-	rep.Stats = opts.Observer.Report() // nil-safe: nil Observer, nil Stats
+	rep := buildReport(res, img.Meta)
+	rep.Stats = cfg.Obs.Report() // nil-safe: unobserved runs keep nil Stats
 	return rep, nil
 }
 
