@@ -215,10 +215,9 @@ type Result struct {
 	VTables    []*vtable.VTable
 	Structural *structural.Result
 	Tracelets  *objtrace.Result
-	// Frozen maps each type to the frozen flat-trie form of its SLM
-	// (UseSLM only). Every model is frozen immediately after training and
-	// its mutable builder dropped; the distance sweep and Frozen.Dump
-	// answer bit-identically to the builder.
+	// Frozen maps each type to its SLM, trained straight into the flat
+	// trie that the distance sweep queries and snapshots persist (UseSLM
+	// only).
 	Frozen map[uint64]*slm.Frozen
 	// Dist holds the pairwise distances the sweep computed, one per
 	// structurally admissible [parent, child] pair (UseSLM only).
@@ -478,10 +477,7 @@ func (r *Result) buildWordsFor(types []uint64) {
 		seen := map[string]bool{}
 		var out [][]int
 		for _, tl := range r.Tracelets.PerType[t] {
-			w = w[:0]
-			for _, e := range tl {
-				w = append(w, idx[e])
-			}
+			w = appendEncoded(w[:0], idx, tl)
 			key = appendWordKey(key[:0], w)
 			if seen[string(key)] {
 				continue
@@ -519,29 +515,33 @@ func (r *Result) SymbolName(s int) string {
 	return fmt.Sprintf("sym%d", s)
 }
 
-// encode converts a tracelet to interned symbols.
-func encode(idx map[objtrace.Event]int, tl objtrace.Tracelet) []int {
-	out := make([]int, len(tl))
-	for i, e := range tl {
-		out[i] = idx[e]
+// appendEncoded appends tracelet tl as interned symbols to dst.
+func appendEncoded(dst []int, idx map[objtrace.Event]int, tl objtrace.Tracelet) []int {
+	for _, e := range tl {
+		dst = append(dst, idx[e])
 	}
-	return out
+	return dst
 }
 
-// trainModels trains one SLM per discovered type on TT(t) and freezes it
-// into its flat-trie query form. Types are independent (each model sees
-// only its own tracelets), so training and freezing fan out over the
-// worker pool; models land in index-owned slots and the maps are
-// assembled serially. On the incremental lane, types whose training input
-// is provably unchanged (TypeKey match) adopt the prior frozen model and
-// skip training.
+// trainScratch is one training goroutine's reusable state: the trainer's
+// buffers and the encoded-tracelet buffer it reads from.
+type trainScratch struct {
+	t   slm.Trainer
+	seq []int
+}
+
+// trainScratches recycles training state across types and analyses.
+var trainScratches = sync.Pool{New: func() any { return new(trainScratch) }}
+
+// trainModels trains one SLM per discovered type on TT(t), straight into
+// its frozen query form. Types are independent (each model sees only its
+// own tracelets), so training fans out over the worker pool; models land
+// in index-owned slots and the maps are assembled serially. On the
+// incremental lane, types whose training input is provably unchanged
+// (TypeKey match) adopt the prior frozen model and skip training.
 func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 	ctx = obs.WithRegion(ctx, cfg.Obs, "train")
 	idx := r.symIndex()
-	alpha := len(r.Alphabet)
-	if alpha == 0 {
-		alpha = 1
-	}
 	reuse := r.reusableModels()
 	frozen := make([]*slm.Frozen, len(r.VTables))
 	if err := pool.ForEach(ctx, cfg.pool, len(r.VTables), func(i int) {
@@ -549,11 +549,14 @@ func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 			frozen[i] = f
 			return
 		}
-		m := slm.New(cfg.SLMDepth, alpha)
+		s := trainScratches.Get().(*trainScratch)
+		s.t.Reset(cfg.SLMDepth, len(r.Alphabet))
 		for _, tl := range r.Tracelets.PerType[r.VTables[i].Addr] {
-			m.Train(encode(idx, tl))
+			s.seq = appendEncoded(s.seq[:0], idx, tl)
+			s.t.Add(s.seq)
 		}
-		frozen[i] = m.Freeze()
+		frozen[i] = s.t.Build()
+		trainScratches.Put(s)
 	}); err != nil {
 		return err
 	}
@@ -696,12 +699,12 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 	in := &evidence.FamilyInput{Types: out.fr.Types, Pairs: pairs}
 	if cfg.hasSLM() {
 		in.Words = r.familyWords(fam)
-		scorers := make([]slm.WordScorer, n)
+		models := make([]*slm.Frozen, n)
 		for i, t := range fam {
-			scorers[i] = r.Frozen[t]
+			models[i] = r.Frozen[t]
 		}
-		in.Scorers = scorers
-		in.Scorer = func(t uint64) slm.WordScorer { return r.Frozen[t] }
+		in.Models = models
+		in.ModelOf = func(t uint64) *slm.Frozen { return r.Frozen[t] }
 	}
 	all := make([]*evidence.Scores, len(r.providers))
 	for i, p := range r.providers {

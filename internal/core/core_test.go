@@ -116,41 +116,6 @@ func TestMotivatingExamplePipeline(t *testing.T) {
 	}
 }
 
-// TestFrozenModelsMatchBuilders: the pipeline freezes every trained SLM
-// and the distance sweep runs over the frozen forms; a builder trained
-// here on the same tracelets must agree with the pipeline's frozen form
-// bit for bit on the tracelets the pipeline actually scores, and every
-// discovered type must carry a frozen model.
-func TestFrozenModelsMatchBuilders(t *testing.T) {
-	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
-	cfg := DefaultConfig()
-	res, err := Analyze(img, cfg)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	idx := res.symIndex()
-	for _, v := range res.VTables {
-		f := res.Frozen[v.Addr]
-		if f == nil {
-			t.Fatalf("type 0x%x: missing frozen model", v.Addr)
-		}
-		m := slm.New(cfg.SLMDepth, len(res.Alphabet))
-		for _, tl := range res.Tracelets.PerType[v.Addr] {
-			m.Train(encode(idx, tl))
-		}
-		q := f.NewQuerier()
-		for _, other := range res.VTables {
-			for _, tl := range res.Tracelets.PerType[other.Addr] {
-				w := encode(idx, tl)
-				got, want := q.LogProbSeq(w), m.LogProbSeq(w)
-				if got != want {
-					t.Fatalf("type 0x%x, word %v: frozen %v != builder %v", v.Addr, w, got, want)
-				}
-			}
-		}
-	}
-}
-
 func TestMotivatingStructuralCuesPreserved(t *testing.T) {
 	// With parent-constructor calls preserved (debug-friendly build), the
 	// structural analysis alone resolves the hierarchy via rule 3.

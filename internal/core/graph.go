@@ -21,7 +21,7 @@ var behavioral = map[string]bool{
 }
 
 // graph builds the pipeline stage graph for this configuration — the §4
-// chain as typed stages with declared artifacts, snapshot sections, and
+// chain as stages in execution order, with snapshot sections and
 // canonical config renderings. The graph is the single source of truth
 // for the snapshot fingerprints: spec-only graphs (res == nil) carry no
 // Run hooks and exist just to derive keys (snapshotKey, ProbeSnapshot);
@@ -40,12 +40,9 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 		return f
 	}
 	g, err := pipeline.New(
-		[]pipeline.Artifact{pipeline.ArtImage},
 		pipeline.Stage{
 			Name:    "disasm",
 			Section: pipeline.SecExtraction,
-			Inputs:  []pipeline.Artifact{pipeline.ArtImage},
-			Outputs: []pipeline.Artifact{pipeline.ArtFuncs},
 			Run: bind(func(ctx context.Context) error {
 				fns, err := disasm.All(res.Image)
 				if err != nil {
@@ -58,8 +55,6 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 		pipeline.Stage{
 			Name:    "vtables",
 			Section: pipeline.SecExtraction,
-			Inputs:  []pipeline.Artifact{pipeline.ArtImage, pipeline.ArtFuncs},
-			Outputs: []pipeline.Artifact{pipeline.ArtVTables},
 			Run: bind(func(ctx context.Context) error {
 				res.VTables = vtable.Discover(res.Image, res.Funcs)
 				bus.Add(obs.CntVTables, int64(len(res.VTables)))
@@ -69,8 +64,6 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 		pipeline.Stage{
 			Name:    "tracelets",
 			Section: pipeline.SecExtraction,
-			Inputs:  []pipeline.Artifact{pipeline.ArtImage, pipeline.ArtFuncs, pipeline.ArtVTables},
-			Outputs: []pipeline.Artifact{pipeline.ArtTracelets},
 			Canon: fmt.Sprintf("paths=%d steps=%d unroll=%d window=%d tracelen=%d",
 				tr.MaxPaths, tr.MaxSteps, tr.MaxUnroll, tr.Window, tr.MaxTraceLen),
 			Run: bind(func(ctx context.Context) error {
@@ -89,8 +82,6 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 		pipeline.Stage{
 			Name:    "structural",
 			Section: pipeline.SecExtraction,
-			Inputs:  []pipeline.Artifact{pipeline.ArtImage, pipeline.ArtFuncs, pipeline.ArtVTables, pipeline.ArtTracelets},
-			Outputs: []pipeline.Artifact{pipeline.ArtStructural},
 			Canon: fmt.Sprintf("structural=%v,%v,%v,%v,%v",
 				c.Structural.DisableSharedSlots, c.Structural.DisableInstanceInstalls,
 				c.Structural.DisableCtorCalls, c.Structural.DisableSizeRule,
@@ -104,8 +95,6 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 		pipeline.Stage{
 			Name:    "alphabet",
 			Section: pipeline.SecExtraction,
-			Inputs:  []pipeline.Artifact{pipeline.ArtVTables, pipeline.ArtTracelets},
-			Outputs: []pipeline.Artifact{pipeline.ArtAlphabet},
 			Run: bind(func(ctx context.Context) error {
 				res.internAlphabet()
 				bus.Add(obs.CntAlphabet, int64(len(res.Alphabet)))
@@ -115,8 +104,6 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 		pipeline.Stage{
 			Name:    "train",
 			Section: pipeline.SecModels,
-			Inputs:  []pipeline.Artifact{pipeline.ArtVTables, pipeline.ArtTracelets, pipeline.ArtAlphabet},
-			Outputs: []pipeline.Artifact{pipeline.ArtFrozen},
 			Canon:   fmt.Sprintf("depth=%d", c.SLMDepth),
 			Run: bind(func(ctx context.Context) error {
 				if err := res.trainModels(ctx, c); err != nil {
@@ -136,8 +123,6 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 			// pre-provider pipeline and existing snapshots valid.
 			Name:    "evidence",
 			Section: pipeline.SecHierarchy,
-			Inputs:  []pipeline.Artifact{pipeline.ArtVTables, pipeline.ArtTracelets, pipeline.ArtStructural, pipeline.ArtFrozen},
-			Outputs: []pipeline.Artifact{pipeline.ArtEvidence},
 			Run: bind(func(ctx context.Context) error {
 				return res.buildEvidence(ctx, c)
 			}),
@@ -145,8 +130,6 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 		pipeline.Stage{
 			Name:    "hierarchy",
 			Section: pipeline.SecHierarchy,
-			Inputs:  []pipeline.Artifact{pipeline.ArtVTables, pipeline.ArtStructural, pipeline.ArtAlphabet, pipeline.ArtFrozen, pipeline.ArtEvidence},
-			Outputs: []pipeline.Artifact{pipeline.ArtDist, pipeline.ArtFamilies, pipeline.ArtHierarchy},
 			Canon:   c.hierarchyCanon(),
 			Run: bind(func(ctx context.Context) error {
 				return res.buildHierarchy(ctx, c)
@@ -155,8 +138,6 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 		pipeline.Stage{
 			Name:    "multiparents",
 			Section: pipeline.SecHierarchy,
-			Inputs:  []pipeline.Artifact{pipeline.ArtStructural, pipeline.ArtDist, pipeline.ArtHierarchy},
-			Outputs: []pipeline.Artifact{pipeline.ArtMultiParents},
 			Run: bind(func(ctx context.Context) error {
 				res.chooseMultiParents()
 				bus.Add(obs.CntMultiParents, int64(len(res.MultiParents)))
@@ -165,7 +146,7 @@ func (c Config) graph(res *Result) *pipeline.Graph {
 		},
 	)
 	if err != nil {
-		// The graph is a fixed chain; a dataflow error here is a
+		// The graph is a fixed chain; a validation error here is a
 		// programming bug, not an input condition.
 		panic(fmt.Sprintf("core: invalid pipeline graph: %v", err))
 	}

@@ -42,7 +42,7 @@ func TestWordSetsMatchFmtKeys(t *testing.T) {
 			for _, tl := range res.Tracelets.PerType[v.Addr] {
 				if k := tl.String(); !seen[k] {
 					seen[k] = true
-					want = append(want, encode(idx, tl))
+					want = append(want, appendEncoded(nil, idx, tl))
 				}
 			}
 			if !reflect.DeepEqual(res.words[v.Addr], want) {

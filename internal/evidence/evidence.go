@@ -77,12 +77,12 @@ type FamilyInput struct {
 	// measured over one word set to rank). Nil when no SLM provider is
 	// enabled.
 	Words [][]int
-	// Scorers holds each member's frozen SLM, parallel to Types. Nil
+	// Models holds each member's frozen SLM, parallel to Types. Nil
 	// when no SLM provider is enabled.
-	Scorers []slm.WordScorer
-	// Scorer resolves a member address to its frozen SLM (the map-free
+	Models []*slm.Frozen
+	// ModelOf resolves a member address to its frozen SLM (the map-free
 	// per-pair accessor). Nil when no SLM provider is enabled.
-	Scorer func(uint64) slm.WordScorer
+	ModelOf func(uint64) *slm.Frozen
 }
 
 // Scores is one provider's output for one family.

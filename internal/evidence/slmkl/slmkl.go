@@ -70,14 +70,14 @@ func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*eviden
 	n := len(in.Types)
 	calc.Reserve(n)
 	if err := pool.ForEachChunk(ctx, cfg.Pool, n, modelGrain, func(lo, hi int) {
-		calc.PrecomputeBatch(in.Scorers[lo:hi])
+		calc.PrecomputeBatch(in.Models[lo:hi])
 	}); err != nil {
 		return nil, err
 	}
 	out := &evidence.Scores{Edge: make([]float64, len(in.Pairs))}
 	if err := pool.ForEachChunk(ctx, cfg.Pool, len(in.Pairs), pairGrain, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			out.Edge[k] = calc.Distance(in.Scorer(in.Pairs[k][0]), in.Scorer(in.Pairs[k][1]))
+			out.Edge[k] = calc.Distance(in.ModelOf(in.Pairs[k][0]), in.ModelOf(in.Pairs[k][1]))
 		}
 	}); err != nil {
 		return nil, err
@@ -87,6 +87,6 @@ func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*eviden
 	// PairBound ≥ the largest distance over all n(n-1) ordered pairs, so
 	// Heuristic 4.1's "root edges are always the worst choice" ordering
 	// holds although only the admissible pairs were scored.
-	out.Root = calc.PairBound(in.Scorers)*cfg.RootWeightFactor + 1
+	out.Root = calc.PairBound(in.Models)*cfg.RootWeightFactor + 1
 	return out, nil
 }

@@ -1,19 +1,18 @@
 // Package pipeline makes Rock's stage graph (§4 of the paper) a
-// first-class architecture: each analysis phase is a typed Stage with
-// declared input/output artifacts, a snapshot section, and a canonical
-// configuration rendering, and the graph is the single source of truth
-// for the per-section configuration fingerprints that key the snapshot
-// cache's staged-validity chain (internal/snapshot) and the corpus
-// scheduler's warm-bypass probe.
+// first-class architecture: each analysis phase is a Stage with a
+// snapshot section and a canonical configuration rendering, and the
+// graph is the single source of truth for the per-section configuration
+// fingerprints that key the snapshot cache's staged-validity chain
+// (internal/snapshot) and the corpus scheduler's warm-bypass probe.
 //
-// The graph is a straight dependency chain validated at construction:
-// every stage's inputs must be root artifacts (present before the
-// pipeline runs) or outputs of an earlier stage, and every stage belongs
-// to one of the persistable sections
+// The graph is a straight chain: each stage reads what the stages before
+// it produced, and the order of the stage list is the only dataflow
+// declaration. New checks that every stage is named and that the stages
+// belong to the persistable sections in order
 //
 //	extraction   disasm → vtables → tracelets → structural → alphabet
-//	models       train (SLM training + freezing)
-//	hierarchy    hierarchy (distances + arborescences) → multiparents
+//	models       train (SLM training into the frozen form)
+//	hierarchy    evidence → hierarchy (distances + arborescences) → multiparents
 //
 // A section's fingerprint hashes the concatenated canonical configuration
 // of its stages under the section tag — byte-identical to the fingerprint
@@ -35,39 +34,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Artifact names one value flowing between stages.
-type Artifact string
-
-// The pipeline's artifacts.
-const (
-	// ArtImage is the loaded stripped binary image (a root artifact).
-	ArtImage Artifact = "image"
-	// ArtFuncs is the disassembled function list.
-	ArtFuncs Artifact = "funcs"
-	// ArtVTables is the discovered binary types.
-	ArtVTables Artifact = "vtables"
-	// ArtTracelets is the extracted object tracelets plus structural
-	// observations.
-	ArtTracelets Artifact = "tracelets"
-	// ArtStructural is the family partition and pruned parent relation.
-	ArtStructural Artifact = "structural"
-	// ArtAlphabet is the interned event alphabet and per-type word memo.
-	ArtAlphabet Artifact = "alphabet"
-	// ArtFrozen is the frozen flat-trie SLM forms.
-	ArtFrozen Artifact = "frozen"
-	// ArtEvidence is the constructed evidence-provider set (the scoring
-	// backends the hierarchy stage fuses).
-	ArtEvidence Artifact = "evidence"
-	// ArtDist is the pairwise divergence map.
-	ArtDist Artifact = "dist"
-	// ArtFamilies is the per-family arborescence outcomes.
-	ArtFamilies Artifact = "families"
-	// ArtHierarchy is the reconstructed forest.
-	ArtHierarchy Artifact = "hierarchy"
-	// ArtMultiParents is the multiple-inheritance parent choice.
-	ArtMultiParents Artifact = "multiparents"
-)
-
 // Section is a persistable group of consecutive stages — the unit of the
 // snapshot cache's staged validity.
 type Section int
@@ -77,7 +43,7 @@ const (
 	// SecExtraction covers everything derived directly from the image:
 	// disassembly, vtables, tracelets, structural results, alphabet.
 	SecExtraction Section = iota
-	// SecModels covers SLM training and freezing.
+	// SecModels covers SLM training.
 	SecModels
 	// SecHierarchy covers distances, arborescences, and parent choices.
 	SecHierarchy
@@ -109,10 +75,6 @@ func (s Section) Level() int { return int(s) + 1 }
 type Stage struct {
 	// Name identifies the stage in reports and traces.
 	Name string
-	// Inputs and Outputs declare the artifact dataflow; New validates
-	// that every input is a root artifact or produced earlier.
-	Inputs  []Artifact
-	Outputs []Artifact
 	// Section is the snapshot section the stage's outputs persist under.
 	Section Section
 	// Canon is the canonical rendering of exactly the configuration this
@@ -129,16 +91,10 @@ type Graph struct {
 	stages []Stage
 }
 
-// New validates the stage list and returns the graph: artifact dataflow
-// must be satisfied in declared order (roots lets callers declare
-// artifacts that exist before the pipeline runs), outputs must be
-// produced exactly once, and sections must be contiguous and
-// non-decreasing so the staged-validity chain is meaningful.
-func New(roots []Artifact, stages ...Stage) (*Graph, error) {
-	have := map[Artifact]bool{}
-	for _, a := range roots {
-		have[a] = true
-	}
+// New validates the stage list and returns the graph: every stage must
+// be named, and sections must be contiguous and non-decreasing so the
+// staged-validity chain is meaningful.
+func New(stages ...Stage) (*Graph, error) {
 	prev := Section(0)
 	for i, st := range stages {
 		if st.Name == "" {
@@ -152,17 +108,6 @@ func New(roots []Artifact, stages ...Stage) (*Graph, error) {
 				st.Name, st.Section.Tag(), prev.Tag())
 		}
 		prev = st.Section
-		for _, in := range st.Inputs {
-			if !have[in] {
-				return nil, fmt.Errorf("pipeline: stage %s: input %q is neither a root nor produced by an earlier stage", st.Name, in)
-			}
-		}
-		for _, out := range st.Outputs {
-			if have[out] {
-				return nil, fmt.Errorf("pipeline: stage %s: artifact %q produced twice", st.Name, out)
-			}
-			have[out] = true
-		}
 	}
 	return &Graph{stages: stages}, nil
 }

@@ -12,11 +12,11 @@ import (
 
 func chain(t *testing.T) *Graph {
 	t.Helper()
-	g, err := New([]Artifact{ArtImage},
-		Stage{Name: "a", Section: SecExtraction, Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtFuncs}},
-		Stage{Name: "b", Section: SecExtraction, Inputs: []Artifact{ArtFuncs}, Outputs: []Artifact{ArtVTables}, Canon: "x=1"},
-		Stage{Name: "c", Section: SecModels, Inputs: []Artifact{ArtVTables}, Outputs: []Artifact{ArtFrozen}, Canon: "y=2"},
-		Stage{Name: "d", Section: SecHierarchy, Inputs: []Artifact{ArtFrozen}, Outputs: []Artifact{ArtHierarchy}},
+	g, err := New(
+		Stage{Name: "a", Section: SecExtraction},
+		Stage{Name: "b", Section: SecExtraction, Canon: "x=1"},
+		Stage{Name: "c", Section: SecModels, Canon: "y=2"},
+		Stage{Name: "d", Section: SecHierarchy},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -29,29 +29,21 @@ func TestValidation(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		roots  []Artifact
 		stages []Stage
 	}{
-		{"missing input", nil, []Stage{
-			{Name: "a", Inputs: []Artifact{ArtFuncs}, Outputs: []Artifact{ArtVTables}},
+		{"section regression", []Stage{
+			{Name: "a", Section: SecModels},
+			{Name: "b", Section: SecExtraction},
 		}},
-		{"duplicate output", []Artifact{ArtImage}, []Stage{
-			{Name: "a", Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtFuncs}},
-			{Name: "b", Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtFuncs}},
+		{"unnamed stage", []Stage{
+			{},
 		}},
-		{"section regression", []Artifact{ArtImage}, []Stage{
-			{Name: "a", Section: SecModels, Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtFrozen}},
-			{Name: "b", Section: SecExtraction, Inputs: []Artifact{ArtFrozen}, Outputs: []Artifact{ArtFuncs}},
-		}},
-		{"unnamed stage", []Artifact{ArtImage}, []Stage{
-			{Inputs: []Artifact{ArtImage}},
-		}},
-		{"bad section", []Artifact{ArtImage}, []Stage{
-			{Name: "a", Section: NumSections, Inputs: []Artifact{ArtImage}},
+		{"bad section", []Stage{
+			{Name: "a", Section: NumSections},
 		}},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.roots, tc.stages...); err == nil {
+		if _, err := New(tc.stages...); err == nil {
 			t.Errorf("%s: validated, want error", tc.name)
 		}
 	}
@@ -83,9 +75,9 @@ func TestSectionFingerprint(t *testing.T) {
 		}
 	}
 	// Multiple canons in one section join with a single space.
-	g2, err := New([]Artifact{ArtImage},
-		Stage{Name: "a", Section: SecExtraction, Inputs: []Artifact{ArtImage}, Outputs: []Artifact{ArtFuncs}, Canon: "x=1"},
-		Stage{Name: "b", Section: SecExtraction, Inputs: []Artifact{ArtFuncs}, Outputs: []Artifact{ArtVTables}, Canon: "y=2"},
+	g2, err := New(
+		Stage{Name: "a", Section: SecExtraction, Canon: "x=1"},
+		Stage{Name: "b", Section: SecExtraction, Canon: "y=2"},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +102,9 @@ func TestSectionTagsAndLevels(t *testing.T) {
 
 func TestExecute(t *testing.T) {
 	var order []string
-	mk := func(name string, sec Section, in, out Artifact, fail bool) Stage {
+	mk := func(name string, sec Section, fail bool) Stage {
 		return Stage{
 			Name: name, Section: sec,
-			Inputs: []Artifact{in}, Outputs: []Artifact{out},
 			Run: func(context.Context) error {
 				order = append(order, name)
 				if fail {
@@ -123,10 +114,10 @@ func TestExecute(t *testing.T) {
 			},
 		}
 	}
-	g, err := New([]Artifact{ArtImage},
-		mk("a", SecExtraction, ArtImage, ArtFuncs, false),
-		mk("b", SecModels, ArtFuncs, ArtFrozen, false),
-		mk("c", SecHierarchy, ArtFrozen, ArtHierarchy, false),
+	g, err := New(
+		mk("a", SecExtraction, false),
+		mk("b", SecModels, false),
+		mk("c", SecHierarchy, false),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -152,10 +143,10 @@ func TestExecute(t *testing.T) {
 
 	// A failing stage aborts and later stages never run.
 	order = nil
-	g2, err := New([]Artifact{ArtImage},
-		mk("a", SecExtraction, ArtImage, ArtFuncs, false),
-		mk("boom", SecModels, ArtFuncs, ArtFrozen, true),
-		mk("c", SecHierarchy, ArtFrozen, ArtHierarchy, false),
+	g2, err := New(
+		mk("a", SecExtraction, false),
+		mk("boom", SecModels, true),
+		mk("c", SecHierarchy, false),
 	)
 	if err != nil {
 		t.Fatal(err)

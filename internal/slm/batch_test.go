@@ -12,11 +12,11 @@ func batchFleet(t *testing.T, k int) ([]*Frozen, [][]int) {
 	rng := rand.New(rand.NewSource(42))
 	fleet := make([]*Frozen, k)
 	for i := range fleet {
-		m := New(2, 16)
+		m := newRef(2, 16)
 		for n := 0; n < 24; n++ {
 			m.Train(randomSeq(rng, 16, 7))
 		}
-		fleet[i] = m.Freeze()
+		fleet[i] = build(m)
 	}
 	words := make([][]int, 100)
 	for i := range words {
@@ -26,9 +26,10 @@ func batchFleet(t *testing.T, k int) ([]*Frozen, [][]int) {
 }
 
 // TestBatchKernelBitIdentical pins the batch kernel's contract: row i of
-// logProbWordsBatch equals ms[i].LogProbWords exactly — the blocked loop
-// reorders model×word visits but never the per-pair arithmetic — for a
-// cold scratch, a warm rebound scratch, and a shrunken batch.
+// logProbWordsBatch equals ms[i]'s Querier.LogProbWords exactly — the
+// blocked loop reorders model×word visits but never the per-pair
+// arithmetic — for a cold scratch, a warm rebound scratch, and a
+// shrunken batch.
 func TestBatchKernelBitIdentical(t *testing.T) {
 	fleet, words := batchFleet(t, 9)
 	s := &queryScratch{}
@@ -39,7 +40,7 @@ func TestBatchKernelBitIdentical(t *testing.T) {
 			t.Fatalf("%s: got %d rows, want %d", label, len(rows), len(ms))
 		}
 		for i, f := range ms {
-			want := f.LogProbWords(words, nil)
+			want := f.NewQuerier().LogProbWords(words, nil)
 			for w := range want {
 				if rows[i][w] != want[w] {
 					t.Fatalf("%s: model %d word %d: batch %v, direct %v", label, i, w, rows[i][w], want[w])
@@ -56,24 +57,13 @@ func TestBatchKernelBitIdentical(t *testing.T) {
 
 // TestPrecomputeBatchMatchesPrecompute pins batch precompute against the
 // single-model path: distances over batch-derived distributions are
-// bit-identical, including with a non-frozen scorer mixed into the batch
-// and with models already cached.
+// bit-identical, including with models already cached.
 func TestPrecomputeBatchMatchesPrecompute(t *testing.T) {
-	fleet, words := batchFleet(t, 6)
-	builder := New(2, 16)
-	rng := rand.New(rand.NewSource(7))
-	for n := 0; n < 24; n++ {
-		builder.Train(randomSeq(rng, 16, 7))
-	}
+	ms, words := batchFleet(t, 7)
 	for _, metric := range []Metric{MetricKL, MetricJSDivergence, MetricJSDistance} {
 		single := NewDistanceCalculator(metric, words)
 		batch := NewDistanceCalculator(metric, words)
-		batch.Reserve(len(fleet) + 1)
-		ms := make([]WordScorer, 0, len(fleet)+1)
-		for _, f := range fleet {
-			ms = append(ms, f)
-		}
-		ms = append(ms, builder)
+		batch.Reserve(len(ms))
 		for _, m := range ms {
 			single.Precompute(m)
 		}
@@ -103,15 +93,11 @@ func TestBatchKernelZeroAlloc(t *testing.T) {
 		t.Errorf("warm logProbWordsBatch allocates %v per pass, want 0", n)
 	}
 	calc := NewDistanceCalculator(MetricKL, words)
-	ms := make([]WordScorer, len(fleet))
-	for i, f := range fleet {
-		ms[i] = f
-	}
-	calc.PrecomputeBatch(ms)
-	if n := testing.AllocsPerRun(100, func() { calc.PrecomputeBatch(ms) }); n != 0 {
+	calc.PrecomputeBatch(fleet)
+	if n := testing.AllocsPerRun(100, func() { calc.PrecomputeBatch(fleet) }); n != 0 {
 		t.Errorf("cached PrecomputeBatch allocates %v per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { calc.PairBound(ms) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { calc.PairBound(fleet) }); n != 0 {
 		t.Errorf("warm PairBound allocates %v per call, want 0", n)
 	}
 }
@@ -125,13 +111,13 @@ func TestPairBoundDominatesMax(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := 3 + rng.Intn(5)
-		fleet := make([]WordScorer, k)
+		fleet := make([]*Frozen, k)
 		for i := range fleet {
-			m := New(1+rng.Intn(3), 12)
+			m := newRef(1+rng.Intn(3), 12)
 			for n := 0; n < 4+rng.Intn(40); n++ {
 				m.Train(randomSeq(rng, 12, 9))
 			}
-			fleet[i] = m.Freeze()
+			fleet[i] = build(m)
 		}
 		words := make([][]int, 1+rng.Intn(60))
 		for i := range words {
@@ -163,8 +149,7 @@ func TestPairBoundDominatesMax(t *testing.T) {
 
 // TestPairBoundDegenerate pins the empty cases.
 func TestPairBoundDegenerate(t *testing.T) {
-	fleet, words := batchFleet(t, 2)
-	ms := []WordScorer{fleet[0], fleet[1]}
+	ms, words := batchFleet(t, 2)
 	if got := NewDistanceCalculator(MetricKL, nil).PairBound(ms); got != 0 {
 		t.Errorf("empty word set: PairBound %v, want 0", got)
 	}

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// randomFrozen trains a builder on a pseudorandom corpus and freezes it.
+// randomFrozen trains a model on a pseudorandom corpus.
 // The corpus is seeded, so failures reproduce.
 func randomFrozen(rng *rand.Rand, depth, alphabet, words, wordLen int) (*Frozen, [][]int) {
-	m := New(depth, alphabet)
+	m := newRef(depth, alphabet)
 	corpus := make([][]int, words)
 	for i := range corpus {
 		w := make([]int, wordLen)
@@ -20,7 +20,7 @@ func randomFrozen(rng *rand.Rand, depth, alphabet, words, wordLen int) (*Frozen,
 		corpus[i] = w
 		m.Train(w)
 	}
-	return m.Freeze(), corpus
+	return build(m), corpus
 }
 
 // TestFrozenCodecRoundTrip is the satellite property test: for a spread of

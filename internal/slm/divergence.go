@@ -39,33 +39,6 @@ func (m Metric) String() string {
 	return fmt.Sprintf("metric(%d)", int(m))
 }
 
-// WordScorer is a trained PPM-C model viewed as a batch scorer: it fills
-// out (reused when capacity allows, else reallocated) with ln Pr(w) for
-// every word and returns it. Both the map-based training representation
-// (*Model) and its frozen flat-trie form (*Frozen) implement it, and both
-// produce bit-identical scores, so every divergence below accepts either.
-type WordScorer interface {
-	LogProbWords(words [][]int, out []float64) []float64
-}
-
-// wordDist evaluates the model on every word and normalizes to a proper
-// distribution over the word set, so the divergences below are divergences
-// between distributions (the relative-entropy reading of §4.2.1: popular
-// behaviours weigh more than rare ones). The returned distribution is a
-// fresh slice (callers retain it); the intermediate log-probability
-// buffer and the frozen-query scratch come from s when non-nil, so
-// repeated derivations allocate nothing beyond the retained result.
-func wordDist(m WordScorer, words [][]int, s *queryScratch) []float64 {
-	// Work from log-probabilities with a max-shift for numerical stability.
-	var lps []float64
-	if s != nil {
-		lps = s.logProbWords(m, words)
-	} else {
-		lps = m.LogProbWords(words, nil)
-	}
-	return distFromLogProbs(lps)
-}
-
 // distFromLogProbs normalizes a log-probability vector into a proper
 // distribution (max-shift, exponentiate, normalize; uniform fallback when
 // every probability is zero, i.e. every log-probability is −Inf, where
@@ -138,14 +111,6 @@ func newDistEntry(lps []float64) *distEntry {
 	return e
 }
 
-// WordDistribution returns the model's normalized distribution over the
-// word set — the Pr(M_w) vector of §4.2.1 that the divergences reduce.
-// Exported for benchmarks and diagnostics; builder and frozen scorers
-// return bit-identical vectors.
-func WordDistribution(m WordScorer, words [][]int) []float64 {
-	return wordDist(m, words, nil)
-}
-
 // klEntries is the divergence kernel over two derived entries:
 // D_KL(P‖Q) = selfEnt(P) − Σ_{p>0} p·ln q', with no Log in the loop. It
 // rounds differently from summing p·ln(p/q') term by term, so for P ≈ Q
@@ -180,46 +145,6 @@ func jsDist(pa, pb []float64) float64 {
 	return d
 }
 
-// KL returns D_KL(A || B) measured over the word set W:
-//
-//	D_KL(A||B) = sum_{w in W} Pr(A_w) ln( Pr(A_w) / Pr(B_w) )
-//
-// Words are sequences over the shared alphabet. Both models must have the
-// same alphabet.
-func KL(a, b WordScorer, words [][]int) float64 {
-	if len(words) == 0 {
-		return 0
-	}
-	return klEntries(newDistEntry(a.LogProbWords(words, nil)), newDistEntry(b.LogProbWords(words, nil)))
-}
-
-// JSDivergence returns the Jensen–Shannon divergence between the two models
-// over the word set.
-func JSDivergence(a, b WordScorer, words [][]int) float64 {
-	if len(words) == 0 {
-		return 0
-	}
-	return jsDist(wordDist(a, words, nil), wordDist(b, words, nil))
-}
-
-// JSDistance returns sqrt(JSDivergence), which satisfies the triangle
-// inequality.
-func JSDistance(a, b WordScorer, words [][]int) float64 {
-	return math.Sqrt(JSDivergence(a, b, words))
-}
-
-// Distance dispatches on the metric.
-func Distance(metric Metric, a, b WordScorer, words [][]int) float64 {
-	switch metric {
-	case MetricJSDivergence:
-		return JSDivergence(a, b, words)
-	case MetricJSDistance:
-		return JSDistance(a, b, words)
-	default:
-		return KL(a, b, words)
-	}
-}
-
 // DistanceCalculator computes pairwise model distances over one fixed word
 // set, caching each model's word distribution so it is derived once per
 // (model, word set) instead of once per pair. Deriving a distribution costs
@@ -228,19 +153,27 @@ func Distance(metric Metric, a, b WordScorer, words [][]int) float64 {
 // vectors. A family of n types therefore pays n evaluations instead of the
 // 2·n·(n-1) a naive pairwise sweep performs.
 //
+// The distance from A to B over the word set W is, for the paper's metric,
+//
+//	D_KL(A||B) = sum_{w in W} Pr(A_w) ln( Pr(A_w) / Pr(B_w) )
+//
+// where Pr(M_w) is model M's probability of word w normalized over W (the
+// relative-entropy reading of §4.2.1: popular behaviours weigh more than
+// rare ones), and the Jensen–Shannon divergence or its square root for
+// the alternatives. Words are sequences over the models' shared alphabet.
+//
 // A calculator is safe for concurrent use: distributions may be warmed from
 // several goroutines (Precompute) and Distance may be called concurrently.
-// Results are bit-identical to the package-level Distance function — the
-// same kernels run over the same distributions in the same order. Scorers
-// are cached by identity, so pass frozen models (the pipeline does) or
-// builders consistently, not a mix of both forms of one model.
+// Every path derives a model's distribution with the same kernel, so the
+// results do not depend on which path or goroutine derived it. Models are
+// cached by identity.
 type DistanceCalculator struct {
 	metric Metric
 	words  [][]int
 	obs    *obs.Bus
 
 	mu    sync.Mutex
-	cache map[WordScorer]*distEntry
+	cache map[*Frozen]*distEntry
 }
 
 // NewDistanceCalculator returns a calculator for the given metric and word
@@ -250,7 +183,7 @@ func NewDistanceCalculator(metric Metric, words [][]int) *DistanceCalculator {
 	return &DistanceCalculator{
 		metric: metric,
 		words:  words,
-		cache:  make(map[WordScorer]*distEntry),
+		cache:  make(map[*Frozen]*distEntry),
 	}
 }
 
@@ -260,7 +193,7 @@ func NewDistanceCalculator(metric Metric, words [][]int) *DistanceCalculator {
 func (c *DistanceCalculator) Reserve(n int) {
 	c.mu.Lock()
 	if len(c.cache) == 0 && n > 0 {
-		c.cache = make(map[WordScorer]*distEntry, n)
+		c.cache = make(map[*Frozen]*distEntry, n)
 	}
 	c.mu.Unlock()
 }
@@ -270,41 +203,28 @@ func (c *DistanceCalculator) Reserve(n int) {
 // actually ran). A nil bus (the default) costs nothing.
 func (c *DistanceCalculator) SetObserver(b *obs.Bus) { c.obs = b }
 
-// Words returns the word set the calculator measures over.
-func (c *DistanceCalculator) Words() [][]int { return c.words }
-
 // Precompute derives and caches the word distribution of m. Calling it
 // ahead of the pairwise sweep (possibly from several goroutines, one model
 // each) makes every subsequent Distance a pure cache hit.
-func (c *DistanceCalculator) Precompute(m WordScorer) { c.distribution(m) }
+func (c *DistanceCalculator) Precompute(m *Frozen) { c.distribution(m) }
 
 // PrecomputeBatch derives and caches the distributions of every model in
-// ms. Uncached frozen models are scored together by the blocked
-// multi-model batch kernel (each word block visits every model of the
-// batch while its symbol data is hot — see queryScratch.logProbWordsBatch);
-// other scorer kinds fall back to one single-model derivation each.
-// Already-cached models cost one lookup. The cached entries are
-// bit-identical to Precompute's: the batch kernel reorders only the
-// (model, word) loop.
-func (c *DistanceCalculator) PrecomputeBatch(ms []WordScorer) {
+// ms. Uncached models are scored together by the blocked multi-model
+// batch kernel (each word block visits every model of the batch while its
+// symbol data is hot — see queryScratch.logProbWordsBatch). Already-cached
+// models cost one lookup. The cached entries are bit-identical to
+// Precompute's: the batch kernel reorders only the (model, word) loop.
+func (c *DistanceCalculator) PrecomputeBatch(ms []*Frozen) {
 	var todo []*Frozen
-	var other []WordScorer
 	c.mu.Lock()
 	for _, m := range ms {
 		if _, ok := c.cache[m]; ok {
 			c.obs.Add(obs.CntDistMemoHits, 1)
 			continue
 		}
-		if f, isFrozen := m.(*Frozen); isFrozen {
-			todo = append(todo, f)
-		} else {
-			other = append(other, m)
-		}
+		todo = append(todo, m)
 	}
 	c.mu.Unlock()
-	for _, m := range other {
-		c.distribution(m)
-	}
 	if len(todo) == 0 {
 		return
 	}
@@ -336,7 +256,7 @@ func (c *DistanceCalculator) PrecomputeBatch(ms []WordScorer) {
 // distEntry), maximized over ordered pairs by combining the two best
 // per-model terms with an index guard. The scan order is ms order, so the
 // bound is deterministic for a fixed ms.
-func (c *DistanceCalculator) PairBound(ms []WordScorer) float64 {
+func (c *DistanceCalculator) PairBound(ms []*Frozen) float64 {
 	if len(c.words) == 0 || len(ms) < 2 {
 		return 0
 	}
@@ -376,7 +296,7 @@ func (c *DistanceCalculator) PairBound(ms []WordScorer) float64 {
 // distribution returns m's cached entry, deriving it on miss. The
 // derivation runs outside the lock; if two goroutines race on the same
 // model the loser discards its (identical) result.
-func (c *DistanceCalculator) distribution(m WordScorer) *distEntry {
+func (c *DistanceCalculator) distribution(m *Frozen) *distEntry {
 	c.mu.Lock()
 	e, ok := c.cache[m]
 	c.mu.Unlock()
@@ -399,8 +319,8 @@ func (c *DistanceCalculator) distribution(m WordScorer) *distEntry {
 }
 
 // Distance returns the metric distance from a to b over the calculator's
-// word set; it equals Distance(metric, a, b, words).
-func (c *DistanceCalculator) Distance(a, b WordScorer) float64 {
+// word set (0 over an empty word set).
+func (c *DistanceCalculator) Distance(a, b *Frozen) float64 {
 	if len(c.words) == 0 {
 		return 0
 	}

@@ -5,14 +5,13 @@ import (
 	"strings"
 )
 
-// dumper renders the Fig. 8 view of a context trie. Model.Dump and
-// Frozen.Dump both drive it, so the two representations are guaranteed
-// to print identically. path holds the descent symbols from the root
-// (most-recent-first, the trie's storage order) as a shared stack —
-// push on descend, pop on return — instead of the old per-node
-// prepend-copy (append([]int{s}, ctx...)), which reallocated and copied
-// the whole context at every node: O(n·depth) work and garbage on large
-// tries.
+// dumper renders the Fig. 8 view of a context trie for Frozen.Dump (the
+// tests' reference builder drives it too, so both print identically).
+// path holds the descent symbols from the root (most-recent-first, the
+// trie's storage order) as a shared stack — push on descend, pop on
+// return — instead of the old per-node prepend-copy
+// (append([]int{s}, ctx...)), which reallocated and copied the whole
+// context at every node: O(n·depth) work and garbage on large tries.
 type dumper struct {
 	b      strings.Builder
 	path   []int

@@ -3,19 +3,18 @@ package slm
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
-// Frozen is an immutable, flat representation of a trained Model, built
-// once after training by Model.Freeze. Where the builder trie chases
-// map[int]*node pointers, a frozen model is one contiguous node array
-// whose per-node symbol counts and children live as sorted spans inside
-// two shared backing arenas, so a query touches a handful of adjacent
-// cache lines and performs binary searches instead of map lookups. A
-// frozen model answers exactly the same queries as its builder —
-// bit-identical log-probabilities (guarded by the property tests in
-// frozen_test.go) — but never allocates on the query path when driven
-// through a Querier.
+// Frozen is a trained PPM-C model over the integer alphabet
+// [0, alphabet), built by a Trainer or decoded by DecodeFrozen. It is
+// one contiguous node array in preorder, children in ascending symbol
+// order, whose per-node symbol counts and children live as sorted spans
+// inside two shared backing arenas, so a query touches a handful of
+// adjacent cache lines and performs binary searches instead of map
+// lookups. Queries go through a Querier, which never allocates on the
+// query path. The tests pin both against a map-trie reference builder
+// (reference_test.go): byte-identical layout and bit-identical
+// log-probabilities.
 type Frozen struct {
 	depth    int
 	alphabet int
@@ -40,90 +39,6 @@ type frozenNode struct {
 	childOff, childN int32
 	total            int32
 }
-
-// Freeze converts the trained model into its frozen form. The builder is
-// left untouched (it remains the mutable training representation); the
-// frozen copy shares nothing with it. Nodes are laid out in preorder with
-// children visited in ascending symbol order, so freezing is
-// deterministic.
-func (m *Model) Freeze() *Frozen {
-	// Pre-pass: size the arenas exactly.
-	var nNodes, nSyms, nKids int
-	var count func(n *node)
-	count = func(n *node) {
-		nNodes++
-		nSyms += len(n.counts)
-		nKids += len(n.children)
-		for _, c := range n.children {
-			count(c)
-		}
-	}
-	count(m.root)
-
-	f := &Frozen{
-		depth:      m.depth,
-		alphabet:   m.alphabet,
-		trained:    m.trained,
-		nodes:      make([]frozenNode, 0, nNodes),
-		syms:       make([]int32, 0, nSyms),
-		counts:     make([]int32, 0, nSyms),
-		childSyms:  make([]int32, 0, nKids),
-		childNodes: make([]int32, 0, nKids),
-	}
-	var scratch []int
-	var freeze func(n *node) int32
-	freeze = func(n *node) int32 {
-		idx := int32(len(f.nodes))
-		fn := frozenNode{
-			symOff:   int32(len(f.syms)),
-			symN:     int32(len(n.counts)),
-			childOff: int32(len(f.childSyms)),
-			childN:   int32(len(n.children)),
-			total:    int32(n.total),
-		}
-		f.nodes = append(f.nodes, fn)
-		scratch = scratch[:0]
-		for s := range n.counts {
-			scratch = append(scratch, s)
-		}
-		sort.Ints(scratch)
-		for _, s := range scratch {
-			f.syms = append(f.syms, int32(s))
-			f.counts = append(f.counts, int32(n.counts[s]))
-		}
-		scratch = scratch[:0]
-		for s := range n.children {
-			scratch = append(scratch, s)
-		}
-		sort.Ints(scratch)
-		// Reserve the child span before recursing so it stays contiguous;
-		// the recursion appends grandchildren's spans after it.
-		kids := make([]int, len(scratch))
-		copy(kids, scratch)
-		for _, s := range kids {
-			f.childSyms = append(f.childSyms, int32(s))
-			f.childNodes = append(f.childNodes, 0)
-		}
-		for i, s := range kids {
-			f.childNodes[fn.childOff+int32(i)] = freeze(n.children[s])
-		}
-		return idx
-	}
-	freeze(m.root)
-	return f
-}
-
-// Depth returns the maximum context length D.
-func (f *Frozen) Depth() int { return f.depth }
-
-// Alphabet returns the alphabet size.
-func (f *Frozen) Alphabet() int { return f.alphabet }
-
-// Trained returns how many sequences the source model was trained on.
-func (f *Frozen) Trained() int { return f.trained }
-
-// Nodes returns the number of contexts in the trie (diagnostics).
-func (f *Frozen) Nodes() int { return len(f.nodes) }
 
 // child returns the index of node n's child for symbol s, or -1. Spans
 // are sorted by symbol; small spans scan linearly (cheaper than binary
@@ -151,31 +66,6 @@ func (f *Frozen) child(n int32, s int32) int32 {
 		}
 	}
 	return -1
-}
-
-// LogProb returns ln Pr(sym | hist); it equals Model.LogProb bit for bit.
-// It allocates a one-shot Querier, whose set-up derives log terms for the
-// whole trie — hot paths should hold a Querier (or use LogProbWords) and
-// query through it instead.
-func (f *Frozen) LogProb(sym int, hist []int) float64 {
-	return f.NewQuerier().LogProb(sym, hist)
-}
-
-// Prob returns Pr(sym | hist).
-func (f *Frozen) Prob(sym int, hist []int) float64 {
-	return math.Exp(f.LogProb(sym, hist))
-}
-
-// LogProbSeq returns ln Pr(seq); it equals Model.LogProbSeq bit for bit.
-// Like LogProb it allocates a one-shot Querier.
-func (f *Frozen) LogProbSeq(seq []int) float64 {
-	return f.NewQuerier().LogProbSeq(seq)
-}
-
-// LogProbWords scores every word with one scratch Querier (one setup
-// allocation for the whole batch, none per word). See WordScorer.
-func (f *Frozen) LogProbWords(words [][]int, out []float64) []float64 {
-	return f.NewQuerier().LogProbWords(words, out)
 }
 
 // Querier carries the per-query scratch state of a frozen model so the
@@ -216,7 +106,7 @@ func (f *Frozen) NewQuerier() *Querier {
 // so answering from the tables is bit-identical to recomputing. The
 // tables live in the Querier, not in Frozen, so a decoded model that is
 // never queried (a warm snapshot restore) pays nothing for them. Symbol
-// spans tile the arena (Freeze lays them out so, validate enforces it),
+// spans tile the arena (Build lays them out so, validate enforces it),
 // so every slot belongs to exactly one node.
 func (q *Querier) deriveLogTerms() {
 	f := q.f
@@ -271,15 +161,16 @@ func (q *Querier) Rebind(f *Frozen) {
 	q.deriveLogTerms()
 }
 
-// Model returns the frozen model this querier scores against.
-func (q *Querier) Model() *Frozen { return q.f }
-
-// LogProb returns ln Pr(sym | hist) under PPM-C with the same query-time
-// update exclusion as Model.LogProb, allocation-free. The two paths run
-// the identical arithmetic in the identical order (integer count sums,
-// then one Log per backoff level), so the results are bit-identical; the
-// first level that holds a symbol reads that Log from the querier's
-// tables, derived by the same expression.
+// LogProb returns ln Pr(sym | hist) under PPM-C with update exclusion at
+// query time, allocation-free: once a context level is escaped, the
+// symbols it accounted for are excluded from lower-order estimates (they
+// cannot be the escaped symbol), which renormalizes the backoff chain
+// into a proper distribution. When a context has seen every remaining
+// alphabet symbol there is nothing to escape to, so the escape mass is
+// dropped and the seen counts are fully normalized. Each level sums its
+// integer counts and takes one Log; the first level that holds a symbol
+// reads that Log from the querier's tables, derived by the same
+// expression, so the result is bit-identical to recomputing it.
 func (q *Querier) LogProb(sym int, hist []int) float64 {
 	f := q.f
 	// Context chain root -> deepest context seen in training.
@@ -374,11 +265,6 @@ func (q *Querier) LogProb(sym int, hist []int) float64 {
 	return lp + math.Log(1.0/float64(remaining))
 }
 
-// Prob returns Pr(sym | hist).
-func (q *Querier) Prob(sym int, hist []int) float64 {
-	return math.Exp(q.LogProb(sym, hist))
-}
-
 // LogProbSeq returns ln Pr(seq), allocation-free.
 func (q *Querier) LogProbSeq(seq []int) float64 {
 	lp := 0.0
@@ -407,8 +293,9 @@ func (q *Querier) LogProbWords(words [][]int, out []float64) []float64 {
 	return out
 }
 
-// Dump renders the frozen trie exactly as Model.Dump renders its builder:
-// freezing then dumping yields the identical string.
+// Dump renders the trained context tree with the probability each context
+// assigns to each next symbol and to escape — the Fig. 8 view of a model.
+// name maps symbols to display strings.
 func (f *Frozen) Dump(name func(int) string) string {
 	var d dumper
 	var walk func(n int32, depth int)

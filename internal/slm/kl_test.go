@@ -44,11 +44,11 @@ func TestKLKernelMatchesPerTerm(t *testing.T) {
 		}
 		var ms []*Frozen
 		for k := 0; k < 4; k++ {
-			m := New(rng.Intn(4), alpha)
+			m := newRef(rng.Intn(4), alpha)
 			for n := rng.Intn(30); n >= 0; n-- {
 				m.Train(randomSeq(rng, alpha, 9))
 			}
-			ms = append(ms, m.Freeze())
+			ms = append(ms, build(m))
 		}
 		c := NewDistanceCalculator(MetricKL, words)
 		for _, a := range ms {
@@ -73,7 +73,7 @@ func TestKLKernelMatchesPerTerm(t *testing.T) {
 // TestKLKernelClamp: for P ≈ Q the subtraction can round a few ulps
 // below zero; the kernel must clamp those to 0 (arborescence rejects
 // negative weights), and two distinct but equal distributions must give
-// exactly 0 through both the calculator and the package-level KL.
+// exactly 0 through both the calculator and the reference KL.
 func TestKLKernelClamp(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	clamped := 0
@@ -102,14 +102,14 @@ func TestKLKernelClamp(t *testing.T) {
 		t.Fatal("no near-identical pair rounded below zero; the clamp is untested")
 	}
 
-	m1, m2 := New(2, 6), New(2, 6)
+	m1, m2 := newRef(2, 6), newRef(2, 6)
 	for _, w := range [][]int{{0, 1, 2}, {3, 4, 5, 0}, {1, 1, 2}} {
 		m1.Train(w)
 		m2.Train(w)
 	}
 	words := [][]int{{0, 1}, {5, 5, 5}, {2, 3, 4}, {1}}
-	f1, f2 := m1.Freeze(), m2.Freeze()
-	if d := KL(f1, f2, words); d != 0 {
+	f1, f2 := build(m1), build(m2)
+	if d := refKL(f1.NewQuerier(), f2.NewQuerier(), words); d != 0 {
 		t.Errorf("KL of equal models = %v, want exactly 0", d)
 	}
 	if d := NewDistanceCalculator(MetricKL, words).Distance(f1, f2); d != 0 {

@@ -27,7 +27,7 @@ const batchWordBlock = 64
 // batch in one blocked pass: words are visited in blocks of
 // batchWordBlock, and each block is scored by every model while its
 // symbol data is hot, instead of streaming the whole word set per model.
-// Row i of the result is bit-identical to ms[i].LogProbWords(words, nil)
+// Row i of the result is bit-identical to ms[i]'s Querier.LogProbWords
 // — the kernel only reorders the (model, word) loop; the per-(model,
 // word) arithmetic is the unchanged Querier walk. Queriers and rows are
 // retained by the scratch, so a warm scratch scores without allocating;
@@ -62,21 +62,17 @@ func (s *queryScratch) logProbWordsBatch(ms []*Frozen, words [][]int) [][]float6
 	return s.rows[:len(ms)]
 }
 
-// logProbWords scores every word through the scratch buffers: frozen
-// scorers reuse (or rebind) the pooled Querier, other scorers evaluate
-// directly; either way the log-probability buffer is retained across
-// calls. The returned slice is valid until the next use of the scratch.
-func (s *queryScratch) logProbWords(m WordScorer, words [][]int) []float64 {
-	if f, ok := m.(*Frozen); ok {
-		if s.q == nil {
-			s.q = f.NewQuerier()
-		} else {
-			s.q.Rebind(f)
-		}
-		s.lps = s.q.LogProbWords(words, s.lps)
-		return s.lps
+// logProbWords scores every word through the scratch buffers: the pooled
+// Querier is reused (or rebound) and the log-probability buffer is
+// retained across calls. The returned slice is valid until the next use
+// of the scratch.
+func (s *queryScratch) logProbWords(f *Frozen, words [][]int) []float64 {
+	if s.q == nil {
+		s.q = f.NewQuerier()
+	} else {
+		s.q.Rebind(f)
 	}
-	s.lps = m.LogProbWords(words, s.lps)
+	s.lps = s.q.LogProbWords(words, s.lps)
 	return s.lps
 }
 

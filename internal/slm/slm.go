@@ -13,218 +13,16 @@
 // distinct symbols is d/(n+d), and a seen symbol sigma has probability
 // c(sigma)/(n+d).
 //
-// The package also provides the Kullback–Leibler divergence between two
+// A model has one representation, the flat trie Frozen. A Trainer builds
+// it straight from a type's encoded tracelets, a Querier answers
+// allocation-free queries against it, and AppendBinary/DecodeFrozen
+// persist it in snapshots.
+//
+// The package also measures the Kullback–Leibler divergence between two
 // models over a word set (§4.2.1) and the JS-divergence/JS-distance
-// variants the paper evaluates and rejects ("Other Metrics", §6.4). The
-// per-family divergence sweep that turns these metrics into hierarchy
-// edge scores lives behind the evidence-provider abstraction
-// (internal/evidence/slmkl); this package stays metric-only.
+// variants the paper evaluates and rejects ("Other Metrics", §6.4),
+// through a DistanceCalculator. The per-family divergence sweep that
+// turns these metrics into hierarchy edge scores lives behind the
+// evidence-provider abstraction (internal/evidence/slmkl); this package
+// stays metric-only.
 package slm
-
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Model is a trained PPM-C variable-order Markov model over an integer
-// alphabet [0, Alphabet).
-type Model struct {
-	depth    int
-	alphabet int
-	root     *node
-	// trained counts the training sequences consumed.
-	trained int
-}
-
-type node struct {
-	children map[int]*node
-	counts   map[int]int
-	total    int
-}
-
-func newNode() *node {
-	return &node{children: map[int]*node{}, counts: map[int]int{}}
-}
-
-// New returns an empty model with the given maximum order (context length)
-// and alphabet size. Depth 2 matches the paper's Fig. 8 example.
-func New(depth, alphabet int) *Model {
-	if depth < 0 {
-		depth = 0
-	}
-	if alphabet < 1 {
-		alphabet = 1
-	}
-	return &Model{depth: depth, alphabet: alphabet, root: newNode()}
-}
-
-// Depth returns the maximum context length D.
-func (m *Model) Depth() int { return m.depth }
-
-// Alphabet returns the alphabet size.
-func (m *Model) Alphabet() int { return m.alphabet }
-
-// Trained returns how many sequences the model was trained on.
-func (m *Model) Trained() int { return m.trained }
-
-// Train updates the model with one training sequence.
-func (m *Model) Train(seq []int) {
-	for i, sym := range seq {
-		if sym < 0 || sym >= m.alphabet {
-			panic(fmt.Sprintf("slm: symbol %d outside alphabet %d", sym, m.alphabet))
-		}
-		// Update every context of length 0..D ending just before position i.
-		n := m.root
-		n.counts[sym]++
-		n.total++
-		for k := 1; k <= m.depth && k <= i; k++ {
-			c := seq[i-k] // walk from most recent to older
-			child, ok := n.children[c]
-			if !ok {
-				child = newNode()
-				n.children[c] = child
-			}
-			n = child
-			n.counts[sym]++
-			n.total++
-		}
-	}
-	m.trained++
-}
-
-// contextNodes returns the chain of context nodes for the history suffix,
-// from order 0 (root) up to the deepest context seen in training.
-func (m *Model) contextNodes(hist []int) []*node {
-	nodes := []*node{m.root}
-	n := m.root
-	for k := 1; k <= m.depth && k <= len(hist); k++ {
-		c := hist[len(hist)-k]
-		child, ok := n.children[c]
-		if !ok {
-			break
-		}
-		n = child
-		nodes = append(nodes, n)
-	}
-	return nodes
-}
-
-// Prob returns Pr(sym | hist) with PPM-C backoff.
-func (m *Model) Prob(sym int, hist []int) float64 {
-	return math.Exp(m.LogProb(sym, hist))
-}
-
-// LogProb returns ln Pr(sym | hist) under PPM-C with update exclusion at
-// query time: once a context level is escaped, the symbols it accounted
-// for are excluded from lower-order estimates (they cannot be the escaped
-// symbol), which renormalizes the backoff chain into a proper
-// distribution.
-func (m *Model) LogProb(sym int, hist []int) float64 {
-	nodes := m.contextNodes(hist)
-	excluded := map[int]bool{}
-	lp := 0.0
-	for k := len(nodes) - 1; k >= 0; k-- {
-		n := nodes[k]
-		total, distinct := 0, 0
-		for s, c := range n.counts {
-			if excluded[s] {
-				continue
-			}
-			total += c
-			distinct++
-		}
-		if distinct == 0 {
-			continue // every symbol here already excluded: free backoff
-		}
-		// When the context has seen every remaining alphabet symbol there
-		// is nothing to escape to, so the escape mass is dropped and the
-		// seen counts are fully normalized.
-		remaining := m.alphabet - len(excluded)
-		denom := float64(total + distinct)
-		if distinct >= remaining {
-			denom = float64(total)
-		}
-		if c, ok := n.counts[sym]; ok && !excluded[sym] {
-			return lp + math.Log(float64(c)/denom)
-		}
-		if distinct >= remaining {
-			// No escape possible, yet sym was unseen: it must have been
-			// excluded at a higher level; treat as vanishing probability.
-			return lp + math.Log(1e-12)
-		}
-		lp += math.Log(float64(distinct) / denom) // escape
-		for s := range n.counts {
-			excluded[s] = true
-		}
-	}
-	// Order -1: uniform over the not-yet-excluded alphabet.
-	remaining := m.alphabet - len(excluded)
-	if remaining < 1 {
-		remaining = 1
-	}
-	return lp + math.Log(1.0/float64(remaining))
-}
-
-// LogProbSeq returns ln Pr(seq) = sum_i ln Pr(seq[i] | seq[:i]), with the
-// history truncated to the model depth.
-func (m *Model) LogProbSeq(seq []int) float64 {
-	lp := 0.0
-	for i, sym := range seq {
-		lo := i - m.depth
-		if lo < 0 {
-			lo = 0
-		}
-		lp += m.LogProb(sym, seq[lo:i])
-	}
-	return lp
-}
-
-// ProbSeq returns Pr(seq).
-func (m *Model) ProbSeq(seq []int) float64 { return math.Exp(m.LogProbSeq(seq)) }
-
-// LogProbWords scores every word with LogProbSeq. See WordScorer; the
-// frozen counterpart (Frozen.LogProbWords) is the fast path.
-func (m *Model) LogProbWords(words [][]int, out []float64) []float64 {
-	if cap(out) < len(words) {
-		out = make([]float64, len(words))
-	}
-	out = out[:len(words)]
-	for i, w := range words {
-		out[i] = m.LogProbSeq(w)
-	}
-	return out
-}
-
-// Dump renders the trained context tree with the probability each context
-// assigns to each next symbol and to escape — the Fig. 8 view of a model.
-// name maps symbols to display strings. Frozen.Dump prints the identical
-// string for the frozen form of the model.
-func (m *Model) Dump(name func(int) string) string {
-	var d dumper
-	var walk func(n *node, depth int)
-	walk = func(n *node, depth int) {
-		d.syms = d.syms[:0]
-		for s := range n.counts {
-			d.syms = append(d.syms, s)
-		}
-		sort.Ints(d.syms)
-		d.counts = d.counts[:0]
-		for _, s := range d.syms {
-			d.counts = append(d.counts, n.counts[s])
-		}
-		d.line(depth, n.total, name)
-		kids := make([]int, 0, len(n.children))
-		for s := range n.children {
-			kids = append(kids, s)
-		}
-		sort.Ints(kids)
-		for _, s := range kids {
-			d.path = append(d.path, s)
-			walk(n.children[s], depth+1)
-			d.path = d.path[:len(d.path)-1]
-		}
-	}
-	walk(m.root, 0)
-	return d.b.String()
-}

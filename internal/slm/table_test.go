@@ -92,7 +92,7 @@ func TestQuerierTablesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
 		m := randomModel(rng)
-		f := m.Freeze()
+		f := build(m)
 		q := f.NewQuerier()
 		checkQuerier(t, "random", rng, q, f)
 		for i := 0; i < 10; i++ {
@@ -102,9 +102,9 @@ func TestQuerierTablesBitIdentical(t *testing.T) {
 		}
 	}
 
-	full := New(1, 3)
+	full := newRef(1, 3)
 	full.Train([]int{0, 1, 2, 0, 2, 1})
-	ff := full.Freeze()
+	ff := build(full)
 	q := ff.NewQuerier()
 	// wrap is 1<<32 + 1 where int has 64 bits: it must not match symbol 1
 	// through a truncating conversion.
@@ -121,7 +121,7 @@ func TestQuerierTablesBitIdentical(t *testing.T) {
 	}
 
 	// Untrained: the root is the only context and holds no symbol.
-	empty := New(2, 5).Freeze()
+	empty := build(newRef(2, 5))
 	checkQuerier(t, "untrained", rng, empty.NewQuerier(), empty)
 
 	// A symbol-less root above a trained child, and a symbol-less inner
@@ -153,13 +153,13 @@ func TestQuerierTablesBitIdentical(t *testing.T) {
 		}
 	}
 
-	big := New(3, 40)
+	big := newRef(3, 40)
 	for n := 0; n < 30; n++ {
 		big.Train(randomSeq(rng, 40, 12))
 	}
-	small := New(1, 3)
+	small := newRef(1, 3)
 	small.Train([]int{0, 1, 0, 2})
-	fb, fs := big.Freeze(), small.Freeze()
+	fb, fs := build(big), build(small)
 	rq := fb.NewQuerier()
 	checkQuerier(t, "large", rng, rq, fb)
 	rq.Rebind(fs)

@@ -15,6 +15,16 @@ import (
 	"repro/internal/vtable"
 )
 
+// train returns the model of depth over [0, alphabet) trained on seqs.
+func train(depth, alphabet int, seqs ...[]int) *slm.Frozen {
+	var t slm.Trainer
+	t.Reset(depth, alphabet)
+	for _, s := range seqs {
+		t.Add(s)
+	}
+	return t.Build()
+}
+
 // sampleSnapshot builds a fully populated snapshot by hand, exercising
 // every section including the empty-vs-nil conventions the decoder
 // guarantees (nil address slices for empty candidate sets, non-nil maps).
@@ -24,10 +34,7 @@ func sampleSnapshot() *Snapshot {
 		ev(objtrace.EvCall, 0), ev(objtrace.EvCall, 1), ev(objtrace.EvThis, 0),
 		ev(objtrace.EvRet, 0), ev(objtrace.EvCallF, 0x4010),
 	}
-	m := slm.New(2, len(alphabet))
-	m.Train([]int{0, 2, 1})
-	m.Train([]int{0, 1, 3})
-	frozen := m.Freeze()
+	frozen := train(2, len(alphabet), []int{0, 2, 1}, []int{0, 1, 3})
 
 	s := &Snapshot{
 		Alphabet: alphabet,
@@ -260,9 +267,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// sizes its exclusion array by the model's alphabet, so a model that
 	// declares another size is hostile input.
 	s = sampleSnapshot()
-	wide := slm.New(2, len(s.Alphabet)+3)
-	wide.Train([]int{0, 1})
-	s.Frozen[0x2010] = wide.Freeze()
+	s.Frozen[0x2010] = train(2, len(s.Alphabet)+3, []int{0, 1})
 	if enc, err := s.Encode(); err != nil {
 		t.Fatal(err)
 	} else if _, err := Decode(enc); err == nil {
@@ -272,9 +277,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// the words end), but the first query of the decoded model must not
 	// size anything by it.
 	s = sampleSnapshot()
-	deep := slm.New(1<<24, len(s.Alphabet))
-	deep.Train([]int{0, 2, 1, 3})
-	s.Frozen[0x2010] = deep.Freeze()
+	s.Frozen[0x2010] = train(1<<24, len(s.Alphabet), []int{0, 2, 1, 3})
 	enc, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
