@@ -417,7 +417,7 @@ func (r *Result) writeSnapshot(path string, key snapshot.Key) error {
 // anywhere in the binary, so that all SLMs share one alphabet, and then
 // memoizes each type's encoded word set (buildWords).
 func (r *Result) internAlphabet() {
-	seen := map[objtrace.Event]bool{}
+	seen := map[[2]uint64]bool{}
 	var events []objtrace.Event
 	types := make([]uint64, 0, len(r.Tracelets.PerType))
 	for t := range r.Tracelets.PerType {
@@ -427,8 +427,8 @@ func (r *Result) internAlphabet() {
 	for _, t := range types {
 		for _, tl := range r.Tracelets.PerType[t] {
 			for _, e := range tl {
-				if !seen[e] {
-					seen[e] = true
+				if k := eventKey(e); !seen[k] {
+					seen[k] = true
 					events = append(events, e)
 				}
 			}
@@ -464,7 +464,7 @@ func (r *Result) buildWordsFor(types []uint64) {
 	if r.words == nil {
 		r.words = make(map[uint64][][]int, len(types))
 	}
-	var idx map[objtrace.Event]int
+	var idx map[[2]uint64]int
 	var w []int
 	var key []byte
 	for _, t := range types {
@@ -498,11 +498,17 @@ func appendWordKey(dst []byte, w []int) []byte {
 	return dst
 }
 
-// symIndex builds the event -> symbol map.
-func (r *Result) symIndex() map[objtrace.Event]int {
-	idx := make(map[objtrace.Event]int, len(r.Alphabet))
+// eventKey is e as a padding-free map key. Event's padding sends a
+// map[objtrace.Event] lookup through the generic struct hash; a
+// [2]uint64 key takes the runtime's 128-bit memory hash, and the
+// encoding stays one-to-one.
+func eventKey(e objtrace.Event) [2]uint64 { return [2]uint64{uint64(e.Kind), e.N} }
+
+// symIndex builds the event -> symbol map, keyed by eventKey.
+func (r *Result) symIndex() map[[2]uint64]int {
+	idx := make(map[[2]uint64]int, len(r.Alphabet))
 	for i, e := range r.Alphabet {
-		idx[e] = i
+		idx[eventKey(e)] = i
 	}
 	return idx
 }
@@ -516,9 +522,9 @@ func (r *Result) SymbolName(s int) string {
 }
 
 // appendEncoded appends tracelet tl as interned symbols to dst.
-func appendEncoded(dst []int, idx map[objtrace.Event]int, tl objtrace.Tracelet) []int {
+func appendEncoded(dst []int, idx map[[2]uint64]int, tl objtrace.Tracelet) []int {
 	for _, e := range tl {
-		dst = append(dst, idx[e])
+		dst = append(dst, idx[eventKey(e)])
 	}
 	return dst
 }

@@ -246,7 +246,7 @@ func (r *Result) computeTypeKeys() map[uint64][32]byte {
 			binary.LittleEndian.PutUint64(b[:], uint64(len(tl)))
 			h.Write(b[:])
 			for _, e := range tl {
-				binary.LittleEndian.PutUint64(b[:], uint64(idx[e]))
+				binary.LittleEndian.PutUint64(b[:], uint64(idx[eventKey(e)]))
 				h.Write(b[:])
 			}
 		}

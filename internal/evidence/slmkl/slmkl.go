@@ -1,8 +1,9 @@
 // Package slmkl rehosts the paper's behavioral evidence source — the
 // per-family SLM divergence sweep (§4.3) — behind the evidence.Provider
-// interface. It is a verbatim transplant of the original in-line sweep:
-// the same chunk grains, the same pair layout, the same frozen flat-trie
-// kernels, the same counters — so its output is bit-identical to the
+// interface. It keeps the original in-line sweep's chunk grains, pair
+// layout and counters, and derives each member's word distribution with
+// slm.DistanceCalculator, whose gram-factored kernel reproduces the
+// per-word query sums bit for bit — so its output is bit-identical to the
 // pre-provider pipeline and the equivalence pins in internal/eval hold
 // by construction, not by tolerance.
 package slmkl
@@ -21,9 +22,9 @@ import (
 // starving workers on small families. The values predate the provider
 // split; grain choice never affects scores (every slot is index-owned).
 const (
-	// modelGrain groups word-distribution derivations; a claimed range is
-	// also the batch the multi-model scoring kernel blocks over
-	// (slm.DistanceCalculator.PrecomputeBatch).
+	// modelGrain groups word-distribution derivations, one
+	// slm.DistanceCalculator.Precompute per member; each derivation reads
+	// the family's gram table, interned before the fan-out.
 	modelGrain = 8
 	// pairGrain groups admissible-pair divergence reductions.
 	pairGrain = 32
@@ -60,17 +61,19 @@ func (p *Provider) Name() string { return evidence.NameSLM }
 
 // Score runs the divergence sweep for one family. Each member's word
 // distribution over the family's shared word set is derived exactly once
-// (the DistanceCalculator memoizes per model, each chunk scored by the
-// blocked multi-model batch kernel); then the sweep reduces the cached
+// (the DistanceCalculator memoizes per model and queries each model once
+// per distinct gram of the word set); then the sweep reduces the cached
 // distributions over in.Pairs in deterministically-owned chunks.
 func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*evidence.Scores, error) {
 	cfg := p.cfg
 	calc := slm.NewDistanceCalculator(cfg.Metric, in.Words)
 	calc.SetObserver(cfg.Obs)
 	n := len(in.Types)
-	calc.Reserve(n)
+	calc.Reserve(in.Models)
 	if err := pool.ForEachChunk(ctx, cfg.Pool, n, modelGrain, func(lo, hi int) {
-		calc.PrecomputeBatch(in.Models[lo:hi])
+		for _, m := range in.Models[lo:hi] {
+			calc.Precompute(m)
+		}
 	}); err != nil {
 		return nil, err
 	}

@@ -62,6 +62,14 @@ const (
 	CntDistMemoHits
 	// CntDistMemoMisses counts word-distribution derivations actually run.
 	CntDistMemoMisses
+	// CntDistGrams counts the distinct grams (symbol plus its context)
+	// interned across the sweep's word sets: the model queries one
+	// derivation runs.
+	CntDistGrams
+	// CntDistPositions counts the word positions those word sets hold:
+	// the model queries one derivation would run word by word, so
+	// dist_positions / dist_grams is the factoring ratio.
+	CntDistPositions
 	// CntCoOptimal counts the co-optimal arborescences enumerated across
 	// all families (before majority voting).
 	CntCoOptimal
@@ -98,7 +106,8 @@ const (
 var counterNames = [numCounters]string{
 	"vtables", "tracelets", "raw_tracelets", "alphabet", "families",
 	"candidate_edges", "edges_pruned", "models", "dist_pairs",
-	"dist_pairs_pruned", "dist_memo_hits", "dist_memo_misses", "co_optimal", "arbs_kept",
+	"dist_pairs_pruned", "dist_memo_hits", "dist_memo_misses", "dist_grams",
+	"dist_positions", "co_optimal", "arbs_kept",
 	"multi_parents", "pool_helpers",
 	"fn_digest_hit", "fn_digest_miss", "types_retrained", "families_resolved",
 	"evidence_providers", "evidence_edges_scored",

@@ -99,7 +99,11 @@ func BenchmarkLogProbSeq(b *testing.B) {
 
 // BenchmarkWordDist measures deriving one model's normalized distribution
 // over a family word set — the unit the DistanceCalculator memoizes, and
-// the dominant cost of the behavioral analysis.
+// the dominant cost of the behavioral analysis: the reference map trie
+// and the frozen trie query word by word, the gram row queries each
+// distinct gram once through a warm scratch (the calculator's kernel;
+// the word set's gram table is interned once per family, outside the
+// loop).
 func BenchmarkWordDist(b *testing.B) {
 	m, _, words := queryFixture()
 	f := build(m)
@@ -113,6 +117,14 @@ func BenchmarkWordDist(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			refWordDist(f.NewQuerier(), words)
+		}
+	})
+	b.Run("Gram", func(b *testing.B) {
+		tab := newGramTable(f.depth, words)
+		s := &queryScratch{}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			distFromLogProbs(s.logProbWords(f, tab))
 		}
 	})
 }

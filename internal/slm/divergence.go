@@ -147,11 +147,17 @@ func jsDist(pa, pb []float64) float64 {
 
 // DistanceCalculator computes pairwise model distances over one fixed word
 // set, caching each model's word distribution so it is derived once per
-// (model, word set) instead of once per pair. Deriving a distribution costs
-// one model evaluation per word (the expensive part: PPM-C backoff per
-// symbol); the divergence itself is a cheap reduction over the two cached
-// vectors. A family of n types therefore pays n evaluations instead of the
-// 2·n·(n-1) a naive pairwise sweep performs.
+// (model, word set) instead of once per pair. Deriving a distribution is
+// the expensive part (PPM-C backoff per query); the divergence itself is
+// a cheap reduction over the two cached vectors. A family of n types
+// therefore pays n derivations instead of the 2·n·(n-1) a naive pairwise
+// sweep performs.
+//
+// A derivation costs one model query per distinct gram of the word set,
+// not one per word position: the calculator interns the word set's grams
+// once per model depth (gramTable) and sums each word's gram
+// log-probabilities in position order, which reproduces
+// Querier.LogProbSeq bit for bit.
 //
 // The distance from A to B over the word set W is, for the paper's metric,
 //
@@ -172,6 +178,11 @@ type DistanceCalculator struct {
 	words  [][]int
 	obs    *obs.Bus
 
+	// gmu guards tables, the word set's gram tables, one per model depth
+	// met so far (a family's models normally share one depth).
+	gmu    sync.Mutex
+	tables []*gramTable
+
 	mu    sync.Mutex
 	cache map[*Frozen]*distEntry
 }
@@ -187,20 +198,26 @@ func NewDistanceCalculator(metric Metric, words [][]int) *DistanceCalculator {
 	}
 }
 
-// Reserve sizes the distribution cache for n models, avoiding growth
-// rehashes during the per-family precompute fan-out. A no-op once any
-// distribution has been cached.
-func (c *DistanceCalculator) Reserve(n int) {
+// Reserve prepares the calculator for deriving the distributions of ms:
+// it sizes the distribution cache for len(ms) models, avoiding growth
+// rehashes during the per-family precompute fan-out (a no-op once any
+// distribution has been cached), and interns the word set's grams for
+// every depth among ms, so the fan-out only reads the tables.
+func (c *DistanceCalculator) Reserve(ms []*Frozen) {
 	c.mu.Lock()
-	if len(c.cache) == 0 && n > 0 {
-		c.cache = make(map[*Frozen]*distEntry, n)
+	if len(c.cache) == 0 && len(ms) > 0 {
+		c.cache = make(map[*Frozen]*distEntry, len(ms))
 	}
 	c.mu.Unlock()
+	for _, m := range ms {
+		c.grams(m.depth)
+	}
 }
 
 // SetObserver attaches an observer bus: every distribution lookup is then
 // attributed as a memo hit (cached vector reused) or miss (derivation
-// actually ran). A nil bus (the default) costs nothing.
+// actually ran), and each gram table interned adds its distinct grams
+// and word positions. A nil bus (the default) costs nothing.
 func (c *DistanceCalculator) SetObserver(b *obs.Bus) { c.obs = b }
 
 // Precompute derives and caches the word distribution of m. Calling it
@@ -208,43 +225,22 @@ func (c *DistanceCalculator) SetObserver(b *obs.Bus) { c.obs = b }
 // each) makes every subsequent Distance a pure cache hit.
 func (c *DistanceCalculator) Precompute(m *Frozen) { c.distribution(m) }
 
-// PrecomputeBatch derives and caches the distributions of every model in
-// ms. Uncached models are scored together by the blocked multi-model
-// batch kernel (each word block visits every model of the batch while its
-// symbol data is hot — see queryScratch.logProbWordsBatch). Already-cached
-// models cost one lookup. The cached entries are bit-identical to
-// Precompute's: the batch kernel reorders only the (model, word) loop.
-func (c *DistanceCalculator) PrecomputeBatch(ms []*Frozen) {
-	var todo []*Frozen
-	c.mu.Lock()
-	for _, m := range ms {
-		if _, ok := c.cache[m]; ok {
-			c.obs.Add(obs.CntDistMemoHits, 1)
-			continue
-		}
-		todo = append(todo, m)
-	}
-	c.mu.Unlock()
-	if len(todo) == 0 {
-		return
-	}
-	c.obs.Add(obs.CntDistMemoMisses, int64(len(todo)))
-	s := getScratch()
-	rows := s.logProbWordsBatch(todo, c.words)
-	entries := make([]*distEntry, len(todo))
-	for i := range todo {
-		entries[i] = newDistEntry(rows[i])
-	}
-	putScratch(s)
-	c.mu.Lock()
-	for i, f := range todo {
-		// A concurrent derivation of the same model wins ties, matching
-		// distribution's keep-first discipline.
-		if _, ok := c.cache[f]; !ok {
-			c.cache[f] = entries[i]
+// grams returns the word set's gram table for models of the given depth,
+// interning it on first use. Concurrent first uses of one depth wait for
+// a single interning.
+func (c *DistanceCalculator) grams(depth int) *gramTable {
+	c.gmu.Lock()
+	defer c.gmu.Unlock()
+	for _, t := range c.tables {
+		if t.depth == depth {
+			return t
 		}
 	}
-	c.mu.Unlock()
+	t := newGramTable(depth, c.words)
+	c.tables = append(c.tables, t)
+	c.obs.Add(obs.CntDistGrams, int64(len(t.grams)))
+	c.obs.Add(obs.CntDistPositions, int64(len(t.rows)))
+	return t
 }
 
 // PairBound returns an upper bound on the largest pairwise distance among
@@ -305,8 +301,9 @@ func (c *DistanceCalculator) distribution(m *Frozen) *distEntry {
 		return e
 	}
 	c.obs.Add(obs.CntDistMemoMisses, 1)
+	t := c.grams(m.depth)
 	s := getScratch()
-	e = newDistEntry(s.logProbWords(m, c.words))
+	e = newDistEntry(s.logProbWords(m, t))
 	putScratch(s)
 	c.mu.Lock()
 	if prev, ok := c.cache[m]; ok {

@@ -4,76 +4,51 @@ import "sync"
 
 // queryScratch bundles the reusable query-side buffers one goroutine
 // needs to derive word distributions: a rebindable Querier (the
-// allocation-free frozen-trie query kernel) and the intermediate
-// log-probability buffer, plus the multi-model state of the blocked batch
-// kernel (one querier and one log-probability row per model of the
-// current batch). A queryScratch is not safe for concurrent use; borrow
-// one per goroutine with getScratch.
+// allocation-free frozen-trie query kernel), the per-gram
+// log-probability row and the per-word log-probability row. A
+// queryScratch is not safe for concurrent use; borrow one per goroutine
+// with getScratch.
 type queryScratch struct {
-	q   *Querier
-	lps []float64
-
-	qs   []*Querier
-	rows [][]float64
+	q       *Querier
+	gramLps []float64
+	lps     []float64
 }
 
-// batchWordBlock is the word-block width of the multi-model batch kernel:
-// every model of the batch scores one block of words before the sweep
-// advances to the next block, so the block's symbol slices stay cache-hot
-// across all models of the batch.
-const batchWordBlock = 64
-
-// logProbWordsBatch scores the word set against every frozen model of the
-// batch in one blocked pass: words are visited in blocks of
-// batchWordBlock, and each block is scored by every model while its
-// symbol data is hot, instead of streaming the whole word set per model.
-// Row i of the result is bit-identical to ms[i]'s Querier.LogProbWords
-// — the kernel only reorders the (model, word) loop; the per-(model,
-// word) arithmetic is the unchanged Querier walk. Queriers and rows are
-// retained by the scratch, so a warm scratch scores without allocating;
-// the rows are valid until its next use.
-func (s *queryScratch) logProbWordsBatch(ms []*Frozen, words [][]int) [][]float64 {
-	for len(s.qs) < len(ms) {
-		s.qs = append(s.qs, nil)
-	}
-	for len(s.rows) < len(ms) {
-		s.rows = append(s.rows, nil)
-	}
-	for i, f := range ms {
-		if s.qs[i] == nil {
-			s.qs[i] = f.NewQuerier()
-		} else {
-			s.qs[i].Rebind(f)
-		}
-		if cap(s.rows[i]) < len(words) {
-			s.rows[i] = make([]float64, len(words))
-		}
-		s.rows[i] = s.rows[i][:len(words)]
-	}
-	for lo := 0; lo < len(words); lo += batchWordBlock {
-		hi := min(lo+batchWordBlock, len(words))
-		for mi := range ms {
-			q, row := s.qs[mi], s.rows[mi]
-			for wi := lo; wi < hi; wi++ {
-				row[wi] = q.LogProbSeq(words[wi])
-			}
-		}
-	}
-	return s.rows[:len(ms)]
-}
-
-// logProbWords scores every word through the scratch buffers: the pooled
-// Querier is reused (or rebound) and the log-probability buffer is
-// retained across calls. The returned slice is valid until the next use
-// of the scratch.
-func (s *queryScratch) logProbWords(f *Frozen, words [][]int) []float64 {
+// logProbWords returns ln Pr(w) under f for every word of t: one LogProb
+// per distinct gram into the gram row, then each word's row of gram
+// log-probabilities summed left to right from 0 — LogProbSeq's addends
+// in LogProbSeq's order, so each result equals f's
+// Querier.LogProbSeq(w) bit for bit. t must be interned at f's depth. A
+// warm scratch does not allocate; the returned slice is valid until the
+// next use of the scratch.
+func (s *queryScratch) logProbWords(f *Frozen, t *gramTable) []float64 {
 	if s.q == nil {
 		s.q = f.NewQuerier()
 	} else {
 		s.q.Rebind(f)
 	}
-	s.lps = s.q.LogProbWords(words, s.lps)
+	s.gramLps = grow(s.gramLps, len(t.grams))
+	for g, win := range t.grams {
+		last := len(win) - 1
+		s.gramLps[g] = s.q.LogProb(win[last], win[:last])
+	}
+	s.lps = grow(s.lps, len(t.off)-1)
+	for w := range s.lps {
+		lp := 0.0
+		for _, g := range t.rows[t.off[w]:t.off[w+1]] {
+			lp += s.gramLps[g]
+		}
+		s.lps[w] = lp
+	}
 	return s.lps
+}
+
+// grow returns buf resliced to n, reallocated only when too small.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // sharedScratch recycles queryScratch values across goroutines and across
