@@ -18,6 +18,7 @@ package arborescence
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -151,19 +152,13 @@ func solve(n, root int, edges []Edge) ([]int, error) {
 	}
 	var newEdges []Edge
 	var back []mapped
-	cycleNode := make([]bool, n)
-	for v := 0; v < n; v++ {
-		// v is on a contracted cycle iff another node shares its component.
-		// Cheaper: cycle components are those numbered before the loop above
-		// assigned singles; recompute directly:
-		cycleNode[v] = false
-	}
-	// Recompute cycle membership: a node is on a cycle iff it shares its
-	// component with at least one other node.
+	// A node is on a contracted cycle iff it shares its component with at
+	// least one other node.
 	compSize := make([]int, numComp)
 	for v := 0; v < n; v++ {
 		compSize[comp[v]]++
 	}
+	cycleNode := make([]bool, n)
 	for v := 0; v < n; v++ {
 		cycleNode[v] = compSize[comp[v]] > 1
 	}
@@ -215,6 +210,24 @@ func solve(n, root int, edges []Edge) ([]int, error) {
 	return out, nil
 }
 
+const (
+	// maxEnumNodes bounds the graphs EnumerateMin searches; larger ones
+	// fall back to the single optimum. It also lets one uint64 hold any
+	// node set of a searched graph.
+	maxEnumNodes = 32
+	// maxEnumSteps is EnumerateMin's search-state budget. With many exact
+	// ties the plateau below w0+eps can be combinatorial, and the lower
+	// bound (the sum of per-node minima) cannot prune assignments whose
+	// cheap edges form cycles; the budget keeps enumeration worst-case
+	// cheap.
+	maxEnumSteps = 400000
+)
+
+// enumerateHook, when non-nil, receives every graph EnumerateMinStates is
+// asked to search. Only tests set it, to replay the pipeline's family
+// graphs through the reference enumerator.
+var enumerateHook func(n, root int, edges []Edge, eps float64, limit int)
+
 // EnumerateMin returns up to limit arborescences (as parent vectors) whose
 // total weight is within eps of the minimum, the minimum weight, whether
 // the enumeration was truncated, and an error if no arborescence exists.
@@ -222,24 +235,61 @@ func solve(n, root int, edges []Edge) ([]int, error) {
 // branch-and-bound and intended for the small per-family graphs of the
 // pipeline.
 //
+// The search is fixed: nodes are assigned in index order, each node's
+// candidate parents are its in-edges collected in input order and sorted
+// cheapest first by one sort.Slice call (not a stable sort, so the call
+// itself is part of the order), a branch is cut once its weight plus
+// the sum of the remaining nodes' cheapest in-edges exceeds the minimum
+// plus eps, and every branch tried is one search state. The search stops
+// after 400000 states. The result is therefore whatever this fixed-order
+// search finds in its first 400000 states: an implementation must keep
+// both the visit order and the state count to keep the output.
+//
 // truncated reports that the returned set may be missing co-optimal
 // arborescences for a reason the caller did not ask for: either the graph
 // exceeded maxEnumNodes (only the single optimum is returned) or the
-// branch-and-bound hit its internal step budget on a combinatorial
-// plateau of exact ties. Hitting the caller-chosen limit is not flagged —
-// that cap is explicit. Callers surface truncated instead of presenting a
-// capped enumeration as exhaustive.
+// branch-and-bound hit its state budget on a combinatorial plateau of
+// exact ties. Hitting the caller-chosen limit is not flagged — that cap
+// is explicit. Callers surface truncated instead of presenting a capped
+// enumeration as exhaustive. When the search finds no co-optimal
+// arborescence in its budget, the optimum from MinArborescence is
+// returned.
 func EnumerateMin(n, root int, edges []Edge, eps float64, limit int) (arbs [][]int, weight float64, truncated bool, err error) {
+	arbs, weight, truncated, _, err = EnumerateMinStates(n, root, edges, eps, limit)
+	return arbs, weight, truncated, err
+}
+
+// EnumerateMinStates is EnumerateMin that also returns the number of
+// search states visited: 0 when there was no search (limit <= 1 or an
+// over-size graph), never more than the state budget.
+func EnumerateMinStates(n, root int, edges []Edge, eps float64, limit int) (arbs [][]int, weight float64, truncated bool, states int, err error) {
+	if enumerateHook != nil {
+		enumerateHook(n, root, edges, eps, limit)
+	}
+	return enumerate(n, root, edges, eps, limit, maxEnumSteps)
+}
+
+// enumerate is EnumerateMinStates with the state budget maxSteps as a
+// parameter.
+//
+// The search is an iterative depth-first walk over levels, one per
+// non-root node, with word-sized state. members[x] holds the nodes whose
+// chain of assigned parents ends at x, so the edge u→v closes a cycle iff
+// bit u of members[v] is set. The in-edges that pass the bound are a
+// prefix of the sorted in-list, and cycle tables turn members[v] into the
+// mask of in-list positions whose source it contains, so each level's
+// candidate children are one mask. In-lists longer than 64 entries (only
+// parallel edges produce them) are walked 64 positions at a time.
+func enumerate(n, root int, edges []Edge, eps float64, limit, maxSteps int) (arbs [][]int, weight float64, truncated bool, states int, err error) {
 	best, w0, err := MinArborescence(n, root, edges)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, false, 0, err
 	}
-	const maxEnumNodes = 32
 	if limit <= 1 {
-		return [][]int{best}, w0, false, nil
+		return [][]int{best}, w0, false, 0, nil
 	}
 	if n > maxEnumNodes {
-		return [][]int{best}, w0, true, nil
+		return [][]int{best}, w0, true, 0, nil
 	}
 
 	// Candidate in-edges per node, cheapest first.
@@ -268,62 +318,244 @@ func EnumerateMin(n, root int, edges []Edge, eps float64, limit int) (arbs [][]i
 		lb[i] = lb[i+1] + minW[nodes[i]]
 	}
 
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
+	s := newSearch(n, nodes, in, lb, w0+eps)
 	var out [][]int
-	// steps bounds the explored search states: with many exact ties the
-	// plateau below w0+eps can be combinatorial, and the lower bound (sum
-	// of per-node minima) cannot prune assignments whose cheap edges form
-	// cycles. The budget keeps enumeration worst-case cheap; whatever
-	// co-optimal set was found by then is returned.
-	steps := 0
-	const maxSteps = 400000
-	var rec func(pos int, acc float64)
-	rec = func(pos int, acc float64) {
-		steps++
-		if steps > maxSteps {
-			truncated = true
-			return
-		}
-		if len(out) >= limit {
-			return
-		}
-		if acc+lb[pos] > w0+eps {
-			return
-		}
-		if pos == len(nodes) {
-			out = append(out, append([]int(nil), parent...))
-			return
-		}
-		v := nodes[pos]
-		for _, e := range in[v] {
-			if acc+e.W+lb[pos+1] > w0+eps {
-				break // sorted: no cheaper option follows
-			}
-			// Reject if assigning e.From as parent of v closes a cycle among
-			// already-assigned parents.
-			cyc := false
-			for u := e.From; u != -1 && u != root; u = parent[u] {
-				if u == v {
-					cyc = true
-					break
-				}
-			}
-			if cyc {
-				continue
-			}
-			parent[v] = e.From
-			rec(pos+1, acc+e.W)
-			parent[v] = -1
-		}
+	// The root state: budget, then bound, then leaf (the limit is >= 2).
+	steps := 1
+	switch {
+	case steps > maxSteps:
+		truncated = true
+	case lb[0] > s.bound:
+	case len(nodes) == 0:
+		out = append(out, append([]int(nil), s.parent...))
+	default:
+		out, steps, truncated = s.run(limit, maxSteps)
 	}
-	rec(0, 0)
 	if len(out) == 0 {
 		out = [][]int{best}
 	}
-	return out, w0, truncated, nil
+	return out, w0, truncated, min(steps, maxSteps), nil
+}
+
+// search is the branch-and-bound state of one enumerate call.
+type search struct {
+	nibs  int // 4-bit node groups covering 0..n-1
+	bound float64
+	// monotone reports that no in-edge weight is NaN, so along each
+	// sorted in-list the bound test turns from pass to fail at most once
+	// (FP addition is monotone) and binary search finds the passing
+	// prefix.
+	monotone bool
+	levels   []level
+	parent   []int
+	members  []uint64
+}
+
+// level is one depth of the search: the in-list of the node it assigns
+// and the loop state of the branch being explored there.
+type level struct {
+	v      int
+	in     []Edge  // v's in-edges, cheapest first
+	lbNext float64 // the lower bound of the levels below
+	// cyc[(c*nibs+j)*16+m] is the mask of chunk c's in-list positions
+	// (bit i: position 64c+i) whose source is 4j+b for a set bit b of m:
+	// a cycle test of 16 node sets per table, one table per nibble of
+	// members[v].
+	cyc []uint64
+
+	// The last cut and chunk-0 cycle mask computed, keyed by the acc
+	// and members[v] they were computed for: sibling branches above
+	// often leave both unchanged.
+	memoAcc     float64
+	memoCut     int
+	memoMembers uint64
+	memoCyc     uint64
+
+	acc  float64 // weight assigned above this level
+	cut  int     // in-list positions [0, cut) pass the bound
+	base int     // first in-list position of the current chunk
+	mask uint64  // untried candidates of the current chunk
+	end  int     // chain end that members[v] was merged into
+}
+
+func newSearch(n int, nodes []int, in [][]Edge, lb []float64, bound float64) *search {
+	s := &search{
+		nibs:     (n + 3) / 4,
+		bound:    bound,
+		monotone: true,
+		levels:   make([]level, len(nodes)),
+		parent:   make([]int, n),
+		members:  make([]uint64, n),
+	}
+	for x := range s.parent {
+		s.parent[x] = -1
+		s.members[x] = 1 << x
+	}
+	for pos, v := range nodes {
+		l := &s.levels[pos]
+		l.v, l.in, l.lbNext = v, in[v], lb[pos+1]
+		l.memoAcc = math.NaN() // equal to no acc: the first enter computes
+		for _, e := range l.in {
+			if math.IsNaN(e.W) {
+				s.monotone = false
+			}
+		}
+	}
+	return s
+}
+
+// buildCyc fills l.cyc. A level builds its tables on first need: while
+// no other node's chain ends at its node, it needs none.
+func (s *search) buildCyc(l *level) {
+	l.cyc = make([]uint64, (len(l.in)+63)/64*s.nibs*16)
+	for c := 0; c*64 < len(l.in); c++ {
+		// src[u]: the chunk's positions whose source is u.
+		var src [maxEnumNodes]uint64
+		for i, e := range l.in[c*64 : min(len(l.in), c*64+64)] {
+			src[e.From] |= 1 << i
+		}
+		for j := 0; j < s.nibs; j++ {
+			row := l.cyc[(c*s.nibs+j)*16:][:16]
+			for m := 1; m < 16; m++ {
+				row[m] = row[m&(m-1)] | src[4*j+bits.TrailingZeros(uint(m))]
+			}
+		}
+	}
+}
+
+// run walks the search from level 0 and returns the co-optimal parent
+// vectors found, the states visited (the root's included) and whether the
+// budget cut the search. Every candidate child is one state, checked in
+// the order budget, then limit, then leaf; its bound test is the very
+// expression that admitted it into its parent's prefix, so it always
+// passes and is not repeated. After the limit is reached the remaining
+// candidates are still counted, since they can exhaust the budget.
+func (s *search) run(limit, maxSteps int) (out [][]int, steps int, truncated bool) {
+	steps = 1
+	last := len(s.levels) - 1
+	pos := 0
+	s.enter(0, 0)
+	for pos >= 0 {
+		l := &s.levels[pos]
+		if l.mask == 0 {
+			if l.base+64 < l.cut {
+				l.base += 64
+				l.mask = s.candidates(l)
+				continue
+			}
+			if pos--; pos >= 0 {
+				s.retract(&s.levels[pos])
+			}
+			continue
+		}
+		k := l.base + bits.TrailingZeros64(l.mask)
+		l.mask &= l.mask - 1
+		if steps++; steps > maxSteps {
+			return out, steps, true
+		}
+		if len(out) >= limit {
+			continue
+		}
+		e := l.in[k]
+		if pos == last {
+			s.parent[l.v] = e.From
+			out = append(out, append([]int(nil), s.parent...))
+			s.parent[l.v] = -1
+			continue
+		}
+		s.assign(l, e.From)
+		pos++
+		s.enter(pos, l.acc+e.W)
+	}
+	return out, steps, false
+}
+
+// enter starts level pos with acc the weight assigned above it.
+func (s *search) enter(pos int, acc float64) {
+	l := &s.levels[pos]
+	l.acc, l.base = acc, 0
+	if acc != l.memoAcc {
+		l.memoAcc, l.memoCut = acc, s.cut(l, acc)
+	}
+	l.cut = l.memoCut
+	l.mask = s.candidates(l)
+}
+
+// cut returns the number of leading in-list edges that pass the bound:
+// the position of the first one whose acc+W+lbNext exceeds it, as the
+// reference's loop breaks there.
+func (s *search) cut(l *level, acc float64) int {
+	k := len(l.in)
+	if !s.monotone {
+		i := 0
+		for i < k && !(acc+l.in[i].W+l.lbNext > s.bound) {
+			i++
+		}
+		return i
+	}
+	if k == 0 || !(acc+l.in[k-1].W+l.lbNext > s.bound) {
+		return k
+	}
+	lo, hi := 0, k-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if acc+l.in[mid].W+l.lbNext > s.bound {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// candidates returns the current chunk's positions that pass the bound
+// and close no cycle, that is whose source's chain does not end at l.v.
+func (s *search) candidates(l *level) uint64 {
+	k := l.cut - l.base
+	if k <= 0 {
+		return 0
+	}
+	mask := ^uint64(0)
+	if k < 64 {
+		mask = 1<<k - 1
+	}
+	mv := s.members[l.v]
+	if mv == 1<<l.v {
+		return mask // no chain but v's own ends at v, and v has no self-loop
+	}
+	if l.base == 0 && mv == l.memoMembers {
+		return mask &^ l.memoCyc
+	}
+	if l.cyc == nil {
+		s.buildCyc(l)
+	}
+	var cycMask uint64
+	cyc := l.cyc[l.base/64*s.nibs*16:]
+	for j := 0; j < s.nibs; j++ {
+		cycMask |= cyc[j*16+int(mv>>(4*j)&15)]
+	}
+	if l.base == 0 {
+		l.memoMembers, l.memoCyc = mv, cycMask
+	}
+	return mask &^ cycMask
+}
+
+// assign makes p the parent of l.v: the nodes whose chain ended at l.v
+// now end where p's chain ends.
+func (s *search) assign(l *level, p int) {
+	s.parent[l.v] = p
+	x := p
+	for s.parent[x] >= 0 {
+		x = s.parent[x]
+	}
+	s.members[x] |= s.members[l.v]
+	l.end = x
+}
+
+// retract undoes assign.
+func (s *search) retract(l *level) {
+	s.members[l.end] &^= s.members[l.v]
+	s.parent[l.v] = -1
 }
 
 // MajorityVote applies the paper's heuristic for reducing multiple

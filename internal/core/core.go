@@ -750,11 +750,12 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 			From: nodeOf[pc[0]], To: nodeOf[pc[1]], W: fused.Edge[k],
 		})
 	}
-	arbs, w, truncated, err := arborescence.EnumerateMin(len(fam)+1, 0, edges, cfg.EnumEps, cfg.EnumLimit)
+	arbs, w, truncated, states, err := arborescence.EnumerateMinStates(len(fam)+1, 0, edges, cfg.EnumEps, cfg.EnumLimit)
 	if err != nil {
 		out.err = err
 		return out
 	}
+	cfg.Obs.Add(obs.CntEnumStates, int64(states))
 	cfg.Obs.Add(obs.CntCoOptimal, int64(len(arbs)))
 	arbs = arborescence.MajorityVote(arbs)
 	cfg.Obs.Add(obs.CntArbsKept, int64(len(arbs)))

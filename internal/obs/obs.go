@@ -75,6 +75,9 @@ const (
 	CntCoOptimal
 	// CntArbsKept counts the arborescences surviving majority voting.
 	CntArbsKept
+	// CntEnumStates counts the search states the co-optimal enumeration
+	// visited across all families (at most its budget per family).
+	CntEnumStates
 	// CntMultiParents counts the types assigned multiple parents (§5.3).
 	CntMultiParents
 	// CntPoolHelpers counts the fan-out helper goroutines the pool spawned
@@ -107,7 +110,7 @@ var counterNames = [numCounters]string{
 	"vtables", "tracelets", "raw_tracelets", "alphabet", "families",
 	"candidate_edges", "edges_pruned", "models", "dist_pairs",
 	"dist_pairs_pruned", "dist_memo_hits", "dist_memo_misses", "dist_grams",
-	"dist_positions", "co_optimal", "arbs_kept",
+	"dist_positions", "co_optimal", "arbs_kept", "enum_states",
 	"multi_parents", "pool_helpers",
 	"fn_digest_hit", "fn_digest_miss", "types_retrained", "families_resolved",
 	"evidence_providers", "evidence_edges_scored",
