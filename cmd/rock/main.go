@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rock [-metric kl|js-divergence|js-distance] [-depth D] [-window W]
-//	     [-workers N] [-cache DIR] [-invalidate LEVEL] [-incr-from SNAP]
+//	     [-workers N] [-cache DIR] [-incr-from SNAP]
 //	     [-evidence slm,subtype] [-fuse-weights slm=1,subtype=5]
 //	     [-structural-only] [-stats] [-trace FILE] [-v] image.rbin
 //	rock -corpus DIR [flags]
@@ -22,8 +22,8 @@
 // With -cache DIR, analysis artifacts are persisted as content-addressed
 // snapshots under DIR: re-analyzing an unchanged binary under an unchanged
 // configuration skips the whole pipeline, and configuration changes
-// invalidate only the stages they affect. -invalidate caps the reuse
-// (none, hierarchy, models, all) to force recomputation.
+// invalidate only the stages they affect. To force a cold run, omit -cache
+// or delete the image's .rsnap file.
 //
 // When the binary itself changed (a new version of the same program), the
 // exact snapshot misses, but the analysis can still diff against a prior
@@ -80,7 +80,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write a chrome-tracing (Perfetto) JSON trace of the run to this file")
 	verbose := flag.Bool("v", false, "print families and candidate parents")
 	flag.Parse()
-	if _, err := shared.Resolve(); err != nil {
+	if err := shared.Resolve(); err != nil {
 		cliutil.Usage("rock", err.Error())
 	}
 	// Ctrl-C / SIGTERM cancels the analysis cleanly (workers drain, the
@@ -93,7 +93,6 @@ func main() {
 		Window:          *window,
 		Workers:         shared.Workers,
 		CacheDir:        shared.CacheDir,
-		Invalidate:      shared.Invalidate,
 		IncrementalFrom: shared.IncrFrom,
 		Evidence:        shared.Evidence,
 		FuseWeights:     shared.FuseWeights,

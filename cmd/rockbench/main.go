@@ -32,8 +32,9 @@
 // measured by the one benchmark harness, cmd/rockperf (BENCHMARK.json).
 //
 // The global -workers flag bounds the analysis worker pool in every mode
-// (0 = all CPUs, 1 = serial), and -cache/-invalidate thread the snapshot
-// cache settings into every analysis. -cpuprofile FILE and
+// (0 = all CPUs, 1 = serial), and -cache, -incr-from, -evidence and
+// -fuse-weights thread the snapshot cache and evidence settings into every
+// analysis. -cpuprofile FILE and
 // -memprofile FILE write pprof profiles covering whichever experiments
 // ran:
 //
@@ -50,7 +51,8 @@ import (
 	"repro/internal/core"
 )
 
-// shared holds the -workers/-cache/-invalidate flags every mode obeys.
+// shared holds the analysis flags (-workers, -cache, -incr-from, -evidence,
+// -fuse-weights) every mode obeys.
 var shared *cliutil.Flags
 
 // benchConfig returns the paper-default pipeline configuration with the
@@ -81,7 +83,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap pprof profile to this file")
 	shared = cliutil.Register(flag.CommandLine)
 	flag.Parse()
-	if _, err := shared.Resolve(); err != nil {
+	if err := shared.Resolve(); err != nil {
 		cliutil.Usage("rockbench", err.Error())
 	}
 	if *all {

@@ -6,8 +6,7 @@
 //
 //	rockd [-listen ADDR] [-metric kl|js-divergence|js-distance]
 //	      [-depth D] [-window W] [-workers N] [-cache DIR]
-//	      [-invalidate LEVEL] [-evidence slm,subtype]
-//	      [-fuse-weights slm=1,subtype=5]
+//	      [-evidence slm,subtype] [-fuse-weights slm=1,subtype=5]
 //	      [-hot-cache-mb MB] [-max-body-mb MB]
 //	      [-interactive-slots N] [-interactive-queue N]
 //	      [-batch-slots N] [-batch-queue N] [-drain SECONDS]
@@ -60,7 +59,7 @@ func main() {
 	if flag.NArg() != 0 {
 		cliutil.Usage("rockd", "usage: rockd [flags] (no positional arguments)")
 	}
-	if _, err := shared.Resolve(); err != nil {
+	if err := shared.Resolve(); err != nil {
 		cliutil.Usage("rockd", err.Error())
 	}
 
@@ -71,7 +70,6 @@ func main() {
 			Window:      *window,
 			Workers:     shared.Workers,
 			CacheDir:    shared.CacheDir,
-			Invalidate:  shared.Invalidate,
 			Evidence:    shared.Evidence,
 			FuseWeights: shared.FuseWeights,
 			// IncrementalFrom stays empty: the daemon analyzes many

@@ -1,8 +1,9 @@
-// Package cliutil holds the command-line plumbing the rock and rockbench
-// CLIs share: the analysis flags every mode accepts (-workers, -cache,
-// -invalidate), their validation, and the error-reporting conventions —
-// diagnostics go to stderr, usage mistakes exit with code 2, runtime
-// failures with code 1.
+// Package cliutil holds the command-line plumbing the rock, rockbench and
+// rockd commands share: the analysis flags every mode accepts (-workers,
+// -cache, -incr-from, -evidence, -fuse-weights), their validation, the
+// signal convention, and the error-reporting conventions — diagnostics go
+// to stderr, usage mistakes exit with code 2, runtime failures with
+// code 1.
 package cliutil
 
 import (
@@ -31,9 +32,6 @@ type Flags struct {
 	// CacheDir enables the content-addressed snapshot cache under this
 	// directory ("" = no caching). Created by Resolve if missing.
 	CacheDir string
-	// Invalidate is the snapshot reuse cap spelling: none, hierarchy,
-	// models, or all.
-	Invalidate string
 	// IncrFrom names a prior version's snapshot to diff the analysis
 	// against ("" = auto-discover in the cache directory).
 	IncrFrom string
@@ -51,44 +49,36 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Workers, "workers", 0, "analysis worker pool size (0 = all CPUs, 1 = serial)")
 	fs.StringVar(&f.CacheDir, "cache", "", "snapshot cache directory (created if missing); repeat analyses of the same binary reuse cached stages")
-	fs.StringVar(&f.Invalidate, "invalidate", "none", "snapshot reuse cap: none, hierarchy, models, or all")
 	fs.StringVar(&f.IncrFrom, "incr-from", "", "prior version's snapshot (.rsnap) to diff against for incremental re-analysis; with -cache, priors are auto-discovered")
 	fs.StringVar(&f.Evidence, "evidence", "", "comma-separated edge-evidence providers to fuse: slm, subtype (default: slm alone)")
 	fs.StringVar(&f.FuseWeights, "fuse-weights", "", "per-provider fusion weight overrides, e.g. slm=1,subtype=5")
 	return f
 }
 
-// Resolve validates the parsed flags: the invalidation, evidence, and
-// fusion-weight spellings must parse, and a requested cache directory is
-// created. It returns the parsed invalidation level.
-func (f *Flags) Resolve() (core.Invalidate, error) {
-	inv, err := core.ParseInvalidate(f.Invalidate)
-	if err != nil {
-		return 0, err
-	}
+// Resolve validates the parsed flags: the evidence and fusion-weight
+// spellings must parse, and a requested cache directory is created.
+func (f *Flags) Resolve() error {
 	if _, err := evidence.ParseNames(f.Evidence); err != nil {
-		return 0, err
+		return err
 	}
 	if _, err := evidence.ParseWeights(f.FuseWeights); err != nil {
-		return 0, err
+		return err
 	}
 	if f.CacheDir != "" {
 		if err := os.MkdirAll(f.CacheDir, 0o755); err != nil {
-			return 0, fmt.Errorf("creating cache directory: %w", err)
+			return fmt.Errorf("creating cache directory: %w", err)
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 // Apply resolves the flags and threads them into a pipeline config.
 func (f *Flags) Apply(cfg *core.Config) error {
-	inv, err := f.Resolve()
-	if err != nil {
+	if err := f.Resolve(); err != nil {
 		return err
 	}
 	cfg.Workers = f.Workers
 	cfg.CacheDir = f.CacheDir
-	cfg.Invalidate = inv
 	cfg.IncrementalFrom = f.IncrFrom
 	cfg.Evidence, _ = evidence.ParseNames(f.Evidence)
 	cfg.FuseWeights, _ = evidence.ParseWeights(f.FuseWeights)

@@ -7,14 +7,16 @@
 // likely hierarchy per family as a minimum-weight spanning arborescence,
 // handling co-optimal solutions with the paper's majority-vote heuristic.
 //
-// The pipeline itself is declared as a stage graph (internal/pipeline):
-// graph.go builds the stages and analyze is a thin driver that consults
-// the snapshot cache, skips restored stages, and executes the rest,
-// optionally recorded on an observer bus (internal/obs). Every analysis
-// runs on a Shared (shared.go), the one resource model; AnalyzeContext
-// runs one image on a Shared of its own. This file holds the
-// configuration, the Result type, and the per-stage algorithm bodies the
-// graph binds.
+// The pipeline itself is one fixed stage list (graph.go): each stage names
+// the snapshot section it persists under (internal/snapshot owns the
+// section chain), and analyze is a short driver that consults the
+// snapshot cache, skips restored stages, and runs the rest, optionally
+// recorded on an observer bus (internal/obs). graph.go also renders the
+// per-section configuration canons the snapshot key hashes. Every
+// analysis runs on a Shared (shared.go), the one resource model;
+// AnalyzeContext runs one image on a Shared of its own. This file holds
+// the configuration, the Result type, and the per-stage algorithm bodies
+// the stages call.
 package core
 
 import (
@@ -32,7 +34,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/objtrace"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/pool"
 	"repro/internal/slm"
 	"repro/internal/snapshot"
@@ -97,12 +98,6 @@ type Config struct {
 	// reuse every section whose fingerprint still matches. The directory
 	// must exist. Caching applies only to full (UseSLM) analyses.
 	CacheDir string
-	// Invalidate caps how much of a matching snapshot may be reused,
-	// forcing recomputation of the later stages (and a rewrite of the
-	// snapshot). The zero value reuses everything valid. The cap also
-	// bounds the incremental lane: bundles need extraction-level reuse,
-	// frozen models model-level, verbatim family restores hierarchy-level.
-	Invalidate Invalidate
 	// IncrementalFrom, when non-empty, names a snapshot file of a prior
 	// version of this image to diff against when the exact snapshot
 	// misses: unchanged functions (by image.FunctionDigest) reuse their
@@ -124,56 +119,6 @@ type Config struct {
 	// pool is set by Shared.Analyze: every fan-out draws its helpers from
 	// it. Results are unaffected.
 	pool *pool.Shared
-}
-
-// Invalidate selects the snapshot-reuse granularity of a cached run.
-type Invalidate int
-
-// Invalidation levels, coarsest reuse first.
-const (
-	// InvalidateNone reuses every snapshot section whose fingerprint
-	// matches (the default).
-	InvalidateNone Invalidate = iota
-	// InvalidateHierarchy reuses extraction and frozen models but
-	// recomputes distances, arborescences, and parent choices.
-	InvalidateHierarchy
-	// InvalidateModels reuses only the extraction (tracelets + structural
-	// results) and retrains the SLMs.
-	InvalidateModels
-	// InvalidateAll ignores any existing snapshot entirely (a forced cold
-	// run that rewrites the cache).
-	InvalidateAll
-)
-
-// maxLevel translates the invalidation granularity into the highest
-// snapshot reuse level it permits.
-func (iv Invalidate) maxLevel() int {
-	switch iv {
-	case InvalidateHierarchy:
-		return snapshot.LevelModels
-	case InvalidateModels:
-		return snapshot.LevelExtraction
-	case InvalidateAll:
-		return snapshot.LevelNone
-	default:
-		return snapshot.LevelHierarchy
-	}
-}
-
-// ParseInvalidate maps the CLI spelling of an invalidation level to its
-// value: "none", "hierarchy", "models", or "all" ("" means none).
-func ParseInvalidate(s string) (Invalidate, error) {
-	switch s {
-	case "", "none":
-		return InvalidateNone, nil
-	case "hierarchy":
-		return InvalidateHierarchy, nil
-	case "models":
-		return InvalidateModels, nil
-	case "all":
-		return InvalidateAll, nil
-	}
-	return 0, fmt.Errorf("core: unknown invalidation level %q (want none, hierarchy, models, or all)", s)
 }
 
 // DefaultConfig returns the paper-calibrated configuration.
@@ -806,7 +751,7 @@ func (r *Result) recordProviderStages(cfg Config) {
 		st := r.provStats[i]
 		cfg.Obs.StageRecord(obs.StageStats{
 			Name:       "evidence:" + p.Name(),
-			Section:    pipeline.SecHierarchy.Tag(),
+			Section:    snapshot.Tag(snapshot.LevelHierarchy),
 			Status:     obs.StageRan,
 			Wall:       st.wall,
 			AllocBytes: st.allocBytes,

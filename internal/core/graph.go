@@ -8,152 +8,137 @@ import (
 	"repro/internal/disasm"
 	"repro/internal/image"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/snapshot"
 	"repro/internal/structural"
 	"repro/internal/vtable"
 )
 
-// behavioral marks the stages that exist only for the full (UseSLM)
-// analysis; under StructuralOnly they are reported as disabled.
-var behavioral = map[string]bool{
-	"alphabet": true, "train": true, "evidence": true, "hierarchy": true, "multiparents": true,
+// stage is one phase of the §4 chain.
+type stage struct {
+	// name identifies the stage in reports and traces.
+	name string
+	// level is the snapshot section the stage's outputs persist under,
+	// named by the reuse level it completes: a restore at that level or
+	// beyond skips the stage as cached.
+	level int
+	// behavioral marks the stages that exist only for the full (UseSLM)
+	// analysis; under StructuralOnly they are reported as disabled.
+	behavioral bool
+	run        func(ctx context.Context, res *Result, c Config) error
 }
 
-// graph builds the pipeline stage graph for this configuration — the §4
-// chain as stages in execution order, with snapshot sections and
-// canonical config renderings. The graph is the single source of truth
-// for the snapshot fingerprints: spec-only graphs (res == nil) carry no
-// Run hooks and exist just to derive keys (snapshotKey, ProbeSnapshot);
-// with a Result the stages are bound to that one analysis.
+// stages is the analysis in execution order. Each stage reads what the
+// stages before it produced, and levels never decrease, so the snapshot's
+// staged-validity chain is meaningful:
 //
-// The canon strings are load-bearing: section fingerprints hash them, so
-// any change invalidates every existing snapshot. cfg must already have
-// defaults resolved (withDefaults).
-func (c Config) graph(res *Result) *pipeline.Graph {
-	tr := c.Trace.WithDefaults()
-	bus := c.Obs
-	bind := func(f func(ctx context.Context) error) func(ctx context.Context) error {
-		if res == nil {
-			return nil
+//	extraction   disasm → vtables → tracelets → structural → alphabet
+//	models       train (SLM training into the frozen form)
+//	hierarchy    evidence → hierarchy (distances + arborescences) → multiparents
+var stages = []stage{
+	{name: "disasm", level: snapshot.LevelExtraction, run: func(ctx context.Context, res *Result, c Config) error {
+		fns, err := disasm.All(res.Image)
+		if err != nil {
+			return fmt.Errorf("core: disassembly failed: %w", err)
 		}
-		return f
-	}
-	g, err := pipeline.New(
-		pipeline.Stage{
-			Name:    "disasm",
-			Section: pipeline.SecExtraction,
-			Run: bind(func(ctx context.Context) error {
-				fns, err := disasm.All(res.Image)
-				if err != nil {
-					return fmt.Errorf("core: disassembly failed: %w", err)
-				}
-				res.Funcs = fns
-				return nil
-			}),
-		},
-		pipeline.Stage{
-			Name:    "vtables",
-			Section: pipeline.SecExtraction,
-			Run: bind(func(ctx context.Context) error {
-				res.VTables = vtable.Discover(res.Image, res.Funcs)
-				bus.Add(obs.CntVTables, int64(len(res.VTables)))
-				return nil
-			}),
-		},
-		pipeline.Stage{
-			Name:    "tracelets",
-			Section: pipeline.SecExtraction,
-			Canon: fmt.Sprintf("paths=%d steps=%d unroll=%d window=%d tracelen=%d",
-				tr.MaxPaths, tr.MaxSteps, tr.MaxUnroll, tr.Window, tr.MaxTraceLen),
-			Run: bind(func(ctx context.Context) error {
-				if err := res.extractTracelets(ctx, c); err != nil {
-					return err
-				}
-				for _, seqs := range res.Tracelets.PerType {
-					bus.Add(obs.CntTracelets, int64(len(seqs)))
-				}
-				for _, seqs := range res.Tracelets.RawPerType {
-					bus.Add(obs.CntRawTracelets, int64(len(seqs)))
-				}
-				return nil
-			}),
-		},
-		pipeline.Stage{
-			Name:    "structural",
-			Section: pipeline.SecExtraction,
-			Canon: fmt.Sprintf("structural=%v,%v,%v,%v,%v",
-				c.Structural.DisableSharedSlots, c.Structural.DisableInstanceInstalls,
-				c.Structural.DisableCtorCalls, c.Structural.DisableSizeRule,
-				c.Structural.DisablePurecallRule),
-			Run: bind(func(ctx context.Context) error {
-				res.Structural = structural.Analyze(res.Image, res.Funcs, res.VTables, res.Tracelets, c.Structural)
-				countStructural(bus, res.Structural)
-				return nil
-			}),
-		},
-		pipeline.Stage{
-			Name:    "alphabet",
-			Section: pipeline.SecExtraction,
-			Run: bind(func(ctx context.Context) error {
-				res.internAlphabet()
-				bus.Add(obs.CntAlphabet, int64(len(res.Alphabet)))
-				return nil
-			}),
-		},
-		pipeline.Stage{
-			Name:    "train",
-			Section: pipeline.SecModels,
-			Canon:   fmt.Sprintf("depth=%d", c.SLMDepth),
-			Run: bind(func(ctx context.Context) error {
-				if err := res.trainModels(ctx, c); err != nil {
-					return err
-				}
-				bus.Add(obs.CntModels, int64(len(res.Frozen)))
-				return nil
-			}),
-		},
-		pipeline.Stage{
-			// The evidence stage constructs the scoring backends the
-			// hierarchy stage fuses (internal/evidence): provider choice is
-			// part of the hierarchy section's behavior, so the stage sits in
-			// SecHierarchy, but it carries no canon of its own — the
-			// configuration is fingerprinted by hierarchyCanon, which keeps
-			// the default (SLM-only) configuration's bytes identical to the
-			// pre-provider pipeline and existing snapshots valid.
-			Name:    "evidence",
-			Section: pipeline.SecHierarchy,
-			Run: bind(func(ctx context.Context) error {
-				return res.buildEvidence(ctx, c)
-			}),
-		},
-		pipeline.Stage{
-			Name:    "hierarchy",
-			Section: pipeline.SecHierarchy,
-			Canon:   c.hierarchyCanon(),
-			Run: bind(func(ctx context.Context) error {
-				return res.buildHierarchy(ctx, c)
-			}),
-		},
-		pipeline.Stage{
-			Name:    "multiparents",
-			Section: pipeline.SecHierarchy,
-			Run: bind(func(ctx context.Context) error {
-				res.chooseMultiParents()
-				bus.Add(obs.CntMultiParents, int64(len(res.MultiParents)))
-				return nil
-			}),
-		},
-	)
-	if err != nil {
-		// The graph is a fixed chain; a validation error here is a
-		// programming bug, not an input condition.
-		panic(fmt.Sprintf("core: invalid pipeline graph: %v", err))
-	}
-	return g
+		res.Funcs = fns
+		return nil
+	}},
+	{name: "vtables", level: snapshot.LevelExtraction, run: func(ctx context.Context, res *Result, c Config) error {
+		res.VTables = vtable.Discover(res.Image, res.Funcs)
+		c.Obs.Add(obs.CntVTables, int64(len(res.VTables)))
+		return nil
+	}},
+	{name: "tracelets", level: snapshot.LevelExtraction, run: func(ctx context.Context, res *Result, c Config) error {
+		if err := res.extractTracelets(ctx, c); err != nil {
+			return err
+		}
+		for _, seqs := range res.Tracelets.PerType {
+			c.Obs.Add(obs.CntTracelets, int64(len(seqs)))
+		}
+		for _, seqs := range res.Tracelets.RawPerType {
+			c.Obs.Add(obs.CntRawTracelets, int64(len(seqs)))
+		}
+		return nil
+	}},
+	{name: "structural", level: snapshot.LevelExtraction, run: func(ctx context.Context, res *Result, c Config) error {
+		res.Structural = structural.Analyze(res.Image, res.Funcs, res.VTables, res.Tracelets, c.Structural)
+		countStructural(c.Obs, res.Structural)
+		return nil
+	}},
+	{name: "alphabet", level: snapshot.LevelExtraction, behavioral: true, run: func(ctx context.Context, res *Result, c Config) error {
+		res.internAlphabet()
+		c.Obs.Add(obs.CntAlphabet, int64(len(res.Alphabet)))
+		return nil
+	}},
+	{name: "train", level: snapshot.LevelModels, behavioral: true, run: func(ctx context.Context, res *Result, c Config) error {
+		if err := res.trainModels(ctx, c); err != nil {
+			return err
+		}
+		c.Obs.Add(obs.CntModels, int64(len(res.Frozen)))
+		return nil
+	}},
+	// The evidence stage constructs the scoring backends the hierarchy
+	// stage fuses (internal/evidence); provider choice is fingerprinted
+	// with the hierarchy section by hierarchyCanon.
+	{name: "evidence", level: snapshot.LevelHierarchy, behavioral: true, run: func(ctx context.Context, res *Result, c Config) error {
+		return res.buildEvidence(ctx, c)
+	}},
+	{name: "hierarchy", level: snapshot.LevelHierarchy, behavioral: true, run: func(ctx context.Context, res *Result, c Config) error {
+		return res.buildHierarchy(ctx, c)
+	}},
+	{name: "multiparents", level: snapshot.LevelHierarchy, behavioral: true, run: func(ctx context.Context, res *Result, c Config) error {
+		res.chooseMultiParents()
+		c.Obs.Add(obs.CntMultiParents, int64(len(res.MultiParents)))
+		return nil
+	}},
 }
 
-// hierarchyCanon renders the hierarchy stage's fingerprinted
+// runStages executes list in order on res, each stage recorded on c.Obs
+// (nil: free). A behavioral stage of a structural-only run is recorded
+// as off and skipped; so is, as cached, a stage whose section the
+// snapshot restore at level already covers. The first stage error aborts
+// the run.
+func runStages(ctx context.Context, list []stage, res *Result, c Config, level int) error {
+	bus := c.Obs
+	for _, st := range list {
+		section := snapshot.Tag(st.level)
+		switch {
+		case st.behavioral && !c.UseSLM:
+			bus.StageSkipped(st.name, section, obs.StageOff)
+		case level >= st.level:
+			bus.StageSkipped(st.name, section, obs.StageCached)
+		default:
+			h := bus.StageStart(st.name, section)
+			err := st.run(ctx, res, c)
+			h.End(err)
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// fingerprints derives the snapshot key's configuration half: one canon
+// per section, each rendering exactly the configuration the section's
+// stages depend on. Worker counts and observers never appear — they
+// cannot change results. The canon strings are load-bearing, since every
+// existing snapshot was keyed with them. c must already have defaults
+// resolved (withDefaults).
+func (c Config) fingerprints() [snapshot.NumSections][32]byte {
+	tr := c.Trace.WithDefaults()
+	return snapshot.Fingerprints([snapshot.NumSections]string{
+		fmt.Sprintf("paths=%d steps=%d unroll=%d window=%d tracelen=%d structural=%v,%v,%v,%v,%v",
+			tr.MaxPaths, tr.MaxSteps, tr.MaxUnroll, tr.Window, tr.MaxTraceLen,
+			c.Structural.DisableSharedSlots, c.Structural.DisableInstanceInstalls,
+			c.Structural.DisableCtorCalls, c.Structural.DisableSizeRule,
+			c.Structural.DisablePurecallRule),
+		fmt.Sprintf("depth=%d", c.SLMDepth),
+		c.hierarchyCanon(),
+	})
+}
+
+// hierarchyCanon renders the hierarchy section's fingerprinted
 // configuration. The " sweep=sparse" marker is part of the bytes every
 // existing snapshot was written under, so it stays. The " kl=dot" marker
 // names the KL kernel (selfEnt minus a dot product, see slm.klEntries):
@@ -194,13 +179,10 @@ func countStructural(bus *obs.Bus, sr *structural.Result) {
 	bus.Add(obs.CntEdgesPruned, pairs-candidates)
 }
 
-// snapshotKey derives the cache key from the stage graph: the image
-// content digest plus one fingerprint per pipeline section, each hashing
-// exactly the configuration the section's stages depend on. Workers
-// appears in no fingerprint — the pipeline's results are identical for
-// every worker count.
+// snapshotKey derives the cache key: the image content digest plus the
+// configuration fingerprint chain.
 func (c Config) snapshotKey(img *image.Image) snapshot.Key {
-	return snapshot.Key{Digest: img.ContentDigest(), FPs: c.graph(nil).Fingerprints()}
+	return snapshot.Key{Digest: img.ContentDigest(), FPs: c.fingerprints()}
 }
 
 // ProbeSnapshot predicts, without running anything, how much of a cached
@@ -216,18 +198,18 @@ func ProbeSnapshot(img *image.Image, cfg Config) int {
 	}
 	cfg = cfg.withDefaults()
 	key := cfg.snapshotKey(img)
-	onDisk, err := snapshot.ReadKey(filepath.Join(cfg.CacheDir, key.FileName()))
+	h, err := snapshot.ReadHeader(filepath.Join(cfg.CacheDir, key.FileName()))
 	if err != nil {
 		return snapshot.LevelNone
 	}
-	return min(key.Usable(&snapshot.Snapshot{Key: onDisk}), cfg.Invalidate.maxLevel())
+	return key.Usable(&snapshot.Snapshot{Key: h.Key})
 }
 
-// analyze is the pipeline driver Shared.Analyze runs once the analysis is
+// analyze is the driver Shared.Analyze runs once the analysis is
 // admitted: consult the snapshot cache, restore every section the
-// staged-validity chain covers, then execute the stage graph with the
-// restored (and disabled) stages skipped, each remaining stage recorded on
-// the observer bus. Every fan-out draws its helpers from cfg.pool.
+// staged-validity chain covers, then run the stages with the restored
+// (and disabled) ones skipped, each remaining stage recorded on the
+// observer bus. Every fan-out draws its helpers from cfg.pool.
 func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.UseSLM {
@@ -242,9 +224,8 @@ func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error)
 		ctx = obs.WithBus(ctx, bus)
 	}
 
-	// Snapshot lookup: usable level = sections whose fingerprints match,
-	// capped by the requested invalidation granularity. Any read or decode
-	// failure is a cache miss.
+	// Snapshot lookup: usable level = sections whose fingerprints match.
+	// Any read or decode failure is a cache miss.
 	var snap *snapshot.Snapshot
 	level := snapshot.LevelNone
 	cachePath := ""
@@ -255,7 +236,7 @@ func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error)
 		cachePath = filepath.Join(cfg.CacheDir, key.FileName())
 		if s, err := snapshot.Load(cachePath); err == nil {
 			snap = s
-			level = min(key.Usable(s), cfg.Invalidate.maxLevel())
+			level = key.Usable(s)
 		}
 		h.End(nil)
 	}
@@ -265,10 +246,8 @@ func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error)
 
 	// Version-diff warm lane: on an exact miss, diff against the nearest
 	// prior snapshot of the same image family so unchanged functions,
-	// models, and families skip recomputation (see incremental.go). The
-	// lane needs at least extraction-level reuse to be allowed.
+	// models, and families skip recomputation (see incremental.go).
 	if cfg.UseSLM && level == snapshot.LevelNone &&
-		cfg.Invalidate.maxLevel() >= snapshot.LevelExtraction &&
 		(cfg.IncrementalFrom != "" || cfg.CacheDir != "") {
 		h := bus.StageStart("snapshot-diff", "cache")
 		if cachePath == "" {
@@ -282,7 +261,7 @@ func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error)
 			return nil, err
 		}
 		if prior != nil {
-			res.incr = &incrState{prior: prior, key: key, maxLevel: cfg.Invalidate.maxLevel()}
+			res.incr = &incrState{prior: prior, key: key}
 			res.Incremental = &IncrementalStats{PriorPath: priorPath}
 		}
 	}
@@ -306,16 +285,7 @@ func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error)
 		res.restoreHierarchy(snap)
 	}
 
-	status := func(st pipeline.Stage) obs.StageStatus {
-		if !cfg.UseSLM && behavioral[st.Name] {
-			return obs.StageOff
-		}
-		if level >= st.Section.Level() {
-			return obs.StageCached
-		}
-		return obs.StageRan
-	}
-	if err := cfg.graph(res).Execute(ctx, bus, status); err != nil {
+	if err := runStages(ctx, stages, res, cfg, level); err != nil {
 		return nil, err
 	}
 

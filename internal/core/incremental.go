@@ -20,8 +20,6 @@
 //
 // Each gate certifies bit-equality of the reused artifact's inputs, so
 // the lane never changes the Result — only how much of it is recomputed.
-// The reuse cap from Config.Invalidate applies level by level, exactly as
-// it does for whole-image snapshot reuse.
 package core
 
 import (
@@ -36,7 +34,6 @@ import (
 
 	"repro/internal/objtrace"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/slm"
 	"repro/internal/snapshot"
 )
@@ -44,23 +41,19 @@ import (
 // incrState carries the prior snapshot the lane diffs against, plus what
 // the current run needs to grade its validity.
 type incrState struct {
-	prior    *snapshot.Snapshot
-	key      snapshot.Key
-	maxLevel int
+	prior *snapshot.Snapshot
+	key   snapshot.Key
 }
 
-// modelsOK reports whether prior frozen models may be adopted: the models
-// fingerprint must match and the invalidation cap must allow model reuse.
-// (The extraction fingerprint already matched at discovery.)
+// modelsOK reports whether prior frozen models may be adopted: the
+// fingerprint chain must match through the models section.
 func (st *incrState) modelsOK() bool {
-	return st.maxLevel >= snapshot.LevelModels &&
-		st.prior.Key.FPs[pipeline.SecModels] == st.key.FPs[pipeline.SecModels]
+	return st.key.MatchLevel(st.prior.Key) >= snapshot.LevelModels
 }
 
 // hierarchyOK reports whether prior family solutions may be restored.
 func (st *incrState) hierarchyOK() bool {
-	return st.modelsOK() && st.maxLevel >= snapshot.LevelHierarchy &&
-		st.prior.Key.FPs[pipeline.SecHierarchy] == st.key.FPs[pipeline.SecHierarchy]
+	return st.key.MatchLevel(st.prior.Key) >= snapshot.LevelHierarchy
 }
 
 // priorUsable is the lane's engagement gate: the prior must carry a
@@ -68,7 +61,7 @@ func (st *incrState) hierarchyOK() bool {
 // silently degrades to cold) and its extraction fingerprint must match
 // the current configuration.
 func priorUsable(s *snapshot.Snapshot, key snapshot.Key) bool {
-	return s.Funcs != nil && s.Key.FPs[pipeline.SecExtraction] == key.FPs[pipeline.SecExtraction]
+	return s.Funcs != nil && key.MatchLevel(s.Key) >= snapshot.LevelExtraction
 }
 
 // findPrior locates the snapshot to diff against. An explicit
@@ -115,7 +108,7 @@ func (r *Result) findPrior(cfg Config, key snapshot.Key) (*snapshot.Snapshot, st
 		p := filepath.Join(cfg.CacheDir, e.Name())
 		h, err := snapshot.ReadHeader(p)
 		if err != nil || h.NameHash != nameHash || h.Key.Digest == key.Digest ||
-			h.Key.FPs[pipeline.SecExtraction] != key.FPs[pipeline.SecExtraction] {
+			key.MatchLevel(h.Key) < snapshot.LevelExtraction {
 			continue
 		}
 		s, err := snapshot.Load(p)

@@ -33,7 +33,7 @@ func TestSharedWarmNeverWaitsBehindCold(t *testing.T) {
 	}
 
 	cold := cfg
-	cold.Invalidate = InvalidateAll
+	cold.CacheDir = t.TempDir() // empty: the probe finds no snapshot
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if _, ad, err := s.Analyze(ctx, img, cold); ad.Warm || !errors.Is(err, context.DeadlineExceeded) {

@@ -85,39 +85,12 @@ func TestSnapshotWarmRunMatchesCold(t *testing.T) {
 	}
 }
 
-// TestSnapshotInvalidateLevels checks the -invalidate granularity: each
-// level caps reuse exactly as documented, and every capped rerun still
-// reproduces the cold result.
-func TestSnapshotInvalidateLevels(t *testing.T) {
-	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
-	cfg := DefaultConfig()
-	cfg.CacheDir = t.TempDir()
-	cold := analyzeCached(t, img, cfg)
-
-	cases := []struct {
-		inv   Invalidate
-		level int
-	}{
-		{InvalidateNone, snapshot.LevelHierarchy},
-		{InvalidateHierarchy, snapshot.LevelModels},
-		{InvalidateModels, snapshot.LevelExtraction},
-		{InvalidateAll, snapshot.LevelNone},
-	}
-	for _, c := range cases {
-		cfg.Invalidate = c.inv
-		res := analyzeCached(t, img, cfg)
-		if res.SnapshotReuse != c.level {
-			t.Errorf("invalidate %d: reused level %d, want %d", c.inv, res.SnapshotReuse, c.level)
-		}
-		assertResultsEqual(t, "invalidate run vs cold", cold, res)
-	}
-}
-
 // TestSnapshotPartialReuseOnConfigChange checks the staged-validity chain
 // end to end: changing only the distance metric salvages the extraction
-// and model sections (LevelModels) and still reproduces a from-scratch run
-// under the new metric; changing the tracelet window invalidates
-// everything.
+// and model sections (LevelModels), changing the SLM depth salvages only
+// the extraction (LevelExtraction), and each still reproduces a
+// from-scratch run under the new configuration; changing the tracelet
+// window invalidates everything.
 func TestSnapshotPartialReuseOnConfigChange(t *testing.T) {
 	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
 	cfg := DefaultConfig()
@@ -139,6 +112,16 @@ func TestSnapshotPartialReuseOnConfigChange(t *testing.T) {
 	if again := analyzeCached(t, img, jsCfg); again.SnapshotReuse != snapshot.LevelHierarchy {
 		t.Errorf("rewarm after metric change reused level %d", again.SnapshotReuse)
 	}
+
+	depthCfg := jsCfg
+	depthCfg.SLMDepth = 3
+	retrained := analyzeCached(t, img, depthCfg)
+	if retrained.SnapshotReuse != snapshot.LevelExtraction {
+		t.Fatalf("depth change reused level %d, want %d", retrained.SnapshotReuse, snapshot.LevelExtraction)
+	}
+	depthCold := depthCfg
+	depthCold.CacheDir = ""
+	assertResultsEqual(t, "salvaged extraction vs fresh depth-3 run", analyzeCached(t, img, depthCold), retrained)
 
 	winCfg := jsCfg
 	winCfg.Trace.Window = 5
@@ -221,21 +204,5 @@ func TestSnapshotVersionMiss(t *testing.T) {
 	}
 	if warm := analyzeCached(t, img, cfg); warm.SnapshotReuse != snapshot.LevelHierarchy {
 		t.Errorf("rewritten slot reused level %d", warm.SnapshotReuse)
-	}
-}
-
-// TestParseInvalidate pins the CLI spellings.
-func TestParseInvalidate(t *testing.T) {
-	for s, want := range map[string]Invalidate{
-		"": InvalidateNone, "none": InvalidateNone,
-		"hierarchy": InvalidateHierarchy, "models": InvalidateModels, "all": InvalidateAll,
-	} {
-		got, err := ParseInvalidate(s)
-		if err != nil || got != want {
-			t.Errorf("ParseInvalidate(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseInvalidate("everything"); err == nil {
-		t.Error("bad level accepted")
 	}
 }

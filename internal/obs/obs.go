@@ -152,7 +152,7 @@ func (s StageStatus) String() string {
 
 // StageStats is one stage's execution record.
 type StageStats struct {
-	// Name is the stage name (pipeline.Stage.Name).
+	// Name is the stage name (one of core's stages, or a cache step).
 	Name string `json:"name"`
 	// Section is the snapshot-section tag the stage persists under.
 	Section string `json:"section"`

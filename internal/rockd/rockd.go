@@ -125,8 +125,8 @@ type Server struct {
 }
 
 // New validates cfg and builds a server. The analysis options are
-// resolved once; an invalid metric or invalidation spelling fails here,
-// not per request.
+// resolved once; an invalid metric or evidence spelling fails here, not
+// per request.
 func New(cfg Config) (*Server, error) {
 	eng, err := rock.NewEngine(cfg.Analysis)
 	if err != nil {
@@ -322,6 +322,12 @@ func (s *Server) runFlight(ctx context.Context, f *flight, img *image.Image, cla
 	s.mu.Lock()
 	if s.flights[f.digest] == f {
 		delete(s.flights, f.digest)
+	}
+	if err == nil {
+		// A success supersedes any earlier failure: once the hot entry is
+		// evicted the poll must say "resubmit" (404), not replay a stale
+		// error.
+		delete(s.failed, f.digest)
 	}
 	f.entry, f.err, f.queueWaitNS = entry, err, waitNS
 	s.mu.Unlock()

@@ -408,6 +408,72 @@ func TestAsyncSubmitAndPoll(t *testing.T) {
 	}
 }
 
+// TestSuccessClearsStaleFailure: a digest whose async flight failed
+// (rejected with errQueueFull) and later succeeded must not report the
+// old failure once its hot entry is evicted — the poll says 404
+// (resubmit), not "failed".
+func TestSuccessClearsStaleFailure(t *testing.T) {
+	s := newTestServer(t, Config{BatchSlots: 1, BatchQueue: 1, HotCacheBytes: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	bin := motivatingBinary(t)
+	poll := func(digest string) (int, string) {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/v1/result/" + digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		var body struct{ Status string }
+		json.NewDecoder(r.Body).Decode(&body)
+		return r.StatusCode, body.Status
+	}
+
+	// Hold the only batch slot and fill the one-deep queue, so the async
+	// submission's admission bounces with errQueueFull.
+	q := s.queues[ClassBatch]
+	release, _, err := q.admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, cancelWaiter := context.WithCancel(context.Background())
+	waiterDone := make(chan struct{})
+	go func() {
+		q.admit(waitCtx)
+		close(waiterDone)
+	}()
+	for i := 0; q.queued.Load() == 0 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Post(ts.URL+"/v1/submit?class=batch", "application/octet-stream", bytes.NewReader(bin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub struct{ Digest string }
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	s.flightWG.Wait()
+	if code, status := poll(sub.Digest); code != http.StatusOK || status != "failed" {
+		t.Fatalf("rejected submission: poll = %d %q, want 200 \"failed\"", code, status)
+	}
+	cancelWaiter()
+	<-waiterDone
+	release()
+
+	// The same digest now succeeds; a second image evicts its hot entry.
+	if _, code := postAnalyze(t, ts, bin, "?class=batch"); code != http.StatusOK {
+		t.Fatalf("retry: status %d", code)
+	}
+	if _, code := postAnalyze(t, ts, synthBinary(t, 7), "?class=batch"); code != http.StatusOK {
+		t.Fatalf("evicting submission: status %d", code)
+	}
+	if code, status := poll(sub.Digest); code != http.StatusNotFound {
+		t.Fatalf("evicted success: poll = %d %q, want 404", code, status)
+	}
+}
+
 // TestWarmLaneAcrossRestart: a daemon started over a populated snapshot
 // directory serves its first submission warm (and admission-free).
 func TestWarmLaneAcrossRestart(t *testing.T) {

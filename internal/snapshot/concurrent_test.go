@@ -56,7 +56,7 @@ func TestConcurrentWriteFileSamePath(t *testing.T) {
 }
 
 // TestConcurrentWriteReadHeader: readers probing the header (the warm
-// scheduler's ReadKey path) while writers rename over the file must only
+// scheduler's header probe) while writers rename over the file must only
 // ever see complete headers — never a torn one.
 func TestConcurrentWriteReadHeader(t *testing.T) {
 	dir := t.TempDir()
@@ -65,7 +65,7 @@ func TestConcurrentWriteReadHeader(t *testing.T) {
 	if err := s.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	wantKey, err := ReadKey(path)
+	want, err := ReadHeader(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestConcurrentWriteReadHeader(t *testing.T) {
 					return
 				default:
 				}
-				key, err := ReadKey(path)
+				h, err := ReadHeader(path)
 				if err != nil {
-					t.Errorf("ReadKey mid-rename: %v", err)
+					t.Errorf("ReadHeader mid-rename: %v", err)
 					return
 				}
-				if key != wantKey {
-					t.Errorf("torn header: key %v != %v", key, wantKey)
+				if h != want {
+					t.Errorf("torn header: %v != %v", h, want)
 					return
 				}
 			}

@@ -4,21 +4,21 @@
 // structural observations, the per-type frozen SLM tries, and the
 // hierarchy-stage outputs (pairwise distances, per-family arborescences,
 // chosen parents) — serialized into one versioned binary file keyed by the
-// image's content digest plus per-stage configuration fingerprints.
+// image's content digest plus per-section configuration fingerprints.
 //
-// The key is the image content digest plus one configuration fingerprint
-// per pipeline section, in section order (internal/pipeline is the single
-// source of truth for the sections, their order, and how each fingerprint
-// is derived from the stage graph's canonical configuration renderings):
+// This package is the one owner of the section chain: the sections'
+// order, their fingerprint tags, the reuse levels they complete, and how
+// a fingerprint hashes its section's canonical configuration (Fingerprints).
+// The key is the image content digest plus one fingerprint per section,
+// in section order:
 //
 //	image digest   SHA-256 of the image's analysis-relevant content
 //	               (image.ContentDigest)
-//	extract FP     pipeline.SecExtraction — front-end config (tracelet
-//	               bounds + structural heuristics) guarding the
-//	               extraction section
-//	model FP       pipeline.SecModels — SLM config (depth) guarding the
+//	extract FP     LevelExtraction — front-end config (tracelet bounds +
+//	               structural heuristics) guarding the extraction section
+//	model FP       LevelModels — SLM config (depth) guarding the
 //	               frozen-models section
-//	hier FP        pipeline.SecHierarchy — back-end config (metric, root
+//	hier FP        LevelHierarchy — back-end config (metric, root
 //	               weight, enumeration bounds, plus the evidence-provider
 //	               configuration whenever it differs from the SLM-only
 //	               default) guarding the hierarchy section
@@ -27,9 +27,10 @@
 // extraction, the hierarchy is solved over the models), so a snapshot is
 // usable up to the first fingerprint that disagrees: changing only the
 // distance metric reuses extraction and models and recomputes the
-// hierarchy; changing the tracelet window invalidates everything. Worker
-// counts appear in no fingerprint — the pipeline's results are identical
-// for every worker count.
+// hierarchy; changing the SLM depth reuses only the extraction; changing
+// the tracelet window invalidates everything. Worker counts appear in no
+// fingerprint — the pipeline's results are identical for every worker
+// count.
 //
 // Every variable-length count is validated against the bytes actually
 // remaining before anything is allocated, so a corrupted or truncated
@@ -54,7 +55,6 @@ import (
 	"sort"
 
 	"repro/internal/objtrace"
-	"repro/internal/pipeline"
 	"repro/internal/slm"
 	"repro/internal/structural"
 	"repro/internal/vtable"
@@ -72,37 +72,64 @@ const (
 	Version = 3
 
 	// HeaderLen is the fixed header: magic, version, image digest, one
-	// fingerprint per pipeline section, and the image-family name hash.
+	// fingerprint per section, and the image-family name hash.
 	// parseHeader/appendHeader are the only code that knows this layout;
-	// ReadKey, ReadHeader, Encode, and Decode all go through them.
-	HeaderLen = 4 + 4 + (1+int(pipeline.NumSections))*32 + 32
+	// ReadHeader, Encode, and Decode all go through them.
+	HeaderLen = 4 + 4 + (1+NumSections)*32 + 32
 )
 
 // ErrVersion reports a snapshot file written in a format version other
 // than Version.
 var ErrVersion = errors.New("snapshot: unsupported format version")
 
-// Section reuse levels, in dependency order: level k means the first k
-// pipeline sections are reusable. Derived from the stage graph so the
-// snapshot chain can never drift from the pipeline's section order.
+// The sections, in dependency order, each numbered by the reuse level it
+// completes: level k means the first k sections are reusable. This is the
+// only enumeration of the chain; a section's fingerprint sits at
+// Key.FPs[level-1].
 const (
 	// LevelNone: nothing reusable (cold run).
-	LevelNone = 0
+	LevelNone = iota
 	// LevelExtraction: alphabet, vtables, tracelets, structural results.
-	LevelExtraction = int(pipeline.SecExtraction) + 1
+	LevelExtraction
 	// LevelModels: LevelExtraction plus the frozen SLM tries.
-	LevelModels = int(pipeline.SecModels) + 1
+	LevelModels
 	// LevelHierarchy: everything — distances, arborescences, parents.
-	LevelHierarchy = int(pipeline.SecHierarchy) + 1
+	LevelHierarchy
+
+	// NumSections is the section count (and the length of a fingerprint
+	// chain).
+	NumSections = LevelHierarchy
 )
+
+// sectionTags are the sections' fingerprint domain tags, indexed by
+// level-1. The spellings are load-bearing: they feed the fingerprint
+// hashes and must not change, or every existing snapshot becomes invalid.
+var sectionTags = [NumSections]string{"extract", "model", "hier"}
+
+// Tag returns the tag of the section that completes level
+// (LevelExtraction..LevelHierarchy); observer reports name stage sections
+// by it.
+func Tag(level int) string { return sectionTags[level-1] }
+
+// Fingerprints hashes each section's canonical configuration rendering,
+// given in section order, as SHA-256 of "tag|canon". The result is a
+// Key's FPs. A canon renders exactly the configuration its section's
+// outputs depend on; the bytes are load-bearing, since every existing
+// snapshot was keyed with them.
+func Fingerprints(canons [NumSections]string) (fps [NumSections][32]byte) {
+	for i, canon := range canons {
+		fps[i] = sha256.Sum256([]byte(sectionTags[i] + "|" + canon))
+	}
+	return fps
+}
 
 // Key identifies the analysis a snapshot caches.
 type Key struct {
 	// Digest is the image content digest (image.ContentDigest).
 	Digest [32]byte
-	// FPs is the per-section configuration fingerprint chain, indexed by
-	// pipeline.Section (pipeline.Graph.Fingerprints).
-	FPs [pipeline.NumSections][32]byte
+	// FPs is the per-section configuration fingerprint chain in section
+	// order (Fingerprints).
+	FPs [NumSections][32]byte
 }
 
 // FileName returns the snapshot's file name within a cache directory. It
@@ -115,19 +142,25 @@ func (k Key) FileName() string {
 
 // Usable returns the highest reuse level the snapshot supports for this
 // key: sections are valid only up to the first fingerprint mismatch, and
-// nothing is valid across an image-digest mismatch. The walk is generic
-// over the pipeline's section chain — a mismatch at section s caps reuse
-// at the levels before it.
+// nothing is valid across an image-digest mismatch.
 func (k Key) Usable(s *Snapshot) int {
 	if s == nil || s.Key.Digest != k.Digest {
 		return LevelNone
 	}
-	for sec := pipeline.Section(0); sec < pipeline.NumSections; sec++ {
-		if s.Key.FPs[sec] != k.FPs[sec] {
-			return int(sec)
+	return k.MatchLevel(s.Key)
+}
+
+// MatchLevel returns the reuse level up to which o's fingerprint chain
+// agrees with k's: a mismatch in the section completing level L caps it
+// at L-1. The image digests are not compared, so the incremental lane
+// grades a prior version of the image with it.
+func (k Key) MatchLevel(o Key) int {
+	for i := range k.FPs {
+		if k.FPs[i] != o.FPs[i] {
+			return i
 		}
 	}
-	return LevelHierarchy
+	return NumSections
 }
 
 // Header is the decoded fixed-size file header: the format version, the
@@ -269,20 +302,13 @@ func Load(path string) (*Snapshot, error) {
 	return Decode(data)
 }
 
-// ReadKey reads only the fixed-size header of a snapshot file — magic,
-// version, and the four key hashes — without loading or checksumming the
-// body. It is an advisory probe for cache-aware scheduling: a matching key
-// predicts a warm hit cheaply, but the full Load still validates the
-// checksum, so a stale or corrupt body is caught on the real read. Any
-// error (including a version mismatch) means "treat as cold".
-func ReadKey(path string) (Key, error) {
-	h, err := ReadHeader(path)
-	return h.Key, err
-}
-
-// ReadHeader reads only the fixed-size header of a snapshot file without
-// loading or checksumming the body. Like ReadKey it is advisory: the full
-// Load still validates the checksum.
+// ReadHeader reads only the fixed-size header of a snapshot file —
+// magic, version, key, and name hash — without loading or checksumming
+// the body. It is an advisory probe for cache-aware scheduling: a
+// matching key predicts a warm hit cheaply, but the full Load still
+// validates the checksum, so a stale or corrupt body is caught on the
+// real read. Any error (including a version mismatch) means "treat as
+// cold".
 func ReadHeader(path string) (Header, error) {
 	f, err := os.Open(path)
 	if err != nil {

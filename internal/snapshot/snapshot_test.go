@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/objtrace"
-	"repro/internal/pipeline"
 	"repro/internal/slm"
 	"repro/internal/structural"
 	"repro/internal/vtable"
@@ -187,9 +186,9 @@ func TestKeyUsable(t *testing.T) {
 	}
 	flipDigest := k
 	flipDigest.Digest[0] ^= 1
-	flipFP := func(sec pipeline.Section) Key {
+	flipFP := func(level int) Key {
 		fk := k
-		fk.FPs[sec][0] ^= 1
+		fk.FPs[level-1][0] ^= 1
 		return fk
 	}
 	cases := []struct {
@@ -198,14 +197,36 @@ func TestKeyUsable(t *testing.T) {
 		want int
 	}{
 		{"digest", flipDigest, LevelNone},
-		{"extract", flipFP(pipeline.SecExtraction), LevelNone},
-		{"model", flipFP(pipeline.SecModels), LevelExtraction},
-		{"hier", flipFP(pipeline.SecHierarchy), LevelModels},
+		{"extract", flipFP(LevelExtraction), LevelNone},
+		{"model", flipFP(LevelModels), LevelExtraction},
+		{"hier", flipFP(LevelHierarchy), LevelModels},
 	}
 	for _, c := range cases {
 		if got := c.k.Usable(s); got != c.want {
 			t.Errorf("%s mismatch: level %d, want %d", c.name, got, c.want)
 		}
+		// MatchLevel grades the chain alone: a digest flip leaves it whole.
+		want := c.want
+		if c.name == "digest" {
+			want = LevelHierarchy
+		}
+		if got := k.MatchLevel(c.k); got != want {
+			t.Errorf("%s mismatch: MatchLevel %d, want %d", c.name, got, want)
+		}
+	}
+}
+
+// TestSectionTagsAndLevels pins the section chain: the tags are
+// load-bearing snapshot-compat constants, and the sections complete the
+// reuse levels in dependency order.
+func TestSectionTagsAndLevels(t *testing.T) {
+	for level, tag := range map[int]string{LevelExtraction: "extract", LevelModels: "model", LevelHierarchy: "hier"} {
+		if Tag(level) != tag {
+			t.Errorf("Tag(%d) = %q, want %q", level, Tag(level), tag)
+		}
+	}
+	if LevelNone != 0 || LevelExtraction != 1 || LevelModels != 2 || LevelHierarchy != 3 || NumSections != 3 {
+		t.Error("section levels diverged from the snapshot reuse levels")
 	}
 }
 

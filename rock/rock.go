@@ -87,11 +87,6 @@ type Options struct {
 	// is unchanged. The directory must exist. The Report of a warm run is
 	// identical to a cold one.
 	CacheDir string
-	// Invalidate caps snapshot reuse for a cached run: "" or "none" reuses
-	// everything valid, "hierarchy" recomputes distances and
-	// arborescences, "models" also retrains the SLMs, and "all" forces a
-	// fully cold run (rewriting the cache).
-	Invalidate string
 	// IncrementalFrom names a prior version's snapshot (.rsnap) to diff
 	// the analysis against: functions, models, and families whose inputs
 	// are provably unchanged since that snapshot are reused instead of
@@ -209,12 +204,8 @@ func config(opts Options) (core.Config, error) {
 	cfg.UseSLM = !opts.StructuralOnly
 	cfg.Workers = opts.Workers
 	cfg.CacheDir = opts.CacheDir
-	inv, err := core.ParseInvalidate(opts.Invalidate)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Invalidate = inv
 	cfg.IncrementalFrom = opts.IncrementalFrom
+	var err error
 	if cfg.Evidence, err = evidence.ParseNames(opts.Evidence); err != nil {
 		return cfg, fmt.Errorf("rock: %w", err)
 	}
