@@ -193,25 +193,40 @@ func (c Config) snapshotKey(img *image.Image) snapshot.Key {
 // enough for an admission scheduler to classify images as warm or cold
 // before committing a worker slot.
 func ProbeSnapshot(img *image.Image, cfg Config) int {
-	if cfg.CacheDir == "" || !cfg.UseSLM {
+	if cfg.CacheDir == "" {
 		return snapshot.LevelNone
 	}
-	cfg = cfg.withDefaults()
+	level, _ := probe(img, cfg.withDefaults())
+	return level
+}
+
+// probe is ProbeSnapshot for a cfg with defaults already resolved. It also
+// returns the snapshot key it derived, so the analysis it admits does not
+// digest the image again. The key is derived only when the analysis
+// needs one — a cache to consult or a prior to diff against — and is the
+// zero Key otherwise.
+func probe(img *image.Image, cfg Config) (int, snapshot.Key) {
+	if !cfg.UseSLM || (cfg.CacheDir == "" && cfg.IncrementalFrom == "") {
+		return snapshot.LevelNone, snapshot.Key{}
+	}
 	key := cfg.snapshotKey(img)
+	if cfg.CacheDir == "" {
+		return snapshot.LevelNone, key
+	}
 	h, err := snapshot.ReadHeader(filepath.Join(cfg.CacheDir, key.FileName()))
 	if err != nil {
-		return snapshot.LevelNone
+		return snapshot.LevelNone, key
 	}
-	return key.Usable(&snapshot.Snapshot{Key: h.Key})
+	return key.Usable(&snapshot.Snapshot{Key: h.Key}), key
 }
 
 // analyze is the driver Shared.Analyze runs once the analysis is
 // admitted: consult the snapshot cache, restore every section the
 // staged-validity chain covers, then run the stages with the restored
 // (and disabled) ones skipped, each remaining stage recorded on the
-// observer bus. Every fan-out draws its helpers from cfg.pool.
-func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+// observer bus. Every fan-out draws its helpers from cfg.pool. cfg has
+// its defaults resolved, and key is the one probe derived for it.
+func analyze(ctx context.Context, img *image.Image, cfg Config, key snapshot.Key) (*Result, error) {
 	if cfg.UseSLM {
 		if err := cfg.validateEvidence(); err != nil {
 			return nil, err
@@ -229,10 +244,8 @@ func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error)
 	var snap *snapshot.Snapshot
 	level := snapshot.LevelNone
 	cachePath := ""
-	var key snapshot.Key
 	if cfg.CacheDir != "" && cfg.UseSLM {
 		h := bus.StageStart("snapshot-load", "cache")
-		key = cfg.snapshotKey(img)
 		cachePath = filepath.Join(cfg.CacheDir, key.FileName())
 		if s, err := snapshot.Load(cachePath); err == nil {
 			snap = s
@@ -250,11 +263,6 @@ func analyze(ctx context.Context, img *image.Image, cfg Config) (*Result, error)
 	if cfg.UseSLM && level == snapshot.LevelNone &&
 		(cfg.IncrementalFrom != "" || cfg.CacheDir != "") {
 		h := bus.StageStart("snapshot-diff", "cache")
-		if cachePath == "" {
-			// No cache directory: the key wasn't derived above, but the
-			// lane still needs it to grade the prior's fingerprints.
-			key = cfg.snapshotKey(img)
-		}
 		prior, priorPath, err := res.findPrior(cfg, key)
 		h.End(err)
 		if err != nil {

@@ -64,7 +64,9 @@ func (s *Shared) Analyze(ctx context.Context, img *image.Image, cfg Config) (*Re
 		return nil, Admission{}, fmt.Errorf("core: refusing to analyze a non-stripped image (call Strip first)")
 	}
 	cfg.pool = s.pool
-	ad := Admission{Warm: ProbeSnapshot(img, cfg) == snapshot.LevelHierarchy}
+	cfg = cfg.withDefaults()
+	level, key := probe(img, cfg)
+	ad := Admission{Warm: level == snapshot.LevelHierarchy}
 	t0 := time.Now()
 	if ad.Warm {
 		select {
@@ -85,7 +87,7 @@ func (s *Shared) Analyze(ctx context.Context, img *image.Image, cfg Config) (*Re
 		defer bus.Trace.ReleaseLane(bus.Lane)
 		defer bus.Span("image " + img.Name).End()
 	}
-	res, err := analyze(ctx, img, cfg)
+	res, err := analyze(ctx, img, cfg, key)
 	return res, ad, err
 }
 

@@ -312,7 +312,7 @@ func (s *Server) leaveFlight(f *flight) {
 // which a new identical submission restarts the analysis.
 func (s *Server) runFlight(ctx context.Context, f *flight, img *image.Image, class Class) {
 	defer s.flightWG.Done()
-	entry, waitNS, err := s.execute(ctx, img, class)
+	entry, waitNS, err := s.execute(ctx, f.digest, img, class)
 	if err == nil {
 		s.cache.put(entry)
 	} else {
@@ -337,8 +337,9 @@ func (s *Server) runFlight(ctx context.Context, f *flight, img *image.Image, cla
 
 // execute runs the analysis body of a flight: admission (bypassed for
 // fully-warm images — a decode is not an analysis), then the engine,
-// observed on a per-request bus that feeds the /metrics rollup.
-func (s *Server) execute(ctx context.Context, img *image.Image, class Class) (*hotEntry, int64, error) {
+// observed on a per-request bus that feeds the /metrics rollup. digest is
+// the flight's key (contentDigest of img), which the hot entry reuses.
+func (s *Server) execute(ctx context.Context, digest [32]byte, img *image.Image, class Class) (*hotEntry, int64, error) {
 	var waitNS int64
 	if !s.eng.ProbeWarm(img) {
 		release, wait, err := s.queues[class].admit(ctx)
@@ -385,7 +386,7 @@ func (s *Server) execute(ctx context.Context, img *image.Image, class Class) (*h
 		return nil, waitNS, fmt.Errorf("rockd: marshaling stats: %w", err)
 	}
 	return &hotEntry{
-		digest:     contentDigest(img),
+		digest:     digest,
 		report:     repJSON,
 		stats:      statsJSON,
 		source:     source,

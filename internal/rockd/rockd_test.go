@@ -162,6 +162,40 @@ func TestHotCacheHit(t *testing.T) {
 	}
 }
 
+// TestHotEntryKeyedBySubmissionDigest: a cold flight files its hot entry
+// under the digest its submission was keyed by (the flight carries it into
+// execute, which does not digest the image again), so a repeat submission
+// of the same bytes is served hot.
+func TestHotEntryKeyedBySubmissionDigest(t *testing.T) {
+	s := newTestServer(t, Config{})
+	img, err := image.Load(motivatingBinary(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, status, err := s.submitAsync(img, ClassBatch)
+	if err != nil || status != "accepted" {
+		t.Fatalf("submit: status %q, err %v", status, err)
+	}
+	if digest != img.ContentDigest() {
+		t.Fatal("submission not keyed by the image's content digest")
+	}
+	s.flightWG.Wait()
+	e := s.cache.get(digest)
+	if e == nil {
+		t.Fatal("cold flight left no hot entry under the submission's digest")
+	}
+	if e.digest != digest || e.source != "cold" {
+		t.Fatalf("hot entry: digest match %v, source %q; want the submission's digest, cold", e.digest == digest, e.source)
+	}
+	out, err := s.do(context.Background(), img, ClassInteractive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.source != "hot" || out.entry != e {
+		t.Fatalf("repeat submission: source %q, same entry %v; want hot", out.source, out.entry == e)
+	}
+}
+
 // TestHotHitBypassesFullAdmission is the serving path's isolation claim
 // without a timing threshold: with every slot of both class queues held
 // and each queue at depth, a first-seen image is rejected (429) while a

@@ -118,18 +118,22 @@ func DecodeFrozen(data []byte, alphabet int) (*Frozen, []byte, error) {
 		n.total = int32(binary.LittleEndian.Uint32(rest[16:]))
 		rest = rest[20:]
 	}
-	readArena := func(n int) []int32 {
-		a := make([]int32, n)
-		for i := range a {
-			a[i] = int32(binary.LittleEndian.Uint32(rest))
-			rest = rest[4:]
-		}
+	// One allocation backs all four arenas; each is a capped window of it,
+	// so no arena can grow into its neighbour.
+	backing := make([]int32, 2*nSyms+2*nKids)
+	for i := range backing {
+		backing[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
+	}
+	rest = rest[4*len(backing):]
+	arena := func(n int) []int32 {
+		a := backing[:n:n]
+		backing = backing[n:]
 		return a
 	}
-	f.syms = readArena(nSyms)
-	f.counts = readArena(nSyms)
-	f.childSyms = readArena(nKids)
-	f.childNodes = readArena(nKids)
+	f.syms = arena(nSyms)
+	f.counts = arena(nSyms)
+	f.childSyms = arena(nKids)
+	f.childNodes = arena(nKids)
 
 	if err := f.validate(); err != nil {
 		return nil, nil, err

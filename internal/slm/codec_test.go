@@ -56,6 +56,13 @@ func TestFrozenCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(f, dec) {
 			t.Fatalf("depth=%d alpha=%d: decoded trie is not bit-identical", sh.depth, sh.alphabet)
 		}
+		// The four arenas share one allocation; each must be capped at its
+		// length so that growing one can never overwrite the next.
+		for _, a := range [][]int32{dec.syms, dec.counts, dec.childSyms, dec.childNodes} {
+			if cap(a) != len(a) {
+				t.Fatalf("depth=%d alpha=%d: decoded arena cap %d for %d elements", sh.depth, sh.alphabet, cap(a), len(a))
+			}
+		}
 		// DeepEqual already implies this, but the query path is the property
 		// that matters downstream: spot-check it directly.
 		q, dq := f.NewQuerier(), dec.NewQuerier()

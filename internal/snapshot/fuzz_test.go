@@ -9,8 +9,11 @@ import (
 // FuzzDecodeSnapshot is the satellite fuzz target: Decode must never
 // panic, hang, or allocate beyond what the input size warrants, no matter
 // how corrupted the bytes are — a bad snapshot is a cache miss, not a
-// crash. Anything Decode accepts must also re-encode cleanly (the decoded
-// structure is internally consistent).
+// crash. Each input is decoded as given and resealed (its trailing
+// checksum recomputed over the rest), so mutations reach the body parser
+// instead of all stopping at the checksum. On both, Decode must agree
+// with the reference decoder (refDecode) on accept or reject and, on
+// accept, decode an equal snapshot that re-encodes cleanly.
 func FuzzDecodeSnapshot(f *testing.F) {
 	valid, err := sampleSnapshot().Encode()
 	if err != nil {
@@ -42,14 +45,19 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	huge := append([]byte(nil), valid[:HeaderLen]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(huge)
+	// The sample variants' nil-vs-empty shapes.
+	for _, v := range sampleVariants()[1:] {
+		data, err := v.s.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(data)
-		if err != nil {
-			return
-		}
-		if _, err := s.Encode(); err != nil {
-			t.Fatalf("decoded snapshot fails to re-encode: %v", err)
+		agreeWithReference(t, data)
+		if len(data) >= sha256.Size {
+			agreeWithReference(t, seal(data[:len(data)-sha256.Size]))
 		}
 	})
 }
@@ -57,10 +65,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // resealed returns a copy of an encoded snapshot with its version field
 // set to v and the checksum recomputed over the edited payload.
 func resealed(data []byte, v uint32) []byte {
-	out := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(out[4:8], v)
-	payload := out[:len(out)-sha256.Size]
-	sum := sha256.Sum256(payload)
-	copy(out[len(payload):], sum[:])
-	return out
+	payload := append([]byte(nil), data[:len(data)-sha256.Size]...)
+	binary.LittleEndian.PutUint32(payload[4:8], v)
+	return seal(payload)
 }

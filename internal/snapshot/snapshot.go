@@ -355,17 +355,18 @@ func (s *Snapshot) WriteFile(path string) error {
 
 // Encode serializes the snapshot deterministically: map keys are emitted
 // in sorted order, so the same snapshot content always produces the same
-// bytes.
+// bytes. The output buffer is sized once, up front (encodedSize), so the
+// encoder never regrows it.
 func (s *Snapshot) Encode() ([]byte, error) {
-	w := &writer{}
+	w := &writer{buf: make([]byte, 0, s.encodedSize())}
 	w.buf = appendHeader(w.buf, Header{Version: Version, Key: s.Key, NameHash: s.NameHash})
 
 	// Extraction section. Tracelet events are stored as indices into the
 	// interned alphabet (every event appearing in a tracelet is interned
 	// by construction).
-	idx := make(map[objtrace.Event]int, len(s.Alphabet))
+	idx := make(map[[2]uint64]uint32, len(s.Alphabet))
 	for i, e := range s.Alphabet {
-		idx[e] = i
+		idx[eventKey(e)] = uint32(i)
 	}
 	w.u32(uint32(len(s.Alphabet)))
 	for _, e := range s.Alphabet {
@@ -380,50 +381,17 @@ func (s *Snapshot) Encode() ([]byte, error) {
 			w.u64(f)
 		}
 	}
-	writeSeqs := func(seqs map[uint64][][]objtrace.Event) error {
-		keys := sortedKeys(seqs)
-		w.u32(uint32(len(keys)))
-		for _, t := range keys {
-			w.u64(t)
-			w.u32(uint32(len(seqs[t])))
-			for _, seq := range seqs[t] {
-				w.u32(uint32(len(seq)))
-				for _, e := range seq {
-					sym, ok := idx[e]
-					if !ok {
-						return fmt.Errorf("snapshot: tracelet event %v not in the interned alphabet", e)
-					}
-					w.u32(uint32(sym))
-				}
-			}
-		}
-		return nil
-	}
-	perType := make(map[uint64][][]objtrace.Event, len(s.Tracelets.PerType))
-	for t, tls := range s.Tracelets.PerType {
-		seqs := make([][]objtrace.Event, len(tls))
-		for i, tl := range tls {
-			seqs[i] = tl
-		}
-		perType[t] = seqs
-	}
-	if err := writeSeqs(perType); err != nil {
+	if err := writeSeqs(w, idx, s.Tracelets.PerType); err != nil {
 		return nil, err
 	}
-	if err := writeSeqs(s.Tracelets.RawPerType); err != nil {
+	if err := writeSeqs(w, idx, s.Tracelets.RawPerType); err != nil {
 		return nil, err
 	}
 	w.u32(uint32(len(s.Tracelets.Structs)))
 	for _, os := range s.Tracelets.Structs {
 		w.u64(os.Fn)
 		w.bool(os.EntryThis)
-		w.u32(uint32(len(os.Events)))
-		for _, e := range os.Events {
-			w.bool(e.Install)
-			w.u32(uint32(e.Off))
-			w.u64(e.VT)
-			w.u64(e.Callee)
-		}
+		w.structEvents(os.Events)
 	}
 	w.addrsMap(s.Tracelets.FnVTables)
 	w.u32(uint32(len(s.Structural.Families)))
@@ -482,10 +450,10 @@ func (s *Snapshot) Encode() ([]byte, error) {
 		w.u8(0)
 	} else {
 		w.u8(1)
-		w.raw(string(s.Funcs.ContextDigest[:]))
+		w.raw(s.Funcs.ContextDigest[:])
 		w.u32(uint32(len(s.Funcs.Funcs)))
 		for _, fb := range s.Funcs.Funcs {
-			w.raw(string(fb.Digest[:]))
+			w.raw(fb.Digest[:])
 			w.u64(fb.Ext.Entry)
 			w.u32(uint32(len(fb.Ext.Segments)))
 			for _, seg := range fb.Ext.Segments {
@@ -501,13 +469,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 			w.u32(uint32(len(fb.Ext.Structs)))
 			for _, os := range fb.Ext.Structs {
 				w.bool(os.EntryThis)
-				w.u32(uint32(len(os.Events)))
-				for _, e := range os.Events {
-					w.bool(e.Install)
-					w.u32(uint32(e.Off))
-					w.u64(e.VT)
-					w.u64(e.Callee)
-				}
+				w.structEvents(os.Events)
 			}
 		}
 		tk := sortedKeys(s.Funcs.TypeKeys)
@@ -515,11 +477,105 @@ func (s *Snapshot) Encode() ([]byte, error) {
 		for _, t := range tk {
 			w.u64(t)
 			k := s.Funcs.TypeKeys[t]
-			w.raw(string(k[:]))
+			w.raw(k[:])
 		}
 	}
 	sum := sha256.Sum256(w.buf)
 	return append(w.buf, sum[:]...), nil
+}
+
+// eventKey is e as a padding-free map key: Event's padding would send
+// every alphabet-index lookup through the generic hash.
+func eventKey(e objtrace.Event) [2]uint64 { return [2]uint64{uint64(e.Kind), e.N} }
+
+// writeSeqs writes one tracelet section: per type in ascending order, its
+// sequences as alphabet indices.
+func writeSeqs[S ~[]objtrace.Event](w *writer, idx map[[2]uint64]uint32, seqs map[uint64][]S) error {
+	keys := sortedKeys(seqs)
+	w.u32(uint32(len(keys)))
+	for _, t := range keys {
+		w.u64(t)
+		w.u32(uint32(len(seqs[t])))
+		for _, seq := range seqs[t] {
+			w.u32(uint32(len(seq)))
+			for _, e := range seq {
+				sym, ok := idx[eventKey(e)]
+				if !ok {
+					return fmt.Errorf("snapshot: tracelet event %v not in the interned alphabet", e)
+				}
+				w.u32(sym)
+			}
+		}
+	}
+	return nil
+}
+
+// encodedSize returns the exact length Encode produces for s, checksum
+// included. It mirrors Encode field by field; the decode tests pin the
+// two together by checking that Encode's output has no spare capacity.
+func (s *Snapshot) encodedSize() int {
+	n := HeaderLen + 4 + 9*len(s.Alphabet) + 4
+	for _, v := range s.VTables {
+		n += 12 + 8*len(v.Slots)
+	}
+	n += seqsSize(s.Tracelets.PerType) + seqsSize(s.Tracelets.RawPerType) + 4
+	for _, os := range s.Tracelets.Structs {
+		n += 13 + 21*len(os.Events)
+	}
+	n += addrsMapSize(s.Tracelets.FnVTables) + 4
+	for _, fam := range s.Structural.Families {
+		n += 4 + 8*len(fam)
+	}
+	n += addrsMapSize(s.Structural.PossibleParents) + 4 + 16*len(s.Structural.DefinitiveParent) + 8 +
+		addrsMapSize(s.Structural.SecondaryInstalls) + addrsMapSize(s.Structural.InstallerOf)
+	n += 4
+	for _, f := range s.Frozen {
+		n += 8 + f.EncodedSize()
+	}
+	n += 4 + 24*len(s.Dist) + 4
+	for _, fr := range s.Families {
+		n += 4 + 8*len(fr.Types) + 8 + 1 + 4
+		for _, arb := range fr.Arbs {
+			n += 4 + 16*len(arb)
+		}
+	}
+	n += 4 + 16*len(s.Parents) + addrsMapSize(s.MultiParents) + 1
+	if fs := s.Funcs; fs != nil {
+		n += 32 + 4
+		for _, fb := range fs.Funcs {
+			n += 32 + 8 + 4
+			for _, seg := range fb.Ext.Segments {
+				n += 12 + 9*len(seg.Events)
+			}
+			n += 4
+			for _, os := range fb.Ext.Structs {
+				n += 5 + 21*len(os.Events)
+			}
+		}
+		n += 4 + 40*len(fs.TypeKeys)
+	}
+	return n + sha256.Size
+}
+
+// seqsSize is the encoded size of one tracelet section.
+func seqsSize[S ~[]objtrace.Event](seqs map[uint64][]S) int {
+	n := 4
+	for _, ss := range seqs {
+		n += 12
+		for _, seq := range ss {
+			n += 4 + 4*len(seq)
+		}
+	}
+	return n
+}
+
+// addrsMapSize is the encoded size of a map of address slices.
+func addrsMapSize(m map[uint64][]uint64) int {
+	n := 4
+	for _, v := range m {
+		n += 12 + 8*len(v)
+	}
+	return n
 }
 
 // checkEvent rejects events the extractor never emits: an unknown kind,
@@ -537,7 +593,15 @@ func checkEvent(e objtrace.Event) error {
 	return nil
 }
 
-// Decode parses an encoded snapshot.
+// Decode parses an encoded snapshot. The whole-file checksum is verified
+// before anything is parsed, and every count is validated against the
+// bytes remaining before it sizes an allocation. Each tracelet section
+// decodes into one event arena (readSeqs), and every other slice is
+// allocated once at its validated length, so a restore makes a fixed
+// number of allocations per section, independent of how many events it
+// holds. Empty slices decode as the producers build them: nil, except a
+// PerType entry with no tracelets and an empty tracelet, which are empty
+// and non-nil.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < sha256.Size {
 		return nil, fmt.Errorf("snapshot: truncated before checksum (%d bytes)", len(data))
@@ -554,79 +618,49 @@ func Decode(data []byte) (*Snapshot, error) {
 	s := &Snapshot{Key: h.Key, NameHash: h.NameHash}
 
 	// Extraction section.
-	n := r.count(9) // kind u8 + n u64
-	for i := 0; i < n && r.err == nil; i++ {
-		ev := objtrace.Event{Kind: objtrace.EventKind(r.u8()), N: r.u64()}
-		if r.err == nil {
+	if n := r.count(9); n > 0 { // kind u8 + n u64
+		s.Alphabet = make([]objtrace.Event, n)
+		for i := range s.Alphabet {
+			ev := objtrace.Event{Kind: objtrace.EventKind(r.u8()), N: r.u64()}
+			if r.err != nil {
+				break
+			}
 			if err := checkEvent(ev); err != nil {
 				return nil, err
 			}
+			s.Alphabet[i] = ev
 		}
-		s.Alphabet = append(s.Alphabet, ev)
 	}
-	n = r.count(12) // addr u64 + slot count u32
-	for i := 0; i < n && r.err == nil; i++ {
-		v := &vtable.VTable{Addr: r.u64()}
-		v.Slots = r.addrs()
-		s.VTables = append(s.VTables, v)
-	}
-	readSeqs := func() map[uint64][][]objtrace.Event {
-		out := map[uint64][][]objtrace.Event{}
-		nt := r.count(12)
-		for i := 0; i < nt && r.err == nil; i++ {
-			t := r.u64()
-			ns := r.count(4)
-			var seqs [][]objtrace.Event
-			for j := 0; j < ns && r.err == nil; j++ {
-				ne := r.count(4)
-				seq := make([]objtrace.Event, 0, min(ne, r.remaining()/4+1))
-				for k := 0; k < ne && r.err == nil; k++ {
-					sym := int(r.u32())
-					if r.err == nil && sym >= len(s.Alphabet) {
-						r.fail(fmt.Errorf("snapshot: tracelet symbol %d outside alphabet %d", sym, len(s.Alphabet)))
-						break
-					}
-					seq = append(seq, s.Alphabet[sym])
-				}
-				seqs = append(seqs, seq)
-			}
-			out[t] = seqs
+	if n := r.count(12); n > 0 { // addr u64 + slot count u32
+		vts := make([]vtable.VTable, n)
+		s.VTables = make([]*vtable.VTable, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			vts[i] = vtable.VTable{Addr: r.u64(), Slots: r.addrs()}
+			s.VTables[i] = &vts[i]
 		}
-		return out
 	}
-	s.Tracelets = &objtrace.Result{}
-	perType := readSeqs()
-	s.Tracelets.PerType = make(map[uint64][]objtrace.Tracelet, len(perType))
-	for t, seqs := range perType {
-		tls := make([]objtrace.Tracelet, len(seqs))
-		for i, seq := range seqs {
-			tls[i] = objtrace.Tracelet(seq)
-		}
-		s.Tracelets.PerType[t] = tls
+	s.Tracelets = &objtrace.Result{
+		PerType:    readSeqs[objtrace.Tracelet](r, s.Alphabet, false),
+		RawPerType: readSeqs[[]objtrace.Event](r, s.Alphabet, true),
 	}
-	s.Tracelets.RawPerType = readSeqs()
-	n = r.count(13) // fn u64 + entryThis u8 + event count u32
-	for i := 0; i < n && r.err == nil; i++ {
-		os := objtrace.ObjStruct{Fn: r.u64(), EntryThis: r.bool()}
-		ne := r.count(21) // install u8 + off u32 + vt u64 + callee u64
-		for j := 0; j < ne && r.err == nil; j++ {
-			os.Events = append(os.Events, objtrace.StructEvent{
-				Install: r.bool(),
-				Off:     int32(r.u32()),
-				VT:      r.u64(),
-				Callee:  r.u64(),
-			})
+	if n := r.count(13); n > 0 { // fn u64 + entryThis u8 + event count u32
+		s.Tracelets.Structs = make([]objtrace.ObjStruct, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			os := &s.Tracelets.Structs[i]
+			os.Fn, os.EntryThis = r.u64(), r.bool()
+			os.Events = r.structEvents()
 		}
-		s.Tracelets.Structs = append(s.Tracelets.Structs, os)
 	}
 	s.Tracelets.FnVTables = r.addrsMap()
 	s.Structural = &structural.Result{FamilyOf: map[uint64]int{}}
-	n = r.count(4)
-	for i := 0; i < n && r.err == nil; i++ {
-		fam := r.addrs()
-		s.Structural.Families = append(s.Structural.Families, fam)
-		for _, t := range fam {
-			s.Structural.FamilyOf[t] = i
+	if n := r.count(4); n > 0 {
+		s.Structural.Families = make([][]uint64, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			fam := r.addrs()
+			s.Structural.Families[i] = fam
+			for _, t := range fam {
+				s.Structural.FamilyOf[t] = i
+			}
 		}
 	}
 	// Candidate-free types keep nil slices, matching how the structural
@@ -638,7 +672,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.Structural.InstallerOf = r.addrsMap()
 
 	// Models section.
-	n = r.count(8)
+	n := r.count(8)
 	s.Frozen = make(map[uint64]*slm.Frozen, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		t := r.u64()
@@ -662,14 +696,18 @@ func Decode(data []byte) (*Snapshot, error) {
 		p, c := r.u64(), r.u64()
 		s.Dist[[2]uint64{p, c}] = math.Float64frombits(r.u64())
 	}
-	n = r.count(17) // types count u32 + weight u64 + truncated u8 + arbs count u32
-	for i := 0; i < n && r.err == nil; i++ {
-		fr := Family{Types: r.addrs(), Weight: math.Float64frombits(r.u64()), Truncated: r.bool()}
-		na := r.count(4)
-		for j := 0; j < na && r.err == nil; j++ {
-			fr.Arbs = append(fr.Arbs, r.pairsMap())
+	if n := r.count(17); n > 0 { // types count u32 + weight u64 + truncated u8 + arbs count u32
+		s.Families = make([]Family, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			fr := &s.Families[i]
+			fr.Types, fr.Weight, fr.Truncated = r.addrs(), math.Float64frombits(r.u64()), r.bool()
+			if na := r.count(4); na > 0 {
+				fr.Arbs = make([]map[uint64]uint64, na)
+				for j := 0; j < na && r.err == nil; j++ {
+					fr.Arbs[j] = r.pairsMap()
+				}
+			}
 		}
-		s.Families = append(s.Families, fr)
 	}
 	s.Parents = r.pairsMap()
 	s.MultiParents = r.addrsMap()
@@ -678,54 +716,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	switch r.u8() {
 	case 0:
 	case 1:
-		fs := &FnSection{}
-		copy(fs.ContextDigest[:], r.bytes(32))
-		nf := r.count(48) // digest 32 + entry u64 + two counts
-		for i := 0; i < nf && r.err == nil; i++ {
-			var fb FnBundle
-			copy(fb.Digest[:], r.bytes(32))
-			fb.Ext.Entry = r.u64()
-			ns := r.count(12) // vt u64 + event count u32
-			for j := 0; j < ns && r.err == nil; j++ {
-				seg := objtrace.Segment{VT: r.u64()}
-				ne := r.count(9) // kind u8 + n u64
-				for k := 0; k < ne && r.err == nil; k++ {
-					ev := objtrace.Event{Kind: objtrace.EventKind(r.u8()), N: r.u64()}
-					if r.err == nil {
-						if err := checkEvent(ev); err != nil {
-							r.fail(fmt.Errorf("%w in function bundle", err))
-							break
-						}
-					}
-					seg.Events = append(seg.Events, ev)
-				}
-				fb.Ext.Segments = append(fb.Ext.Segments, seg)
-			}
-			nos := r.count(5) // entryThis u8 + event count u32
-			for j := 0; j < nos && r.err == nil; j++ {
-				os := objtrace.ObjStruct{Fn: fb.Ext.Entry, EntryThis: r.bool()}
-				ne := r.count(21)
-				for k := 0; k < ne && r.err == nil; k++ {
-					os.Events = append(os.Events, objtrace.StructEvent{
-						Install: r.bool(),
-						Off:     int32(r.u32()),
-						VT:      r.u64(),
-						Callee:  r.u64(),
-					})
-				}
-				fb.Ext.Structs = append(fb.Ext.Structs, os)
-			}
-			fs.Funcs = append(fs.Funcs, fb)
-		}
-		nt := r.count(40) // type u64 + key 32
-		fs.TypeKeys = make(map[uint64][32]byte, nt)
-		for i := 0; i < nt && r.err == nil; i++ {
-			t := r.u64()
-			var k [32]byte
-			copy(k[:], r.bytes(32))
-			fs.TypeKeys[t] = k
-		}
-		s.Funcs = fs
+		s.Funcs = r.fnSection()
 	default:
 		r.fail(fmt.Errorf("snapshot: bad function-section flag"))
 	}
@@ -736,6 +727,122 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: %d trailing bytes", len(r.data)-r.pos)
 	}
 	return s, nil
+}
+
+// readSeqs decodes one tracelet section — per type, its sequences of
+// alphabet symbols — into a map of S sequences. A bounded pre-pass
+// (seqEvents) sizes one event arena for the whole section; each sequence
+// is a capped window of it, so an append to one sequence reallocates
+// instead of overwriting its neighbour. An empty sequence is non-nil; a
+// type with no sequences gets nil when nilEmpty is set, else an empty
+// slice.
+func readSeqs[S ~[]objtrace.Event](r *reader, alphabet []objtrace.Event, nilEmpty bool) map[uint64][]S {
+	arena := make([]objtrace.Event, r.seqEvents())
+	nt := r.count(12) // type u64 + sequence count u32
+	out := make(map[uint64][]S, nt)
+	for i := 0; i < nt && r.err == nil; i++ {
+		t := r.u64()
+		ns := r.count(4)
+		var seqs []S
+		if ns > 0 || !nilEmpty {
+			seqs = make([]S, ns)
+		}
+		for j := 0; j < ns && r.err == nil; j++ {
+			ne := r.count(4)
+			syms := r.bytes(4 * ne)
+			if r.err != nil {
+				break
+			}
+			seq := arena[:ne:ne]
+			arena = arena[ne:]
+			for k := range seq {
+				sym := binary.LittleEndian.Uint32(syms[4*k:])
+				if sym >= uint32(len(alphabet)) {
+					r.fail(fmt.Errorf("snapshot: tracelet symbol %d outside alphabet %d", sym, len(alphabet)))
+					break
+				}
+				seq[k] = alphabet[sym]
+			}
+			seqs[j] = S(seq)
+		}
+		out[t] = seqs
+	}
+	return out
+}
+
+// seqEvents sums the event counts of the tracelet section at r's position
+// without consuming it. It validates counts exactly as the real pass does
+// and stops at the first one the remaining bytes cannot hold (where the
+// real pass fails), so the sum never exceeds the section's bytes / 4.
+func (r *reader) seqEvents() int {
+	p := *r
+	total := 0
+	nt := p.count(12)
+	for i := 0; i < nt && p.err == nil; i++ {
+		p.skip(8)
+		ns := p.count(4)
+		for j := 0; j < ns && p.err == nil; j++ {
+			ne := p.count(4)
+			p.skip(4 * ne)
+			total += ne
+		}
+	}
+	return total
+}
+
+// fnSection decodes the function-granular section's body (after its
+// presence flag).
+func (r *reader) fnSection() *FnSection {
+	fs := &FnSection{}
+	copy(fs.ContextDigest[:], r.bytes(32))
+	if nf := r.count(48); nf > 0 { // digest 32 + entry u64 + two counts
+		fs.Funcs = make([]FnBundle, nf)
+		for i := 0; i < nf && r.err == nil; i++ {
+			fb := &fs.Funcs[i]
+			copy(fb.Digest[:], r.bytes(32))
+			fb.Ext.Entry = r.u64()
+			if ns := r.count(12); ns > 0 { // vt u64 + event count u32
+				fb.Ext.Segments = make([]objtrace.Segment, ns)
+				for j := 0; j < ns && r.err == nil; j++ {
+					seg := &fb.Ext.Segments[j]
+					seg.VT = r.u64()
+					ne := r.count(9) // kind u8 + n u64
+					if ne == 0 {
+						continue
+					}
+					seg.Events = make([]objtrace.Event, ne)
+					for k := range seg.Events {
+						ev := objtrace.Event{Kind: objtrace.EventKind(r.u8()), N: r.u64()}
+						if r.err != nil {
+							break
+						}
+						if err := checkEvent(ev); err != nil {
+							r.fail(fmt.Errorf("%w in function bundle", err))
+							break
+						}
+						seg.Events[k] = ev
+					}
+				}
+			}
+			if nos := r.count(5); nos > 0 { // entryThis u8 + event count u32
+				fb.Ext.Structs = make([]objtrace.ObjStruct, nos)
+				for j := 0; j < nos && r.err == nil; j++ {
+					os := &fb.Ext.Structs[j]
+					os.Fn, os.EntryThis = fb.Ext.Entry, r.bool()
+					os.Events = r.structEvents()
+				}
+			}
+		}
+	}
+	nt := r.count(40) // type u64 + key 32
+	fs.TypeKeys = make(map[uint64][32]byte, nt)
+	for i := 0; i < nt && r.err == nil; i++ {
+		t := r.u64()
+		var k [32]byte
+		copy(k[:], r.bytes(32))
+		fs.TypeKeys[t] = k
+	}
+	return fs
 }
 
 func sortedKeys[V any](m map[uint64]V) []uint64 {
@@ -753,8 +860,10 @@ type writer struct {
 	buf []byte
 }
 
-func (w *writer) raw(s string) { w.buf = append(w.buf, s...) }
+func (w *writer) raw(b []byte) { w.buf = append(w.buf, b...) }
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
+func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
 func (w *writer) bool(v bool) {
 	if v {
@@ -764,22 +873,21 @@ func (w *writer) bool(v bool) {
 	}
 }
 
-func (w *writer) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *writer) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
 func (w *writer) addrs(s []uint64) {
 	w.u32(uint32(len(s)))
 	for _, v := range s {
 		w.u64(v)
+	}
+}
+
+// structEvents writes a length-prefixed struct-event list.
+func (w *writer) structEvents(evs []objtrace.StructEvent) {
+	w.u32(uint32(len(evs)))
+	for _, e := range evs {
+		w.bool(e.Install)
+		w.u32(uint32(e.Off))
+		w.u64(e.VT)
+		w.u64(e.Callee)
 	}
 }
 
@@ -832,6 +940,18 @@ func (r *reader) bytes(n int) []byte {
 	return b
 }
 
+// skip advances past n bytes without reading them.
+func (r *reader) skip(n int) {
+	if r.err != nil {
+		return
+	}
+	if n > r.remaining() {
+		r.fail(fmt.Errorf("snapshot: truncated input at offset %d", r.pos))
+		return
+	}
+	r.pos += n
+}
+
 func (r *reader) u8() uint8   { return r.bytes(1)[0] }
 func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.bytes(4)) }
 func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.bytes(8)) }
@@ -872,6 +992,20 @@ func (r *reader) addrs() []uint64 {
 	out := make([]uint64, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, r.u64())
+	}
+	return out
+}
+
+// structEvents reads a length-prefixed struct-event list (nil when
+// empty).
+func (r *reader) structEvents() []objtrace.StructEvent {
+	n := r.count(21) // install u8 + off u32 + vt u64 + callee u64
+	if n == 0 {
+		return nil
+	}
+	out := make([]objtrace.StructEvent, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		out[i] = objtrace.StructEvent{Install: r.bool(), Off: int32(r.u32()), VT: r.u64(), Callee: r.u64()}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"crypto/sha256"
 	"errors"
 	"os"
 	"path/filepath"
@@ -231,7 +232,8 @@ func TestSectionTagsAndLevels(t *testing.T) {
 }
 
 // TestDecodeRejectsCorruption covers the decode guards the fuzzer also
-// probes: truncations, bad magic, wrong version, and trailing garbage all
+// probes: truncations (of the file, and of the payload resealed behind a
+// valid checksum), bad magic, wrong version, and trailing garbage all
 // error without panicking, and hostile models (operand-carrying this/ret
 // events, a model alphabet other than the snapshot's, a huge declared
 // depth) cannot make the first query allocate by their headers.
@@ -243,6 +245,14 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for n := 0; n < len(data); n++ {
 		if _, err := Decode(data[:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes accepted", n, len(data))
+		}
+	}
+	// A truncated payload behind a valid checksum gets past the checksum,
+	// so the body parser's own guards must reject every strict prefix.
+	payload := data[:len(data)-sha256.Size]
+	for n := 0; n < len(payload); n++ {
+		if _, err := Decode(seal(payload[:n])); err == nil {
+			t.Fatalf("resealed prefix of %d of %d payload bytes accepted", n, len(payload))
 		}
 	}
 	bad := append([]byte(nil), data...)
