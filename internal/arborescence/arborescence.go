@@ -34,36 +34,90 @@ type Edge struct {
 // every node (parent[root] = -1) and the total weight. It fails if some
 // node is unreachable from the root.
 func MinArborescence(n, root int, edges []Edge) (parents []int, weight float64, err error) {
-	if root < 0 || root >= n {
-		return nil, 0, fmt.Errorf("arborescence: root %d out of range [0,%d)", root, n)
-	}
-	for _, e := range edges {
-		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			return nil, 0, fmt.Errorf("arborescence: edge (%d,%d) out of range", e.From, e.To)
-		}
-		if e.W < 0 {
-			return nil, 0, fmt.Errorf("arborescence: negative weight on (%d,%d)", e.From, e.To)
-		}
-	}
-	chosen, err := solve(n, root, edges)
+	sol, err := Solve(n, root, edges)
 	if err != nil {
 		return nil, 0, err
 	}
-	parents = make([]int, n)
-	for i := range parents {
-		parents[i] = -1
+	return sol.Parents, sol.Weight, nil
+}
+
+// Solution is a minimum arborescence together with the dual certificate
+// of its optimality.
+//
+// Edmonds' algorithm solves the LP "minimize Σ w_e x_e subject to every
+// node set S without the root being entered at least once" and, as it
+// contracts, builds an optimal solution of the dual: a non-negative dual
+// y_S per set it handles, where the handled sets form a laminar family
+// (every non-root singleton plus every contracted cycle, a cycle of a
+// later level being a union of earlier sets). An edge's reduced cost is
+// its weight minus the duals of the sets it enters; every reduced cost is
+// non-negative, every chosen edge has reduced cost zero, and the duals
+// sum to the optimum's weight.
+type Solution struct {
+	Root int
+	// Parents is Edmonds' optimum: Parents[v] is v's parent, -1 for the
+	// root.
+	Parents []int
+	// Weight is the optimum's weight: its edges' weights summed in input
+	// order.
+	Weight float64
+	// Sets lists the laminar family of the dual, each set ascending and
+	// after every set it contains; Dual[i] is the dual of Sets[i].
+	Sets [][]int
+	Dual []float64
+	// Reduced[e] is edges[e]'s reduced cost. Edges into the root and
+	// self-loops, which no arborescence uses, get +Inf.
+	Reduced []float64
+}
+
+// Solve computes a minimum-weight spanning arborescence of the graph with
+// n nodes (0..n-1) rooted at root, with its dual certificate. Weights must
+// be non-negative and not NaN. It fails if some node is unreachable from
+// the root.
+func Solve(n, root int, edges []Edge) (*Solution, error) {
+	if root < 0 || root >= n {
+		return nil, fmt.Errorf("arborescence: root %d out of range [0,%d)", root, n)
+	}
+	for _, e := range edges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return nil, fmt.Errorf("arborescence: edge (%d,%d) out of range", e.From, e.To)
+		}
+		if !(e.W >= 0) {
+			return nil, fmt.Errorf("arborescence: weight %v on (%d,%d) is negative or NaN", e.W, e.From, e.To)
+		}
+	}
+	sol := &Solution{Root: root, Reduced: make([]float64, len(edges))}
+	orig := make([]int, len(edges))
+	for i := range orig {
+		orig[i] = i
+	}
+	members := make([][]int, n)
+	for v := range members {
+		members[v] = []int{v}
+	}
+	chosen, err := solve(n, root, edges, orig, members, sol)
+	if err != nil {
+		return nil, err
+	}
+	sol.Parents = make([]int, n)
+	for i := range sol.Parents {
+		sol.Parents[i] = -1
 	}
 	for _, ei := range chosen {
 		e := edges[ei]
-		parents[e.To] = e.From
-		weight += e.W
+		sol.Parents[e.To] = e.From
+		sol.Weight += e.W
 	}
-	return parents, weight, nil
+	return sol, nil
 }
 
 // solve returns the indices (into edges) of the chosen arborescence edges.
-// This is the classic recursive contraction algorithm.
-func solve(n, root int, edges []Edge) ([]int, error) {
+// This is the classic recursive contraction algorithm. One call is one
+// contraction level: orig maps the level's edges to input edges and
+// members its nodes to input node sets. Each level records into sol the
+// duals it fixes — those of its cycle nodes, or of every node at the last
+// level — and the reduced costs of the edges it retires.
+func solve(n, root int, edges []Edge, orig []int, members [][]int, sol *Solution) ([]int, error) {
 	// Minimum incoming edge per node.
 	minIn := make([]int, n)
 	for v := range minIn {
@@ -71,6 +125,7 @@ func solve(n, root int, edges []Edge) ([]int, error) {
 	}
 	for i, e := range edges {
 		if e.To == root || e.From == e.To {
+			sol.Reduced[orig[i]] = math.Inf(1)
 			continue
 		}
 		if minIn[e.To] == -1 || e.W < edges[minIn[e.To]].W {
@@ -79,7 +134,7 @@ func solve(n, root int, edges []Edge) ([]int, error) {
 	}
 	for v := 0; v < n; v++ {
 		if v != root && minIn[v] == -1 {
-			return nil, fmt.Errorf("arborescence: node %d unreachable", v)
+			return nil, fmt.Errorf("arborescence: node %d unreachable", members[v][0])
 		}
 	}
 
@@ -127,6 +182,19 @@ func solve(n, root int, edges []Edge) ([]int, error) {
 		}
 	}
 	if !hasCycle {
+		// The last level: every node's dual is its minimum in-edge, and
+		// every remaining edge retires.
+		for v := 0; v < n; v++ {
+			if v != root {
+				sol.Sets = append(sol.Sets, members[v])
+				sol.Dual = append(sol.Dual, edges[minIn[v]].W)
+			}
+		}
+		for i, e := range edges {
+			if e.To != root && e.From != e.To {
+				sol.Reduced[orig[i]] = e.W - edges[minIn[e.To]].W
+			}
+		}
 		out := make([]int, 0, n-1)
 		for v := 0; v < n; v++ {
 			if v != root {
@@ -145,26 +213,42 @@ func solve(n, root int, edges []Edge) ([]int, error) {
 	}
 	newRoot := comp[root]
 
-	// Build the contracted graph with adjusted weights.
-	type mapped struct {
-		orig     int // original edge index
-		replaces int // the min in-edge of e.To that this edge would displace (-1 if To not on a cycle)
-	}
-	var newEdges []Edge
-	var back []mapped
 	// A node is on a contracted cycle iff it shares its component with at
-	// least one other node.
+	// least one other node. Cycle nodes get their duals now; the next
+	// level's nodes are the components.
 	compSize := make([]int, numComp)
 	for v := 0; v < n; v++ {
 		compSize[comp[v]]++
 	}
 	cycleNode := make([]bool, n)
+	newMembers := make([][]int, numComp)
 	for v := 0; v < n; v++ {
 		cycleNode[v] = compSize[comp[v]] > 1
+		if cycleNode[v] {
+			sol.Sets = append(sol.Sets, members[v])
+			sol.Dual = append(sol.Dual, edges[minIn[v]].W)
+			newMembers[comp[v]] = append(newMembers[comp[v]], members[v]...)
+		} else {
+			newMembers[comp[v]] = members[v]
+		}
 	}
+	for c, m := range newMembers {
+		if compSize[c] > 1 {
+			sort.Ints(m)
+		}
+	}
+
+	// Build the contracted graph with adjusted weights. An edge inside a
+	// cycle retires here.
+	var newEdges []Edge
+	var newOrig, replaces []int // replaces: the min in-edge of e.To this edge would displace (-1 if To not on a cycle)
 	for i, e := range edges {
+		if e.To == root || e.From == e.To {
+			continue
+		}
 		cu, cv := comp[e.From], comp[e.To]
 		if cu == cv {
+			sol.Reduced[orig[i]] = e.W - edges[minIn[e.To]].W
 			continue
 		}
 		w := e.W
@@ -174,31 +258,33 @@ func solve(n, root int, edges []Edge) ([]int, error) {
 			rep = minIn[e.To]
 		}
 		newEdges = append(newEdges, Edge{From: cu, To: cv, W: w})
-		back = append(back, mapped{orig: i, replaces: rep})
+		newOrig = append(newOrig, i)
+		replaces = append(replaces, rep)
+	}
+	levelOrig := make([]int, len(newOrig))
+	for k, i := range newOrig {
+		levelOrig[k] = orig[i]
 	}
 
-	sub, err := solve(numComp, newRoot, newEdges)
+	sub, err := solve(numComp, newRoot, newEdges, levelOrig, newMembers, sol)
 	if err != nil {
 		return nil, err
 	}
 
 	// Expand: start with all cycle edges, then for every chosen contracted
 	// edge add its original and remove the cycle edge it displaces. The
-	// membership set is a slice indexed by edge position — collecting the
-	// chosen indices with one ordered scan replaces the old map[int]bool
-	// plus sort.Ints (hash insertions, iteration allocation, and a sort,
-	// all per contraction level).
+	// membership set is a slice indexed by edge position, collected with
+	// one ordered scan.
 	inResult := make([]bool, len(edges))
 	for v := 0; v < n; v++ {
 		if cycleNode[v] {
 			inResult[minIn[v]] = true
 		}
 	}
-	for _, nei := range sub {
-		m := back[nei]
-		inResult[m.orig] = true
-		if m.replaces >= 0 {
-			inResult[m.replaces] = false
+	for _, k := range sub {
+		inResult[newOrig[k]] = true
+		if replaces[k] >= 0 {
+			inResult[replaces[k]] = false
 		}
 	}
 	out := make([]int, 0, n-1)
@@ -610,64 +696,4 @@ func MajorityVote(arbs [][]int) [][]int {
 		arbs = keep
 	}
 	return arbs
-}
-
-// BruteForceMin exhaustively searches for the minimum arborescence weight.
-// It exists to validate the Edmonds implementation in tests and panics for
-// graphs with more than 9 nodes.
-func BruteForceMin(n, root int, edges []Edge) (float64, bool) {
-	if n > 9 {
-		panic("arborescence: brute force limited to 9 nodes")
-	}
-	in := make([][]Edge, n)
-	for _, e := range edges {
-		if e.To == root || e.From == e.To {
-			continue
-		}
-		in[e.To] = append(in[e.To], e)
-	}
-	nodes := []int{}
-	for v := 0; v < n; v++ {
-		if v != root {
-			if len(in[v]) == 0 {
-				return 0, false
-			}
-			nodes = append(nodes, v)
-		}
-	}
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	best := math.Inf(1)
-	var rec func(pos int, acc float64)
-	rec = func(pos int, acc float64) {
-		if pos == len(nodes) {
-			if acc < best {
-				best = acc
-			}
-			return
-		}
-		v := nodes[pos]
-		for _, e := range in[v] {
-			cyc := false
-			for u := e.From; u != -1 && u != root; u = parent[u] {
-				if u == v {
-					cyc = true
-					break
-				}
-			}
-			if cyc {
-				continue
-			}
-			parent[v] = e.From
-			rec(pos+1, acc+e.W)
-			parent[v] = -1
-		}
-	}
-	rec(0, 0)
-	if math.IsInf(best, 1) {
-		return 0, false
-	}
-	return best, true
 }

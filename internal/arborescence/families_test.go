@@ -1,6 +1,7 @@
 package arborescence_test
 
 import (
+	"math/big"
 	"sync"
 	"testing"
 
@@ -84,6 +85,18 @@ func TestEnumerateFamilyGraphsMatchReference(t *testing.T) {
 		}
 		if steps > arborescence.MaxEnumSteps {
 			exhausted++
+		}
+		count, err := arborescence.CheckCoOptimal(g.n, g.root, g.edges, g.eps, false)
+		if err != nil {
+			t.Fatalf("%s (%s evidence), %d-node family: %v", g.image, g.evidenceSet, g.n, err)
+		}
+		// The forced-edge enumerator costs about 13 Edmonds solves per
+		// co-optimal arborescence; the two 7,776-arborescence plateaus
+		// run only in the full suite.
+		if count.Cmp(big.NewInt(1000)) <= 0 || !testing.Short() && !arborescence.RaceEnabled() {
+			if _, err := arborescence.CheckCoOptimal(g.n, g.root, g.edges, g.eps, true); err != nil {
+				t.Fatalf("%s (%s evidence), %d-node family: %v", g.image, g.evidenceSet, g.n, err)
+			}
 		}
 	}
 	if len(graphs) == 0 {

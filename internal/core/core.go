@@ -23,6 +23,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/big"
 	"sort"
 	"sync"
 	"time"
@@ -702,6 +704,14 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 	}
 	cfg.Obs.Add(obs.CntEnumStates, int64(states))
 	cfg.Obs.Add(obs.CntCoOptimal, int64(len(arbs)))
+	if cfg.Obs != nil {
+		sol, err := arborescence.Solve(len(fam)+1, 0, edges)
+		if err != nil {
+			out.err = err
+			return out
+		}
+		cfg.Obs.Add(obs.CntCoOptimalExact, saturate(sol.CoOptimal(edges, cfg.EnumEps).Count()))
+	}
 	arbs = arborescence.MajorityVote(arbs)
 	cfg.Obs.Add(obs.CntArbsKept, int64(len(arbs)))
 	out.fr.Weight = w
@@ -716,6 +726,14 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 		out.fr.Arbs = append(out.fr.Arbs, pm)
 	}
 	return out
+}
+
+// saturate returns n, or math.MaxInt64 when n does not fit an int64.
+func saturate(n *big.Int) int64 {
+	if !n.IsInt64() {
+		return math.MaxInt64
+	}
+	return n.Int64()
 }
 
 // recordProvider folds one provider invocation's wall/alloc deltas into

@@ -78,6 +78,10 @@ const (
 	// CntEnumStates counts the search states the co-optimal enumeration
 	// visited across all families (at most its budget per family).
 	CntEnumStates
+	// CntCoOptimalExact counts the co-optimal arborescences across all
+	// families as the dual structure counts them exactly (saturating at
+	// math.MaxInt64).
+	CntCoOptimalExact
 	// CntMultiParents counts the types assigned multiple parents (§5.3).
 	CntMultiParents
 	// CntPoolHelpers counts the fan-out helper goroutines the pool spawned
@@ -111,6 +115,7 @@ var counterNames = [numCounters]string{
 	"candidate_edges", "edges_pruned", "models", "dist_pairs",
 	"dist_pairs_pruned", "dist_memo_hits", "dist_memo_misses", "dist_grams",
 	"dist_positions", "co_optimal", "arbs_kept", "enum_states",
+	"co_optimal_exact",
 	"multi_parents", "pool_helpers",
 	"fn_digest_hit", "fn_digest_miss", "types_retrained", "families_resolved",
 	"evidence_providers", "evidence_edges_scored",
