@@ -281,7 +281,7 @@ func BenchmarkEdmonds(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := arborescence.MinArborescence(n, 0, edges); err != nil {
+		if _, err := arborescence.Solve(n, 0, edges); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -244,7 +245,9 @@ func TestCoOptimalPlateauCount(t *testing.T) {
 
 // CheckCoOptimal solves one graph, checks its dual certificate, and
 // returns the exact co-optimal count. With oracle set it also checks the
-// count against the forced-edge enumerator (forcedCoOptimal).
+// structure against the forced-edge enumerator (forcedCoOptimal): the
+// streamed set, every tally of a node with several tight parents, and the
+// vote's survivors against refMajorityVote over the enumerated list.
 func CheckCoOptimal(n, root int, edges []Edge, eps float64, oracle bool) (*big.Int, error) {
 	sol, err := Solve(n, root, edges)
 	if err != nil {
@@ -253,15 +256,38 @@ func CheckCoOptimal(n, root int, edges []Edge, eps float64, oracle bool) (*big.I
 	if err := checkCertificate(n, root, edges, sol, eps); err != nil {
 		return nil, err
 	}
-	count := sol.CoOptimal(edges, eps).Count()
-	if oracle {
-		want, err := forcedCoOptimal(n, root, edges, eps)
-		if err != nil {
-			return nil, err
+	co := sol.CoOptimal(edges, eps)
+	count := co.Count()
+	if !oracle {
+		return count, nil
+	}
+	list, err := forcedCoOptimal(n, root, edges, eps)
+	if err != nil {
+		return nil, err
+	}
+	if got := stream(co); fmt.Sprint(got) != fmt.Sprint(list) {
+		return nil, fmt.Errorf("count %v, streamed %d, forced-edge enumeration lists %d (sets differ)", count, len(got), len(list))
+	}
+	for v, ps := range co.Tight {
+		for _, p := range ps {
+			if len(ps) < 2 {
+				break
+			}
+			want := 0
+			for _, a := range list {
+				if a[v] == p {
+					want++
+				}
+			}
+			if got := tally(co, v, p); got.Int64() != int64(want) {
+				return nil, fmt.Errorf("tally(%d←%d) = %v, forced-edge enumeration %d", v, p, got, want)
+			}
 		}
-		if !count.IsInt64() || count.Int64() != int64(len(want)) {
-			return nil, fmt.Errorf("count %v, forced-edge enumeration lists %d", count, len(want))
-		}
+	}
+	want := refMajorityVote(list)
+	sort.Slice(want, func(i, j int) bool { return lexLess(want[i], want[j]) })
+	if got := stream(co.Vote()); fmt.Sprint(got) != fmt.Sprint(want) {
+		return nil, fmt.Errorf("vote keeps %d, list vote over the forced-edge enumeration %d", len(got), len(want))
 	}
 	return count, nil
 }
@@ -269,3 +295,49 @@ func CheckCoOptimal(n, root int, edges []Edge, eps float64, oracle bool) (*big.I
 // RaceEnabled reports a build with the race detector to the external
 // family-graph test.
 func RaceEnabled() bool { return raceEnabled }
+
+// TestDetMatchesLeibniz pins det, whose Bareiss steps run in int64 until
+// a value does not fit, against the Leibniz expansion in math/big on
+// random matrices with small, large and near-overflow entries.
+func TestDetMatchesLeibniz(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var leibniz func(a [][]*big.Int, cols []int) *big.Int
+	leibniz = func(a [][]*big.Int, cols []int) *big.Int {
+		if len(cols) == 0 {
+			return big.NewInt(1)
+		}
+		out, row := new(big.Int), len(a)-len(cols)
+		for i, c := range cols {
+			rest := append(append([]int(nil), cols[:i]...), cols[i+1:]...)
+			term := new(big.Int).Mul(a[row][c], leibniz(a, rest))
+			if i%2 == 1 {
+				term.Neg(term)
+			}
+			out.Add(out, term)
+		}
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		d := rng.Intn(6)
+		a := make([][]*big.Int, d)
+		flat := make([]*big.Int, 0, d*d)
+		cols := make([]int, d)
+		for i := range a {
+			cols[i] = i
+			for j := 0; j < d; j++ {
+				v := big.NewInt(int64(rng.Intn(7) - 3))
+				switch rng.Intn(6) {
+				case 0:
+					v.Lsh(v, 40)
+				case 1:
+					v.Lsh(v, 61)
+				}
+				a[i] = append(a[i], v)
+				flat = append(flat, new(big.Int).Set(v))
+			}
+		}
+		if got, want := det(flat, d), leibniz(a, cols); got.Cmp(want) != 0 {
+			t.Fatalf("trial %d: det %v, Leibniz %v\nmatrix %v", trial, got, want, a)
+		}
+	}
+}

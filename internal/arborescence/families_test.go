@@ -12,20 +12,19 @@ import (
 	"repro/internal/image"
 )
 
-// familyGraph is one enumerator input captured from the pipeline.
+// familyGraph is one family graph captured from the pipeline.
 type familyGraph struct {
 	image       string
-	n, root     int
+	n           int
 	edges       []arborescence.Edge
 	eps         float64
-	limit       int
 	evidenceSet string
 }
 
 // TestEnumerateFamilyGraphsMatchReference replays every family graph the
-// pipeline hands the enumerator — the 19 Table 2 images and the 30-config
-// synth grid, each under the default evidence and under slm,subtype
-// fusion — through the recursive reference at the full state budget.
+// pipeline solves — the 19 Table 2 images and the 30-config synth grid,
+// each under the default evidence and under slm,subtype fusion — through
+// the independent dual-certificate check and the forced-edge enumerator.
 // The synth grid is skipped under -short.
 func TestEnumerateFamilyGraphsMatchReference(t *testing.T) {
 	var imgs []*image.Image
@@ -51,15 +50,15 @@ func TestEnumerateFamilyGraphsMatchReference(t *testing.T) {
 		graphs []familyGraph
 		cur    familyGraph
 	)
-	arborescence.SetEnumerateHook(func(n, root int, edges []arborescence.Edge, eps float64, limit int) {
+	core.SetFamilyHook(func(types []uint64, edges []arborescence.Edge, eps float64) {
 		mu.Lock()
 		g := cur
-		g.n, g.root, g.eps, g.limit = n, root, eps, limit
+		g.n, g.eps = len(types)+1, eps
 		g.edges = append([]arborescence.Edge(nil), edges...)
 		graphs = append(graphs, g)
 		mu.Unlock()
 	})
-	defer arborescence.SetEnumerateHook(nil)
+	defer core.SetFamilyHook(nil)
 	for _, ev := range [][]string{nil, {evidence.NameSLM, evidence.NameSubtype}} {
 		cfg := core.DefaultConfig()
 		cfg.Evidence = ev
@@ -75,26 +74,22 @@ func TestEnumerateFamilyGraphsMatchReference(t *testing.T) {
 			}
 		}
 	}
-	arborescence.SetEnumerateHook(nil)
+	core.SetFamilyHook(nil)
 
-	exhausted := 0
+	plateaus := 0
 	for _, g := range graphs {
-		steps, err := arborescence.CheckEnumerate(g.n, g.root, g.edges, g.eps, g.limit, arborescence.MaxEnumSteps)
-		if err != nil {
-			t.Fatalf("%s (%s evidence), %d-node family: %v", g.image, g.evidenceSet, g.n, err)
-		}
-		if steps > arborescence.MaxEnumSteps {
-			exhausted++
-		}
-		count, err := arborescence.CheckCoOptimal(g.n, g.root, g.edges, g.eps, false)
+		count, err := arborescence.CheckCoOptimal(g.n, 0, g.edges, g.eps, false)
 		if err != nil {
 			t.Fatalf("%s (%s evidence), %d-node family: %v", g.image, g.evidenceSet, g.n, err)
 		}
 		// The forced-edge enumerator costs about 13 Edmonds solves per
 		// co-optimal arborescence; the two 7,776-arborescence plateaus
 		// run only in the full suite.
+		if count.Cmp(big.NewInt(1000)) > 0 {
+			plateaus++
+		}
 		if count.Cmp(big.NewInt(1000)) <= 0 || !testing.Short() && !arborescence.RaceEnabled() {
-			if _, err := arborescence.CheckCoOptimal(g.n, g.root, g.edges, g.eps, true); err != nil {
+			if _, err := arborescence.CheckCoOptimal(g.n, 0, g.edges, g.eps, true); err != nil {
 				t.Fatalf("%s (%s evidence), %d-node family: %v", g.image, g.evidenceSet, g.n, err)
 			}
 		}
@@ -102,5 +97,5 @@ func TestEnumerateFamilyGraphsMatchReference(t *testing.T) {
 	if len(graphs) == 0 {
 		t.Fatal("the pipeline enumerated no family graph")
 	}
-	t.Logf("%d family graphs match the reference, %d of them exhaust the state budget", len(graphs), exhausted)
+	t.Logf("%d family graphs match the oracles, %d of them plateaus of over 1,000 co-optimal arborescences", len(graphs), plateaus)
 }

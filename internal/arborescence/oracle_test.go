@@ -2,60 +2,26 @@ package arborescence
 
 import (
 	"math"
+	"math/big"
 	"sort"
 )
 
-// BruteForceMin exhaustively searches for the minimum arborescence weight.
-// It validates the Edmonds implementation and panics for graphs with more
-// than 9 nodes.
+// MinArborescence is Solve without the certificate: the optimum's parent
+// vector and weight.
+func MinArborescence(n, root int, edges []Edge) (parents []int, weight float64, err error) {
+	sol, err := Solve(n, root, edges)
+	if err != nil {
+		return nil, 0, err
+	}
+	return sol.Parents, sol.Weight, nil
+}
+
+// BruteForceMin exhaustively searches for the minimum arborescence weight
+// (bruteCoOptimal's minimum). It validates the Edmonds implementation and
+// panics for graphs with more than 9 nodes.
 func BruteForceMin(n, root int, edges []Edge) (float64, bool) {
-	if n > 9 {
-		panic("arborescence: brute force limited to 9 nodes")
-	}
-	in := make([][]Edge, n)
-	for _, e := range edges {
-		if e.To == root || e.From == e.To {
-			continue
-		}
-		in[e.To] = append(in[e.To], e)
-	}
-	nodes := []int{}
-	for v := 0; v < n; v++ {
-		if v != root {
-			if len(in[v]) == 0 {
-				return 0, false
-			}
-			nodes = append(nodes, v)
-		}
-	}
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	best := math.Inf(1)
-	var rec func(pos int, acc float64)
-	rec = func(pos int, acc float64) {
-		if pos == len(nodes) {
-			if acc < best {
-				best = acc
-			}
-			return
-		}
-		v := nodes[pos]
-		for _, e := range in[v] {
-			if closesCycle(parent, root, e.From, v) {
-				continue
-			}
-			parent[v] = e.From
-			rec(pos+1, acc+e.W)
-			parent[v] = -1
-		}
-	}
-	rec(0, 0)
-	if math.IsInf(best, 1) {
-		return 0, false
-	}
-	return best, true
+	_, w0, ok := bruteCoOptimal(n, root, edges, 0)
+	return w0, ok
 }
 
 // closesCycle reports whether making u the parent of v closes a cycle
@@ -72,14 +38,15 @@ func closesCycle(parent []int, root, u, v int) bool {
 // bruteCoOptimal lists every parent vector whose arborescence weighs at
 // most the minimum plus eps, in lexicographic order, together with the
 // minimum. A parent vector weighs the sum, in node order, of its cheapest
-// edge into each node. It panics for graphs with more than 9 nodes.
+// edge into each node; a NaN edge counts as absent. It panics for graphs
+// with more than 9 nodes.
 func bruteCoOptimal(n, root int, edges []Edge, eps float64) (arbs [][]int, w0 float64, ok bool) {
 	if n > 9 {
 		panic("arborescence: brute force limited to 9 nodes")
 	}
 	cheapest := make([]map[int]float64, n)
 	for _, e := range edges {
-		if e.To == root || e.From == e.To {
+		if e.To == root || e.From == e.To || math.IsNaN(e.W) {
 			continue
 		}
 		if cheapest[e.To] == nil {
@@ -232,4 +199,67 @@ func lexLess(a, b []int) bool {
 		}
 	}
 	return false
+}
+
+// refMajorityVote is the list-based majority vote that CoOptimal.Vote
+// replaced, kept as its oracle. It applies the paper's heuristic for reducing multiple
+// co-optimal arborescences: while more than one remains, find the node
+// whose most popular parent assignment has the strongest (strict) majority
+// and eliminate the arborescences that disagree. The heuristic is not
+// guaranteed to leave a single arborescence; the remainder is returned.
+func refMajorityVote(arbs [][]int) [][]int {
+	for len(arbs) > 1 {
+		n := len(arbs[0])
+		bestNode, bestParent, bestCount := -1, -1, 0
+		for v := 0; v < n; v++ {
+			counts := map[int]int{}
+			for _, a := range arbs {
+				counts[a[v]]++
+			}
+			if len(counts) < 2 {
+				continue // unanimous
+			}
+			// Most popular parent for v; require a strict majority leader.
+			top, topC, second := -1, 0, 0
+			ps := make([]int, 0, len(counts))
+			for p := range counts {
+				ps = append(ps, p)
+			}
+			sort.Ints(ps)
+			for _, p := range ps {
+				c := counts[p]
+				if c > topC {
+					second = topC
+					top, topC = p, c
+				} else if c > second {
+					second = c
+				}
+			}
+			if topC > second && topC > bestCount {
+				bestNode, bestParent, bestCount = v, top, topC
+			}
+		}
+		if bestNode == -1 {
+			break // only ties remain; cannot reduce further
+		}
+		var keep [][]int
+		for _, a := range arbs {
+			if a[bestNode] == bestParent {
+				keep = append(keep, a)
+			}
+		}
+		if len(keep) == len(arbs) {
+			break
+		}
+		arbs = keep
+	}
+	return arbs
+}
+
+// tally returns the number of c's arborescences that give v the parent p.
+func tally(c *CoOptimal, v, p int) *big.Int {
+	if !contains(c.Tight[v], p) {
+		return new(big.Int)
+	}
+	return newCounter(c).tally(v, p)
 }

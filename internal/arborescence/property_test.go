@@ -116,15 +116,15 @@ func TestMinArborescenceRandomProperties(t *testing.T) {
 }
 
 // TestEnumerateMinRandomProperties extends the property check to the
-// co-optimal enumerator: every enumerated arborescence must satisfy the
-// same structural invariants and weigh within eps of the optimum.
+// co-optimal stream: every streamed arborescence must satisfy the same
+// structural invariants, weigh within eps of the optimum and appear once.
 func TestEnumerateMinRandomProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 200; iter++ {
 		n := 2 + rng.Intn(5)
 		root := rng.Intn(n)
 		edges := randomDigraph(rng, n)
-		arbs, w0, _, err := EnumerateMin(n, root, edges, 1e-9, 16)
+		sol, err := Solve(n, root, edges)
 		if err != nil {
 			continue
 		}
@@ -133,7 +133,8 @@ func TestEnumerateMinRandomProperties(t *testing.T) {
 			weightOf[[2]int{e.From, e.To}] = e.W
 		}
 		seen := map[string]bool{}
-		for ai, parents := range arbs {
+		ai := 0
+		sol.CoOptimal(edges, 1e-9).Each(func(parents []int) bool {
 			key := ""
 			sum := 0.0
 			for v := 0; v < n; v++ {
@@ -158,13 +159,15 @@ func TestEnumerateMinRandomProperties(t *testing.T) {
 					}
 				}
 			}
-			if sum > w0+1e-9 {
-				t.Fatalf("iter %d arb %d: weight %v exceeds optimum %v", iter, ai, sum, w0)
+			if sum > sol.Weight+1e-9 {
+				t.Fatalf("iter %d arb %d: weight %v exceeds optimum %v", iter, ai, sum, sol.Weight)
 			}
 			if seen[key] {
-				t.Fatalf("iter %d: duplicate arborescence enumerated", iter)
+				t.Fatalf("iter %d: duplicate arborescence streamed", iter)
 			}
 			seen[key] = true
-		}
+			ai++
+			return true
+		})
 	}
 }

@@ -2,6 +2,7 @@ package arborescence
 
 import (
 	"fmt"
+	"math/big"
 	"testing"
 )
 
@@ -49,17 +50,19 @@ func BenchmarkSolveContracted(b *testing.B) {
 	}
 }
 
-// plateauGraph builds a family graph of the shape that exhausts
-// EnumerateMin's state budget in the Table 2 suite (Analyzer, Smoothing),
-// n >= 15 nodes with node 0 the virtual root. Every type hangs off the
+// plateauGraph builds a family graph of the shape of Table 2's two
+// 7,776-arborescence families (Analyzer, Smoothing), n >= 15 nodes with
+// node 0 the virtual root. Every type hangs off the
 // root by a dominating edge (Heuristic 4.1). Node 1, the family's top
 // type, has cheap in-edges from below as well, so the lower bound (the
 // sum of per-node minima) sits almost a whole root edge under the optimum
 // and prunes almost nothing. Nodes 2–7 are 1's children, tied with each
 // other at one weight; nodes 8–13 form a zero-weight 6-clique below 1;
-// the rest form a chain under 1 whose last links are near ties. Most
-// candidate parents close a cycle, and the cheap assignments tried first
-// multiply long before the bound cuts them.
+// the rest form a chain under 1 whose last links are near ties. The
+// clique is the plateau: it is entered once, at any of its six nodes, and
+// spanned inside by any of 6^4 arborescences. A fixed-order
+// branch-and-bound over this graph spent 400,000 states without finding
+// one of them.
 func plateauGraph(n int) []Edge {
 	const root = 300
 	var edges []Edge
@@ -99,23 +102,35 @@ func plateauGraph(n int) []Edge {
 	return edges
 }
 
-// BenchmarkEnumeratePlateau measures the co-optimal search on plateau
-// graphs that use up the whole state budget, reporting the states each
-// search visits.
-func BenchmarkEnumeratePlateau(b *testing.B) {
-	for _, n := range []int{20, 26} {
+// BenchmarkCoOptimalPlateau measures the exact co-optimal structure on
+// the six-variant plateaus (n=20 and 26, and a 64-node graph of the same
+// shape): the Edmonds solve with its certificate, the structure, the
+// count and the vote. It reports the count, the vote rounds (restrictions
+// made plus the final round that found no leader) and allocs per op.
+func BenchmarkCoOptimalPlateau(b *testing.B) {
+	for _, n := range []int{20, 26, 64} {
 		edges := plateauGraph(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
-			states := 0
+			var count, rounds float64
 			for i := 0; i < b.N; i++ {
-				_, _, _, s, err := EnumerateMinStates(n, 0, edges, 1e-9, 64)
+				sol, err := Solve(n, 0, edges)
 				if err != nil {
 					b.Fatal(err)
 				}
-				states += s
+				co := sol.CoOptimal(edges, 1e-9)
+				c, _ := new(big.Float).SetInt(co.Count()).Float64()
+				kept := co.Vote()
+				count += c
+				rounds++
+				for v := range kept.Tight {
+					if len(kept.Tight[v]) < len(co.Tight[v]) {
+						rounds++
+					}
+				}
 			}
-			b.ReportMetric(float64(states)/float64(b.N), "states/op")
+			b.ReportMetric(count/float64(b.N), "count/op")
+			b.ReportMetric(rounds/float64(b.N), "rounds/op")
 		})
 	}
 }

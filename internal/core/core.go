@@ -77,11 +77,9 @@ type Config struct {
 	// passthrough of that provider — {slm: 1, subtype: 0} is bit-identical
 	// to the pure-SLM pipeline.
 	FuseWeights map[string]float64
-	// EnumLimit caps the number of co-optimal arborescences enumerated per
-	// family.
-	EnumLimit int
-	// EnumEps is the weight tolerance within which two arborescences count
-	// as equally minimal.
+	// EnumEps is the near-tie tolerance of the co-optimal structure
+	// (arborescence.CoOptimal): an edge is tight iff its reduced cost is
+	// at most EnumEps, and a contracted set binds iff its dual exceeds it.
 	EnumEps float64
 	// Workers bounds the analysis's concurrency: AnalyzeContext runs on a
 	// fresh Shared of this capacity, so per-function tracelet extraction,
@@ -131,7 +129,6 @@ func DefaultConfig() Config {
 		Metric:           slm.MetricKL,
 		Trace:            objtrace.DefaultConfig(),
 		RootWeightFactor: 8,
-		EnumLimit:        64,
 		EnumEps:          1e-9,
 	}
 }
@@ -140,17 +137,14 @@ func DefaultConfig() Config {
 type FamilyResult struct {
 	// Types lists the family members (vtable addresses), ascending.
 	Types []uint64
-	// Arbs holds the hierarchies that survive majority voting, as
-	// child→parent maps; types absent from a map are roots. At least one
-	// entry when the behavioral analysis ran.
-	Arbs []map[uint64]uint64
 	// Weight is the minimum arborescence weight.
 	Weight float64
-	// Truncated reports that the co-optimal enumeration for this family was
-	// cut short by an internal cap of arborescence.EnumerateMin (over-size
-	// graph fallback or step budget), so Arbs may under-represent the true
-	// co-optimal set. Hitting the caller-chosen EnumLimit is not flagged.
-	Truncated bool
+	// Survivors describes the co-optimal hierarchies that survive majority
+	// voting, over the family graph: node 0 is the virtual root and node
+	// i+1 is Types[i]; a type whose parent is node 0 is a root. The
+	// hierarchy in Result.Hierarchy is Edmonds' optimum when it survives,
+	// else the first survivor Survivors.Each streams.
+	Survivors arborescence.CoOptimal
 }
 
 // Result is the pipeline output.
@@ -294,9 +288,6 @@ func (c Config) withDefaults() Config {
 	if c.RootWeightFactor <= 1 {
 		c.RootWeightFactor = 8
 	}
-	if c.EnumLimit <= 0 {
-		c.EnumLimit = 64
-	}
 	if c.EnumEps <= 0 {
 		c.EnumEps = 1e-9
 	}
@@ -309,7 +300,7 @@ func (r *Result) restoreHierarchy(snap *snapshot.Snapshot) {
 	r.Dist = snap.Dist
 	r.Families = make([]FamilyResult, len(snap.Families))
 	for i, fr := range snap.Families {
-		r.Families[i] = FamilyResult{Types: fr.Types, Weight: fr.Weight, Truncated: fr.Truncated, Arbs: fr.Arbs}
+		r.Families[i] = FamilyResult{Types: fr.Types, Weight: fr.Weight, Survivors: fr.Survivors}
 	}
 	var all []uint64
 	for _, v := range r.VTables {
@@ -347,7 +338,7 @@ func (r *Result) writeSnapshot(path string, key snapshot.Key) error {
 		MultiParents: r.MultiParents,
 	}
 	for i, fr := range r.Families {
-		snap.Families[i] = snapshot.Family{Types: fr.Types, Weight: fr.Weight, Truncated: fr.Truncated, Arbs: fr.Arbs}
+		snap.Families[i] = snapshot.Family{Types: fr.Types, Weight: fr.Weight, Survivors: fr.Survivors}
 	}
 	for _, t := range r.Hierarchy.Nodes() {
 		if p, ok := r.Hierarchy.Parent(t); ok {
@@ -549,9 +540,23 @@ func (r *Result) familyWords(fam []uint64) [][]int {
 
 // familyOutcome is the result of analyzing one family in isolation.
 type familyOutcome struct {
-	fr   FamilyResult
-	dist map[[2]uint64]float64
-	err  error
+	fr FamilyResult
+	// parents is the family's hierarchy, child→parent.
+	parents map[uint64]uint64
+	dist    map[[2]uint64]float64
+	err     error
+}
+
+// familyHook, when non-nil, receives every family graph before it is
+// solved: the family's types and the edges over its family graph.
+var familyHook func(types []uint64, edges []arborescence.Edge, eps float64)
+
+// SetFamilyHook installs f as the family hook (nil removes it). It is a
+// test seam: tests capture the pipeline's family graphs through it, or
+// make a family's solve fail the way a bug would. It must not be called
+// while analyses run.
+func SetFamilyHook(f func(types []uint64, edges []arborescence.Edge, eps float64)) {
+	familyHook = f
 }
 
 // buildHierarchy runs the per-family arborescence step. Families are
@@ -613,7 +618,7 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 			r.Dist[pc] = d
 		}
 		r.Families = append(r.Families, out.fr)
-		for c, p := range out.fr.Arbs[0] {
+		for c, p := range out.parents {
 			if err := r.Hierarchy.SetParent(c, p); err != nil {
 				return fmt.Errorf("core: building forest: %w", err)
 			}
@@ -635,7 +640,7 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *familyOutcome {
 	out := &familyOutcome{fr: FamilyResult{Types: append([]uint64(nil), fam...)}}
 	if len(fam) == 1 {
-		out.fr.Arbs = []map[uint64]uint64{{}}
+		out.fr.Survivors = arborescence.CoOptimal{Tight: [][]int{nil, {0}}}
 		return out
 	}
 	n := len(fam)
@@ -697,33 +702,34 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 			From: nodeOf[pc[0]], To: nodeOf[pc[1]], W: fused.Edge[k],
 		})
 	}
-	arbs, w, truncated, states, err := arborescence.EnumerateMinStates(len(fam)+1, 0, edges, cfg.EnumEps, cfg.EnumLimit)
+	if familyHook != nil {
+		familyHook(fam, edges, cfg.EnumEps)
+	}
+	sol, err := arborescence.Solve(n+1, 0, edges)
 	if err != nil {
 		out.err = err
 		return out
 	}
-	cfg.Obs.Add(obs.CntEnumStates, int64(states))
-	cfg.Obs.Add(obs.CntCoOptimal, int64(len(arbs)))
+	co := sol.CoOptimal(edges, cfg.EnumEps)
+	kept := co.Vote()
 	if cfg.Obs != nil {
-		sol, err := arborescence.Solve(len(fam)+1, 0, edges)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		cfg.Obs.Add(obs.CntCoOptimalExact, saturate(sol.CoOptimal(edges, cfg.EnumEps).Count()))
+		cfg.Obs.Add(obs.CntCoOptimal, saturate(co.Count()))
+		cfg.Obs.Add(obs.CntArbsKept, saturate(kept.Count()))
 	}
-	arbs = arborescence.MajorityVote(arbs)
-	cfg.Obs.Add(obs.CntArbsKept, int64(len(arbs)))
-	out.fr.Weight = w
-	out.fr.Truncated = truncated
-	for _, a := range arbs {
-		pm := map[uint64]uint64{}
-		for i, t := range fam {
-			if p := a[i+1]; p > 0 {
-				pm[t] = fam[p-1]
-			}
+	chosen := sol.Parents
+	if !kept.Contains(chosen) {
+		kept.Each(func(p []int) bool {
+			chosen = append([]int(nil), p...)
+			return false
+		})
+	}
+	out.fr.Weight = sol.Weight
+	out.fr.Survivors = *kept
+	out.parents = make(map[uint64]uint64, n)
+	for i, t := range fam {
+		if p := chosen[i+1]; p > 0 {
+			out.parents[t] = fam[p-1]
 		}
-		out.fr.Arbs = append(out.fr.Arbs, pm)
 	}
 	return out
 }

@@ -17,8 +17,10 @@ import (
 // (one fingerprint per section, hashing "tag|canon" with the canon laid
 // out exactly as the pre-pipeline core formatted it, plus the sparse
 // sweep's " sweep=sparse" and the dot-product KL kernel's " kl=dot"
-// hierarchy markers). Any divergence silently invalidates every user's
-// cache, so this test recomputes the bytes from scratch and compares.
+// hierarchy markers; the hierarchy canon lost its "enumlimit" term with
+// the co-optimal search's limit). Any divergence silently invalidates
+// every user's cache, so this test recomputes the bytes from scratch and
+// compares.
 func TestFingerprintCompat(t *testing.T) {
 	legacy := func(stage, canon string) [32]byte {
 		return sha256.Sum256([]byte(stage + "|" + canon))
@@ -37,8 +39,8 @@ func TestFingerprintCompat(t *testing.T) {
 				cfg.Structural.DisablePurecallRule)),
 			snapshot.LevelModels - 1: legacy("model", fmt.Sprintf("depth=%d", cfg.SLMDepth)),
 			snapshot.LevelHierarchy - 1: legacy("hier", fmt.Sprintf(
-				"metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse kl=dot",
-				cfg.Metric, cfg.RootWeightFactor, cfg.EnumLimit, cfg.EnumEps)),
+				"metric=%d rootw=%.17g enumeps=%.17g sweep=sparse kl=dot",
+				cfg.Metric, cfg.RootWeightFactor, cfg.EnumEps)),
 		}
 		for i := range fps {
 			if fps[i] != want[i] {
@@ -52,7 +54,7 @@ func TestFingerprintCompat(t *testing.T) {
 	ablated.SLMDepth = 3
 	ablated.Structural.DisableCtorCalls = true
 	ablated.Trace.MaxPaths = 7
-	ablated.EnumLimit = 5
+	ablated.EnumEps = 1e-6
 	ablated.RootWeightFactor = 2.5
 	check("ablated", ablated)
 
@@ -105,7 +107,9 @@ func TestEvidenceFingerprints(t *testing.T) {
 
 // TestFingerprintLiterals pins DefaultConfig()'s snapshot fingerprints,
 // in section order (extract, model, hier), to the literal bytes every
-// existing default-configuration .rsnap file was keyed with.
+// existing default-configuration .rsnap file was keyed with. The hier
+// literal is sha256("hier|metric=0 rootw=8 enumeps=1.0000000000000001e-09
+// sweep=sparse kl=dot").
 // TestFingerprintCompat recomputes them with the code's own format
 // strings; only a literal catches a refactor that shifts both together.
 func TestFingerprintLiterals(t *testing.T) {
@@ -113,7 +117,7 @@ func TestFingerprintLiterals(t *testing.T) {
 	want := []string{
 		"c5090f2e98ab045ae3444b8412aa76aa3ba428a9f0bf76bdb657b2417a4927d1",
 		"39b3d79e1bdc8b1160e26db94f1f2802048c3fe3b0e5d10d67dfa9359e240f3e",
-		"cb6180e3068bb7b7526c2578bc2b7e94ae091ab2089e747fd0cc3e1f1182931e",
+		"bf945d0dcf693f513bf3f295eb1a532a52a963002cad484564262e2514fa08e6",
 	}
 	fps := DefaultConfig().withDefaults().snapshotKey(img).FPs
 	if len(fps) != len(want) {

@@ -150,8 +150,8 @@ func (c Config) fingerprints() [snapshot.NumSections][32]byte {
 // unaffected either way — kernel and evidence changes invalidate only
 // the hierarchy section.
 func (c Config) hierarchyCanon() string {
-	canon := fmt.Sprintf("metric=%d rootw=%.17g enumlimit=%d enumeps=%.17g sweep=sparse kl=dot",
-		c.Metric, c.RootWeightFactor, c.EnumLimit, c.EnumEps)
+	canon := fmt.Sprintf("metric=%d rootw=%.17g enumeps=%.17g sweep=sparse kl=dot",
+		c.Metric, c.RootWeightFactor, c.EnumEps)
 	if !c.evidenceDefault() {
 		canon += " evidence=" + c.evidenceCanon()
 	}

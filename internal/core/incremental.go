@@ -316,9 +316,16 @@ func (r *Result) restoreFamilies(outs []*familyOutcome) int {
 		if !ok {
 			continue
 		}
+		parents := make(map[uint64]uint64, len(fam))
+		for _, c := range fam {
+			if p, ok := prior.Parents[c]; ok {
+				parents[c] = p
+			}
+		}
 		outs[i] = &familyOutcome{
-			fr:   FamilyResult{Types: pf.Types, Weight: pf.Weight, Truncated: pf.Truncated, Arbs: pf.Arbs},
-			dist: dist,
+			fr:      FamilyResult{Types: pf.Types, Weight: pf.Weight, Survivors: pf.Survivors},
+			parents: parents,
+			dist:    dist,
 		}
 		restored++
 	}

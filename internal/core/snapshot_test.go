@@ -178,31 +178,37 @@ func rewriteVersion(t *testing.T, path string, v uint32) {
 	}
 }
 
-// TestSnapshotVersionMiss: a cache file in another format version is a
-// plain miss — the run is cold, deep-equal to a cacheless run, and
+// TestSnapshotVersionMiss: a cache file in another format version — a
+// v3 file from before the co-optimal structure, or an older v2 — is a
+// plain miss: the run is cold, deep-equal to a cacheless run, and
 // rewrites the slot in the current version.
 func TestSnapshotVersionMiss(t *testing.T) {
 	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
-	cfg := DefaultConfig()
-	cfg.CacheDir = t.TempDir()
-	analyzeCached(t, img, cfg)
-	path := cacheFile(t, cfg.CacheDir)
-	rewriteVersion(t, path, 2)
-
 	want := analyzeCached(t, img, DefaultConfig())
-	got := analyzeCached(t, img, cfg)
-	// Every exported field matches; the unexported memos legitimately
-	// differ (the cached run digested the image to write its snapshot).
-	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
-	for i := 0; i < gv.NumField(); i++ {
-		if f := gv.Type().Field(i); f.IsExported() && !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
-			t.Errorf("version-miss run: %s diverged from a cacheless run", f.Name)
+	for _, v := range []uint32{2, 3} {
+		cfg := DefaultConfig()
+		cfg.CacheDir = t.TempDir()
+		analyzeCached(t, img, cfg)
+		path := cacheFile(t, cfg.CacheDir)
+		rewriteVersion(t, path, v)
+
+		got := analyzeCached(t, img, cfg)
+		if got.SnapshotReuse != snapshot.LevelNone {
+			t.Errorf("v%d slot reused level %d", v, got.SnapshotReuse)
 		}
-	}
-	if h, err := snapshot.ReadHeader(path); err != nil || h.Version != snapshot.Version {
-		t.Errorf("slot not rewritten in version %d: %+v, %v", snapshot.Version, h, err)
-	}
-	if warm := analyzeCached(t, img, cfg); warm.SnapshotReuse != snapshot.LevelHierarchy {
-		t.Errorf("rewritten slot reused level %d", warm.SnapshotReuse)
+		// Every exported field matches; the unexported memos legitimately
+		// differ (the cached run digested the image to write its snapshot).
+		gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+		for i := 0; i < gv.NumField(); i++ {
+			if f := gv.Type().Field(i); f.IsExported() && !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+				t.Errorf("v%d version-miss run: %s diverged from a cacheless run", v, f.Name)
+			}
+		}
+		if h, err := snapshot.ReadHeader(path); err != nil || h.Version != snapshot.Version {
+			t.Errorf("v%d slot not rewritten in version %d: %+v, %v", v, snapshot.Version, h, err)
+		}
+		if warm := analyzeCached(t, img, cfg); warm.SnapshotReuse != snapshot.LevelHierarchy {
+			t.Errorf("v%d rewritten slot reused level %d", v, warm.SnapshotReuse)
+		}
 	}
 }

@@ -15,16 +15,15 @@ import (
 // reference re-solves every family of res the dense way, entirely in test
 // code: it scores all n(n-1) ordered pairs of each family with
 // slm.DistanceCalculator over the family's word set, sets the virtual-root
-// weight from the exact dense maximum (Heuristic 4.1), and enumerates the
-// co-optimal arborescences over the admissible edges, then majority-votes
-// them. It returns the full distance table, the per-family arborescence
-// sets and truncation flags, and the forest built from the first
-// surviving arborescence of each family.
-func reference(t *testing.T, res *core.Result, cfg core.Config) (map[[2]uint64]float64, [][]map[uint64]uint64, []bool, *hierarchy.Forest) {
+// weight from the exact dense maximum (Heuristic 4.1), and derives the
+// co-optimal structure over the admissible edges, then majority-votes it.
+// It returns the full distance table, the per-family survivor structures,
+// and the forest built from each family's Edmonds optimum, or its first
+// streamed survivor when the optimum does not survive.
+func reference(t *testing.T, res *core.Result, cfg core.Config) (map[[2]uint64]float64, []arborescence.CoOptimal, *hierarchy.Forest) {
 	t.Helper()
 	dist := map[[2]uint64]float64{}
-	arbSets := make([][]map[uint64]uint64, len(res.Structural.Families))
-	truncs := make([]bool, len(res.Structural.Families))
+	survivors := make([]arborescence.CoOptimal, len(res.Structural.Families))
 	var all []uint64
 	for _, v := range res.VTables {
 		all = append(all, v.Addr)
@@ -32,7 +31,7 @@ func reference(t *testing.T, res *core.Result, cfg core.Config) (map[[2]uint64]f
 	forest := hierarchy.NewForest(all)
 	for fi, fam := range res.Structural.Families {
 		if len(fam) == 1 {
-			arbSets[fi] = []map[uint64]uint64{{}}
+			survivors[fi] = arborescence.CoOptimal{Tight: [][]int{nil, {0}}}
 			continue
 		}
 		calc := slm.NewDistanceCalculator(cfg.Metric, core.FamilyWords(res, fam))
@@ -58,27 +57,28 @@ func reference(t *testing.T, res *core.Result, cfg core.Config) (map[[2]uint64]f
 				edges = append(edges, arborescence.Edge{From: nodeOf[p], To: nodeOf[c], W: dist[[2]uint64{p, c}]})
 			}
 		}
-		arbs, _, truncated, err := arborescence.EnumerateMin(len(fam)+1, 0, edges, cfg.EnumEps, cfg.EnumLimit)
+		sol, err := arborescence.Solve(len(fam)+1, 0, edges)
 		if err != nil {
 			t.Fatalf("family %v: %v", fam, err)
 		}
-		truncs[fi] = truncated
-		for _, a := range arborescence.MajorityVote(arbs) {
-			pm := map[uint64]uint64{}
-			for i, t := range fam {
-				if p := a[i+1]; p > 0 {
-					pm[t] = fam[p-1]
-				}
-			}
-			arbSets[fi] = append(arbSets[fi], pm)
+		kept := sol.CoOptimal(edges, cfg.EnumEps).Vote()
+		survivors[fi] = *kept
+		chosen := sol.Parents
+		if !kept.Contains(chosen) {
+			kept.Each(func(p []int) bool {
+				chosen = append([]int(nil), p...)
+				return false
+			})
 		}
-		for c, p := range arbSets[fi][0] {
-			if err := forest.SetParent(c, p); err != nil {
-				t.Fatalf("family %v: %v", fam, err)
+		for i, c := range fam {
+			if p := chosen[i+1]; p > 0 {
+				if err := forest.SetParent(c, fam[p-1]); err != nil {
+					t.Fatalf("family %v: %v", fam, err)
+				}
 			}
 		}
 	}
-	return dist, arbSets, truncs, forest
+	return dist, survivors, forest
 }
 
 // sparseVsReference analyzes one image at the given worker count and
@@ -96,20 +96,20 @@ func sparseVsReference(t *testing.T, label string, img *image.Image, workers int
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	dist, arbSets, truncs, forest := reference(t, res, cfg)
+	dist, survivors, forest := reference(t, res, cfg)
 	if !reflect.DeepEqual(res.Hierarchy, forest) {
 		t.Errorf("%s: sparse and reference hierarchies differ", label)
 	}
 	if !reflect.DeepEqual(res.MultiParents, core.MultiParents(res, dist, forest)) {
 		t.Errorf("%s: sparse and reference multi-parent choices differ", label)
 	}
-	if len(res.Families) != len(arbSets) {
-		t.Fatalf("%s: %d sparse families, %d reference", label, len(res.Families), len(arbSets))
+	if len(res.Families) != len(survivors) {
+		t.Fatalf("%s: %d sparse families, %d reference", label, len(res.Families), len(survivors))
 	}
 	for i, fr := range res.Families {
 		if !reflect.DeepEqual(fr.Types, res.Structural.Families[i]) ||
-			!reflect.DeepEqual(fr.Arbs, arbSets[i]) || fr.Truncated != truncs[i] {
-			t.Errorf("%s: family %d arborescences differ", label, i)
+			!reflect.DeepEqual(fr.Survivors, survivors[i]) {
+			t.Errorf("%s: family %d co-optimal survivors differ", label, i)
 		}
 	}
 	admissible := 0

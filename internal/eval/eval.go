@@ -12,6 +12,8 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math/big"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -93,15 +95,12 @@ func Score(b *bench.Benchmark, img *image.Image, meta *image.Metadata, res *core
 	}
 	totalMissing, totalAdded := 0, 0
 	for _, fr := range res.Families {
-		worst, bm, ba := -1, 0, 0
-		for _, arb := range fr.Arbs {
-			m, a := familyError(fr.Types, arb, gtSucc, countedSet)
-			if m+a > worst {
-				worst, bm, ba = m+a, m, a
-			}
+		m, a, err := worstCase(fr, gtSucc, countedSet)
+		if err != nil {
+			return nil, fmt.Errorf("bench %s: %w", b.Name, err)
 		}
-		totalMissing += bm
-		totalAdded += ba
+		totalMissing += m
+		totalAdded += a
 	}
 	if len(counted) > 0 {
 		row.WithMissing = float64(totalMissing) / float64(len(counted))
@@ -110,42 +109,94 @@ func Score(b *bench.Benchmark, img *image.Image, meta *image.Metadata, res *core
 	return row, nil
 }
 
-// familyError computes the missing/added totals contributed by one family
-// under one arborescence choice.
-func familyError(types []uint64, arb map[uint64]uint64, gtSucc map[uint64]map[uint64]bool, counted map[uint64]bool) (missing, added int) {
-	// Successor sets within the family under this arborescence.
-	children := map[uint64][]uint64{}
-	for c, p := range arb {
-		children[p] = append(children[p], c)
+// maxSurvivors caps the co-optimal hierarchies worstCase scores per
+// family. Scoring one costs a pass over the family, so the cap bounds a
+// Score at about a second; a family with more survivors is an error, never
+// a smaller worst case.
+const maxSurvivors = 1 << 20
+
+// worstCase returns the missing/added totals the family contributes under
+// its least precise surviving hierarchy: the one with the most errors, the
+// first streamed among equals. Each survivor's successor sets are bitsets
+// over the family's nodes, built bottom-up in reverse topological order.
+func worstCase(fr core.FamilyResult, gtSucc map[uint64]map[uint64]bool, counted map[uint64]bool) (missing, added int, err error) {
+	co := &fr.Survivors
+	if count := co.Count(); count.Cmp(big.NewInt(maxSurvivors)) > 0 {
+		return 0, 0, fmt.Errorf("family %#x: %v co-optimal hierarchies exceed the scoring cap of %d", fr.Types[0], count, maxSurvivors)
 	}
-	var succOf func(t uint64, out map[uint64]bool)
-	succOf = func(t uint64, out map[uint64]bool) {
-		for _, c := range children[t] {
-			if !out[c] {
-				out[c] = true
-				succOf(c, out)
-			}
-		}
+	// Node i+1 is fr.Types[i]. gt[i] holds the counted type's
+	// ground-truth successors inside the family; outside[i] counts the
+	// rest, which no family hierarchy reaches.
+	n := len(fr.Types) + 1
+	words := (n + 63) / 64
+	gt := make([]uint64, n*words)
+	outside := make([]int, n)
+	index := make(map[uint64]int, n)
+	for i, t := range fr.Types {
+		index[t] = i + 1
 	}
-	for _, t := range types {
+	var scored []int
+	for i, t := range fr.Types {
 		if !counted[t] {
 			continue
 		}
-		h := map[uint64]bool{}
-		succOf(t, h)
-		g := gtSucc[t]
-		for s := range g {
-			if !h[s] {
-				missing++
-			}
-		}
-		for s := range h {
-			if !g[s] {
-				added++
+		scored = append(scored, i+1)
+		for s := range gtSucc[t] {
+			if j, ok := index[s]; ok {
+				gt[(i+1)*words+j/64] |= 1 << (j % 64)
+			} else {
+				outside[i+1]++
 			}
 		}
 	}
-	return missing, added
+	succ := make([]uint64, n*words)
+	head, next, order := make([]int, n), make([]int, n), make([]int, n)
+	worst := -1
+	co.Each(func(parent []int) bool {
+		// Breadth-first order from the root over child lists; walked
+		// backwards it is a reverse topological order, so every child's
+		// successor set is complete before it is merged into its parent's.
+		for v := range head {
+			head[v] = -1
+		}
+		for v := n - 1; v >= 0; v-- {
+			if p := parent[v]; p >= 0 {
+				next[v], head[p] = head[p], v
+			}
+		}
+		order[0] = co.Root
+		for i, k := 0, 1; i < k; i++ {
+			for c := head[order[i]]; c >= 0; c = next[c] {
+				order[k] = c
+				k++
+			}
+		}
+		clear(succ)
+		for i := n - 1; i > 0; i-- {
+			v := order[i]
+			if p := parent[v]; p != co.Root {
+				row, up := succ[v*words:(v+1)*words], succ[p*words:(p+1)*words]
+				for k := range up {
+					up[k] |= row[k]
+				}
+				up[v/64] |= 1 << (v % 64)
+			}
+		}
+		m, a := 0, 0
+		for _, v := range scored {
+			m += outside[v]
+			for k := 0; k < words; k++ {
+				h, g := succ[v*words+k], gt[v*words+k]
+				m += bits.OnesCount64(g &^ h)
+				a += bits.OnesCount64(h &^ g)
+			}
+		}
+		if m+a > worst {
+			worst, missing, added = m+a, m, a
+		}
+		return true
+	})
+	return missing, added, nil
 }
 
 // GroundTruthForest builds the induced binary type hierarchy from metadata

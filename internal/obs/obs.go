@@ -20,6 +20,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"runtime/metrics"
 	"sort"
 	"strings"
@@ -70,18 +71,11 @@ const (
 	// the model queries one derivation would run word by word, so
 	// dist_positions / dist_grams is the factoring ratio.
 	CntDistPositions
-	// CntCoOptimal counts the co-optimal arborescences enumerated across
-	// all families (before majority voting).
+	// CntCoOptimal counts the co-optimal arborescences across all
+	// families before majority voting, exactly (arborescence.CoOptimal).
 	CntCoOptimal
 	// CntArbsKept counts the arborescences surviving majority voting.
 	CntArbsKept
-	// CntEnumStates counts the search states the co-optimal enumeration
-	// visited across all families (at most its budget per family).
-	CntEnumStates
-	// CntCoOptimalExact counts the co-optimal arborescences across all
-	// families as the dual structure counts them exactly (saturating at
-	// math.MaxInt64).
-	CntCoOptimalExact
 	// CntMultiParents counts the types assigned multiple parents (§5.3).
 	CntMultiParents
 	// CntPoolHelpers counts the fan-out helper goroutines the pool spawned
@@ -114,8 +108,7 @@ var counterNames = [numCounters]string{
 	"vtables", "tracelets", "raw_tracelets", "alphabet", "families",
 	"candidate_edges", "edges_pruned", "models", "dist_pairs",
 	"dist_pairs_pruned", "dist_memo_hits", "dist_memo_misses", "dist_grams",
-	"dist_positions", "co_optimal", "arbs_kept", "enum_states",
-	"co_optimal_exact",
+	"dist_positions", "co_optimal", "arbs_kept",
 	"multi_parents", "pool_helpers",
 	"fn_digest_hit", "fn_digest_miss", "types_retrained", "families_resolved",
 	"evidence_providers", "evidence_edges_scored",
@@ -223,12 +216,25 @@ func NewBus() *Bus {
 	return &Bus{epoch: time.Now()}
 }
 
-// Add increments a domain counter. Safe from any goroutine; nil-safe.
+// Add increments a domain counter by n, saturating at math.MaxInt64. Safe from any goroutine; nil-safe.
 func (b *Bus) Add(c Counter, n int64) {
 	if b == nil || c < 0 || c >= numCounters {
 		return
 	}
-	b.counters[c].Add(n)
+	for {
+		old := b.counters[c].Load()
+		if b.counters[c].CompareAndSwap(old, satAdd(old, n)) {
+			return
+		}
+	}
+}
+
+// satAdd returns a+b, saturating at math.MaxInt64.
+func satAdd(a, b int64) int64 {
+	if b > 0 && a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // SetSnapshotReuse records the run's snapshot reuse level.
@@ -428,7 +434,7 @@ func (r *Report) Merge(o *Report) {
 		r.Counters = map[string]int64{}
 	}
 	for n, v := range o.Counters {
-		r.Counters[n] += v
+		r.Counters[n] = satAdd(r.Counters[n], v)
 	}
 }
 

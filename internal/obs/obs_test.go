@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -154,5 +155,22 @@ func TestContextPlumbing(t *testing.T) {
 	ctx = WithRegion(ctx, b, "train")
 	if RegionFrom(ctx) != "train" {
 		t.Fatalf("region = %q", RegionFrom(ctx))
+	}
+}
+
+// TestCountersSaturate: a counter (co_optimal can count astronomically
+// many hierarchies) stops at math.MaxInt64 instead of wrapping, on the
+// bus and when reports are merged.
+func TestCountersSaturate(t *testing.T) {
+	b := NewBus()
+	b.Add(CntCoOptimal, math.MaxInt64-1)
+	b.Add(CntCoOptimal, 5)
+	rep := b.Report()
+	if got := rep.Counters["co_optimal"]; got != math.MaxInt64 {
+		t.Fatalf("co_optimal = %d, want MaxInt64", got)
+	}
+	rep.Merge(rep)
+	if got := rep.Counters["co_optimal"]; got != math.MaxInt64 {
+		t.Fatalf("merged co_optimal = %d, want MaxInt64", got)
 	}
 }

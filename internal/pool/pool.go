@@ -19,6 +19,8 @@ package pool
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -98,6 +100,11 @@ func ForEachChunk(ctx context.Context, sh *Shared, n, grain int, fn func(lo, hi 
 // Callers must treat a non-nil error as "index slots are incomplete" and
 // discard the stage's output.
 //
+// A panic in fn, on the caller or on a helper, stops the handing out of
+// indices; once the in-flight calls have returned, ForEach re-panics on
+// the caller with a *Panic carrying the first panic's value and stack, so
+// a recover around the stage sees it whichever goroutine raised it.
+//
 // The caller always participates, token-free; helpers are limited to the
 // tokens TryAcquire can win from sh. With sh == nil there are no helpers
 // and the loop runs serially on the caller. fn must only write to state
@@ -120,6 +127,7 @@ func ForEach(ctx context.Context, sh *Shared, n int, fn func(i int)) error {
 	done := ctx.Done()
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[Panic]
 	// run pulls indices until the space is exhausted or ctx is canceled.
 	// The cancellation check runs once per index: fn is never started
 	// after ctx is done, but an fn already running is not interrupted.
@@ -129,6 +137,16 @@ func ForEach(ctx context.Context, sh *Shared, n int, fn func(i int)) error {
 	// finishing — join the stage still running instead of idling.
 	var run func()
 	run = func() {
+		defer func() {
+			if p := recover(); p != nil {
+				pp, nested := p.(*Panic)
+				if !nested {
+					pp = &Panic{Value: p, Stack: debug.Stack()}
+				}
+				panicked.CompareAndSwap(nil, pp)
+				next.Store(int64(n))
+			}
+		}()
 		for {
 			if done != nil {
 				select {
@@ -157,5 +175,17 @@ func ForEach(ctx context.Context, sh *Shared, n int, fn func(i int)) error {
 	}
 	run()
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	return ctx.Err()
 }
+
+// Panic is a panic raised inside a ForEach body, re-raised on the
+// caller.
+type Panic struct {
+	Value any
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (p *Panic) Error() string { return fmt.Sprint(p.Value) }

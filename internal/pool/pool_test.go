@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -306,4 +307,35 @@ func TestForEachChunkShared(t *testing.T) {
 	if visited.Load() == 0 {
 		t.Fatal("no chunk ran before cancellation")
 	}
+}
+
+// TestForEachHelperPanic: a panic on a helper goroutine — index 1 runs on
+// the helper while the caller blocks in index 0 — comes back to the
+// caller as a *Panic with the value and the helper's stack, and only
+// after every in-flight call has returned.
+func TestForEachHelperPanic(t *testing.T) {
+	onHelper := make(chan struct{})
+	var returned atomic.Bool
+	defer func() {
+		p, ok := recover().(*Panic)
+		if !ok || p.Value != "boom" || !strings.Contains(string(p.Stack), "TestForEachHelperPanic") {
+			t.Fatalf("recovered %#v, want a *Panic of \"boom\" with the helper's stack", p)
+		}
+		if !returned.Load() {
+			t.Fatal("re-panicked before the caller's own call returned")
+		}
+	}()
+	ForEach(context.Background(), NewShared(2), 2, func(i int) {
+		if i == 1 {
+			close(onHelper)
+			panic("boom")
+		}
+		select {
+		case <-onHelper:
+		case <-time.After(5 * time.Second):
+			t.Error("index 1 never ran on a helper")
+		}
+		returned.Store(true)
+	})
+	t.Fatal("ForEach returned normally after a panic")
 }

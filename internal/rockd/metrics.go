@@ -112,6 +112,9 @@ type Metrics struct {
 	// AnalysisErrors counts flights that ended in an error (bad images,
 	// canceled clients, queue rejections).
 	AnalysisErrors int64 `json:"analysis_errors"`
+	// AnalysisPanics counts the flights whose analysis panicked; each is
+	// also an analysis error, answered with 500, and its stack is logged.
+	AnalysisPanics int64 `json:"analysis_panics"`
 	// CanceledFlights counts flights aborted because every waiter
 	// disconnected before the result was ready.
 	CanceledFlights int64 `json:"canceled_flights"`

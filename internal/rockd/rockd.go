@@ -43,14 +43,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/image"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/snapshot"
 	"repro/rock"
 )
@@ -114,6 +117,7 @@ type Server struct {
 	submissions, hotHits, coalesced          atomic.Int64
 	analysesCold, analysesWarm, analysesIncr atomic.Int64
 	analysisErrors, canceledFlights          atomic.Int64
+	analysisPanics                           atomic.Int64
 
 	latency map[Class]*latencyRing
 
@@ -313,6 +317,10 @@ func (s *Server) leaveFlight(f *flight) {
 func (s *Server) runFlight(ctx context.Context, f *flight, img *image.Image, class Class) {
 	defer s.flightWG.Done()
 	entry, waitNS, err := s.execute(ctx, f.digest, img, class)
+	if panicked, ok := err.(*pool.Panic); ok {
+		s.analysisPanics.Add(1)
+		log.Printf("rockd: analysis of %x panicked: %v\n%s", f.digest, panicked.Value, panicked.Stack)
+	}
 	if err == nil {
 		s.cache.put(entry)
 	} else {
@@ -339,8 +347,20 @@ func (s *Server) runFlight(ctx context.Context, f *flight, img *image.Image, cla
 // fully-warm images — a decode is not an analysis), then the engine,
 // observed on a per-request bus that feeds the /metrics rollup. digest is
 // the flight's key (contentDigest of img), which the hot entry reuses.
-func (s *Server) execute(ctx context.Context, digest [32]byte, img *image.Image, class Class) (*hotEntry, int64, error) {
-	var waitNS int64
+//
+// A panic in the analysis is contained here, at the flight boundary: it
+// becomes the flight's error, a *pool.Panic (pool.ForEach carries panics
+// from its helper goroutines back to this one).
+func (s *Server) execute(ctx context.Context, digest [32]byte, img *image.Image, class Class) (entry *hotEntry, waitNS int64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, ok := r.(*pool.Panic)
+			if !ok {
+				p = &pool.Panic{Value: r, Stack: debug.Stack()}
+			}
+			entry, err = nil, p
+		}
+	}()
 	if !s.eng.ProbeWarm(img) {
 		release, wait, err := s.queues[class].admit(ctx)
 		if err != nil {
@@ -354,13 +374,15 @@ func (s *Server) execute(ctx context.Context, digest [32]byte, img *image.Image,
 	s.obsMu.Lock()
 	s.live[bus] = struct{}{}
 	s.obsMu.Unlock()
+	defer func() {
+		s.obsMu.Lock()
+		delete(s.live, bus)
+		s.obsAgg.Merge(bus.Report())
+		s.obsMu.Unlock()
+	}()
 	t0 := time.Now()
 	rep, err := s.eng.AnalyzeImage(ctx, img, bus)
 	analysisNS := time.Since(t0).Nanoseconds()
-	s.obsMu.Lock()
-	delete(s.live, bus)
-	s.obsAgg.Merge(bus.Report())
-	s.obsMu.Unlock()
 	if err != nil {
 		return nil, waitNS, err
 	}
@@ -425,6 +447,7 @@ func (s *Server) Metrics() *Metrics {
 		AnalysesWarm:        s.analysesWarm.Load(),
 		AnalysesIncremental: s.analysesIncr.Load(),
 		AnalysisErrors:      s.analysisErrors.Load(),
+		AnalysisPanics:      s.analysisPanics.Load(),
 		CanceledFlights:     s.canceledFlights.Load(),
 		Classes:             map[string]*ClassMetrics{},
 	}

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -15,8 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arborescence"
 	"repro/internal/bench"
 	"repro/internal/compiler"
+	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/synth"
 	"repro/rock"
@@ -768,4 +772,92 @@ func waitHealthy(t *testing.T, url string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("daemon never became healthy")
+}
+
+// TestPanickingAnalysisIsContained: a panic inside one analysis's family
+// fan-out — injected through core's family hook into one family that
+// only the bad image has — answers that flight with 500 and counts in
+// analysis_panics, while the good submissions sent alongside complete and
+// the daemon keeps serving.
+func TestPanickingAnalysisIsContained(t *testing.T) {
+	bad := synthBinary(t, 41)
+	goods := [][]byte{motivatingBinary(t), synthBinary(t, 42), synthBinary(t, 43)}
+	families := func(data []byte) [][]uint64 {
+		img, err := image.Load(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Analyze(img.Strip(), core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Structural.Families
+	}
+	seen := map[string]bool{}
+	for _, g := range goods {
+		for _, f := range families(g) {
+			seen[fmt.Sprint(f)] = true
+		}
+	}
+	target := ""
+	for _, f := range families(bad) {
+		if len(f) > 1 && !seen[fmt.Sprint(f)] {
+			target = fmt.Sprint(f)
+			break
+		}
+	}
+	if target == "" {
+		t.Fatal("the bad image has no multi-type family of its own")
+	}
+	core.SetFamilyHook(func(types []uint64, _ []arborescence.Edge, _ float64) {
+		if fmt.Sprint(types) == target {
+			panic("injected family failure")
+		}
+	})
+	defer core.SetFamilyHook(nil)
+
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	bodies := append([][]byte{bad}, goods...)
+	codes := make([]int, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, codes[i] = postAnalyze(t, ts, body, "")
+		}()
+	}
+	wg.Wait()
+	if codes[0] != http.StatusInternalServerError {
+		t.Errorf("panicking analysis: status %d, want 500", codes[0])
+	}
+	for i, code := range codes[1:] {
+		if code != http.StatusOK {
+			t.Errorf("good submission %d: status %d, want 200", i, code)
+		}
+	}
+	if m := s.Metrics(); m.AnalysisPanics != 1 || m.AnalysisErrors != 1 {
+		t.Errorf("analysis_panics=%d analysis_errors=%d, want 1 and 1", m.AnalysisPanics, m.AnalysisErrors)
+	}
+	// Still serving: a new image analyzes, and the poll reports the failure.
+	if _, code := postAnalyze(t, ts, synthBinary(t, 44), ""); code != http.StatusOK {
+		t.Errorf("after the panic: status %d, want 200", code)
+	}
+	img, err := image.Load(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := img.ContentDigest()
+	r, err := http.Get(ts.URL + "/v1/result/" + hex.EncodeToString(digest[:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Status, Error string }
+	json.NewDecoder(r.Body).Decode(&body)
+	r.Body.Close()
+	if body.Status != "failed" || !strings.Contains(body.Error, "injected family failure") {
+		t.Errorf("poll after the panic: %+v, want the recorded failure", body)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/arborescence"
 	"repro/internal/objtrace"
 	"repro/internal/slm"
 	"repro/internal/structural"
@@ -14,7 +15,7 @@ import (
 // sampleVariants returns sampleSnapshot plus variants that reach every
 // nil-vs-empty convention the decoder reproduces: a type with zero
 // tracelets, an empty tracelet, a raw entry with no sequences, empty
-// segments, struct event lists and arborescence lists, a missing function
+// segments, struct event lists and a family without types, a missing function
 // section, and a snapshot whose every map is empty.
 func sampleVariants() []struct {
 	name string
@@ -28,7 +29,7 @@ func sampleVariants() []struct {
 	rawNoSeqs.Tracelets.RawPerType[0x2010] = nil
 	emptyLists := sampleSnapshot()
 	emptyLists.Tracelets.Structs = append(emptyLists.Tracelets.Structs, objtrace.ObjStruct{Fn: 0x4030})
-	emptyLists.Families = append(emptyLists.Families, Family{Weight: 2})
+	emptyLists.Families = append(emptyLists.Families, Family{Weight: 2, Survivors: arborescence.CoOptimal{Tight: [][]int{nil}}})
 	emptyLists.Funcs.Funcs[0].Ext.Segments = append(emptyLists.Funcs.Funcs[0].Ext.Segments, objtrace.Segment{VT: 0x2010})
 	emptyLists.Funcs.Funcs[0].Ext.Structs = append(emptyLists.Funcs.Funcs[0].Ext.Structs, objtrace.ObjStruct{Fn: 0x4000})
 	noFuncs := sampleSnapshot()
@@ -57,7 +58,7 @@ func sampleVariants() []struct {
 		{"type with zero tracelets", zeroTracelets},
 		{"empty tracelet", emptyTracelet},
 		{"raw entry with no sequences", rawNoSeqs},
-		{"empty segment, struct and arborescence lists", emptyLists},
+		{"empty segment and struct lists, typeless family", emptyLists},
 		{"nil Funcs", noFuncs},
 		{"empty maps", empty},
 	}

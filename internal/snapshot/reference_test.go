@@ -141,12 +141,32 @@ func refDecode(data []byte) (*Snapshot, error) {
 		p, c := r.u64(), r.u64()
 		s.Dist[[2]uint64{p, c}] = math.Float64frombits(r.u64())
 	}
-	n = r.count(17) // types count u32 + weight u64 + truncated u8 + arbs count u32
+	n = r.count(24) // types count u32 + weight u64 + root u32 + tight count u32 + sets count u32
+	list := func() []int {
+		var out []int
+		for k := r.count(4); k > 0 && r.err == nil; k-- {
+			out = append(out, int(r.u32()))
+		}
+		return out
+	}
 	for i := 0; i < n && r.err == nil; i++ {
-		fr := Family{Types: r.addrs(), Weight: math.Float64frombits(r.u64()), Truncated: r.bool()}
-		na := r.count(4)
-		for j := 0; j < na && r.err == nil; j++ {
-			fr.Arbs = append(fr.Arbs, r.pairsMap())
+		fr := Family{Types: r.addrs(), Weight: math.Float64frombits(r.u64())}
+		fr.Survivors.Root = int(r.u32())
+		fr.Survivors.Tight = [][]int{}
+		for k := r.count(4); k > 0 && r.err == nil; k-- {
+			fr.Survivors.Tight = append(fr.Survivors.Tight, list())
+		}
+		for k := r.count(4); k > 0 && r.err == nil; k-- {
+			fr.Survivors.Sets = append(fr.Survivors.Sets, list())
+		}
+		if r.err != nil {
+			break
+		}
+		if len(fr.Survivors.Tight) != len(fr.Types)+1 {
+			return nil, fmt.Errorf("snapshot: family of %d types has %d survivor nodes", len(fr.Types), len(fr.Survivors.Tight))
+		}
+		if err := fr.Survivors.Validate(); err != nil {
+			return nil, err
 		}
 		s.Families = append(s.Families, fr)
 	}

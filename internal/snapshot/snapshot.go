@@ -54,6 +54,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/arborescence"
 	"repro/internal/objtrace"
 	"repro/internal/slm"
 	"repro/internal/structural"
@@ -65,11 +66,13 @@ const (
 	// Version is the snapshot format version; bumped on any layout change.
 	// Exactly one version is readable: a file of any other version fails
 	// with ErrVersion, which callers treat as a cache miss (one cold run).
-	// v3 (the current layout): the header carries the image-family name
-	// hash; the body ends with the function-granular extraction section
-	// (per-function bundles keyed by content digest + per-type
-	// training-input keys).
-	Version = 3
+	// v4 (the current layout): the header carries the image-family name
+	// hash; each family stores its co-optimal survivors as the compact
+	// arborescence.CoOptimal structure (v3 stored a truncation flag and
+	// the surviving arborescences as maps); the body ends with the
+	// function-granular extraction section (per-function bundles keyed by
+	// content digest + per-type training-input keys).
+	Version = 4
 
 	// HeaderLen is the fixed header: magic, version, image digest, one
 	// fingerprint per section, and the image-family name hash.
@@ -251,11 +254,10 @@ type Family struct {
 	Types []uint64
 	// Weight is the minimum arborescence weight.
 	Weight float64
-	// Truncated records that the co-optimal enumeration for this family
-	// was cut short by an internal cap (see arborescence.EnumerateMin).
-	Truncated bool
-	// Arbs holds the surviving arborescences as child→parent maps.
-	Arbs []map[uint64]uint64
+	// Survivors describes the co-optimal arborescences that survive
+	// majority voting, over the family graph (node 0 the virtual root,
+	// node i+1 Types[i]).
+	Survivors arborescence.CoOptimal
 }
 
 // Snapshot is the decoded cache content.
@@ -432,10 +434,14 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	for _, fr := range s.Families {
 		w.addrs(fr.Types)
 		w.u64(math.Float64bits(fr.Weight))
-		w.bool(fr.Truncated)
-		w.u32(uint32(len(fr.Arbs)))
-		for _, arb := range fr.Arbs {
-			w.pairsMap(arb)
+		w.u32(uint32(fr.Survivors.Root))
+		w.u32(uint32(len(fr.Survivors.Tight)))
+		for _, ps := range fr.Survivors.Tight {
+			w.ints(ps)
+		}
+		w.u32(uint32(len(fr.Survivors.Sets)))
+		for _, set := range fr.Survivors.Sets {
+			w.ints(set)
 		}
 	}
 	w.pairsMap(s.Parents)
@@ -534,9 +540,12 @@ func (s *Snapshot) encodedSize() int {
 	}
 	n += 4 + 24*len(s.Dist) + 4
 	for _, fr := range s.Families {
-		n += 4 + 8*len(fr.Types) + 8 + 1 + 4
-		for _, arb := range fr.Arbs {
-			n += 4 + 16*len(arb)
+		n += 4 + 8*len(fr.Types) + 8 + 4 + 4 + 4
+		for _, ps := range fr.Survivors.Tight {
+			n += 4 + 4*len(ps)
+		}
+		for _, set := range fr.Survivors.Sets {
+			n += 4 + 4*len(set)
 		}
 	}
 	n += 4 + 16*len(s.Parents) + addrsMapSize(s.MultiParents) + 1
@@ -696,15 +705,29 @@ func Decode(data []byte) (*Snapshot, error) {
 		p, c := r.u64(), r.u64()
 		s.Dist[[2]uint64{p, c}] = math.Float64frombits(r.u64())
 	}
-	if n := r.count(17); n > 0 { // types count u32 + weight u64 + truncated u8 + arbs count u32
+	if n := r.count(24); n > 0 { // types count u32 + weight u64 + root u32 + tight count u32 + sets count u32
 		s.Families = make([]Family, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			fr := &s.Families[i]
-			fr.Types, fr.Weight, fr.Truncated = r.addrs(), math.Float64frombits(r.u64()), r.bool()
-			if na := r.count(4); na > 0 {
-				fr.Arbs = make([]map[uint64]uint64, na)
-				for j := 0; j < na && r.err == nil; j++ {
-					fr.Arbs[j] = r.pairsMap()
+			fr.Types, fr.Weight = r.addrs(), math.Float64frombits(r.u64())
+			co := &fr.Survivors
+			co.Root = int(r.u32())
+			co.Tight = make([][]int, r.count(4))
+			for v := range co.Tight {
+				co.Tight[v] = r.ints()
+			}
+			if ns := r.count(4); ns > 0 {
+				co.Sets = make([][]int, ns)
+				for j := range co.Sets {
+					co.Sets[j] = r.ints()
+				}
+			}
+			if r.err == nil && len(co.Tight) != len(fr.Types)+1 {
+				r.fail(fmt.Errorf("snapshot: family of %d types has %d survivor nodes", len(fr.Types), len(co.Tight)))
+			}
+			if r.err == nil {
+				if err := co.Validate(); err != nil {
+					r.fail(fmt.Errorf("snapshot: %w", err))
 				}
 			}
 		}
@@ -901,6 +924,14 @@ func (w *writer) addrsMap(m map[uint64][]uint64) {
 	}
 }
 
+// ints writes a length-prefixed list of small non-negative integers.
+func (w *writer) ints(s []int) {
+	w.u32(uint32(len(s)))
+	for _, v := range s {
+		w.u32(uint32(v))
+	}
+}
+
 // pairsMap writes a map of single addresses with sorted keys.
 func (w *writer) pairsMap(m map[uint64]uint64) {
 	keys := sortedKeys(m)
@@ -1017,6 +1048,19 @@ func (r *reader) addrsMap() map[uint64][]uint64 {
 	for i := 0; i < n && r.err == nil; i++ {
 		k := r.u64()
 		out[k] = r.addrs()
+	}
+	return out
+}
+
+// ints reads a length-prefixed integer list (nil when empty).
+func (r *reader) ints() []int {
+	n := r.count(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(r.u32())
 	}
 	return out
 }

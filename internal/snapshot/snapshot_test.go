@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/arborescence"
 	"repro/internal/objtrace"
 	"repro/internal/slm"
 	"repro/internal/structural"
@@ -82,8 +83,15 @@ func sampleSnapshot() *Snapshot {
 			{0x2010, 0x2000}: 1.75,
 		},
 		Families: []Family{
-			{Types: []uint64{0x2000, 0x2010}, Weight: 0.25, Arbs: []map[uint64]uint64{
-				{0x2010: 0x2000},
+			{Types: []uint64{0x2000, 0x2010}, Weight: 0.25, Survivors: arborescence.CoOptimal{
+				Tight: [][]int{nil, {0}, {1}},
+			}},
+			// A multi-way structure: 0x3010 and 0x3020 each hang off the
+			// root or off each other, and the binding set {2, 3} is
+			// entered once.
+			{Types: []uint64{0x3000, 0x3010, 0x3020}, Weight: 9.5, Survivors: arborescence.CoOptimal{
+				Tight: [][]int{nil, {0}, {0, 3}, {0, 2}},
+				Sets:  [][]int{{2, 3}},
 			}},
 		},
 		Parents:      map[uint64]uint64{0x2010: 0x2000},
@@ -262,7 +270,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	// Any other version is turned away by the version gate even behind
 	// an intact checksum, and so is its header alone.
-	for _, v := range []uint32{2, Version + 1} {
+	for _, v := range []uint32{2, Version - 1, Version + 1} {
 		other := resealed(data, v)
 		if _, err := Decode(other); !errors.Is(err, ErrVersion) {
 			t.Errorf("version %d: Decode err = %v, want ErrVersion", v, err)
