@@ -318,24 +318,7 @@ func BenchmarkPairSweep(b *testing.B) {
 			fam, pairs = f, ps
 		}
 	}
-	sym := make(map[objtrace.Event]int, len(res.Alphabet))
-	for i, e := range res.Alphabet {
-		sym[e] = i
-	}
-	seen := map[string]bool{}
-	var words [][]int
-	for _, t := range fam {
-		for _, tl := range res.Tracelets.PerType[t] {
-			if k := tl.String(); !seen[k] {
-				seen[k] = true
-				w := make([]int, len(tl))
-				for i, e := range tl {
-					w[i] = sym[e]
-				}
-				words = append(words, w)
-			}
-		}
-	}
+	words := res.FamilyWords(fam)
 	calc := slm.NewDistanceCalculator(slm.MetricKL, words)
 	models := make([][2]*slm.Frozen, len(pairs))
 	for i, pc := range pairs {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/objtrace"
 	"repro/internal/slm"
 )
 
@@ -66,7 +65,7 @@ func runMotivating(w io.Writer, cfg core.Config) {
 	if len(res.Structural.Families) != 1 {
 		fatal(fmt.Errorf("motivating example: %d type families, want 1", len(res.Structural.Families)))
 	}
-	calc := slm.NewDistanceCalculator(cfg.Metric, familyWords(res, res.Structural.Families[0]))
+	calc := slm.NewDistanceCalculator(cfg.Metric, res.FamilyWords(res.Structural.Families[0]))
 	fmt.Fprintln(w, "\npairwise DKL distances (parent || child):")
 	for _, p := range vts {
 		for _, c := range vts {
@@ -79,30 +78,6 @@ func runMotivating(w io.Writer, cfg core.Config) {
 
 	fmt.Fprintln(w, "\nreconstructed hierarchy (Fig. 6a):")
 	fmt.Fprint(w, res.Hierarchy.String(name))
-}
-
-// familyWords rebuilds the word set the pipeline measures a family over:
-// the members' distinct encoded tracelets, unioned in family order.
-func familyWords(res *core.Result, fam []uint64) [][]int {
-	sym := make(map[objtrace.Event]int, len(res.Alphabet))
-	for i, e := range res.Alphabet {
-		sym[e] = i
-	}
-	seen := map[string]bool{}
-	var words [][]int
-	for _, t := range fam {
-		for _, tl := range res.Tracelets.PerType[t] {
-			if k := tl.String(); !seen[k] {
-				seen[k] = true
-				word := make([]int, len(tl))
-				for i, e := range tl {
-					word[i] = sym[e]
-				}
-				words = append(words, word)
-			}
-		}
-	}
-	return words
 }
 
 // runSLMDump prints the trained SLM of the FlushableStream type — the

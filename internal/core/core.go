@@ -184,10 +184,13 @@ type Result struct {
 	// deep-equal to what recomputation would produce.
 	Incremental *IncrementalStats
 
-	// words memoizes each type's distinct encoded tracelets (the word sets
-	// the distance sweep measures over), built once per analysis instead of
-	// once per family a type belongs to.
-	words map[uint64][][]int
+	// enc is the analysis's encoded tracelet table (encodeTracelets), the
+	// one place a tracelet is turned into symbols.
+	enc map[uint64]encoded
+	// words memoizes each type's distinct encoded tracelets with their
+	// multiplicities (buildWordsFor): the word sets the distance sweep
+	// measures over and the weighted input training reads.
+	words map[uint64]wordSet
 	// incr carries the prior snapshot the incremental lane diffs against.
 	incr *incrState
 	// fnDigests memoizes image.FunctionDigests for this run.
@@ -351,42 +354,87 @@ func (r *Result) writeSnapshot(path string, key snapshot.Key) error {
 	return nil
 }
 
+// encoded is one type's tracelets as symbols: tracelet i is
+// syms[ends[i-1]:ends[i]] (from 0 for i = 0). syms and ends are windows
+// of the analysis-wide arenas encodeTracelets fills.
+type encoded struct {
+	syms []int32
+	ends []int32
+}
+
+// wordSet is one type's distinct encoded tracelets in first-occurrence
+// order, each a window of the type's encoded symbols, and how many of the
+// type's tracelets each one stands for.
+type wordSet struct {
+	words  [][]int32
+	counts []int32
+}
+
 // internAlphabet assigns integer symbols to every distinct event observed
-// anywhere in the binary, so that all SLMs share one alphabet, and then
-// memoizes each type's encoded word set (buildWords).
+// anywhere in the binary, so that all SLMs share one alphabet, and in the
+// same pass encodes every tracelet (encodeTracelets); then it memoizes
+// each type's word set (buildWords).
 func (r *Result) internAlphabet() {
-	seen := map[[2]uint64]bool{}
-	var events []objtrace.Event
-	types := make([]uint64, 0, len(r.Tracelets.PerType))
-	for t := range r.Tracelets.PerType {
-		types = append(types, t)
-	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	for _, t := range types {
-		for _, tl := range r.Tracelets.PerType[t] {
-			for _, e := range tl {
-				if k := eventKey(e); !seen[k] {
-					seen[k] = true
-					events = append(events, e)
-				}
-			}
-		}
-	}
-	r.Alphabet = events
+	r.encodeTracelets()
 	// On the incremental lane word sets are built lazily: restored
-	// families never read theirs, so encoding every type here would undo
-	// most of the lane's savings (buildHierarchy encodes exactly the types
-	// the re-solved families need).
+	// families never read theirs and unchanged models never train, so
+	// deduplicating every type here would undo part of the lane's savings.
 	if r.incr == nil {
 		r.buildWords()
 	}
 }
 
-// buildWords memoizes the distinct encoded tracelets of every type — each
-// type's words are encoded exactly once per analysis and reused by every
-// family word-set union, instead of being re-encoded for each family (and
-// on warm snapshot runs, rebuilt only when the hierarchy stage actually
-// runs). Idempotent.
+// encodeTracelets builds the encoded tracelet table in one pass over the
+// types in ascending address order, each type's tracelets in order, and
+// each tracelet's events. An event missing from r.Alphabet is interned
+// the first time it is seen, so the alphabet is numbered in encounter
+// order; after a snapshot restored the alphabet, the same pass finds
+// every event already numbered. Every other consumer of symbols — word
+// sets, training and TypeKeys — reads the table, so no tracelet is
+// encoded twice. Idempotent; not safe to call concurrently.
+func (r *Result) encodeTracelets() {
+	if r.enc != nil {
+		return
+	}
+	types := make([]uint64, 0, len(r.Tracelets.PerType))
+	nsyms, ntls := 0, 0
+	for t, tls := range r.Tracelets.PerType {
+		types = append(types, t)
+		ntls += len(tls)
+		for _, tl := range tls {
+			nsyms += len(tl)
+		}
+	}
+	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
+	idx := make(map[[2]uint64]int32, len(r.Alphabet))
+	for i, e := range r.Alphabet {
+		idx[eventKey(e)] = int32(i)
+	}
+	syms := make([]int32, 0, nsyms)
+	ends := make([]int32, 0, ntls)
+	r.enc = make(map[uint64]encoded, len(types))
+	for _, t := range types {
+		s0, e0 := len(syms), len(ends)
+		for _, tl := range r.Tracelets.PerType[t] {
+			for _, e := range tl {
+				k := eventKey(e)
+				s, ok := idx[k]
+				if !ok {
+					s = int32(len(r.Alphabet))
+					idx[k] = s
+					r.Alphabet = append(r.Alphabet, e)
+				}
+				syms = append(syms, s)
+			}
+			ends = append(ends, int32(len(syms)-s0))
+		}
+		r.enc[t] = encoded{syms: syms[s0:len(syms):len(syms)], ends: ends[e0:len(ends):len(ends)]}
+	}
+}
+
+// buildWords memoizes the word set of every type, so each family's word
+// set union reads them instead of deduplicating per family (and on warm
+// snapshot runs they are built only when a stage needs them). Idempotent.
 func (r *Result) buildWords() {
 	addrs := make([]uint64, len(r.VTables))
 	for i, v := range r.VTables {
@@ -396,40 +444,47 @@ func (r *Result) buildWords() {
 }
 
 // buildWordsFor fills the word-set memo for the given types, skipping any
-// already built. Not safe to call concurrently with itself or with
-// readers — callers encode on the serial path before fanning out.
+// already built: each type's encoded tracelets, deduplicated by content,
+// as windows of the table with no copy. Not safe to call concurrently
+// with itself or with readers — callers build on the serial path before
+// fanning out.
 func (r *Result) buildWordsFor(types []uint64) {
+	r.encodeTracelets()
 	if r.words == nil {
-		r.words = make(map[uint64][][]int, len(types))
+		r.words = make(map[uint64]wordSet, len(types))
 	}
-	var idx map[[2]uint64]int
-	var w []int
+	var seen map[string]int
 	var key []byte
 	for _, t := range types {
 		if _, ok := r.words[t]; ok {
 			continue
 		}
-		if idx == nil {
-			idx = r.symIndex()
+		if seen == nil {
+			seen = map[string]int{}
 		}
-		seen := map[string]bool{}
-		var out [][]int
-		for _, tl := range r.Tracelets.PerType[t] {
-			w = appendEncoded(w[:0], idx, tl)
+		clear(seen)
+		var ws wordSet
+		enc := r.enc[t]
+		start := int32(0)
+		for _, end := range enc.ends {
+			w := enc.syms[start:end:end]
+			start = end
 			key = appendWordKey(key[:0], w)
-			if seen[string(key)] {
+			if i, ok := seen[string(key)]; ok {
+				ws.counts[i]++
 				continue
 			}
-			seen[string(key)] = true
-			out = append(out, append([]int(nil), w...))
+			seen[string(key)] = len(ws.words)
+			ws.words = append(ws.words, w)
+			ws.counts = append(ws.counts, 1)
 		}
-		r.words[t] = out
+		r.words[t] = ws
 	}
 }
 
 // appendWordKey appends the dedup key of an encoded word to dst: one
 // fixed-width symbol after another, so distinct words get distinct keys.
-func appendWordKey(dst []byte, w []int) []byte {
+func appendWordKey(dst []byte, w []int32) []byte {
 	for _, s := range w {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
 	}
@@ -442,15 +497,6 @@ func appendWordKey(dst []byte, w []int) []byte {
 // encoding stays one-to-one.
 func eventKey(e objtrace.Event) [2]uint64 { return [2]uint64{uint64(e.Kind), e.N} }
 
-// symIndex builds the event -> symbol map, keyed by eventKey.
-func (r *Result) symIndex() map[[2]uint64]int {
-	idx := make(map[[2]uint64]int, len(r.Alphabet))
-	for i, e := range r.Alphabet {
-		idx[eventKey(e)] = i
-	}
-	return idx
-}
-
 // SymbolName renders symbol s in the paper's event notation.
 func (r *Result) SymbolName(s int) string {
 	if s >= 0 && s < len(r.Alphabet) {
@@ -459,54 +505,55 @@ func (r *Result) SymbolName(s int) string {
 	return fmt.Sprintf("sym%d", s)
 }
 
-// appendEncoded appends tracelet tl as interned symbols to dst.
-func appendEncoded(dst []int, idx map[[2]uint64]int, tl objtrace.Tracelet) []int {
-	for _, e := range tl {
-		dst = append(dst, idx[eventKey(e)])
-	}
-	return dst
-}
-
-// trainScratch is one training goroutine's reusable state: the trainer's
-// buffers and the encoded-tracelet buffer it reads from.
-type trainScratch struct {
-	t   slm.Trainer
-	seq []int
-}
-
-// trainScratches recycles training state across types and analyses.
-var trainScratches = sync.Pool{New: func() any { return new(trainScratch) }}
+// trainers recycles SLM trainers, and so their buffers, across types and
+// analyses.
+var trainers = sync.Pool{New: func() any { return new(slm.Trainer) }}
 
 // trainModels trains one SLM per discovered type on TT(t), straight into
-// its frozen query form. Types are independent (each model sees only its
-// own tracelets), so training fans out over the worker pool; models land
-// in index-owned slots and the maps are assembled serially. On the
-// incremental lane, types whose training input is provably unchanged
-// (TypeKey match) adopt the prior frozen model and skip training.
+// its frozen query form. PPM-C counts add up, so each type trains on its
+// distinct words, each weighted by its multiplicity (slm.Trainer.AddN).
+// Types are independent (each model sees only its own tracelets), so
+// training fans out over the worker pool; models land in index-owned
+// slots and the maps are assembled serially. On the incremental lane,
+// types whose training input is provably unchanged (TypeKey match) adopt
+// the prior frozen model and skip training.
 func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 	ctx = obs.WithRegion(ctx, cfg.Obs, "train")
-	idx := r.symIndex()
 	reuse := r.reusableModels()
+	train := make([]uint64, 0, len(r.VTables)-len(reuse))
+	for _, v := range r.VTables {
+		if reuse[v.Addr] == nil {
+			train = append(train, v.Addr)
+		}
+	}
+	r.buildWordsFor(train)
 	frozen := make([]*slm.Frozen, len(r.VTables))
 	if err := pool.ForEach(ctx, cfg.pool, len(r.VTables), func(i int) {
 		if f := reuse[r.VTables[i].Addr]; f != nil {
 			frozen[i] = f
 			return
 		}
-		s := trainScratches.Get().(*trainScratch)
-		s.t.Reset(cfg.SLMDepth, len(r.Alphabet))
-		for _, tl := range r.Tracelets.PerType[r.VTables[i].Addr] {
-			s.seq = appendEncoded(s.seq[:0], idx, tl)
-			s.t.Add(s.seq)
+		tr := trainers.Get().(*slm.Trainer)
+		tr.Reset(cfg.SLMDepth, len(r.Alphabet))
+		ws := r.words[r.VTables[i].Addr]
+		for j, w := range ws.words {
+			tr.AddN(w, int(ws.counts[j]))
 		}
-		frozen[i] = s.t.Build()
-		trainScratches.Put(s)
+		frozen[i] = tr.Build()
+		trainers.Put(tr)
 	}); err != nil {
 		return err
 	}
 	r.Frozen = make(map[uint64]*slm.Frozen, len(r.VTables))
 	for i, v := range r.VTables {
 		r.Frozen[v.Addr] = frozen[i]
+	}
+	if cfg.Obs != nil {
+		words := 0
+		for _, t := range train {
+			words += len(r.words[t].words)
+		}
+		cfg.Obs.Add(obs.CntTrainWords, int64(words))
 	}
 	if r.Incremental != nil {
 		r.Incremental.TypesReused = len(reuse)
@@ -516,18 +563,27 @@ func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 	return nil
 }
 
+// FamilyWords returns the word set the distance sweep measures family
+// fam over: the members' distinct encoded tracelets, unioned in member
+// order. It builds the members' word sets where the analysis did not, so
+// it must not run concurrently with other calls on r.
+func (r *Result) FamilyWords(fam []uint64) [][]int32 {
+	r.buildWordsFor(fam)
+	return r.familyWords(fam)
+}
+
 // familyWords returns the union of distinct tracelets across all family
 // members, drawn from the per-type memo (buildWords) so no tracelet is
 // encoded more than once per analysis. Every pairwise distance within the
 // family is measured over this one word set: the algorithm only needs a
 // ranking over candidate parents (Remark 4.1), and ranking distances
 // measured over differing word sets would not be comparable.
-func (r *Result) familyWords(fam []uint64) [][]int {
+func (r *Result) familyWords(fam []uint64) [][]int32 {
 	seen := map[string]bool{}
-	var words [][]int
+	var words [][]int32
 	var key []byte
 	for _, t := range fam {
-		for _, w := range r.words[t] {
+		for _, w := range r.words[t].words {
 			key = appendWordKey(key[:0], w)
 			if !seen[string(key)] {
 				seen[string(key)] = true

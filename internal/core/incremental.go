@@ -199,15 +199,15 @@ func (r *Result) extractTracelets(ctx context.Context, cfg Config) error {
 	return nil
 }
 
-// computeTypeKeys digests each type's exact training input: the shared
-// alphabet size plus the type's tracelets as encoded symbol sequences, in
-// extraction order. Two runs agreeing on a type's key would train
-// bit-identical models (training consumes nothing else under a fixed
-// models fingerprint), which is what licenses adopting the prior frozen
-// model. Note this is deliberately not the digest set of contributing
-// functions: the encoding depends on the global symbol numbering, so a
-// patch anywhere in the binary that disturbs the alphabet must — and
-// does — change every type's key.
+// computeTypeKeys digests each type's exact training input, read from the
+// encoded tracelet table: the shared alphabet size plus the type's
+// tracelets as encoded symbol sequences, in extraction order. Two runs
+// agreeing on a type's key would train bit-identical models (training
+// consumes nothing else under a fixed models fingerprint), which is what
+// licenses adopting the prior frozen model. Note this is deliberately not
+// the digest set of contributing functions: the encoding depends on the
+// global symbol numbering, so a patch anywhere in the binary that
+// disturbs the alphabet must — and does — change every type's key.
 func (r *Result) computeTypeKeys() map[uint64][32]byte {
 	if r.typeKeys != nil {
 		return r.typeKeys
@@ -221,9 +221,9 @@ func (r *Result) computeTypeKeys() map[uint64][32]byte {
 		eventsEqual(r.Alphabet, r.incr.prior.Alphabet) {
 		priorKeys = r.incr.prior.Funcs.TypeKeys
 	}
-	idx := r.symIndex()
+	r.encodeTracelets()
 	out := make(map[uint64][32]byte, len(r.VTables))
-	var b [8]byte
+	var buf []byte
 	for _, v := range r.VTables {
 		if !r.affected[v.Addr] {
 			if pk, ok := priorKeys[v.Addr]; ok {
@@ -231,21 +231,20 @@ func (r *Result) computeTypeKeys() map[uint64][32]byte {
 				continue
 			}
 		}
-		h := sha256.New()
-		h.Write([]byte("rocktk\x00"))
-		binary.LittleEndian.PutUint64(b[:], uint64(len(r.Alphabet)))
-		h.Write(b[:])
-		for _, tl := range r.Tracelets.PerType[v.Addr] {
-			binary.LittleEndian.PutUint64(b[:], uint64(len(tl)))
-			h.Write(b[:])
-			for _, e := range tl {
-				binary.LittleEndian.PutUint64(b[:], uint64(idx[eventKey(e)]))
-				h.Write(b[:])
+		// The digest input: a tag, the alphabet size, then each tracelet's
+		// length and symbols, every number a little-endian uint64.
+		buf = append(buf[:0], "rocktk\x00"...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(r.Alphabet)))
+		enc := r.enc[v.Addr]
+		start := int32(0)
+		for _, end := range enc.ends {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(end-start))
+			for _, s := range enc.syms[start:end] {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(s))
 			}
+			start = end
 		}
-		var k [32]byte
-		h.Sum(k[:0])
-		out[v.Addr] = k
+		out[v.Addr] = sha256.Sum256(buf)
 	}
 	r.typeKeys = out
 	return out

@@ -34,7 +34,7 @@ func reference(t *testing.T, res *core.Result, cfg core.Config) (map[[2]uint64]f
 			survivors[fi] = arborescence.CoOptimal{Tight: [][]int{nil, {0}}}
 			continue
 		}
-		calc := slm.NewDistanceCalculator(cfg.Metric, core.FamilyWords(res, fam))
+		calc := slm.NewDistanceCalculator(cfg.Metric, res.FamilyWords(fam))
 		maxD := 0.0
 		for _, p := range fam {
 			for _, c := range fam {

@@ -1,20 +1,66 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/image"
+	"repro/internal/objtrace"
 )
 
-// TestWordSetsMatchFmtKeys: the per-type word sets and the family word
-// unions, deduplicated by fixed-width symbol keys, equal the sets the
-// formatted-string keys produced (each tracelet keyed by its event
-// notation, each encoded word by fmt.Sprint), in the same order, on the
-// Table 2 images and one synthetic image per generator shape.
-func TestWordSetsMatchFmtKeys(t *testing.T) {
+// refSymbols maps each event of r's alphabet to its symbol: the per-event
+// lookup the encoded tracelet table replaced, kept as the tests' oracle.
+func refSymbols(r *Result) map[objtrace.Event]int32 {
+	sym := make(map[objtrace.Event]int32, len(r.Alphabet))
+	for i, e := range r.Alphabet {
+		sym[e] = int32(i)
+	}
+	return sym
+}
+
+// refEncode encodes tl one event lookup at a time.
+func refEncode(sym map[objtrace.Event]int32, tl objtrace.Tracelet) []int32 {
+	w := make([]int32, len(tl))
+	for i, e := range tl {
+		w[i] = sym[e]
+	}
+	return w
+}
+
+// refTypeKeys digests every type's training input as computeTypeKeys did
+// before the table: one symbol lookup and one hash write per event.
+func refTypeKeys(r *Result) map[uint64][32]byte {
+	sym := refSymbols(r)
+	out := make(map[uint64][32]byte, len(r.VTables))
+	var b [8]byte
+	for _, v := range r.VTables {
+		h := sha256.New()
+		h.Write([]byte("rocktk\x00"))
+		binary.LittleEndian.PutUint64(b[:], uint64(len(r.Alphabet)))
+		h.Write(b[:])
+		for _, tl := range r.Tracelets.PerType[v.Addr] {
+			binary.LittleEndian.PutUint64(b[:], uint64(len(tl)))
+			h.Write(b[:])
+			for _, e := range tl {
+				binary.LittleEndian.PutUint64(b[:], uint64(sym[e]))
+				h.Write(b[:])
+			}
+		}
+		var k [32]byte
+		h.Sum(k[:0])
+		out[v.Addr] = k
+	}
+	return out
+}
+
+// wordsTestImages builds the 19 Table 2 images and one synthetic image
+// per generator shape.
+func wordsTestImages(t *testing.T) map[string]*image.Image {
+	t.Helper()
 	imgs := map[string]*image.Image{}
 	for _, b := range bench.All() {
 		img, _, err := b.Build()
@@ -30,30 +76,72 @@ func TestWordSetsMatchFmtKeys(t *testing.T) {
 		}
 		imgs[name] = img
 	}
-	for name, img := range imgs {
+	return imgs
+}
+
+// TestWordSetsMatchFmtKeys: the encoded tracelet table holds every
+// tracelet as the per-event lookup encodes it; the per-type word sets
+// and the family word unions, deduplicated by fixed-width symbol keys,
+// equal the sets the formatted-string keys produced (each tracelet keyed
+// by its event notation, each encoded word by fmt.Sprint), in the same
+// order; and each word's multiplicity is the number of the type's
+// tracelets with its formatted key, so the multiplicities sum to the
+// type's tracelet count. Checked on the Table 2 images and one synthetic
+// image per generator shape.
+func TestWordSetsMatchFmtKeys(t *testing.T) {
+	for name, img := range wordsTestImages(t) {
 		res, err := Analyze(img, DefaultConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		idx := res.symIndex()
+		sym := refSymbols(res)
 		for _, v := range res.VTables {
-			seen := map[string]bool{}
-			var want [][]int
-			for _, tl := range res.Tracelets.PerType[v.Addr] {
-				if k := tl.String(); !seen[k] {
-					seen[k] = true
-					want = append(want, appendEncoded(nil, idx, tl))
-				}
+			tls := res.Tracelets.PerType[v.Addr]
+			enc := res.enc[v.Addr]
+			if len(enc.ends) != len(tls) {
+				t.Fatalf("%s: type %#x: table holds %d tracelets, want %d", name, v.Addr, len(enc.ends), len(tls))
 			}
-			if !reflect.DeepEqual(res.words[v.Addr], want) {
+			start := int32(0)
+			for i, end := range enc.ends {
+				if got, want := enc.syms[start:end], refEncode(sym, tls[i]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: type %#x tracelet %d: table holds %v, per-event encoding %v", name, v.Addr, i, got, want)
+				}
+				start = end
+			}
+
+			index := map[string]int{}
+			var want [][]int32
+			var counts []int32
+			for _, tl := range tls {
+				k := tl.String()
+				if i, ok := index[k]; ok {
+					counts[i]++
+					continue
+				}
+				index[k] = len(want)
+				want = append(want, refEncode(sym, tl))
+				counts = append(counts, 1)
+			}
+			ws := res.words[v.Addr]
+			if !reflect.DeepEqual(ws.words, want) {
 				t.Fatalf("%s: type %#x: word set differs from the formatted-key reference", name, v.Addr)
+			}
+			if !reflect.DeepEqual(ws.counts, counts) {
+				t.Fatalf("%s: type %#x: multiplicities %v, formatted-key counts %v", name, v.Addr, ws.counts, counts)
+			}
+			sum := 0
+			for _, c := range ws.counts {
+				sum += int(c)
+			}
+			if sum != len(tls) {
+				t.Fatalf("%s: type %#x: multiplicities sum to %d, want %d tracelets", name, v.Addr, sum, len(tls))
 			}
 		}
 		for _, fam := range res.Structural.Families {
 			seen := map[string]bool{}
-			var want [][]int
+			var want [][]int32
 			for _, t := range fam {
-				for _, w := range res.words[t] {
+				for _, w := range res.words[t].words {
 					if k := fmt.Sprint(w); !seen[k] {
 						seen[k] = true
 						want = append(want, w)
@@ -65,4 +153,37 @@ func TestWordSetsMatchFmtKeys(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTypeKeysMatchPerEventOracle: the TypeKeys hashed from the encoded
+// table equal the per-event digests byte for byte — on the Table 2
+// images and the synthetic shapes (cold), and on a patched deep image on
+// the incremental lane, where unaffected types copy the prior key and
+// the retrained ones hash afresh.
+func TestTypeKeysMatchPerEventOracle(t *testing.T) {
+	check := func(label string, res *Result) {
+		t.Helper()
+		got, want := res.computeTypeKeys(), refTypeKeys(res)
+		if !reflect.DeepEqual(got, want) {
+			for _, v := range res.VTables {
+				if got[v.Addr] != want[v.Addr] {
+					t.Fatalf("%s: type %#x: TypeKey %x, per-event oracle %x", label, v.Addr, got[v.Addr], want[v.Addr])
+				}
+			}
+			t.Fatalf("%s: TypeKeys differ from the per-event oracle", label)
+		}
+	}
+	for name, img := range wordsTestImages(t) {
+		check(name, analyzeCached(t, img, DefaultConfig()))
+	}
+
+	img, cands := synthPatchable(t)
+	cfg := DefaultConfig()
+	cfg.CacheDir = t.TempDir()
+	analyzeCached(t, img, cfg)
+	incr := analyzeCached(t, patchedCopy(t, img, cands, 1), cfg)
+	if st := incr.Incremental; st == nil || st.TypesReused == 0 || st.TypesRetrained == 0 {
+		t.Fatalf("patched deep image: incremental lane stats %+v, want both reused and retrained types", st)
+	}
+	check("patched deep/opt (incremental)", incr)
 }

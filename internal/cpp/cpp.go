@@ -309,10 +309,6 @@ func walkStmts(body []Stmt, fn func(Stmt)) {
 	}
 }
 
-// WalkStmts applies fn to every statement in body, recursing into control
-// flow. Exposed for tooling and tests.
-func WalkStmts(body []Stmt, fn func(Stmt)) { walkStmts(body, fn) }
-
 // Validate checks the structural well-formedness of the program: unique
 // class and function names, declared-before-use bases, acyclic inheritance,
 // resolvable methods and fields in all bodies, and pure methods without

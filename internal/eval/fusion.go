@@ -131,25 +131,6 @@ func CheckFusion(rep *FusionReport, minHardImproved int) error {
 	return fmt.Errorf("fusion check failed:\n  %s", strings.Join(problems, "\n  "))
 }
 
-// FusedAccuracyReport reshapes the fused half of a FusionReport into an
-// AccuracyReport so the fused scores gate against the floors file like
-// the SLM-only ones.
-func FusedAccuracyReport(rep *FusionReport) *AccuracyReport {
-	out := &AccuracyReport{Schema: AccSchema}
-	for _, row := range rep.Configs {
-		out.Configs = append(out.Configs, &SynthRow{
-			Name:     row.Name,
-			Shape:    row.Shape,
-			Mode:     row.Mode,
-			Friendly: row.Friendly,
-			Types:    row.Types,
-			Edge:     row.Fused,
-			Tier:     TierOf(row.Fused.F1),
-		})
-	}
-	return out
-}
-
 // FusionTable renders the report as an aligned text table.
 func FusionTable(rep *FusionReport) string {
 	var b strings.Builder

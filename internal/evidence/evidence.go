@@ -76,7 +76,7 @@ type FamilyInput struct {
 	// provider's measurement domain (Remark 4.1: distances must be
 	// measured over one word set to rank). Nil when no SLM provider is
 	// enabled.
-	Words [][]int
+	Words [][]int32
 	// Models holds each member's frozen SLM, parallel to Types. Nil
 	// when no SLM provider is enabled.
 	Models []*slm.Frozen

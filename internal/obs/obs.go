@@ -52,6 +52,10 @@ const (
 	CntEdgesPruned
 	// CntModels counts the SLMs trained (and frozen).
 	CntModels
+	// CntTrainWords counts the distinct (type, word) pairs the SLMs were
+	// trained on: each weighted by how many of the type's tracelets it
+	// stands for, so tracelets over train_words is the dedup ratio.
+	CntTrainWords
 	// CntDistPairs counts the pairwise divergences computed.
 	CntDistPairs
 	// CntDistPairsPruned counts the family-internal ordered pairs the
@@ -106,7 +110,7 @@ const (
 // counterNames indexes the JSON/report spelling of each counter.
 var counterNames = [numCounters]string{
 	"vtables", "tracelets", "raw_tracelets", "alphabet", "families",
-	"candidate_edges", "edges_pruned", "models", "dist_pairs",
+	"candidate_edges", "edges_pruned", "models", "train_words", "dist_pairs",
 	"dist_pairs_pruned", "dist_memo_hits", "dist_memo_misses", "dist_grams",
 	"dist_positions", "co_optimal", "arbs_kept",
 	"multi_parents", "pool_helpers",

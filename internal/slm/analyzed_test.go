@@ -138,7 +138,7 @@ func checkFamilyRows(t *testing.T, label string, res *core.Result, withDist bool
 				}
 			}
 		}
-		calc := slm.NewDistanceCalculator(slm.MetricKL, words)
+		calc := slm.NewDistanceCalculator(slm.MetricKL, slm.Words32(words))
 		calc.Reserve(models)
 		for _, m := range models {
 			calc.Precompute(m)

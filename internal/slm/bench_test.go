@@ -42,11 +42,12 @@ func BenchmarkTrain(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("arena/seqs=%d", n), func(b *testing.B) {
 			var tr Trainer
+			seqs := words32(seqs)
 			b.ReportAllocs()
 			for range b.N {
 				tr.Reset(2, trainAlphabet)
 				for _, s := range seqs {
-					tr.Add(s)
+					tr.AddN(s, 1)
 				}
 				trainSink = tr.Build()
 			}
@@ -120,7 +121,7 @@ func BenchmarkWordDist(b *testing.B) {
 		}
 	})
 	b.Run("Gram", func(b *testing.B) {
-		tab := newGramTable(f.depth, words)
+		tab := newGramTable(f.depth, words32(words))
 		s := &queryScratch{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -34,7 +34,7 @@ func TestCalculatorMatchesDistance(t *testing.T) {
 	a, b, words := trainedPair()
 	fa, fb := build(a), build(b)
 	for _, metric := range []Metric{MetricKL, MetricJSDivergence, MetricJSDistance} {
-		c := NewDistanceCalculator(metric, words)
+		c := NewDistanceCalculator(metric, words32(words))
 		for i := 0; i < 3; i++ { // repeated calls must hit the cache, same value
 			if got, want := c.Distance(fa, fb), refDistance(metric, a, b, words); got != want {
 				t.Errorf("%v: calculator a→b = %v, reference = %v", metric, got, want)
@@ -63,7 +63,7 @@ func TestCalculatorConcurrent(t *testing.T) {
 	want := refDistance(MetricKL, ra, rb, words)
 	wantRev := refDistance(MetricKL, rb, ra, words)
 	a, b := build(ra), build(rb)
-	c := NewDistanceCalculator(MetricKL, words)
+	c := NewDistanceCalculator(MetricKL, words32(words))
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for g := 0; g < 16; g++ {

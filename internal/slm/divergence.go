@@ -175,7 +175,7 @@ func jsDist(pa, pb []float64) float64 {
 // cached by identity.
 type DistanceCalculator struct {
 	metric Metric
-	words  [][]int
+	words  [][]int32
 	obs    *obs.Bus
 
 	// gmu guards tables, the word set's gram tables, one per model depth
@@ -190,7 +190,7 @@ type DistanceCalculator struct {
 // NewDistanceCalculator returns a calculator for the given metric and word
 // set. The word set must not be mutated afterwards. Derivations draw
 // their query scratch from the process-wide recycled set (sharedScratch).
-func NewDistanceCalculator(metric Metric, words [][]int) *DistanceCalculator {
+func NewDistanceCalculator(metric Metric, words [][]int32) *DistanceCalculator {
 	return &DistanceCalculator{
 		metric: metric,
 		words:  words,

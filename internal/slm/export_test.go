@@ -28,3 +28,7 @@ func CachedEntryIs(c *DistanceCalculator, m *Frozen, lps []float64) bool {
 	c.mu.Unlock()
 	return ok && sameEntry(got, newDistEntry(lps))
 }
+
+// Words32 converts a test word set to the int32 symbols the distance
+// calculator takes.
+func Words32(words [][]int) [][]int32 { return words32(words) }

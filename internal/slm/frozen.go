@@ -172,12 +172,20 @@ func (q *Querier) Rebind(f *Frozen) {
 // reads that Log from the querier's tables, derived by the same
 // expression, so the result is bit-identical to recomputing it.
 func (q *Querier) LogProb(sym int, hist []int) float64 {
+	descend(q, hist)
+	return q.logProbCtx(sym)
+}
+
+// descend sets q.ctx to hist's context chain: the root, then each deeper
+// context seen in training, up to the model's depth. It is generic over
+// the symbol type so that the gram tables' int32 windows take the same
+// walk as LogProb's histories.
+func descend[S int | int32](q *Querier, hist []S) {
 	f := q.f
-	// Context chain root -> deepest context seen in training.
 	q.ctx = append(q.ctx[:0], 0)
 	n := int32(0)
 	for k := 1; k <= f.depth && k <= len(hist); k++ {
-		c := hist[len(hist)-k]
+		c := int(hist[len(hist)-k])
 		if c < 0 || c >= f.alphabet {
 			break // symbol outside the alphabet: no trained context has it
 		}
@@ -188,6 +196,11 @@ func (q *Querier) LogProb(sym int, hist []int) float64 {
 		n = child
 		q.ctx = append(q.ctx, n)
 	}
+}
+
+// logProbCtx returns ln Pr(sym | the context chain descend set).
+func (q *Querier) logProbCtx(sym int) float64 {
+	f := q.f
 	// New exclusion epoch; on uint32 wraparound wipe the stale stamps once.
 	q.epoch++
 	if q.epoch == 0 {

@@ -33,6 +33,25 @@ func randomSeq(rng *rand.Rand, alpha, maxLen int) []int {
 	return seq
 }
 
+// seq32 converts a test sequence to the int32 symbols the trainer and
+// the distance calculator take.
+func seq32(seq []int) []int32 {
+	out := make([]int32, len(seq))
+	for i, s := range seq {
+		out[i] = int32(s)
+	}
+	return out
+}
+
+// words32 converts a test word set like seq32.
+func words32(words [][]int) [][]int32 {
+	out := make([][]int32, len(words))
+	for i, w := range words {
+		out[i] = seq32(w)
+	}
+	return out
+}
+
 // sameBits requires exact floating-point equality — the frozen kernel
 // must run the reference's arithmetic, not merely approximate it.
 func sameBits(t *testing.T, what string, got, want float64) {
@@ -97,7 +116,7 @@ func TestFrozenBitIdenticalDistances(t *testing.T) {
 		for _, metric := range []Metric{MetricKL, MetricJSDivergence, MetricJSDistance} {
 			sameBits(t, metric.String(),
 				refDistance(metric, qa, qb, words), refDistance(metric, a, b, words))
-			calc := NewDistanceCalculator(metric, words)
+			calc := NewDistanceCalculator(metric, words32(words))
 			sameBits(t, metric.String()+" calculator",
 				calc.Distance(fa, fb), refDistance(metric, a, b, words))
 			sameBits(t, metric.String()+" calculator rev",
@@ -164,7 +183,7 @@ func TestFrozenQueryAllocs(t *testing.T) {
 		m2.Train(randomSeq(rng, 24, 7))
 	}
 	f2 := build(m2)
-	calc := NewDistanceCalculator(MetricKL, words)
+	calc := NewDistanceCalculator(MetricKL, words32(words))
 	calc.Precompute(f)
 	calc.Precompute(f2)
 	if n := testing.AllocsPerRun(100, func() { calc.Distance(f, f2) }); n != 0 {

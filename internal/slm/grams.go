@@ -14,7 +14,7 @@ type gramTable struct {
 	depth int
 	// grams[g] is gram g as the window of its first occurrence: its
 	// history, then its symbol. Windows alias the word set.
-	grams [][]int
+	grams [][]int32
 	// rows[off[w]:off[w+1]] are word w's gram indices in position order.
 	rows []int32
 	off  []int32
@@ -24,7 +24,7 @@ type gramTable struct {
 // Two windows share a gram index exactly when they hold the same
 // symbols, history length included (the key is the window's varints,
 // which decode uniquely).
-func newGramTable(depth int, words [][]int) *gramTable {
+func newGramTable(depth int, words [][]int32) *gramTable {
 	n := 0
 	for _, w := range words {
 		n += len(w)

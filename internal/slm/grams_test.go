@@ -34,7 +34,7 @@ func trainRandom(rng *rand.Rand, depth, alpha int) *Frozen {
 	var tr Trainer
 	tr.Reset(depth, alpha)
 	for n := rng.Intn(30); n > 0; n-- {
-		tr.Add(randomSeq(rng, alpha, 8))
+		tr.AddN(seq32(randomSeq(rng, alpha, 8)), 1)
 	}
 	return tr.Build()
 }
@@ -90,7 +90,7 @@ func TestGramKernelBitIdentical(t *testing.T) {
 			ms[i] = trainRandom(rng, depths[i%len(depths)], alpha)
 		}
 		bus := obs.NewBus()
-		c := NewDistanceCalculator(MetricKL, words)
+		c := NewDistanceCalculator(MetricKL, words32(words))
 		c.SetObserver(bus)
 		if seed%2 == 0 {
 			c.Reserve(ms) // odd seeds intern lazily, on first derivation
@@ -143,7 +143,7 @@ func TestGramKernelBitIdentical(t *testing.T) {
 // history at a word's start is a different gram from a full one.
 func TestGramTableSharesGrams(t *testing.T) {
 	words := [][]int{{1, 2, 3}, {1, 2, 3}, {2, 3}, {0, 2, 3}}
-	tab := newGramTable(2, words)
+	tab := newGramTable(2, words32(words))
 	// Grams: [1] [1 2] [1 2 3] [2] [2 3] [0] [0 2] [0 2 3].
 	if len(tab.grams) != 8 {
 		t.Fatalf("%d grams, want 8: %v", len(tab.grams), tab.grams)
@@ -161,7 +161,7 @@ func TestGramTableSharesGrams(t *testing.T) {
 		}
 	}
 	// At depth 0 every gram is its symbol alone.
-	if n := len(newGramTable(0, words).grams); n != 4 {
+	if n := len(newGramTable(0, words32(words)).grams); n != 4 {
 		t.Errorf("depth 0: %d grams, want 4", n)
 	}
 }
@@ -174,7 +174,7 @@ var entrySink *distEntry
 // cached Precompute costs nothing, and neither does a warm PairBound.
 func TestGramKernelZeroAlloc(t *testing.T) {
 	fleet, words := trainedFleet(t, 8)
-	calc := NewDistanceCalculator(MetricKL, words)
+	calc := NewDistanceCalculator(MetricKL, words32(words))
 	calc.Reserve(fleet)
 	tab := calc.grams(fleet[0].depth)
 	s := &queryScratch{}
@@ -223,7 +223,7 @@ func TestPairBoundDominatesMax(t *testing.T) {
 			words[i] = randomSeq(rng, 12, 9)
 		}
 		for _, metric := range []Metric{MetricKL, MetricJSDivergence, MetricJSDistance} {
-			calc := NewDistanceCalculator(metric, words)
+			calc := NewDistanceCalculator(metric, words32(words))
 			maxD := 0.0
 			for _, a := range fleet {
 				for _, b := range fleet {
@@ -252,7 +252,7 @@ func TestPairBoundDegenerate(t *testing.T) {
 	if got := NewDistanceCalculator(MetricKL, nil).PairBound(ms); got != 0 {
 		t.Errorf("empty word set: PairBound %v, want 0", got)
 	}
-	if got := NewDistanceCalculator(MetricKL, words).PairBound(ms[:1]); got != 0 {
+	if got := NewDistanceCalculator(MetricKL, words32(words)).PairBound(ms[:1]); got != 0 {
 		t.Errorf("single model: PairBound %v, want 0", got)
 	}
 }

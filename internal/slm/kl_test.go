@@ -50,7 +50,7 @@ func TestKLKernelMatchesPerTerm(t *testing.T) {
 			}
 			ms = append(ms, build(m))
 		}
-		c := NewDistanceCalculator(MetricKL, words)
+		c := NewDistanceCalculator(MetricKL, words32(words))
 		for _, a := range ms {
 			for _, b := range ms {
 				ea, eb := c.distribution(a), c.distribution(b)
@@ -112,7 +112,7 @@ func TestKLKernelClamp(t *testing.T) {
 	if d := refKL(f1.NewQuerier(), f2.NewQuerier(), words); d != 0 {
 		t.Errorf("KL of equal models = %v, want exactly 0", d)
 	}
-	if d := NewDistanceCalculator(MetricKL, words).Distance(f1, f2); d != 0 {
+	if d := NewDistanceCalculator(MetricKL, words32(words)).Distance(f1, f2); d != 0 {
 		t.Errorf("calculator KL of equal models = %v, want exactly 0", d)
 	}
 }

@@ -252,7 +252,7 @@ func build(m *refModel) *Frozen {
 	var t Trainer
 	t.Reset(m.depth, m.alphabet)
 	for _, s := range m.seqs {
-		t.Add(s)
+		t.AddN(seq32(s), 1)
 	}
 	return t.Build()
 }

@@ -30,7 +30,8 @@ func (s *queryScratch) logProbWords(f *Frozen, t *gramTable) []float64 {
 	s.gramLps = grow(s.gramLps, len(t.grams))
 	for g, win := range t.grams {
 		last := len(win) - 1
-		s.gramLps[g] = s.q.LogProb(win[last], win[:last])
+		descend(s.q, win[:last])
+		s.gramLps[g] = s.q.logProbCtx(int(win[last]))
 	}
 	s.lps = grow(s.lps, len(t.off)-1)
 	for w := range s.lps {

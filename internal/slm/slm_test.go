@@ -98,7 +98,7 @@ func TestKLProperties(t *testing.T) {
 	b.Train([]int{3, 4, 5, 3, 4, 5})
 	words := [][]int{{0, 1, 2}, {3, 4, 5}, {0, 1, 2, 0, 1, 2}}
 	fa, fb := build(a), build(b)
-	calc := NewDistanceCalculator(MetricKL, words)
+	calc := NewDistanceCalculator(MetricKL, words32(words))
 	if d := calc.Distance(fa, fa); math.Abs(d) > 1e-9 {
 		t.Errorf("KL(a||a) = %v, want 0", d)
 	}
@@ -132,7 +132,7 @@ func TestJSDivergenceSymmetric(t *testing.T) {
 		}
 	}
 	fa, fb := build(a), build(b)
-	js := NewDistanceCalculator(MetricJSDivergence, words)
+	js := NewDistanceCalculator(MetricJSDivergence, words32(words))
 	dab := js.Distance(fa, fb)
 	dba := js.Distance(fb, fa)
 	if math.Abs(dab-dba) > 1e-9 {
@@ -141,7 +141,7 @@ func TestJSDivergenceSymmetric(t *testing.T) {
 	if dab < 0 || dab > math.Log(2)+1e-9 {
 		t.Errorf("JS divergence out of [0, ln 2]: %v", dab)
 	}
-	if d := NewDistanceCalculator(MetricJSDistance, words).Distance(fa, fb); math.Abs(d-math.Sqrt(dab)) > 1e-12 {
+	if d := NewDistanceCalculator(MetricJSDistance, words32(words)).Distance(fa, fb); math.Abs(d-math.Sqrt(dab)) > 1e-12 {
 		t.Errorf("JSDistance != sqrt(JSDivergence)")
 	}
 }

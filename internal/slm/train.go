@@ -2,6 +2,7 @@ package slm
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -11,11 +12,14 @@ import (
 // k ≤ min(D, i) that ends just before it. The trainer records each such
 // update as one fixed-width int32 row: the context path, most recent
 // symbol first, each stored as symbol+1 and padded with 0, then the
-// symbol. Sorted lexicographically, the rows of one context are adjacent:
-// first its own rows in ascending symbol order, then the rows of each
-// child context in ascending symbol order. That is exactly the preorder,
-// ascending-symbol layout of a Frozen trie, so one walk over the sorted
-// rows counts the runs and lays out the arenas.
+// symbol, then the weight, the number of times the sequence was added.
+// Sorted lexicographically on every column but the weight, the rows of
+// one context are adjacent: first its own rows in ascending symbol
+// order, then the rows of each child context in ascending symbol order.
+// That is exactly the preorder, ascending-symbol layout of a Frozen trie,
+// so one walk over the sorted rows sums the weights of each run and lays
+// out the arenas. PPM-C counts add up, so a sequence added with weight n
+// trains the model that n unweighted adds of it would.
 //
 // A Trainer reuses its buffers from one model to the next, so a warm
 // trainer allocates only the model Build returns. It is not safe for
@@ -23,10 +27,14 @@ import (
 type Trainer struct {
 	depth, alphabet int
 	// seqs holds every added sequence back to back; ends[i] is where
-	// sequence i ends.
+	// sequence i ends and weights[i] how often it was added.
 	seqs    []int32
 	ends    []int
+	weights []int32
 	longest int
+	// trained is the sum of the weights; positions the weighted number
+	// of sequence positions, which bounds every count of the model.
+	trained, positions int
 	// rows is the row table, width int32s per row; spare is the radix
 	// sort's second buffer.
 	rows, spare []int32
@@ -40,20 +48,33 @@ type Trainer struct {
 // matches the paper's Fig. 8 example.
 func (t *Trainer) Reset(depth, alphabet int) {
 	t.depth, t.alphabet = max(depth, 0), max(alphabet, 1)
-	t.seqs, t.ends, t.longest = t.seqs[:0], t.ends[:0], 0
+	t.seqs, t.ends, t.weights = t.seqs[:0], t.ends[:0], t.weights[:0]
+	t.longest, t.trained, t.positions = 0, 0, 0
 }
 
-// Add trains the model on one sequence. The trainer copies it, so the
-// caller may reuse seq. Empty sequences count as trained.
-func (t *Trainer) Add(seq []int) {
+// AddN trains the model on n occurrences of seq: the model Build returns
+// is the one n separate AddN(seq, 1) calls would build, but seq adds its
+// rows once. The trainer copies seq, so the caller may reuse it. Empty
+// sequences count as trained; n == 0 adds nothing. The model's counts are
+// int32, so the weighted number of positions trained must fit one.
+func (t *Trainer) AddN(seq []int32, n int) {
+	if n < 0 || n > math.MaxInt32 || len(seq) > 0 && n > (math.MaxInt32-t.positions)/len(seq) {
+		panic(fmt.Sprintf("slm: weight %d of a %d-symbol sequence overflows the model's counts", n, len(seq)))
+	}
+	if n == 0 {
+		return
+	}
 	for _, s := range seq {
-		if s < 0 || s >= t.alphabet {
+		if s < 0 || int(s) >= t.alphabet {
 			panic(fmt.Sprintf("slm: symbol %d outside alphabet %d", s, t.alphabet))
 		}
-		t.seqs = append(t.seqs, int32(s))
 	}
+	t.seqs = append(t.seqs, seq...)
 	t.ends = append(t.ends, len(t.seqs))
+	t.weights = append(t.weights, int32(n))
 	t.longest = max(t.longest, len(seq))
+	t.trained += n
+	t.positions += n * len(seq)
 }
 
 // Build returns the frozen model of every sequence added since Reset.
@@ -66,7 +87,7 @@ func (t *Trainer) Build() *Frozen {
 	if t.longest > 0 {
 		k = min(t.depth, t.longest-1)
 	}
-	t.width = k + 1
+	t.width = k + 2
 	t.fillRows(k)
 	t.sortRows()
 
@@ -85,7 +106,7 @@ func (t *Trainer) Build() *Frozen {
 	return &Frozen{
 		depth:      t.depth,
 		alphabet:   t.alphabet,
-		trained:    len(t.ends),
+		trained:    t.trained,
 		nodes:      slices.Clone(o.nodes),
 		syms:       take(o.syms),
 		counts:     take(o.counts),
@@ -94,7 +115,7 @@ func (t *Trainer) Build() *Frozen {
 	}
 }
 
-// fillRows writes one row of width k+1 per (position, context length).
+// fillRows writes one row of width k+2 per (position, context length).
 func (t *Trainer) fillRows(k int) {
 	w := t.width
 	n, start := 0, 0
@@ -106,8 +127,8 @@ func (t *Trainer) fillRows(k int) {
 	}
 	t.rows = slices.Grow(t.rows[:0], n*w)[:n*w]
 	p, start := 0, 0
-	for _, end := range t.ends {
-		seq := t.seqs[start:end]
+	for j, end := range t.ends {
+		seq, weight := t.seqs[start:end], t.weights[j]
 		for i, s := range seq {
 			for ctx := 0; ctx <= min(k, i); ctx++ {
 				row := t.rows[p : p+w]
@@ -118,7 +139,7 @@ func (t *Trainer) fillRows(k int) {
 						row[c] = 0
 					}
 				}
-				row[k] = s
+				row[k], row[k+1] = s, weight
 				p += w
 			}
 		}
@@ -126,10 +147,10 @@ func (t *Trainer) fillRows(k int) {
 	}
 }
 
-// sortRows sorts the rows lexicographically with a stable LSD radix sort:
-// columns last to first, byte digits low to high. A digit that is zero
-// in every row, or equal in every row, leaves the order as it is and is
-// skipped.
+// sortRows sorts the rows lexicographically on every column but the
+// weight with a stable LSD radix sort: columns last to first, byte digits
+// low to high. A digit that is zero in every row, or equal in every row,
+// leaves the order as it is and is skipped.
 func (t *Trainer) sortRows() {
 	w := t.width
 	rows := t.rows
@@ -139,7 +160,7 @@ func (t *Trainer) sortRows() {
 	}
 	spare := slices.Grow(t.spare[:0], len(rows))[:len(rows)]
 	var count [256]int
-	for col := w - 1; col >= 0; col-- {
+	for col := w - 2; col >= 0; col-- {
 		var bits int32
 		for j := col; j < len(rows); j += w {
 			bits |= rows[j]
@@ -174,18 +195,24 @@ func (t *Trainer) sortRows() {
 // emitted, before any descendant's.
 func (t *Trainer) emit(lo, hi, depth int) int32 {
 	w, o := t.width, &t.out
+	sym := w - 2 // the symbol column; the weight follows it
 	idx := int32(len(o.nodes))
 	// The context's own rows have no path symbol at depth; they sort first.
 	own := lo
-	for own < hi && (depth == w-1 || t.rows[own*w+depth] == 0) {
+	for own < hi && (depth == sym || t.rows[own*w+depth] == 0) {
 		own++
 	}
 	symOff := len(o.syms)
+	var total int32
 	for j := lo; j < own; {
-		r := t.runEnd(j, own, w-1)
-		o.syms = append(o.syms, t.rows[j*w+w-1])
-		o.counts = append(o.counts, int32(r-j))
-		j = r
+		r := t.runEnd(j, own, sym)
+		var count int32
+		for ; j < r; j++ {
+			count += t.rows[j*w+w-1]
+		}
+		o.syms = append(o.syms, t.rows[(r-1)*w+sym])
+		o.counts = append(o.counts, count)
+		total += count
 	}
 	childOff := len(o.childSyms)
 	for j := own; j < hi; j = t.runEnd(j, hi, depth) {
@@ -197,7 +224,7 @@ func (t *Trainer) emit(lo, hi, depth int) int32 {
 		symN:     int32(len(o.syms) - symOff),
 		childOff: int32(childOff),
 		childN:   int32(len(o.childSyms) - childOff),
-		total:    int32(own - lo),
+		total:    total,
 	})
 	for c, j := childOff, own; j < hi; c++ {
 		r := t.runEnd(j, hi, depth)

@@ -17,11 +17,11 @@ import (
 )
 
 // train returns the model of depth over [0, alphabet) trained on seqs.
-func train(depth, alphabet int, seqs ...[]int) *slm.Frozen {
+func train(depth, alphabet int, seqs ...[]int32) *slm.Frozen {
 	var t slm.Trainer
 	t.Reset(depth, alphabet)
 	for _, s := range seqs {
-		t.Add(s)
+		t.AddN(s, 1)
 	}
 	return t.Build()
 }
@@ -35,7 +35,7 @@ func sampleSnapshot() *Snapshot {
 		ev(objtrace.EvCall, 0), ev(objtrace.EvCall, 1), ev(objtrace.EvThis, 0),
 		ev(objtrace.EvRet, 0), ev(objtrace.EvCallF, 0x4010),
 	}
-	frozen := train(2, len(alphabet), []int{0, 2, 1}, []int{0, 1, 3})
+	frozen := train(2, len(alphabet), []int32{0, 2, 1}, []int32{0, 1, 3})
 
 	s := &Snapshot{
 		Alphabet: alphabet,
@@ -306,7 +306,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// sizes its exclusion array by the model's alphabet, so a model that
 	// declares another size is hostile input.
 	s = sampleSnapshot()
-	s.Frozen[0x2010] = train(2, len(s.Alphabet)+3, []int{0, 1})
+	s.Frozen[0x2010] = train(2, len(s.Alphabet)+3, []int32{0, 1})
 	if enc, err := s.Encode(); err != nil {
 		t.Fatal(err)
 	} else if _, err := Decode(enc); err == nil {
@@ -316,7 +316,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// the words end), but the first query of the decoded model must not
 	// size anything by it.
 	s = sampleSnapshot()
-	s.Frozen[0x2010] = train(1<<24, len(s.Alphabet), []int{0, 2, 1, 3})
+	s.Frozen[0x2010] = train(1<<24, len(s.Alphabet), []int32{0, 2, 1, 3})
 	enc, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
