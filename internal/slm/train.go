@@ -59,7 +59,7 @@ func (t *Trainer) Reset(depth, alphabet int) {
 // int32, so the weighted number of positions trained must fit one.
 func (t *Trainer) AddN(seq []int32, n int) {
 	if n < 0 || n > math.MaxInt32 || len(seq) > 0 && n > (math.MaxInt32-t.positions)/len(seq) {
-		panic(fmt.Sprintf("slm: weight %d of a %d-symbol sequence overflows the model's counts", n, len(seq)))
+		panic(fmt.Sprintf("slm: weight %d of a %d-symbol sequence is negative or overflows the model's int32 counts", n, len(seq)))
 	}
 	if n == 0 {
 		return
