@@ -26,7 +26,7 @@ import (
 // benchmark with and without SLMs.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunAll()
+		rows, err := eval.RunAllWithConfig(core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkMotivatingDKL(b *testing.B) {
 func BenchmarkEchoparams(b *testing.B) {
 	bm := bench.ByName("echoparams")
 	for i := 0; i < b.N; i++ {
-		row, err := eval.Run(bm)
+		row, err := eval.RunWithConfig(bm, core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkEchoparams(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	bm := bench.ByName("CGridListCtrlEx")
 	for i := 0; i < b.N; i++ {
-		row, err := eval.Run(bm)
+		row, err := eval.RunWithConfig(bm, core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

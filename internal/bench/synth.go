@@ -155,13 +155,3 @@ func SynthGrid() []*SynthConfig {
 	}
 	return out
 }
-
-// SynthByName returns the named grid config, or nil.
-func SynthByName(name string) *SynthConfig {
-	for _, c := range SynthGrid() {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}

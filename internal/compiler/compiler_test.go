@@ -100,7 +100,7 @@ func TestCtorInliningRemovesCalls(t *testing.T) {
 				continue
 			}
 			for _, in := range f.Insts {
-				if in.Op == ir.OpCall && !img.IsImport(in.Imm) {
+				if _, imp := img.Imports[in.Imm]; in.Op == ir.OpCall && !imp {
 					n++
 				}
 			}

@@ -1,10 +1,11 @@
-// Package corpus holds the batch-scheduling contract tests. The batch
-// scheduler itself is core.Shared.AnalyzeBatch — one goroutine per image
-// under the admission rule of core.Shared.Analyze — and these tests drive
-// it with the Table 2 images: index-owned results, the cold-concurrency
-// bound, warm bypass, per-image errors, cancellation, one outcome per
-// image, and nested fan-out on one pool.
-package corpus
+package core_test
+
+// The batch-scheduling contract tests. The batch scheduler is
+// core.Shared.AnalyzeBatch — one goroutine per image under the admission
+// rule of core.Shared.Analyze — and these tests drive it with the Table 2
+// images: index-owned results, the cold-concurrency bound, warm bypass,
+// per-image errors, cancellation, one outcome per image, and nested
+// fan-out on one pool.
 
 import (
 	"bytes"

@@ -58,10 +58,6 @@ type Config struct {
 	Trace objtrace.Config
 	// Structural toggles individual structural heuristics.
 	Structural structural.Config
-	// RootWeightFactor scales the virtual-root edge weight relative to the
-	// largest pairwise distance in a family; it must exceed 1 so that being
-	// a derived type is always preferred (Heuristic 4.1).
-	RootWeightFactor float64
 	// Evidence selects the edge-evidence providers whose scores the
 	// hierarchy solve fuses, in fusion order (see internal/evidence). Nil
 	// or empty selects the paper's configuration: the SLM/KL behavioral
@@ -77,10 +73,6 @@ type Config struct {
 	// passthrough of that provider — {slm: 1, subtype: 0} is bit-identical
 	// to the pure-SLM pipeline.
 	FuseWeights map[string]float64
-	// EnumEps is the near-tie tolerance of the co-optimal structure
-	// (arborescence.CoOptimal): an edge is tight iff its reduced cost is
-	// at most EnumEps, and a contracted set binds iff its dual exceeds it.
-	EnumEps float64
 	// Workers bounds the analysis's concurrency: AnalyzeContext runs on a
 	// fresh Shared of this capacity, so per-function tracelet extraction,
 	// SLM training, per-family pairwise distance matrices, and per-family
@@ -124,14 +116,17 @@ type Config struct {
 // DefaultConfig returns the paper-calibrated configuration.
 func DefaultConfig() Config {
 	return Config{
-		UseSLM:           true,
-		SLMDepth:         2,
-		Metric:           slm.MetricKL,
-		Trace:            objtrace.DefaultConfig(),
-		RootWeightFactor: 8,
-		EnumEps:          1e-9,
+		UseSLM:   true,
+		SLMDepth: 2,
+		Metric:   slm.MetricKL,
+		Trace:    objtrace.DefaultConfig(),
 	}
 }
+
+// enumEps is the near-tie tolerance of the co-optimal structure
+// (arborescence.CoOptimal): an edge is tight iff its reduced cost is at
+// most enumEps, and a contracted set binds iff its dual exceeds it.
+const enumEps = 1e-9
 
 // FamilyResult is the per-family outcome.
 type FamilyResult struct {
@@ -287,12 +282,6 @@ func AnalyzeContext(ctx context.Context, img *image.Image, cfg Config) (*Result,
 func (c Config) withDefaults() Config {
 	if c.SLMDepth <= 0 {
 		c.SLMDepth = 2
-	}
-	if c.RootWeightFactor <= 1 {
-		c.RootWeightFactor = 8
-	}
-	if c.EnumEps <= 0 {
-		c.EnumEps = 1e-9
 	}
 	c.Trace.Pool = c.pool
 	return c
@@ -759,14 +748,14 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 		})
 	}
 	if familyHook != nil {
-		familyHook(fam, edges, cfg.EnumEps)
+		familyHook(fam, edges, enumEps)
 	}
 	sol, err := arborescence.Solve(n+1, 0, edges)
 	if err != nil {
 		out.err = err
 		return out
 	}
-	co := sol.CoOptimal(edges, cfg.EnumEps)
+	co := sol.CoOptimal(edges, enumEps)
 	kept := co.Vote()
 	if cfg.Obs != nil {
 		cfg.Obs.Add(obs.CntCoOptimal, saturate(co.Count()))
@@ -919,14 +908,4 @@ func (r *Result) chooseMultiParents() {
 			r.MultiParents[t] = parents
 		}
 	}
-}
-
-// WithoutSLMSuccessors returns the successor sets implied by the structural
-// possibleParent relation alone (the §6.4 "Without SLMs" column).
-func (r *Result) WithoutSLMSuccessors() map[uint64]map[uint64]bool {
-	var types []uint64
-	for _, v := range r.VTables {
-		types = append(types, v.Addr)
-	}
-	return hierarchy.PossibleParentSuccessors(r.Structural.PossibleParents, types)
 }

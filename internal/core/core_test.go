@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/cpp"
+	"repro/internal/hierarchy"
 	"repro/internal/image"
 	"repro/internal/slm"
 )
@@ -152,7 +153,11 @@ func TestWithoutSLMSuccessors(t *testing.T) {
 	stream := vtOf(t, meta, "Stream")
 	conf := vtOf(t, meta, "ConfirmableStream")
 	flu := vtOf(t, meta, "FlushableStream")
-	succ := res.WithoutSLMSuccessors()
+	var types []uint64
+	for _, v := range res.VTables {
+		types = append(types, v.Addr)
+	}
+	succ := hierarchy.PossibleParentSuccessors(res.Structural.PossibleParents, types)
 	// Without SLMs, Flushable counts as successor of both Stream and
 	// Confirmable (its two possible parents).
 	if !succ[stream][flu] || !succ[stream][conf] {

@@ -127,10 +127,9 @@ func (r *Result) buildEvidence(ctx context.Context, cfg Config) error {
 		switch name {
 		case evidence.NameSLM:
 			r.providers = append(r.providers, slmkl.New(slmkl.Config{
-				Metric:           cfg.Metric,
-				RootWeightFactor: cfg.RootWeightFactor,
-				Pool:             cfg.pool,
-				Obs:              cfg.Obs,
+				Metric: cfg.Metric,
+				Pool:   cfg.pool,
+				Obs:    cfg.Obs,
 			}))
 		case evidence.NameSubtype:
 			p, err := subtype.New(ctx, subtype.DefaultConfig(), subtype.Image{

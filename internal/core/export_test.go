@@ -9,3 +9,6 @@ func MultiParents(r *Result, dist map[[2]uint64]float64, forest *hierarchy.Fores
 	ref.chooseMultiParents()
 	return ref.MultiParents
 }
+
+// EnumEps is the co-optimal near-tie tolerance the hierarchy stage uses.
+const EnumEps = enumEps

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/evidence/slmkl"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
@@ -40,7 +41,7 @@ func TestFingerprintCompat(t *testing.T) {
 			snapshot.LevelModels - 1: legacy("model", fmt.Sprintf("depth=%d", cfg.SLMDepth)),
 			snapshot.LevelHierarchy - 1: legacy("hier", fmt.Sprintf(
 				"metric=%d rootw=%.17g enumeps=%.17g sweep=sparse kl=dot",
-				cfg.Metric, cfg.RootWeightFactor, cfg.EnumEps)),
+				cfg.Metric, slmkl.RootWeightFactor, enumEps)),
 		}
 		for i := range fps {
 			if fps[i] != want[i] {
@@ -54,8 +55,6 @@ func TestFingerprintCompat(t *testing.T) {
 	ablated.SLMDepth = 3
 	ablated.Structural.DisableCtorCalls = true
 	ablated.Trace.MaxPaths = 7
-	ablated.EnumEps = 1e-6
-	ablated.RootWeightFactor = 2.5
 	check("ablated", ablated)
 
 	// Workers, Pool, and the observer must not influence the key.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/disasm"
+	"repro/internal/evidence/slmkl"
 	"repro/internal/image"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
@@ -139,8 +140,10 @@ func (c Config) fingerprints() [snapshot.NumSections][32]byte {
 }
 
 // hierarchyCanon renders the hierarchy section's fingerprinted
-// configuration. The " sweep=sparse" marker is part of the bytes every
-// existing snapshot was written under, so it stays. The " kl=dot" marker
+// configuration. The root weight and the co-optimal epsilon are
+// constants, and the " sweep=sparse" marker no longer selects anything,
+// but all three are part of the bytes every existing snapshot was written
+// under, so they stay. The " kl=dot" marker
 // names the KL kernel (selfEnt minus a dot product, see slm.klEntries):
 // the hierarchy section persists Dist bits, so snapshots written under
 // the earlier per-term kernel must not warm-restore values a cold run no
@@ -151,7 +154,7 @@ func (c Config) fingerprints() [snapshot.NumSections][32]byte {
 // the hierarchy section.
 func (c Config) hierarchyCanon() string {
 	canon := fmt.Sprintf("metric=%d rootw=%.17g enumeps=%.17g sweep=sparse kl=dot",
-		c.Metric, c.RootWeightFactor, c.EnumEps)
+		c.Metric, slmkl.RootWeightFactor, enumEps)
 	if !c.evidenceDefault() {
 		canon += " evidence=" + c.evidenceCanon()
 	}

@@ -181,21 +181,22 @@ func (r *Result) extractTracelets(ctx context.Context, cfg Config) error {
 	// With a matching extraction context (same entries, imports, and
 	// vtables), the merge is separable by type: only types touched by a
 	// changed function rebuild, everything else adopts the prior lists.
+	var prior *objtrace.Prior
 	if reuse != nil && r.incr.prior.Tracelets != nil {
-		changed := make([]bool, len(exts))
-		for i := range exts {
-			changed[i] = plan[i] == nil
+		prior = &objtrace.Prior{
+			Result:  r.incr.prior.Tracelets,
+			Fns:     make(map[uint64]*objtrace.FnExtraction, len(r.incr.prior.Funcs.Funcs)),
+			Changed: make([]bool, len(exts)),
 		}
-		priorFns := make(map[uint64]*objtrace.FnExtraction, len(r.incr.prior.Funcs.Funcs))
+		for i := range exts {
+			prior.Changed[i] = plan[i] == nil
+		}
 		for i := range r.incr.prior.Funcs.Funcs {
 			b := &r.incr.prior.Funcs.Funcs[i]
-			priorFns[b.Ext.Entry] = &b.Ext
+			prior.Fns[b.Ext.Entry] = &b.Ext
 		}
-		r.Tracelets, r.affected = objtrace.MergeFunctionsDelta(
-			exts, changed, priorFns, r.incr.prior.Tracelets, r.VTables, cfg.Trace)
-		return nil
 	}
-	r.Tracelets = objtrace.MergeFunctions(exts, r.VTables, cfg.Trace)
+	r.Tracelets, r.affected = objtrace.MergeFunctions(exts, r.VTables, cfg.Trace, prior)
 	return nil
 }
 

@@ -19,11 +19,7 @@ import (
 // re-solve, while most of both are reused.
 func synthPatchable(t *testing.T) (*image.Image, []uint64) {
 	t.Helper()
-	c := bench.SynthByName("deep/opt")
-	if c == nil {
-		t.Fatal("synth grid lost the deep/opt cell")
-	}
-	img, _, err := c.Build()
+	img, _, err := synthConfig(t, "deep/opt").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +28,18 @@ func synthPatchable(t *testing.T) (*image.Image, []uint64) {
 		t.Fatalf("deep/opt has only %d patchable functions", len(cands))
 	}
 	return img, cands
+}
+
+// synthConfig returns the named synth grid config.
+func synthConfig(t *testing.T, name string) *bench.SynthConfig {
+	t.Helper()
+	for _, c := range bench.SynthGrid() {
+		if c.Name == name {
+			return c
+		}
+	}
+	t.Fatalf("synth grid lost the %s cell", name)
+	return nil
 }
 
 // patchedCopy clones img and patches k patchable functions starting

@@ -7,6 +7,7 @@ import (
 	"repro/internal/arborescence"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/evidence/slmkl"
 	"repro/internal/hierarchy"
 	"repro/internal/image"
 	"repro/internal/slm"
@@ -50,7 +51,7 @@ func reference(t *testing.T, res *core.Result, cfg core.Config) (map[[2]uint64]f
 		var edges []arborescence.Edge
 		for i, t := range fam {
 			nodeOf[t] = i + 1
-			edges = append(edges, arborescence.Edge{From: 0, To: i + 1, W: maxD*cfg.RootWeightFactor + 1})
+			edges = append(edges, arborescence.Edge{From: 0, To: i + 1, W: maxD*slmkl.RootWeightFactor + 1})
 		}
 		for _, c := range fam {
 			for _, p := range res.Structural.PossibleParents[c] {
@@ -61,7 +62,7 @@ func reference(t *testing.T, res *core.Result, cfg core.Config) (map[[2]uint64]f
 		if err != nil {
 			t.Fatalf("family %v: %v", fam, err)
 		}
-		kept := sol.CoOptimal(edges, cfg.EnumEps).Vote()
+		kept := sol.CoOptimal(edges, core.EnumEps).Vote()
 		survivors[fi] = *kept
 		chosen := sol.Parents
 		if !kept.Contains(chosen) {

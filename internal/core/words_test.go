@@ -70,7 +70,7 @@ func wordsTestImages(t *testing.T) map[string]*image.Image {
 		imgs[b.Name] = img
 	}
 	for _, name := range []string{"random/opt", "deep/devirt", "wide/comdat", "diamond/partial", "split/friendly", "interleaved/opt"} {
-		img, _, err := bench.SynthByName(name).Build()
+		img, _, err := synthConfig(t, name).Build()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,29 +220,6 @@ func (c *Class) Method(name string) *Method {
 	return nil
 }
 
-// Ancestors returns all transitive base class names of class name, nearest
-// first along the primary chain, including secondary bases.
-func (p *Program) Ancestors(name string) []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(n string)
-	walk = func(n string) {
-		c := p.Class(n)
-		if c == nil {
-			return
-		}
-		for _, b := range c.Bases {
-			if !seen[b] {
-				seen[b] = true
-				out = append(out, b)
-				walk(b)
-			}
-		}
-	}
-	walk(name)
-	return out
-}
-
 // PrimaryChain returns class name followed by its transitive primary bases,
 // nearest first. Secondary (multiple-inheritance) bases are excluded: the
 // chain lists exactly the classes whose vtable pointer occupies offset 0 of
@@ -256,21 +233,6 @@ func (p *Program) PrimaryChain(name string) []string {
 		}
 		out = append(out, n)
 		n = c.PrimaryBase()
-	}
-	return out
-}
-
-// Subclasses returns the direct subclasses of class name, in declaration
-// order.
-func (p *Program) Subclasses(name string) []string {
-	var out []string
-	for _, c := range p.Classes {
-		for _, b := range c.Bases {
-			if b == name {
-				out = append(out, c.Name)
-				break
-			}
-		}
 	}
 	return out
 }

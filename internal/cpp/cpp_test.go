@@ -63,12 +63,6 @@ func TestValidateRejects(t *testing.T) {
 
 func TestHierarchyQueries(t *testing.T) {
 	p := valid()
-	if got := p.Ancestors("B"); len(got) != 1 || got[0] != "A" {
-		t.Errorf("Ancestors(B) = %v", got)
-	}
-	if got := p.Subclasses("A"); len(got) != 1 || got[0] != "B" {
-		t.Errorf("Subclasses(A) = %v", got)
-	}
 	if !p.Instantiated("B") || p.Instantiated("A") {
 		t.Error("Instantiated wrong")
 	}

@@ -13,22 +13,6 @@ import (
 	"repro/internal/slm"
 )
 
-func TestDiagnoseRendersFamiliesAndMistakes(t *testing.T) {
-	s, err := Diagnose(bench.ByName("tinyserver"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"family 0:", "TcpServer", "TimerTask", "D("} {
-		if !strings.Contains(s, want) {
-			t.Errorf("diagnosis missing %q:\n%s", want, s)
-		}
-	}
-	// The engineered mistake must be flagged with a '*'.
-	if !strings.Contains(s, "* TimerTask") {
-		t.Errorf("TimerTask misplacement not flagged:\n%s", s)
-	}
-}
-
 func TestRunWithConfigMetricSwap(t *testing.T) {
 	b := bench.ByName("echoparams")
 	cfg := core.DefaultConfig()
@@ -39,7 +23,7 @@ func TestRunWithConfigMetricSwap(t *testing.T) {
 	}
 	// The JS variants lose the asymmetry; on the chain benchmark they must
 	// not beat DKL's exact recovery.
-	klRow, err := Run(b)
+	klRow, err := RunWithConfig(b, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +56,7 @@ func TestScoreUsesWorstCoOptimal(t *testing.T) {
 	// td_unittest: the two-way splice direction is ambiguous in principle;
 	// Score must report a single consistent worst case (added exactly 1).
 	b := bench.ByName("td_unittest")
-	row, err := Run(b)
+	row, err := RunWithConfig(b, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +65,7 @@ func TestScoreUsesWorstCoOptimal(t *testing.T) {
 	}
 	// Analyzer: the worst of the 7,776 survivors of its six-variant
 	// plateau adds 25 spurious successors over 24 types.
-	row, err = Run(bench.ByName("Analyzer"))
+	row, err = RunWithConfig(bench.ByName("Analyzer"), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

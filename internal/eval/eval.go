@@ -38,11 +38,6 @@ type Row struct {
 	Paper bench.PaperRow
 }
 
-// Run evaluates one benchmark.
-func Run(b *bench.Benchmark) (*Row, error) {
-	return RunWithConfig(b, core.DefaultConfig())
-}
-
 // RunWithConfig evaluates one benchmark under a custom pipeline
 // configuration (used by the ablation benches). cfg.UseSLM is forced on;
 // the "without SLMs" column always comes from the structural relation.
@@ -242,11 +237,6 @@ func countedTypes(b *bench.Benchmark, meta *image.Metadata) ([]uint64, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
-}
-
-// RunAll evaluates every registered benchmark in Table 2 order.
-func RunAll() ([]*Row, error) {
-	return RunAllWithConfig(core.DefaultConfig())
 }
 
 // BenchOutcome bundles one benchmark's built image and analysis result,

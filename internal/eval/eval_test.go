@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 )
 
 // near reports |a-b| <= tol.
@@ -19,7 +20,7 @@ func expectRow(t *testing.T, name string, woM, woA, wM, wA, tol float64, wantRes
 	if b == nil {
 		t.Fatalf("unknown benchmark %q", name)
 	}
-	row, err := Run(b)
+	row, err := RunWithConfig(b, core.DefaultConfig())
 	if err != nil {
 		t.Fatalf("run %s: %v", name, err)
 	}
@@ -79,7 +80,7 @@ func TestUnresolvableBenchmarks(t *testing.T) {
 	})
 	t.Run("Analyzer", func(t *testing.T) {
 		b := bench.ByName("Analyzer")
-		r, err := Run(b)
+		r, err := RunWithConfig(b, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestUnresolvableBenchmarks(t *testing.T) {
 	})
 	t.Run("Smoothing", func(t *testing.T) {
 		b := bench.ByName("Smoothing")
-		r, err := Run(b)
+		r, err := RunWithConfig(b, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestUnresolvableBenchmarks(t *testing.T) {
 // TestRunAllTable2 exercises the complete harness end to end and checks the
 // Table 2 layout invariants.
 func TestRunAllTable2(t *testing.T) {
-	rows, err := RunAll()
+	rows, err := RunAllWithConfig(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

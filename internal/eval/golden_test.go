@@ -32,7 +32,7 @@ func goldenRows(rows []*Row) string {
 // accuracy: any drift fails here and has to be acknowledged by rerunning
 // with -update and justifying the new numbers in EXPERIMENTS.md.
 func TestTable2Golden(t *testing.T) {
-	rows, err := RunAll()
+	rows, err := RunAllWithConfig(core.DefaultConfig())
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}

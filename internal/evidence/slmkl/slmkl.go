@@ -30,16 +30,17 @@ const (
 	pairGrain = 32
 )
 
-// Config parameterizes the sweep. Metric and RootWeightFactor are
-// behavioral (they appear in the hierarchy canon); the rest only shape
-// execution.
+// RootWeightFactor scales the virtual-root weight relative to the
+// family's largest pairwise distance; it exceeds 1 so that being a derived
+// type is always preferred (Heuristic 4.1). The hierarchy canon renders it.
+const RootWeightFactor float64 = 8
+
+// Config parameterizes the sweep. Metric is behavioral (it appears in the
+// hierarchy canon); the rest only shape execution.
 type Config struct {
 	// Metric selects the pairwise distance (DKL by default; JS variants
 	// for the §6.4 ablation).
 	Metric slm.Metric
-	// RootWeightFactor scales the virtual-root weight relative to the
-	// family's largest pairwise distance (Heuristic 4.1); must exceed 1.
-	RootWeightFactor float64
 	// Pool lends the sweep's fan-outs their helpers (see internal/pool);
 	// nil runs the sweep serially.
 	Pool *pool.Shared
@@ -90,6 +91,6 @@ func (p *Provider) Score(ctx context.Context, in *evidence.FamilyInput) (*eviden
 	// PairBound ≥ the largest distance over all n(n-1) ordered pairs, so
 	// Heuristic 4.1's "root edges are always the worst choice" ordering
 	// holds although only the admissible pairs were scored.
-	out.Root = calc.PairBound(in.Models)*cfg.RootWeightFactor + 1
+	out.Root = calc.PairBound(in.Models)*RootWeightFactor + 1
 	return out, nil
 }

@@ -37,9 +37,6 @@ func NewForest(nodes []uint64) *Forest {
 // Nodes returns the node set in ascending order.
 func (f *Forest) Nodes() []uint64 { return append([]uint64(nil), f.nodes...) }
 
-// Len returns the number of nodes.
-func (f *Forest) Len() int { return len(f.nodes) }
-
 // Has reports whether t is a node.
 func (f *Forest) Has(t uint64) bool { return f.nodeSet[t] }
 
@@ -107,23 +104,6 @@ func (f *Forest) Ancestors(t uint64) []uint64 {
 	}
 }
 
-// Successors returns the set of types derived from t (its proper
-// descendants) — the successors_h(t) of §6.3.
-func (f *Forest) Successors(t uint64) map[uint64]bool {
-	out := map[uint64]bool{}
-	var rec func(u uint64)
-	rec = func(u uint64) {
-		for _, c := range f.Children(u) {
-			if !out[c] {
-				out[c] = true
-				rec(c)
-			}
-		}
-	}
-	rec(t)
-	return out
-}
-
 // AllSuccessors returns the successor sets of every node.
 func (f *Forest) AllSuccessors() map[uint64]map[uint64]bool {
 	out := make(map[uint64]map[uint64]bool, len(f.nodes))
@@ -156,33 +136,6 @@ func (f *Forest) String(name func(uint64) string) string {
 		rec(r, 0)
 	}
 	return b.String()
-}
-
-// Clone returns a deep copy.
-func (f *Forest) Clone() *Forest {
-	c := NewForest(f.nodes)
-	for ch, p := range f.parent {
-		c.parent[ch] = p
-	}
-	return c
-}
-
-// Equal reports whether two forests have the same nodes and edges.
-func (f *Forest) Equal(g *Forest) bool {
-	if len(f.nodes) != len(g.nodes) || len(f.parent) != len(g.parent) {
-		return false
-	}
-	for _, n := range f.nodes {
-		if !g.nodeSet[n] {
-			return false
-		}
-	}
-	for ch, p := range f.parent {
-		if gp, ok := g.parent[ch]; !ok || gp != p {
-			return false
-		}
-	}
-	return true
 }
 
 // PossibleParentSuccessors computes successor sets from a possibleParent
@@ -258,22 +211,4 @@ func ApplicationDistance(gtSucc, hSucc map[uint64]map[uint64]bool, types []uint6
 	res.AvgMissing = float64(tm) / float64(len(types))
 	res.AvgAdded = float64(ta) / float64(len(types))
 	return res
-}
-
-// ParentAccuracy returns the fraction of types whose parent assignment
-// (including rootness) matches the ground truth.
-func ParentAccuracy(gt, h *Forest) float64 {
-	n := gt.Len()
-	if n == 0 {
-		return 1
-	}
-	ok := 0
-	for _, t := range gt.Nodes() {
-		gp, gok := gt.Parent(t)
-		hp, hok := h.Parent(t)
-		if gok == hok && (!gok || gp == hp) {
-			ok++
-		}
-	}
-	return float64(ok) / float64(n)
 }

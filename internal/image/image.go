@@ -217,12 +217,6 @@ func (img *Image) InRodata(addr uint64) bool {
 	return addr >= RodataBase && addr < RodataBase+uint64(len(img.Rodata))
 }
 
-// IsImport reports whether addr is an import thunk.
-func (img *Image) IsImport(addr uint64) bool {
-	_, ok := img.Imports[addr]
-	return ok
-}
-
 // IsEntry reports whether addr is a function entry.
 func (img *Image) IsEntry(addr uint64) bool {
 	i := sort.Search(len(img.Entries), func(i int) bool { return img.Entries[i] >= addr })

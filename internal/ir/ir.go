@@ -211,19 +211,6 @@ func (f *Function) IndexOf(a uint64) int {
 	return i
 }
 
-// End returns the address one past the last instruction.
-func (f *Function) End() uint64 { return f.Entry + uint64(len(f.Insts))*InstSize }
-
-// EncodeAll appends the encoding of all instructions to dst and returns it.
-func (f *Function) EncodeAll(dst []byte) []byte {
-	var buf [InstSize]byte
-	for _, in := range f.Insts {
-		in.Encode(buf[:])
-		dst = append(dst, buf[:]...)
-	}
-	return dst
-}
-
 // String renders the function with addresses.
 func (f *Function) String() string {
 	s := fmt.Sprintf("func@0x%x:\n", f.Entry)

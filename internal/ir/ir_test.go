@@ -50,7 +50,7 @@ func TestFunctionAddressing(t *testing.T) {
 	if f.IndexOf(0x1000+1) != -1 {
 		t.Error("unaligned address accepted")
 	}
-	if f.IndexOf(f.End()) != -1 {
+	if f.IndexOf(0x1000+4*InstSize) != -1 {
 		t.Error("past-the-end address accepted")
 	}
 	if f.IndexOf(0xfff) != -1 {

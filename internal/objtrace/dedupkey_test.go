@@ -49,7 +49,7 @@ func refExtraction(ex *executor) *FnExtraction {
 	return out
 }
 
-// refMerge is MergeFunctions keyed by the formatted strings.
+// refMerge is MergeFunctions with no prior, keyed by the formatted strings.
 func refMerge(exts []*FnExtraction, vts []*vtable.VTable, cfg Config) *Result {
 	res := &Result{
 		PerType:    map[uint64][]Tracelet{},
@@ -101,12 +101,15 @@ func dedupImages(t *testing.T) map[string]*image.Image {
 		}
 		imgs[b.Name] = img
 	}
-	for _, name := range []string{"random/opt", "deep/devirt", "wide/comdat", "diamond/partial", "split/friendly", "interleaved/opt"} {
-		img, _, err := bench.SynthByName(name).Build()
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range bench.SynthGrid() {
+		switch c.Name {
+		case "random/opt", "deep/devirt", "wide/comdat", "diamond/partial", "split/friendly", "interleaved/opt":
+			img, _, err := c.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			imgs[c.Name] = img
 		}
-		imgs[name] = img
 	}
 	return imgs
 }
@@ -180,13 +183,13 @@ func TestBinaryDedupKeysMatchFmtKeys(t *testing.T) {
 				t.Fatalf("%s: function %#x: binary-keyed extraction differs from the formatted-key reference", name, fn.Entry)
 			}
 		}
-		if got, want := MergeFunctions(exts, vts, cfg), refMerge(refs, vts, cfg); !reflect.DeepEqual(got, want) {
+		if got, want := merge(exts, vts, cfg), refMerge(refs, vts, cfg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: binary-keyed merge differs from the formatted-key reference", name)
 		}
 	}
 	vts := []*vtable.VTable{{Addr: 0x100, Slots: []uint64{0x4000}}, {Addr: 0x200, Slots: []uint64{0x4000, 0x4010}}}
 	exts := collidingExtractions()
-	if got, want := MergeFunctions(exts, vts, cfg), refMerge(exts, vts, cfg); !reflect.DeepEqual(got, want) {
+	if got, want := merge(exts, vts, cfg), refMerge(exts, vts, cfg); !reflect.DeepEqual(got, want) {
 		t.Fatal("colliding bundles: binary-keyed merge differs from the formatted-key reference")
 	}
 }

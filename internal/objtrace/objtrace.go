@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/image"
@@ -141,9 +142,10 @@ func DefaultConfig() Config {
 }
 
 // WithDefaults returns the config with unset (zero) bounds replaced by the
-// paper defaults, exactly as Extract resolves them. Snapshot fingerprints
-// hash the resolved values, so an explicit default and an unset field
-// produce the same cache key. Pool is not a bound and stays as-is.
+// paper defaults, exactly as the extraction resolves them. Snapshot
+// fingerprints hash the resolved values, so an explicit default and an
+// unset field produce the same cache key. Pool is not a bound and stays
+// as-is.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 func (c Config) withDefaults() Config {
@@ -253,23 +255,6 @@ func ContextDigest(img *image.Image, vts []*vtable.VTable) [32]byte {
 	return out
 }
 
-// Extract runs the symbolic execution over every function of the image.
-func Extract(img *image.Image, fns []*ir.Function, vts []*vtable.VTable, cfg Config) *Result {
-	res, _ := ExtractContext(context.Background(), img, fns, vts, cfg)
-	return res
-}
-
-// ExtractContext is Extract with cancellation: when ctx is canceled the
-// fan-out stops starting new per-function executions, drains the running
-// ones, and returns ctx.Err() with a nil Result.
-func ExtractContext(ctx context.Context, img *image.Image, fns []*ir.Function, vts []*vtable.VTable, cfg Config) (*Result, error) {
-	exts, err := ExtractFunctions(ctx, img, fns, vts, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return MergeFunctions(exts, vts, cfg), nil
-}
-
 // ExtractFunctions produces one FnExtraction per function. Functions are
 // mutually independent, so the symbolic executions fan out over the
 // worker pool into index-owned slots. When reuse is non-nil it is
@@ -310,73 +295,34 @@ func ExtractFunctions(ctx context.Context, img *image.Image, fns []*ir.Function,
 	return exts, nil
 }
 
+// Prior is a previous merge that MergeFunctions may reuse: the merge of
+// the prior version's bundles Fns (by entry) over the same function set
+// and vtables. The caller must guarantee that alignment; the incremental
+// lane certifies it with the extraction-context digest.
+type Prior struct {
+	Result *Result
+	Fns    map[uint64]*FnExtraction
+	// Changed is parallel to the merged bundles: true where a bundle was
+	// not adopted from Fns.
+	Changed []bool
+}
+
 // MergeFunctions assembles per-function extractions into the extractor
 // Result: a serial walk in function order, so the (order-sensitive)
 // per-function deduplication and per-type attribution see the segments
 // exactly as a serial extraction would. The Result is byte-identical
-// whether each bundle was freshly executed or restored.
-func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	res := &Result{
-		PerType:    map[uint64][]Tracelet{},
-		RawPerType: map[uint64][][]Event{},
-		FnVTables:  map[uint64][]uint64{},
-	}
-	for _, v := range vts {
-		for _, f := range v.Slots {
-			res.FnVTables[f] = append(res.FnVTables[f], v.Addr)
-		}
-	}
-	structSeen := map[string]bool{}
-	var key []byte
-	for _, ext := range exts {
-		// Deduplicate raw sequences per (object segment type, content);
-		// bundles arrive pre-deduplicated, but restored data is re-checked
-		// so a hand-edited snapshot can only lose segments, never multiply
-		// them.
-		seqSeen := map[string]bool{}
-		for _, seg := range ext.Segments {
-			key = appendSegmentKey(key[:0], seg.VT, seg.Events)
-			if seqSeen[string(key)] || len(seg.Events) == 0 {
-				continue
-			}
-			seqSeen[string(key)] = true
-			types := []uint64{seg.VT}
-			if seg.VT == EntryThisVT {
-				types = res.FnVTables[ext.Entry]
-			}
-			for _, t := range types {
-				res.RawPerType[t] = append(res.RawPerType[t], seg.Events)
-				for _, tl := range windows(seg.Events, cfg.Window) {
-					res.PerType[t] = append(res.PerType[t], tl)
-				}
-			}
-		}
-		for _, os := range ext.Structs {
-			key = appendStructKey(key[:0], os)
-			if !structSeen[string(key)] {
-				structSeen[string(key)] = true
-				res.Structs = append(res.Structs, os)
-			}
-		}
-	}
-	return res
-}
-
-// MergeFunctionsDelta produces the same Result MergeFunctions would,
-// reusing a prior merge of the same function set in which only the
-// functions marked changed differ. The caller must guarantee alignment:
-// exts and priorFns describe the same entries and vts is unchanged (the
-// incremental lane certifies both with the extraction-context digest).
+// whether each bundle was freshly executed or restored, and whether or
+// not a prior is given.
 //
 // The merge is separable by type: every dedup key carries the segment's
 // type (or the struct's function), so a type's tracelet lists depend only
-// on the segments attributed to it, in function order. A type is affected
-// when any changed function attributes a segment to it in either version;
-// every other type's lists are adopted from the prior merge verbatim, and
-// only affected types are rebuilt. The affected set is returned so
-// downstream consumers can scope their own invalidation to it.
-func MergeFunctionsDelta(exts []*FnExtraction, changed []bool, priorFns map[uint64]*FnExtraction, prior *Result, vts []*vtable.VTable, cfg Config) (*Result, map[uint64]bool) {
+// on the segments attributed to it, in function order. With a prior, a
+// type is affected when any changed function attributes a segment to it
+// in either version; every other type's lists are adopted from the prior
+// merge verbatim, only affected types are rebuilt, and the affected set
+// is returned so downstream consumers can scope their own invalidation
+// to it. With no prior every type is affected and the set is nil.
+func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, cfg Config, prior *Prior) (*Result, map[uint64]bool) {
 	cfg = cfg.withDefaults()
 	res := &Result{
 		PerType:    map[uint64][]Tracelet{},
@@ -388,73 +334,71 @@ func MergeFunctionsDelta(exts []*FnExtraction, changed []bool, priorFns map[uint
 			res.FnVTables[f] = append(res.FnVTables[f], v.Addr)
 		}
 	}
-	affected := map[uint64]bool{}
-	mark := func(ext *FnExtraction) {
-		if ext == nil {
-			return
-		}
-		for _, seg := range ext.Segments {
-			if seg.VT == EntryThisVT {
+	var affected map[uint64]bool
+	var priorStructs map[uint64][]ObjStruct
+	if prior != nil {
+		affected = map[uint64]bool{}
+		mark := func(ext *FnExtraction) {
+			if ext == nil {
+				return
+			}
+			for _, seg := range ext.Segments {
+				if seg.VT != EntryThisVT {
+					affected[seg.VT] = true
+					continue
+				}
 				for _, t := range res.FnVTables[ext.Entry] {
 					affected[t] = true
 				}
-			} else {
-				affected[seg.VT] = true
 			}
 		}
-	}
-	for i, ext := range exts {
-		if changed[i] {
-			mark(ext)
-			mark(priorFns[ext.Entry])
+		for i, ext := range exts {
+			if prior.Changed[i] {
+				mark(ext)
+				mark(prior.Fns[ext.Entry])
+			}
+		}
+		for t, tls := range prior.Result.PerType {
+			if !affected[t] {
+				res.PerType[t] = tls
+			}
+		}
+		for t, seqs := range prior.Result.RawPerType {
+			if !affected[t] {
+				res.RawPerType[t] = seqs
+			}
+		}
+		priorStructs = map[uint64][]ObjStruct{}
+		for _, os := range prior.Result.Structs {
+			priorStructs[os.Fn] = append(priorStructs[os.Fn], os)
 		}
 	}
-	for t, tls := range prior.PerType {
-		if !affected[t] {
-			res.PerType[t] = tls
-		}
-	}
-	for t, seqs := range prior.RawPerType {
-		if !affected[t] {
-			res.RawPerType[t] = seqs
-		}
-	}
-	priorStructs := map[uint64][]ObjStruct{}
-	for _, os := range prior.Structs {
-		priorStructs[os.Fn] = append(priorStructs[os.Fn], os)
-	}
+	rebuild := func(t uint64) bool { return affected == nil || affected[t] }
+	structSeen := map[string]bool{}
 	var key []byte
 	for i, ext := range exts {
-		// Rebuild the affected types' lists. Restricting the scan to
-		// affected-type segments cannot change dedup outcomes: the keys
-		// include the type, so skipped segments never collide with kept
-		// ones.
-		var seqSeen map[string]bool
+		// Deduplicate raw sequences per (object segment type, content);
+		// bundles arrive pre-deduplicated, but restored data is re-checked
+		// so a hand-edited snapshot can only lose segments, never multiply
+		// them. Skipping the segments of unaffected types cannot change
+		// dedup outcomes: the keys include the type, so skipped segments
+		// never collide with kept ones.
+		seqSeen := map[string]bool{}
 		for _, seg := range ext.Segments {
 			types := []uint64{seg.VT}
 			if seg.VT == EntryThisVT {
 				types = res.FnVTables[ext.Entry]
 			}
-			hit := false
-			for _, t := range types {
-				if affected[t] {
-					hit = true
-					break
-				}
-			}
-			if !hit || len(seg.Events) == 0 {
+			if len(seg.Events) == 0 || !slices.ContainsFunc(types, rebuild) {
 				continue
 			}
 			key = appendSegmentKey(key[:0], seg.VT, seg.Events)
 			if seqSeen[string(key)] {
 				continue
 			}
-			if seqSeen == nil {
-				seqSeen = map[string]bool{}
-			}
 			seqSeen[string(key)] = true
 			for _, t := range types {
-				if !affected[t] {
+				if !rebuild(t) {
 					continue
 				}
 				res.RawPerType[t] = append(res.RawPerType[t], seg.Events)
@@ -465,11 +409,10 @@ func MergeFunctionsDelta(exts []*FnExtraction, changed []bool, priorFns map[uint
 		}
 		// Structs dedup by (function, content), so an unchanged function's
 		// structs are exactly its slice of the prior merge.
-		if !changed[i] {
+		if prior != nil && !prior.Changed[i] {
 			res.Structs = append(res.Structs, priorStructs[ext.Entry]...)
 			continue
 		}
-		structSeen := map[string]bool{}
 		for _, os := range ext.Structs {
 			key = appendStructKey(key[:0], os)
 			if !structSeen[string(key)] {

@@ -27,7 +27,24 @@ func buildAndExtract(t *testing.T, p *cpp.Program, opts compiler.Options) (*imag
 		t.Fatal(err)
 	}
 	vts := vtable.Discover(stripped, fns)
-	return img, Extract(stripped, fns, vts, DefaultConfig())
+	return img, extract(t, stripped, fns, vts, DefaultConfig())
+}
+
+// extract runs every function's symbolic execution and merges the
+// bundles with no prior.
+func extract(t *testing.T, img *image.Image, fns []*ir.Function, vts []*vtable.VTable, cfg Config) *Result {
+	t.Helper()
+	exts, err := ExtractFunctions(context.Background(), img, fns, vts, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merge(exts, vts, cfg)
+}
+
+// merge is MergeFunctions with no prior.
+func merge(exts []*FnExtraction, vts []*vtable.VTable, cfg Config) *Result {
+	res, _ := MergeFunctions(exts, vts, cfg, nil)
+	return res
 }
 
 func prog() *cpp.Program {
@@ -202,12 +219,10 @@ func TestLoopUnrollBounded(t *testing.T) {
 	}
 }
 
-var _ = ir.InstSize // keep the import for the helper's type references
-
 // TestSplitExtractionEquivalence pins the incremental lane's core
-// contract: splitting extraction into per-function bundles and merging
-// them reproduces ExtractContext exactly, and bundles fed back through
-// the reuse hook (as a version-diff restore would) change nothing.
+// contract: every function yields one bundle of its own structs, and
+// bundles fed back through the reuse hook (as a version-diff restore
+// would) change nothing.
 func TestSplitExtractionEquivalence(t *testing.T) {
 	img, err := compiler.Compile(prog(), compiler.DefaultOptions())
 	if err != nil {
@@ -221,7 +236,6 @@ func TestSplitExtractionEquivalence(t *testing.T) {
 	vts := vtable.Discover(stripped, fns)
 	cfg := DefaultConfig()
 
-	want := Extract(stripped, fns, vts, cfg)
 	exts, err := ExtractFunctions(context.Background(), stripped, fns, vts, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -239,10 +253,7 @@ func TestSplitExtractionEquivalence(t *testing.T) {
 			}
 		}
 	}
-	got := MergeFunctions(exts, vts, cfg)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("MergeFunctions(ExtractFunctions(...)) differs from Extract")
-	}
+	want := merge(exts, vts, cfg)
 
 	// Re-run with every bundle supplied via the reuse hook: no executor
 	// runs, and the merged result is still identical.
@@ -254,8 +265,8 @@ func TestSplitExtractionEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(reused, exts) {
 		t.Fatal("reuse hook altered the bundles")
 	}
-	if !reflect.DeepEqual(MergeFunctions(reused, vts, cfg), want) {
-		t.Fatal("merge of reused bundles differs from Extract")
+	if !reflect.DeepEqual(merge(reused, vts, cfg), want) {
+		t.Fatal("merge of reused bundles differs from the fresh merge")
 	}
 }
 
@@ -317,11 +328,12 @@ func TestContextDigest(t *testing.T) {
 	}
 }
 
-// TestMergeFunctionsDelta pins the delta merge's contract: for any
-// changed mask, merging the current bundles against a prior full merge of
-// entry-aligned bundles reproduces MergeFunctions exactly — including
-// when the prior bundles genuinely differ from the current ones — and the
-// affected set is empty exactly when nothing changed.
+// TestMergeFunctionsDelta pins the merge with a prior against the merge
+// without one: for any changed mask, merging the current bundles against a
+// prior merge of entry-aligned bundles reproduces the no-prior merge
+// exactly — including when the prior bundles genuinely differ from the
+// current ones — and the affected set is empty exactly when nothing
+// changed.
 func TestMergeFunctionsDelta(t *testing.T) {
 	img, err := compiler.Compile(prog(), compiler.DefaultOptions())
 	if err != nil {
@@ -338,7 +350,10 @@ func TestMergeFunctionsDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MergeFunctions(exts, vts, cfg)
+	want, all := MergeFunctions(exts, vts, cfg, nil)
+	if all != nil {
+		t.Fatalf("merge with no prior built an affected set of %d types", len(all))
+	}
 	priorFns := map[uint64]*FnExtraction{}
 	for _, e := range exts {
 		priorFns[e.Entry] = e
@@ -358,9 +373,9 @@ func TestMergeFunctionsDelta(t *testing.T) {
 				n++
 			}
 		}
-		got, affected := MergeFunctionsDelta(exts, changed, priorFns, want, vts, cfg)
+		got, affected := MergeFunctions(exts, vts, cfg, &Prior{Result: want, Fns: priorFns, Changed: changed})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mask %s: delta merge differs from full merge", name)
+			t.Fatalf("mask %s: merge with a prior differs from the merge without one", name)
 		}
 		if n == 0 && len(affected) != 0 {
 			t.Fatalf("mask %s: %d affected types with nothing changed", name, len(affected))
@@ -368,7 +383,7 @@ func TestMergeFunctionsDelta(t *testing.T) {
 	}
 
 	// Real difference: the prior version of one bundle is missing a
-	// segment (as if the old code never emitted it). The delta merge must
+	// segment (as if the old code never emitted it). The merge must
 	// repair the type's lists to the current full merge, and report the
 	// segment's type as affected.
 	victim := -1
@@ -385,16 +400,16 @@ func TestMergeFunctionsDelta(t *testing.T) {
 	old.Segments = old.Segments[:len(old.Segments)-1]
 	priorExts := append([]*FnExtraction(nil), exts...)
 	priorExts[victim] = &old
-	prior := MergeFunctions(priorExts, vts, cfg)
+	prior := merge(priorExts, vts, cfg)
 	oldFns := map[uint64]*FnExtraction{}
 	for _, e := range priorExts {
 		oldFns[e.Entry] = e
 	}
 	changed := make([]bool, len(exts))
 	changed[victim] = true
-	got, affected := MergeFunctionsDelta(exts, changed, oldFns, prior, vts, cfg)
+	got, affected := MergeFunctions(exts, vts, cfg, &Prior{Result: prior, Fns: oldFns, Changed: changed})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("delta merge over a differing prior did not repair the full merge")
+		t.Fatal("merge over a differing prior did not repair the merge without one")
 	}
 	vt := exts[victim].Segments[len(exts[victim].Segments)-1].VT
 	if !affected[vt] {

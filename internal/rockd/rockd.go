@@ -15,7 +15,7 @@
 //     warm from the first request.
 //   - A patched re-upload of a known binary misses both layers but rides
 //     the incremental version-diff lane automatically: the snapshot
-//     store's v3 NameHash index finds the nearest prior version and
+//     store's v4 NameHash index finds the nearest prior version and
 //     unchanged functions/models/families are reused (see
 //     core.Config.IncrementalFrom auto-discovery).
 //   - Two admission classes — interactive and batch — with separate
@@ -525,13 +525,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		return shutdownErr
 	}
 	return nil
-}
-
-// Close hard-stops the server (tests): cancels every flight and waits.
-func (s *Server) Close() {
-	s.draining.Store(true)
-	s.cancelBase()
-	s.flightWG.Wait()
 }
 
 // Workers returns the engine's shared pool capacity.

@@ -55,6 +55,13 @@ func synthBinary(t *testing.T, seed int64) []byte {
 	return data
 }
 
+// Close hard-stops the server: cancels every flight and waits.
+func (s *Server) Close() {
+	s.draining.Store(true)
+	s.cancelBase()
+	s.flightWG.Wait()
+}
+
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Analysis.Workers == 0 {

@@ -156,8 +156,8 @@ func jsDist(pa, pb []float64) float64 {
 // A derivation costs one model query per distinct gram of the word set,
 // not one per word position: the calculator interns the word set's grams
 // once per model depth (gramTable) and sums each word's gram
-// log-probabilities in position order, which reproduces
-// Querier.LogProbSeq bit for bit.
+// log-probabilities in position order, which reproduces a per-position
+// sum of queries bit for bit.
 //
 // The distance from A to B over the word set W is, for the paper's metric,
 //

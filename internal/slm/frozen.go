@@ -101,7 +101,7 @@ func (f *Frozen) NewQuerier() *Querier {
 }
 
 // deriveLogTerms fills lnSym and lnEsc for the bound model with the exact
-// expressions LogProb evaluates at a level where nothing is excluded yet
+// expressions logProbCtx evaluates at a level where nothing is excluded yet
 // (total and distinct summed over the whole span, remaining = alphabet),
 // so answering from the tables is bit-identical to recomputing. The
 // tables live in the Querier, not in Frozen, so a decoded model that is
@@ -161,25 +161,10 @@ func (q *Querier) Rebind(f *Frozen) {
 	q.deriveLogTerms()
 }
 
-// LogProb returns ln Pr(sym | hist) under PPM-C with update exclusion at
-// query time, allocation-free: once a context level is escaped, the
-// symbols it accounted for are excluded from lower-order estimates (they
-// cannot be the escaped symbol), which renormalizes the backoff chain
-// into a proper distribution. When a context has seen every remaining
-// alphabet symbol there is nothing to escape to, so the escape mass is
-// dropped and the seen counts are fully normalized. Each level sums its
-// integer counts and takes one Log; the first level that holds a symbol
-// reads that Log from the querier's tables, derived by the same
-// expression, so the result is bit-identical to recomputing it.
-func (q *Querier) LogProb(sym int, hist []int) float64 {
-	descend(q, hist)
-	return q.logProbCtx(sym)
-}
-
 // descend sets q.ctx to hist's context chain: the root, then each deeper
 // context seen in training, up to the model's depth. It is generic over
 // the symbol type so that the gram tables' int32 windows take the same
-// walk as LogProb's histories.
+// walk as int histories.
 func descend[S int | int32](q *Querier, hist []S) {
 	f := q.f
 	q.ctx = append(q.ctx[:0], 0)
@@ -198,7 +183,17 @@ func descend[S int | int32](q *Querier, hist []S) {
 	}
 }
 
-// logProbCtx returns ln Pr(sym | the context chain descend set).
+// logProbCtx returns ln Pr(sym | the context chain descend set) under
+// PPM-C with update exclusion at query time, allocation-free: once a
+// context level is escaped, the symbols it accounted for are excluded from
+// lower-order estimates (they cannot be the escaped symbol), which
+// renormalizes the backoff chain into a proper distribution. When a
+// context has seen every remaining alphabet symbol there is nothing to
+// escape to, so the escape mass is dropped and the seen counts are fully
+// normalized. Each level sums its integer counts and takes one Log; the
+// first level that holds a symbol reads that Log from the querier's
+// tables, derived by the same expression, so the result is bit-identical
+// to recomputing it.
 func (q *Querier) logProbCtx(sym int) float64 {
 	f := q.f
 	// New exclusion epoch; on uint32 wraparound wipe the stale stamps once.
@@ -276,34 +271,6 @@ func (q *Querier) logProbCtx(sym int) float64 {
 		remaining = 1
 	}
 	return lp + math.Log(1.0/float64(remaining))
-}
-
-// LogProbSeq returns ln Pr(seq), allocation-free.
-func (q *Querier) LogProbSeq(seq []int) float64 {
-	lp := 0.0
-	for i, sym := range seq {
-		lo := i - q.f.depth
-		if lo < 0 {
-			lo = 0
-		}
-		lp += q.LogProb(sym, seq[lo:i])
-	}
-	return lp
-}
-
-// LogProbWords evaluates a whole word set in one pass, reusing this
-// querier's scratch across words. out is reused when it has capacity for
-// len(words) results; with a caller-provided out the call performs zero
-// allocations.
-func (q *Querier) LogProbWords(words [][]int, out []float64) []float64 {
-	if cap(out) < len(words) {
-		out = make([]float64, len(words))
-	}
-	out = out[:len(words)]
-	for i, w := range words {
-		out[i] = q.LogProbSeq(w)
-	}
-	return out
 }
 
 // Dump renders the trained context tree with the probability each context

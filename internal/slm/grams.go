@@ -3,13 +3,14 @@ package slm
 import "encoding/binary"
 
 // gramTable factors a word set by gram for models of one depth D. The
-// term Querier.LogProbSeq adds for position i of word w is
-// LogProb(w[i], w[max(0,i−D):i]): a function of the model and of the
-// gram — the symbol plus its (at most D) predecessors — alone. A family's
-// words repeat few grams (about six word positions per distinct gram on
-// deep synthetic images), so a model's word log-probabilities derive from
-// one LogProb per distinct gram, summed per word in position order: the
-// same addends in the same order as LogProbSeq, hence bit-identical.
+// log-probability of word w is the sum over positions i of
+// ln Pr(w[i] | w[max(0,i−D):i]): each term is a function of the model and
+// of the gram — the symbol plus its (at most D) predecessors — alone. A
+// family's words repeat few grams (about six word positions per distinct
+// gram on deep synthetic images), so a model's word log-probabilities
+// derive from one query per distinct gram, summed per word in position
+// order: the same addends in the same order as a per-position sum, hence
+// bit-identical.
 type gramTable struct {
 	depth int
 	// grams[g] is gram g as the window of its first occurrence: its

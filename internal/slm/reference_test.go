@@ -257,6 +257,42 @@ func build(m *refModel) *Frozen {
 	return t.Build()
 }
 
+// LogProb returns ln Pr(sym | hist): the query the gram kernel makes once
+// per distinct gram, made here for one history.
+func (q *Querier) LogProb(sym int, hist []int) float64 {
+	descend(q, hist)
+	return q.logProbCtx(sym)
+}
+
+// LogProbSeq returns ln Pr(seq), allocation-free: the per-position sum
+// the gram-factored rows reproduce bit for bit.
+func (q *Querier) LogProbSeq(seq []int) float64 {
+	lp := 0.0
+	for i, sym := range seq {
+		lo := i - q.f.depth
+		if lo < 0 {
+			lo = 0
+		}
+		lp += q.LogProb(sym, seq[lo:i])
+	}
+	return lp
+}
+
+// LogProbWords is the per-word reference for the gram-factored rows:
+// every word scored with LogProbSeq, reusing this querier's scratch
+// across words. out is reused when it has capacity for len(words)
+// results; with a caller-provided out the call performs zero allocations.
+func (q *Querier) LogProbWords(words [][]int, out []float64) []float64 {
+	if cap(out) < len(words) {
+		out = make([]float64, len(words))
+	}
+	out = out[:len(words)]
+	for i, w := range words {
+		out[i] = q.LogProbSeq(w)
+	}
+	return out
+}
+
 // wordScorer is what the reference divergences read from a model: the
 // reference builder and a frozen model's Querier both provide it.
 type wordScorer interface {

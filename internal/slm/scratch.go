@@ -14,11 +14,12 @@ type queryScratch struct {
 	lps     []float64
 }
 
-// logProbWords returns ln Pr(w) under f for every word of t: one LogProb
+// logProbWords returns ln Pr(w) under f for every word of t: one query
 // per distinct gram into the gram row, then each word's row of gram
-// log-probabilities summed left to right from 0 — LogProbSeq's addends
-// in LogProbSeq's order, so each result equals f's
-// Querier.LogProbSeq(w) bit for bit. t must be interned at f's depth. A
+// log-probabilities summed left to right from 0 — the addends of a
+// per-position sum of queries, in its order, so each result equals that
+// sum (the tests' Querier.LogProbSeq) bit for bit. t must be interned at
+// f's depth. A
 // warm scratch does not allocate; the returned slice is valid until the
 // next use of the scratch.
 func (s *queryScratch) logProbWords(f *Frozen, t *gramTable) []float64 {

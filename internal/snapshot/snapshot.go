@@ -19,9 +19,10 @@
 //	model FP       LevelModels — SLM config (depth) guarding the
 //	               frozen-models section
 //	hier FP        LevelHierarchy — back-end config (metric, root
-//	               weight, enumeration bounds, plus the evidence-provider
-//	               configuration whenever it differs from the SLM-only
-//	               default) guarding the hierarchy section
+//	               weight, co-optimal tie tolerance, plus the
+//	               evidence-provider configuration whenever it differs
+//	               from the SLM-only default) guarding the hierarchy
+//	               section
 //
 // The sections form a strict dependency chain (models are trained on the
 // extraction, the hierarchy is solved over the models), so a snapshot is

@@ -327,7 +327,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got.Frozen[0x2010].NewQuerier().LogProbSeq([]int{0, 2, 1, 3})
+	slm.NewDistanceCalculator(slm.MetricKL, [][]int32{{0, 2, 1, 3}}).Precompute(got.Frozen[0x2010])
 	runtime.ReadMemStats(&after)
 	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
 		t.Errorf("first query of a depth-2^24 model allocated %d bytes", b)

@@ -1,15 +1,30 @@
 package structural
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/cpp"
 	"repro/internal/disasm"
 	"repro/internal/image"
+	"repro/internal/ir"
 	"repro/internal/objtrace"
 	"repro/internal/vtable"
 )
+
+// extract runs the tracelet extraction the way core does: every function
+// executed, the bundles merged with no prior.
+func extract(t *testing.T, img *image.Image, fns []*ir.Function, vts []*vtable.VTable) *objtrace.Result {
+	t.Helper()
+	cfg := objtrace.DefaultConfig()
+	exts, err := objtrace.ExtractFunctions(context.Background(), img, fns, vts, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _ := objtrace.MergeFunctions(exts, vts, cfg, nil)
+	return tr
+}
 
 func analyze(t *testing.T, p *cpp.Program, opts compiler.Options, cfg Config) (*image.Image, *Result) {
 	t.Helper()
@@ -23,8 +38,7 @@ func analyze(t *testing.T, p *cpp.Program, opts compiler.Options, cfg Config) (*
 		t.Fatal(err)
 	}
 	vts := vtable.Discover(stripped, fns)
-	tr := objtrace.Extract(stripped, fns, vts, objtrace.DefaultConfig())
-	return img, Analyze(stripped, fns, vts, tr, cfg)
+	return img, Analyze(stripped, fns, vts, extract(t, stripped, fns, vts), cfg)
 }
 
 func family(name string) *cpp.Program {
@@ -119,8 +133,7 @@ func TestPurecallRule(t *testing.T) {
 	stripped := img.Strip()
 	fns, _ := disasm.All(stripped)
 	vts := vtable.Discover(stripped, fns)
-	tr := objtrace.Extract(stripped, fns, vts, objtrace.DefaultConfig())
-	res := Analyze(stripped, fns, vts, tr, Config{})
+	res := Analyze(stripped, fns, vts, extract(t, stripped, fns, vts), Config{})
 	if res.Purecall == 0 {
 		t.Fatal("purecall stub not detected")
 	}

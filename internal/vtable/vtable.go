@@ -27,15 +27,6 @@ type VTable struct {
 // NumSlots returns the number of virtual function slots.
 func (v *VTable) NumSlots() int { return len(v.Slots) }
 
-// SlotSet returns the set of function addresses appearing in the table.
-func (v *VTable) SlotSet() map[uint64]bool {
-	s := make(map[uint64]bool, len(v.Slots))
-	for _, f := range v.Slots {
-		s[f] = true
-	}
-	return s
-}
-
 // String renders the table compactly.
 func (v *VTable) String() string {
 	return fmt.Sprintf("vtable@0x%x (%d slots)", v.Addr, len(v.Slots))

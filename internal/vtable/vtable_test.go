@@ -2,6 +2,7 @@ package vtable
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/image"
@@ -65,8 +66,8 @@ func TestDiscoverFindsReferencedTables(t *testing.T) {
 	if vts[0].Addr != image.RodataBase || vts[0].NumSlots() != 2 {
 		t.Fatalf("wrong table: %v", vts[0])
 	}
-	if !vts[0].SlotSet()[img.Entries[1]] {
-		t.Error("SlotSet missing function B")
+	if !slices.Contains(vts[0].Slots, img.Entries[1]) {
+		t.Error("slots missing function B")
 	}
 }
 

@@ -1,6 +1,7 @@
 package rock
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestSynthDeterminismAcrossWorkers(t *testing.T) {
 		"interleaved/partial",
 	}
 	for _, name := range names {
-		c := bench.SynthByName(name)
+		c := synthConfig(name)
 		if c == nil {
 			t.Fatalf("unknown synth config %q", name)
 		}
@@ -78,7 +79,7 @@ func TestSynthDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestExtractDeterminismAcrossWorkers pins the parallel front end in
-// isolation: objtrace.Extract serially (nil pool) and on an 8-token pool
+// isolation: the extraction and merge serially (nil pool) and on an 8-token pool
 // must produce deep-equal Results — tracelet multisets, raw sequences,
 // structural observations in function order, and function→vtable
 // attributions — on every Table 2 benchmark. Per-function execution writes to index-owned
@@ -97,10 +98,18 @@ func TestExtractDeterminismAcrossWorkers(t *testing.T) {
 				t.Fatalf("disasm: %v", err)
 			}
 			vts := vtable.Discover(img, fns)
+			extract := func(cfg objtrace.Config) *objtrace.Result {
+				exts, err := objtrace.ExtractFunctions(context.Background(), img, fns, vts, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, _ := objtrace.MergeFunctions(exts, vts, cfg, nil)
+				return res
+			}
 			cfg := objtrace.DefaultConfig()
-			serial := objtrace.Extract(img, fns, vts, cfg)
+			serial := extract(cfg)
 			cfg.Pool = pool.NewShared(8)
-			parallel := objtrace.Extract(img, fns, vts, cfg)
+			parallel := extract(cfg)
 			if reflect.DeepEqual(serial, parallel) {
 				return
 			}
@@ -137,4 +146,14 @@ func diffReports(t *testing.T, serial, parallel *Report) {
 	if !t.Failed() {
 		t.Errorf("reports diverged in an unexported field")
 	}
+}
+
+// synthConfig returns the named synth grid config, or nil.
+func synthConfig(name string) *bench.SynthConfig {
+	for _, c := range bench.SynthGrid() {
+		if c.Name == name {
+			return c
+		}
+	}
+	return nil
 }

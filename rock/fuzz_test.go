@@ -34,7 +34,7 @@ func FuzzAnalyze(f *testing.F) {
 		}
 		add(img)
 	}
-	img, _, err := bench.SynthByName("deep/devirt").Build()
+	img, _, err := synthConfig("deep/devirt").Build()
 	if err != nil {
 		f.Fatal(err)
 	}
