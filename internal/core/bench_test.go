@@ -5,33 +5,42 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/image"
 	"repro/internal/synth"
 )
 
-// deepResult analyzes one deep synthetic image, serially: the first
-// generator seed whose program has 100–120 classes in three families up
+// deepImages builds the first k rockperf-shaped deep programs: the
+// generator seeds whose program has 100–120 classes in three families up
 // to five levels deep, the shape of the benchmark's deep workloads.
-func deepResult(b *testing.B) *Result {
-	b.Helper()
-	for gen := int64(1); ; gen++ {
+func deepImages(tb testing.TB, k int) []*image.Image {
+	tb.Helper()
+	var imgs []*image.Image
+	for gen := int64(1); len(imgs) < k; gen++ {
 		p := synth.DefaultParams(gen)
 		p.Families, p.MaxDepth, p.MaxBranch, p.UseReps = 3, 5, 4, 4
 		prog, _ := synth.Generate(p)
-		if k := len(prog.Classes); k < 100 || k > 120 {
+		if n := len(prog.Classes); n < 100 || n > 120 {
 			continue
 		}
 		img, err := compiler.Compile(prog, compiler.DefaultOptions())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		cfg := DefaultConfig()
-		cfg.Workers = 1
-		res, err := Analyze(img.Strip(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
+		imgs = append(imgs, img.Strip())
 	}
+	return imgs
+}
+
+// deepResult analyzes the first deep program, serially.
+func deepResult(b *testing.B) *Result {
+	b.Helper()
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	res, err := Analyze(deepImages(b, 1)[0], cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkAlphabetTrain times the alphabet and train stages on one deep
@@ -60,4 +69,20 @@ func BenchmarkAlphabetTrain(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWordSets times deduplicating every type's word set (buildWords)
+// and unioning each family's (familyWords) on one deep synthetic image,
+// from the encoded tracelet table.
+func BenchmarkWordSets(b *testing.B) {
+	res := deepResult(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		res.words = nil
+		res.buildWords()
+		for _, fam := range res.Structural.Families {
+			res.familyWords(fam)
+		}
+	}
 }

@@ -21,7 +21,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
@@ -395,10 +394,7 @@ func (r *Result) encodeTracelets() {
 		}
 	}
 	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	idx := make(map[[2]uint64]int32, len(r.Alphabet))
-	for i, e := range r.Alphabet {
-		idx[eventKey(e)] = int32(i)
-	}
+	tab := objtrace.NewEventTable(r.Alphabet)
 	syms := make([]int32, 0, nsyms)
 	ends := make([]int32, 0, ntls)
 	r.enc = make(map[uint64]encoded, len(types))
@@ -406,18 +402,14 @@ func (r *Result) encodeTracelets() {
 		s0, e0 := len(syms), len(ends)
 		for _, tl := range r.Tracelets.PerType[t] {
 			for _, e := range tl {
-				k := eventKey(e)
-				s, ok := idx[k]
-				if !ok {
-					s = int32(len(r.Alphabet))
-					idx[k] = s
-					r.Alphabet = append(r.Alphabet, e)
-				}
-				syms = append(syms, s)
+				syms = append(syms, tab.Intern(e))
 			}
 			ends = append(ends, int32(len(syms)-s0))
 		}
 		r.enc[t] = encoded{syms: syms[s0:len(syms):len(syms)], ends: ends[e0:len(ends):len(ends)]}
+	}
+	if tab.Len() > len(r.Alphabet) {
+		r.Alphabet = tab.Events()
 	}
 }
 
@@ -442,49 +434,28 @@ func (r *Result) buildWordsFor(types []uint64) {
 	if r.words == nil {
 		r.words = make(map[uint64]wordSet, len(types))
 	}
-	var seen map[string]int
-	var key []byte
+	seen := slm.NewWindowTable(0)
 	for _, t := range types {
 		if _, ok := r.words[t]; ok {
 			continue
 		}
-		if seen == nil {
-			seen = map[string]int{}
-		}
-		clear(seen)
-		var ws wordSet
 		enc := r.enc[t]
+		seen.Reset(len(enc.ends))
+		var ws wordSet
 		start := int32(0)
 		for _, end := range enc.ends {
 			w := enc.syms[start:end:end]
 			start = end
-			key = appendWordKey(key[:0], w)
-			if i, ok := seen[string(key)]; ok {
+			if i, added := seen.Intern(w); !added {
 				ws.counts[i]++
 				continue
 			}
-			seen[string(key)] = len(ws.words)
 			ws.words = append(ws.words, w)
 			ws.counts = append(ws.counts, 1)
 		}
 		r.words[t] = ws
 	}
 }
-
-// appendWordKey appends the dedup key of an encoded word to dst: one
-// fixed-width symbol after another, so distinct words get distinct keys.
-func appendWordKey(dst []byte, w []int32) []byte {
-	for _, s := range w {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
-	}
-	return dst
-}
-
-// eventKey is e as a padding-free map key. Event's padding sends a
-// map[objtrace.Event] lookup through the generic struct hash; a
-// [2]uint64 key takes the runtime's 128-bit memory hash, and the
-// encoding stays one-to-one.
-func eventKey(e objtrace.Event) [2]uint64 { return [2]uint64{uint64(e.Kind), e.N} }
 
 // SymbolName renders symbol s in the paper's event notation.
 func (r *Result) SymbolName(s int) string {
@@ -568,19 +539,17 @@ func (r *Result) FamilyWords(fam []uint64) [][]int32 {
 // ranking over candidate parents (Remark 4.1), and ranking distances
 // measured over differing word sets would not be comparable.
 func (r *Result) familyWords(fam []uint64) [][]int32 {
-	seen := map[string]bool{}
-	var words [][]int32
-	var key []byte
+	n := 0
+	for _, t := range fam {
+		n += len(r.words[t].words)
+	}
+	tab := slm.NewWindowTable(n)
 	for _, t := range fam {
 		for _, w := range r.words[t].words {
-			key = appendWordKey(key[:0], w)
-			if !seen[string(key)] {
-				seen[string(key)] = true
-				words = append(words, w)
-			}
+			tab.Intern(w)
 		}
 	}
-	return words
+	return tab.Windows()
 }
 
 // familyOutcome is the result of analyzing one family in isolation.

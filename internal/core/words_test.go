@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/bench"
@@ -55,6 +56,149 @@ func refTypeKeys(r *Result) map[uint64][32]byte {
 		out[v.Addr] = k
 	}
 	return out
+}
+
+// refEncodeTable is encodeTracelets as it interned events before the
+// event table: through a Go map keyed by the padding-free [2]uint64
+// {Kind, N}, starting from an empty alphabet. It returns the alphabet and
+// every type's encoded tracelets.
+func refEncodeTable(r *Result) ([]objtrace.Event, map[uint64]encoded) {
+	types := make([]uint64, 0, len(r.Tracelets.PerType))
+	for t := range r.Tracelets.PerType {
+		types = append(types, t)
+	}
+	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
+	var alphabet []objtrace.Event
+	idx := map[[2]uint64]int32{}
+	enc := make(map[uint64]encoded, len(types))
+	for _, t := range types {
+		var e encoded
+		for _, tl := range r.Tracelets.PerType[t] {
+			for _, ev := range tl {
+				k := [2]uint64{uint64(ev.Kind), ev.N}
+				s, ok := idx[k]
+				if !ok {
+					s = int32(len(alphabet))
+					idx[k] = s
+					alphabet = append(alphabet, ev)
+				}
+				e.syms = append(e.syms, s)
+			}
+			e.ends = append(e.ends, int32(len(e.syms)))
+		}
+		enc[t] = e
+	}
+	return alphabet, enc
+}
+
+// appendWordKey appends the fixed-width map key core deduplicated encoded
+// words by before the window table: one little-endian uint32 per symbol.
+func appendWordKey(dst []byte, w []int32) []byte {
+	for _, s := range w {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(s))
+	}
+	return dst
+}
+
+// refWordSet is buildWordsFor's dedup of one type's encoded tracelets
+// through a Go map on appendWordKey.
+func refWordSet(e encoded) wordSet {
+	seen := map[string]int{}
+	var ws wordSet
+	var key []byte
+	start := int32(0)
+	for _, end := range e.ends {
+		w := e.syms[start:end:end]
+		start = end
+		key = appendWordKey(key[:0], w)
+		if i, ok := seen[string(key)]; ok {
+			ws.counts[i]++
+			continue
+		}
+		seen[string(key)] = len(ws.words)
+		ws.words = append(ws.words, w)
+		ws.counts = append(ws.counts, 1)
+	}
+	return ws
+}
+
+// refFamilyWords is familyWords' union through a Go map on appendWordKey.
+func refFamilyWords(r *Result, fam []uint64) [][]int32 {
+	seen := map[string]bool{}
+	var words [][]int32
+	var key []byte
+	for _, t := range fam {
+		for _, w := range r.words[t].words {
+			key = appendWordKey(key[:0], w)
+			if !seen[string(key)] {
+				seen[string(key)] = true
+				words = append(words, w)
+			}
+		}
+	}
+	return words
+}
+
+// TestInterningMatchesMapReference pins the event and window tables to
+// the Go-map interning they replaced: the alphabet and encoded table, every
+// type's word set (order and multiplicities) and every family's word
+// union order are deep-equal to the references', on the Table 2 images,
+// the synth grid, the four rockperf-shaped deep programs, and a patched
+// deep/opt image on the incremental lane.
+func TestInterningMatchesMapReference(t *testing.T) {
+	check := func(label string, res *Result) {
+		t.Helper()
+		alphabet, enc := refEncodeTable(res)
+		if !reflect.DeepEqual(res.Alphabet, alphabet) {
+			t.Fatalf("%s: alphabet differs from the map interning", label)
+		}
+		if !reflect.DeepEqual(res.enc, enc) {
+			t.Fatalf("%s: encoded table differs from the map interning", label)
+		}
+		for _, fam := range res.Structural.Families {
+			got := res.FamilyWords(fam)
+			for _, ty := range fam {
+				if !reflect.DeepEqual(res.words[ty], refWordSet(res.enc[ty])) {
+					t.Fatalf("%s: type %#x: word set differs from the map dedup", label, ty)
+				}
+			}
+			if !reflect.DeepEqual(got, refFamilyWords(res, fam)) {
+				t.Fatalf("%s: family %#x: word union differs from the map dedup", label, fam)
+			}
+		}
+	}
+	var imgs []*image.Image
+	var names []string
+	for _, b := range bench.All() {
+		img, _, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs, names = append(imgs, img), append(names, b.Name)
+	}
+	for _, c := range bench.SynthGrid() {
+		img, _, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		imgs, names = append(imgs, img), append(names, c.Name)
+	}
+	for i, img := range deepImages(t, 4) {
+		imgs, names = append(imgs, img), append(names, fmt.Sprintf("deep program %d", i))
+	}
+	for i, img := range imgs {
+		check(names[i], analyzeCached(t, img, DefaultConfig()))
+	}
+
+	img, cands := synthPatchable(t)
+	cfg := DefaultConfig()
+	cfg.CacheDir = t.TempDir()
+	analyzeCached(t, img, cfg)
+	incr := analyzeCached(t, patchedCopy(t, img, cands, 1), cfg)
+	if st := incr.Incremental; st == nil || st.TypesRetrained == 0 {
+		t.Fatalf("patched deep image: incremental lane stats %+v, want retrained types", st)
+	}
+	check("patched deep/opt (incremental)", incr)
 }
 
 // wordsTestImages builds the 19 Table 2 images and one synthetic image

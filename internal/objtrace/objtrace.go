@@ -374,7 +374,7 @@ func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, cfg Config, prio
 		}
 	}
 	rebuild := func(t uint64) bool { return affected == nil || affected[t] }
-	structSeen := map[string]bool{}
+	seqSeen, structSeen := map[string]bool{}, map[string]bool{}
 	var key []byte
 	for i, ext := range exts {
 		// Deduplicate raw sequences per (object segment type, content);
@@ -383,7 +383,7 @@ func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, cfg Config, prio
 		// them. Skipping the segments of unaffected types cannot change
 		// dedup outcomes: the keys include the type, so skipped segments
 		// never collide with kept ones.
-		seqSeen := map[string]bool{}
+		clear(seqSeen)
 		for _, seg := range ext.Segments {
 			types := []uint64{seg.VT}
 			if seg.VT == EntryThisVT {

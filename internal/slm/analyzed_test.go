@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/objtrace"
 	"repro/internal/slm"
+	"repro/internal/synth"
 )
 
 // analyzedImage is one input of the pipeline-level tests.
@@ -174,3 +176,104 @@ func checkFamilyRows(t *testing.T, label string, res *core.Result, withDist bool
 		}
 	}
 }
+
+// deepImages builds the benchmark harness's deep programs: the first four
+// generator seeds whose three-family, depth-5, branch-4 random program
+// has 100 to 120 classes.
+func deepImages(t testing.TB) []analyzedImage {
+	t.Helper()
+	var out []analyzedImage
+	for gen := int64(1); len(out) < 4; gen++ {
+		p := synth.DefaultParams(gen)
+		p.Families, p.MaxDepth, p.MaxBranch, p.UseReps = 3, 5, 4, 4
+		prog, _ := synth.Generate(p)
+		if k := len(prog.Classes); k < 100 || k > 120 {
+			continue
+		}
+		img, err := compiler.Compile(prog, compiler.DefaultOptions())
+		if err != nil {
+			t.Fatalf("compile %s: %v", prog.Name, err)
+		}
+		out = append(out, analyzedImage{fmt.Sprintf("deep gen %d", gen), img.Strip()})
+	}
+	return out
+}
+
+// TestFamilyGramTablesMatchReference: on every family word set the
+// pipeline measures — the Table 2 images, the synth grid, the four
+// rockperf-shaped deep programs, and a patched deep/opt image on the
+// incremental lane — the gram table holds the same gram ids and rows as
+// the varint-keyed Go map it replaced.
+func TestFamilyGramTablesMatchReference(t *testing.T) {
+	cfg := core.DefaultConfig()
+	check := func(label string, res *core.Result) {
+		t.Helper()
+		for _, fam := range res.Structural.Families {
+			if !slm.SameGramTable(cfg.SLMDepth, res.FamilyWords(fam)) {
+				t.Fatalf("%s: family %#x: gram table differs from the varint reference", label, fam)
+			}
+		}
+	}
+	for _, in := range append(analyzedImages(t), deepImages(t)...) {
+		res, err := core.Analyze(in.img, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		check(in.name, res)
+	}
+
+	var base *image.Image
+	for _, c := range bench.SynthGrid() {
+		if c.Name == "deep/opt" {
+			img, _, err := c.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			base = img
+		}
+	}
+	cands := bench.PatchableFunctions(base)
+	patched := base.Strip()
+	if err := bench.PatchFunction(patched, cands[len(cands)/2]); err != nil {
+		t.Fatal(err)
+	}
+	incr := cfg
+	incr.CacheDir = t.TempDir()
+	for _, img := range []*image.Image{base, patched} {
+		res, err := core.Analyze(img, incr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img == patched {
+			if res.Incremental == nil {
+				t.Fatal("patched deep/opt did not take the incremental lane")
+			}
+			check("patched deep/opt (incremental)", res)
+		}
+	}
+}
+
+// BenchmarkGramTable interns the grams of one deep family's word set —
+// the largest family of the first deep program, at the default depth —
+// as the distance sweep does once per family and model depth.
+func BenchmarkGramTable(b *testing.B) {
+	cfg := core.DefaultConfig()
+	res, err := core.Analyze(deepImages(b)[0].img, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var words [][]int32
+	for _, fam := range res.Structural.Families {
+		if w := res.FamilyWords(fam); len(w) > len(words) {
+			words = w
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		gramSink = slm.InternGrams(cfg.SLMDepth, words)
+	}
+}
+
+// gramSink keeps BenchmarkGramTable's result live.
+var gramSink int

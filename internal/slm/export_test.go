@@ -32,3 +32,14 @@ func CachedEntryIs(c *DistanceCalculator, m *Frozen, lps []float64) bool {
 // Words32 converts a test word set to the int32 symbols the distance
 // calculator takes.
 func Words32(words [][]int) [][]int32 { return words32(words) }
+
+// SameGramTable reports whether newGramTable interns words at depth into
+// the same grams, rows and row offsets as the Go-map reference
+// (refGramTable).
+func SameGramTable(depth int, words [][]int32) bool {
+	return sameGrams(newGramTable(depth, words), refGramTable(depth, words))
+}
+
+// InternGrams interns the grams of words at depth and returns how many
+// distinct grams they hold.
+func InternGrams(depth int, words [][]int32) int { return len(newGramTable(depth, words).grams) }

@@ -1,7 +1,5 @@
 package slm
 
-import "encoding/binary"
-
 // gramTable factors a word set by gram for models of one depth D. The
 // log-probability of word w is the sum over positions i of
 // ln Pr(w[i] | w[max(0,i−D):i]): each term is a function of the model and
@@ -23,8 +21,8 @@ type gramTable struct {
 
 // newGramTable interns the grams of words for models of depth depth.
 // Two windows share a gram index exactly when they hold the same
-// symbols, history length included (the key is the window's varints,
-// which decode uniquely).
+// symbols, history length included (WindowTable compares lengths and
+// contents), and indices follow first occurrence in word order.
 func newGramTable(depth int, words [][]int32) *gramTable {
 	n := 0
 	for _, w := range words {
@@ -35,24 +33,16 @@ func newGramTable(depth int, words [][]int32) *gramTable {
 		rows:  make([]int32, 0, n),
 		off:   make([]int32, 1, len(words)+1),
 	}
-	ids := make(map[string]int32)
-	var key []byte
+	// Sized below one slot pair per position: positions repeat grams
+	// (see above), and the table grows when they do not.
+	ids := NewWindowTable(n / 4)
 	for _, w := range words {
 		for i := range w {
-			win := w[max(0, i-depth) : i+1]
-			key = key[:0]
-			for _, s := range win {
-				key = binary.AppendVarint(key, int64(s))
-			}
-			id, ok := ids[string(key)]
-			if !ok {
-				id = int32(len(t.grams))
-				ids[string(key)] = id
-				t.grams = append(t.grams, win)
-			}
+			id, _ := ids.Intern(w[max(0, i-depth) : i+1])
 			t.rows = append(t.rows, id)
 		}
 		t.off = append(t.off, int32(len(t.rows)))
 	}
+	t.grams = ids.Windows()
 	return t
 }

@@ -1,6 +1,7 @@
 package slm
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 )
@@ -8,8 +9,9 @@ import (
 // This file holds the reference implementation the production code is
 // pinned against: a map-trie PPM-C builder (training, queries and the
 // Fig. 8 dump) written independently of the Trainer, its copy into the
-// flat layout, and the divergences over a word set that the
-// DistanceCalculator must reproduce.
+// flat layout, the divergences over a word set that the
+// DistanceCalculator must reproduce, and the Go-map interning of windows
+// and grams that WindowTable replaced.
 
 // refModel is a PPM-C variable-order Markov model over [0, alphabet)
 // stored as a pointer trie of Go maps.
@@ -335,4 +337,56 @@ func refDistance(metric Metric, a, b wordScorer, words [][]int) float64 {
 	default:
 		return refKL(a, b, words)
 	}
+}
+
+// refWindowIDs numbers windows in first-occurrence order through a Go map
+// keyed by each window's symbols at fixed width — the dedup key core's
+// word sets and family unions used before WindowTable. It returns each
+// window's index and the distinct windows in index order.
+func refWindowIDs(wins [][]int32) ([]int32, [][]int32) {
+	ids := make([]int32, len(wins))
+	index := map[string]int32{}
+	var distinct [][]int32
+	var key []byte
+	for i, w := range wins {
+		key = key[:0]
+		for _, s := range w {
+			key = binary.LittleEndian.AppendUint32(key, uint32(s))
+		}
+		id, ok := index[string(key)]
+		if !ok {
+			id = int32(len(distinct))
+			index[string(key)] = id
+			distinct = append(distinct, w)
+		}
+		ids[i] = id
+	}
+	return ids, distinct
+}
+
+// refGramTable is newGramTable as it interned grams before WindowTable:
+// through a Go map keyed by each window's symbols as varints, which
+// decode uniquely, so the history length is part of the key.
+func refGramTable(depth int, words [][]int32) *gramTable {
+	t := &gramTable{depth: depth, off: []int32{0}}
+	ids := make(map[string]int32)
+	var key []byte
+	for _, w := range words {
+		for i := range w {
+			win := w[max(0, i-depth) : i+1]
+			key = key[:0]
+			for _, s := range win {
+				key = binary.AppendVarint(key, int64(s))
+			}
+			id, ok := ids[string(key)]
+			if !ok {
+				id = int32(len(t.grams))
+				ids[string(key)] = id
+				t.grams = append(t.grams, win)
+			}
+			t.rows = append(t.rows, id)
+		}
+		t.off = append(t.off, int32(len(t.rows)))
+	}
+	return t
 }

@@ -45,6 +45,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	huge := append([]byte(nil), valid[:HeaderLen]...)
 	huge = append(huge, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(huge)
+	// An alphabet that lists an event twice, behind an intact checksum.
+	f.Add(duplicateEvent(valid, 1, 0))
 	// The sample variants' nil-vs-empty shapes.
 	for _, v := range sampleVariants()[1:] {
 		data, err := v.s.Encode()
@@ -67,5 +69,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 func resealed(data []byte, v uint32) []byte {
 	payload := append([]byte(nil), data[:len(data)-sha256.Size]...)
 	binary.LittleEndian.PutUint32(payload[4:8], v)
+	return seal(payload)
+}
+
+// duplicateEvent returns a copy of an encoded snapshot whose alphabet
+// entry i is overwritten with entry j, resealed behind a valid checksum.
+func duplicateEvent(data []byte, i, j int) []byte {
+	payload := append([]byte(nil), data[:len(data)-sha256.Size]...)
+	entry := func(k int) []byte { // after the alphabet's u32 count, 9 bytes each
+		off := HeaderLen + 4 + 9*k
+		return payload[off : off+9]
+	}
+	copy(entry(i), entry(j))
 	return seal(payload)
 }

@@ -43,6 +43,15 @@ func refDecode(data []byte) (*Snapshot, error) {
 		}
 		s.Alphabet = append(s.Alphabet, ev)
 	}
+	// A repeated event is rejected, checked through a Go map keyed by the
+	// event where Decode uses objtrace's event table.
+	seen := make(map[objtrace.Event]bool, len(s.Alphabet))
+	for _, ev := range s.Alphabet {
+		if r.err == nil && seen[ev] {
+			return nil, fmt.Errorf("snapshot: alphabet lists %v twice", ev)
+		}
+		seen[ev] = true
+	}
 	n = r.count(12) // addr u64 + slot count u32
 	for i := 0; i < n && r.err == nil; i++ {
 		v := &vtable.VTable{Addr: r.u64()}

@@ -367,10 +367,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	// Extraction section. Tracelet events are stored as indices into the
 	// interned alphabet (every event appearing in a tracelet is interned
 	// by construction).
-	idx := make(map[[2]uint64]uint32, len(s.Alphabet))
-	for i, e := range s.Alphabet {
-		idx[eventKey(e)] = uint32(i)
-	}
+	idx := objtrace.NewEventTable(s.Alphabet)
 	w.u32(uint32(len(s.Alphabet)))
 	for _, e := range s.Alphabet {
 		w.u8(uint8(e.Kind))
@@ -491,13 +488,9 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return append(w.buf, sum[:]...), nil
 }
 
-// eventKey is e as a padding-free map key: Event's padding would send
-// every alphabet-index lookup through the generic hash.
-func eventKey(e objtrace.Event) [2]uint64 { return [2]uint64{uint64(e.Kind), e.N} }
-
 // writeSeqs writes one tracelet section: per type in ascending order, its
 // sequences as alphabet indices.
-func writeSeqs[S ~[]objtrace.Event](w *writer, idx map[[2]uint64]uint32, seqs map[uint64][]S) error {
+func writeSeqs[S ~[]objtrace.Event](w *writer, idx *objtrace.EventTable, seqs map[uint64][]S) error {
 	keys := sortedKeys(seqs)
 	w.u32(uint32(len(keys)))
 	for _, t := range keys {
@@ -506,11 +499,11 @@ func writeSeqs[S ~[]objtrace.Event](w *writer, idx map[[2]uint64]uint32, seqs ma
 		for _, seq := range seqs[t] {
 			w.u32(uint32(len(seq)))
 			for _, e := range seq {
-				sym, ok := idx[eventKey(e)]
+				sym, ok := idx.Lookup(e)
 				if !ok {
 					return fmt.Errorf("snapshot: tracelet event %v not in the interned alphabet", e)
 				}
-				w.u32(sym)
+				w.u32(uint32(sym))
 			}
 		}
 	}
@@ -639,6 +632,11 @@ func Decode(data []byte) (*Snapshot, error) {
 				return nil, err
 			}
 			s.Alphabet[i] = ev
+		}
+		// Symbols index the alphabet one to one; a repeated event would
+		// give its tracelets two symbols.
+		if r.err == nil && objtrace.NewEventTable(s.Alphabet).Len() != n {
+			return nil, fmt.Errorf("snapshot: alphabet lists an event twice")
 		}
 	}
 	if n := r.count(12); n > 0 { // addr u64 + slot count u32

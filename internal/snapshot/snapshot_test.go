@@ -345,6 +345,41 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsDuplicateEvent: symbols index the alphabet one to
+// one, so an alphabet that lists an event twice — written by a hostile
+// encoder or made by corrupting one entry into a copy of another behind
+// a resealed checksum — is an error, whichever entries repeat, and the
+// reference decoder agrees.
+func TestDecodeRejectsDuplicateEvent(t *testing.T) {
+	data, err := sampleSnapshot().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(sampleSnapshot().Alphabet)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			dup := duplicateEvent(data, i, j)
+			if _, err := Decode(dup); err == nil {
+				t.Errorf("alphabet entry %d repeating entry %d accepted", i, j)
+			}
+			agreeWithReference(t, dup)
+		}
+	}
+	s := sampleSnapshot()
+	s.Alphabet = append(s.Alphabet, s.Alphabet[2])
+	enc, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(enc); err == nil {
+		t.Error("alphabet with a repeated last event accepted")
+	}
+	agreeWithReference(t, enc)
+}
+
 // TestReadHeaderV3 checks the cheap probe surfaces the v3 name hash the
 // incremental auto-discovery keys on.
 func TestReadHeaderV3(t *testing.T) {
