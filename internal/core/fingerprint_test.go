@@ -111,22 +111,36 @@ func TestEvidenceFingerprints(t *testing.T) {
 // sweep=sparse kl=dot").
 // TestFingerprintCompat recomputes them with the code's own format
 // strings; only a literal catches a refactor that shifts both together.
+// Two non-default literals pin the canon's variable parts: the extract
+// section at window 5, and the hier section with the subtype provider
+// fused in (its term weights render as "{slot=1 prox=0.25 flow=0.5
+// call=0.5 root=8}").
 func TestFingerprintLiterals(t *testing.T) {
 	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
-	want := []string{
+	check := func(name string, cfg Config, section int, want string) {
+		t.Helper()
+		fp := cfg.withDefaults().snapshotKey(img).FPs[section]
+		if got := hex.EncodeToString(fp[:]); got != want {
+			t.Errorf("%s: section %d fingerprint = %s, want %s", name, section, got, want)
+		}
+	}
+	for i, want := range []string{
 		"c5090f2e98ab045ae3444b8412aa76aa3ba428a9f0bf76bdb657b2417a4927d1",
 		"39b3d79e1bdc8b1160e26db94f1f2802048c3fe3b0e5d10d67dfa9359e240f3e",
 		"bf945d0dcf693f513bf3f295eb1a532a52a963002cad484564262e2514fa08e6",
+	} {
+		check("default", DefaultConfig(), i, want)
 	}
-	fps := DefaultConfig().withDefaults().snapshotKey(img).FPs
-	if len(fps) != len(want) {
-		t.Fatalf("%d sections, want %d", len(fps), len(want))
-	}
-	for i, fp := range fps {
-		if got := hex.EncodeToString(fp[:]); got != want[i] {
-			t.Errorf("section %d fingerprint = %s, want %s", i, got, want[i])
-		}
-	}
+
+	window := DefaultConfig()
+	window.Trace.Window = 5
+	check("window 5", window, snapshot.LevelExtraction-1,
+		"934e8053894a2fb57275bea2affa3e13df89c917c021b72c0d5a34b6d5c4235b")
+
+	fused := DefaultConfig()
+	fused.Evidence = []string{"slm", "subtype"}
+	check("slm+subtype", fused, snapshot.LevelHierarchy-1,
+		"b818588631c36903c077ea62962a3001e2000e4fddac19311a5d5b0c6f51ce0b")
 }
 
 // TestGraphLevels pins the stage list the driver relies on when skipping
