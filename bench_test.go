@@ -16,9 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/image"
-	"repro/internal/objtrace"
 	"repro/internal/slm"
-	"repro/internal/structural"
 	"repro/internal/synth"
 )
 
@@ -152,43 +150,13 @@ func BenchmarkTraceletWindow(b *testing.B) {
 		b.Run(fmt.Sprintf("W%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig()
-				cfg.Trace = objtrace.DefaultConfig()
-				cfg.Trace.Window = w
+				cfg.Window = w
 				row, err := eval.RunWithConfig(bm, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
 					b.Logf("window %d: with=%.3f/%.3f", w, row.WithMissing, row.WithAdded)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStructuralAblation toggles the §5 phases.
-func BenchmarkStructuralAblation(b *testing.B) {
-	bm := bench.ByName("tinyserver")
-	configs := map[string]structural.Config{
-		"full":           {},
-		"noSharedSlots":  {DisableSharedSlots: true},
-		"noInstances":    {DisableInstanceInstalls: true},
-		"noCtorCalls":    {DisableCtorCalls: true},
-		"noSizeRule":     {DisableSizeRule: true},
-		"noPurecallRule": {DisablePurecallRule: true},
-		"structuralNone": {DisableSharedSlots: true, DisableInstanceInstalls: true, DisableCtorCalls: true, DisableSizeRule: true, DisablePurecallRule: true},
-	}
-	for name, sc := range configs {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig()
-				cfg.Structural = sc
-				row, err := eval.RunWithConfig(bm, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("%s: with=%.3f/%.3f", name, row.WithMissing, row.WithAdded)
 				}
 			}
 		})

@@ -73,8 +73,9 @@ func main() {
 			Evidence:    shared.Evidence,
 			FuseWeights: shared.FuseWeights,
 			// IncrementalFrom stays empty: the daemon analyzes many
-			// different binaries, so priors are auto-discovered per image
-			// from the cache directory's NameHash index.
+			// different binaries, so each image's prior is auto-discovered
+			// by reading the header of every snapshot in the cache
+			// directory and matching the image's name hash.
 		},
 		HotCacheBytes:    int64(*hotMB) << 20,
 		MaxBodyBytes:     int64(*maxBodyMB) << 20,

@@ -53,10 +53,9 @@ type Config struct {
 	// Metric selects the pairwise distance (DKL by default; the JS variants
 	// exist for the §6.4 ablation).
 	Metric slm.Metric
-	// Trace bounds the tracelet extraction.
-	Trace objtrace.Config
-	// Structural toggles individual structural heuristics.
-	Structural structural.Config
+	// Window is the tracelet length bound (§3.2; the paper uses 7). 0
+	// selects 7.
+	Window int
 	// Evidence selects the edge-evidence providers whose scores the
 	// hierarchy solve fuses, in fusion order (see internal/evidence). Nil
 	// or empty selects the paper's configuration: the SLM/KL behavioral
@@ -95,8 +94,8 @@ type Config struct {
 	// extraction bundles, types whose training input is unchanged reuse
 	// their frozen models, and families untouched by any retrained type
 	// restore verbatim. The file must load (an unreadable path is an
-	// error), but a snapshot without a function-granular section, or one
-	// in another format version, silently degrades to a cold run. When
+	// error), but a snapshot that fails to decode, or one in another
+	// format version, silently degrades to a cold run. When
 	// empty but CacheDir is set, the lane auto-discovers the nearest prior
 	// snapshot of the same image family (matched by hashed module name) in
 	// the cache directory.
@@ -118,7 +117,7 @@ func DefaultConfig() Config {
 		UseSLM:   true,
 		SLMDepth: 2,
 		Metric:   slm.MetricKL,
-		Trace:    objtrace.DefaultConfig(),
+		Window:   7,
 	}
 }
 
@@ -282,7 +281,9 @@ func (c Config) withDefaults() Config {
 	if c.SLMDepth <= 0 {
 		c.SLMDepth = 2
 	}
-	c.Trace.Pool = c.pool
+	if c.Window <= 0 {
+		c.Window = 7
+	}
 	return c
 }
 

@@ -59,13 +59,15 @@ func (c Config) evidenceDefault() bool {
 
 // evidenceCanon renders the non-default evidence configuration for the
 // hierarchy-section fingerprint: each provider with its resolved fusion
-// weight, plus the behavioral term weights of config-bearing providers.
+// weight, plus the subtype provider's fixed term weights.
 func (c Config) evidenceCanon() string {
 	parts := make([]string, 0, len(c.evidenceNames()))
 	for _, name := range c.evidenceNames() {
 		p := fmt.Sprintf("%s:%.17g", name, c.fuseWeight(name))
 		if name == evidence.NameSubtype {
-			p += subtype.DefaultConfig().Canon()
+			p += fmt.Sprintf("{slot=%.17g prox=%.17g flow=%.17g call=%.17g root=%.17g}",
+				subtype.SlotWeight, subtype.ProxWeight, subtype.FlowWeight,
+				subtype.CallWeight, subtype.RootFactor)
 		}
 		parts = append(parts, p)
 	}
@@ -132,7 +134,7 @@ func (r *Result) buildEvidence(ctx context.Context, cfg Config) error {
 				Obs:    cfg.Obs,
 			}))
 		case evidence.NameSubtype:
-			p, err := subtype.New(ctx, subtype.DefaultConfig(), subtype.Image{
+			p, err := subtype.New(ctx, subtype.Image{
 				VTables:     r.VTables,
 				Purecall:    r.Structural.Purecall,
 				Structs:     r.Tracelets.Structs,

@@ -13,15 +13,16 @@ import (
 	"repro/internal/snapshot"
 )
 
-// TestFingerprintCompat pins the snapshot fingerprints to
-// the hand-maintained scheme existing .rsnap caches were written under
-// (one fingerprint per section, hashing "tag|canon" with the canon laid
-// out exactly as the pre-pipeline core formatted it, plus the sparse
-// sweep's " sweep=sparse" and the dot-product KL kernel's " kl=dot"
-// hierarchy markers; the hierarchy canon lost its "enumlimit" term with
-// the co-optimal search's limit). Any divergence silently invalidates
-// every user's cache, so this test recomputes the bytes from scratch and
-// compares.
+// TestFingerprintCompat pins the snapshot fingerprints to the
+// hand-maintained scheme existing .rsnap caches were written under (one
+// fingerprint per section, hashing "tag|canon" with the canon laid out
+// exactly as the pre-pipeline core formatted it — the extraction bounds
+// and the five structural switches, all fixed now, included — plus the
+// sparse sweep's " sweep=sparse" and the dot-product KL kernel's
+// " kl=dot" hierarchy markers; the hierarchy canon lost its "enumlimit"
+// term with the co-optimal search's limit). Any divergence silently
+// invalidates every user's cache, so this test recomputes the bytes from
+// scratch and compares.
 func TestFingerprintCompat(t *testing.T) {
 	legacy := func(stage, canon string) [32]byte {
 		return sha256.Sum256([]byte(stage + "|" + canon))
@@ -30,14 +31,10 @@ func TestFingerprintCompat(t *testing.T) {
 		t.Helper()
 		cfg = cfg.withDefaults()
 		fps := cfg.fingerprints()
-		tr := cfg.Trace.WithDefaults()
 		want := [snapshot.NumSections][32]byte{
 			snapshot.LevelExtraction - 1: legacy("extract", fmt.Sprintf(
-				"paths=%d steps=%d unroll=%d window=%d tracelen=%d structural=%v,%v,%v,%v,%v",
-				tr.MaxPaths, tr.MaxSteps, tr.MaxUnroll, tr.Window, tr.MaxTraceLen,
-				cfg.Structural.DisableSharedSlots, cfg.Structural.DisableInstanceInstalls,
-				cfg.Structural.DisableCtorCalls, cfg.Structural.DisableSizeRule,
-				cfg.Structural.DisablePurecallRule)),
+				"paths=64 steps=512 unroll=2 window=%d tracelen=128 structural=false,false,false,false,false",
+				cfg.Window)),
 			snapshot.LevelModels - 1: legacy("model", fmt.Sprintf("depth=%d", cfg.SLMDepth)),
 			snapshot.LevelHierarchy - 1: legacy("hier", fmt.Sprintf(
 				"metric=%d rootw=%.17g enumeps=%.17g sweep=sparse kl=dot",
@@ -53,11 +50,10 @@ func TestFingerprintCompat(t *testing.T) {
 
 	ablated := DefaultConfig()
 	ablated.SLMDepth = 3
-	ablated.Structural.DisableCtorCalls = true
-	ablated.Trace.MaxPaths = 7
+	ablated.Window = 5
 	check("ablated", ablated)
 
-	// Workers, Pool, and the observer must not influence the key.
+	// Workers and the observer must not influence the key.
 	a := DefaultConfig().withDefaults()
 	b := a
 	b.Workers = 17
@@ -133,7 +129,7 @@ func TestFingerprintLiterals(t *testing.T) {
 	}
 
 	window := DefaultConfig()
-	window.Trace.Window = 5
+	window.Window = 5
 	check("window 5", window, snapshot.LevelExtraction-1,
 		"934e8053894a2fb57275bea2affa3e13df89c917c021b72c0d5a34b6d5c4235b")
 

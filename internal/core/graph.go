@@ -8,6 +8,7 @@ import (
 	"repro/internal/disasm"
 	"repro/internal/evidence/slmkl"
 	"repro/internal/image"
+	"repro/internal/objtrace"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 	"repro/internal/structural"
@@ -62,7 +63,7 @@ var stages = []stage{
 		return nil
 	}},
 	{name: "structural", level: snapshot.LevelExtraction, run: func(ctx context.Context, res *Result, c Config) error {
-		res.Structural = structural.Analyze(res.Image, res.Funcs, res.VTables, res.Tracelets, c.Structural)
+		res.Structural = structural.Analyze(res.Image, res.Funcs, res.VTables, res.Tracelets)
 		countStructural(c.Obs, res.Structural)
 		return nil
 	}},
@@ -124,16 +125,14 @@ func runStages(ctx context.Context, list []stage, res *Result, c Config, level i
 // per section, each rendering exactly the configuration the section's
 // stages depend on. Worker counts and observers never appear — they
 // cannot change results. The canon strings are load-bearing, since every
-// existing snapshot was keyed with them. c must already have defaults
-// resolved (withDefaults).
+// existing snapshot was keyed with them: the extract canon still renders
+// objtrace's fixed bounds, and the five structural heuristics that could
+// once be switched off as "structural=false,false,false,false,false". c
+// must already have defaults resolved (withDefaults).
 func (c Config) fingerprints() [snapshot.NumSections][32]byte {
-	tr := c.Trace.WithDefaults()
 	return snapshot.Fingerprints([snapshot.NumSections]string{
-		fmt.Sprintf("paths=%d steps=%d unroll=%d window=%d tracelen=%d structural=%v,%v,%v,%v,%v",
-			tr.MaxPaths, tr.MaxSteps, tr.MaxUnroll, tr.Window, tr.MaxTraceLen,
-			c.Structural.DisableSharedSlots, c.Structural.DisableInstanceInstalls,
-			c.Structural.DisableCtorCalls, c.Structural.DisableSizeRule,
-			c.Structural.DisablePurecallRule),
+		fmt.Sprintf("paths=%d steps=%d unroll=%d window=%d tracelen=%d structural=false,false,false,false,false",
+			objtrace.MaxPaths, objtrace.MaxSteps, objtrace.MaxUnroll, c.Window, objtrace.MaxTraceLen),
 		fmt.Sprintf("depth=%d", c.SLMDepth),
 		c.hierarchyCanon(),
 	})
@@ -285,8 +284,8 @@ func analyze(ctx context.Context, img *image.Image, cfg Config, key snapshot.Key
 		res.Tracelets = snap.Tracelets
 		res.Structural = snap.Structural
 		res.Alphabet = snap.Alphabet
-		// The extraction never reran, so the prior function section (if the
-		// file has one) is still exact; carry it into any rewrite.
+		// The extraction never reran, so the prior function section is
+		// still exact; carry it into any rewrite.
 		res.fnSection = snap.Funcs
 	}
 	if level >= snapshot.LevelModels {

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/objtrace"
@@ -56,12 +57,10 @@ func (st *incrState) hierarchyOK() bool {
 	return st.key.MatchLevel(st.prior.Key) >= snapshot.LevelHierarchy
 }
 
-// priorUsable is the lane's engagement gate: the prior must carry a
-// function-granular section (a producer may skip it — the run then
-// silently degrades to cold) and its extraction fingerprint must match
-// the current configuration.
+// priorUsable is the lane's engagement gate: the prior's extraction
+// fingerprint must match the current configuration.
 func priorUsable(s *snapshot.Snapshot, key snapshot.Key) bool {
-	return s.Funcs != nil && key.MatchLevel(s.Key) >= snapshot.LevelExtraction
+	return key.MatchLevel(s.Key) >= snapshot.LevelExtraction
 }
 
 // findPrior locates the snapshot to diff against. An explicit
@@ -173,7 +172,7 @@ func (r *Result) extractTracelets(ctx context.Context, cfg Config) error {
 		cfg.Obs.Add(obs.CntFnDigestHits, int64(hits))
 		cfg.Obs.Add(obs.CntFnDigestMisses, int64(len(r.Funcs)-hits))
 	}
-	exts, err := objtrace.ExtractFunctions(ctx, r.Image, r.Funcs, r.VTables, cfg.Trace, reuse)
+	exts, err := objtrace.ExtractFunctions(ctx, r.Image, r.Funcs, r.VTables, cfg.pool, reuse)
 	if err != nil {
 		return err
 	}
@@ -196,7 +195,7 @@ func (r *Result) extractTracelets(ctx context.Context, cfg Config) error {
 			prior.Fns[b.Ext.Entry] = &b.Ext
 		}
 	}
-	r.Tracelets, r.affected = objtrace.MergeFunctions(exts, r.VTables, cfg.Trace, prior)
+	r.Tracelets, r.affected = objtrace.MergeFunctions(exts, r.VTables, cfg.Window, prior)
 	return nil
 }
 
@@ -219,7 +218,7 @@ func (r *Result) computeTypeKeys() map[uint64][32]byte {
 	// the alphabet moved or no delta ran) hashes from scratch.
 	var priorKeys map[uint64][32]byte
 	if r.incr != nil && r.affected != nil &&
-		eventsEqual(r.Alphabet, r.incr.prior.Alphabet) {
+		slices.Equal(r.Alphabet, r.incr.prior.Alphabet) {
 		priorKeys = r.incr.prior.Funcs.TypeKeys
 	}
 	r.encodeTracelets()
@@ -304,7 +303,7 @@ func (r *Result) restoreFamilies(outs []*familyOutcome) int {
 		for _, t := range fam {
 			pk, has := prior.Funcs.TypeKeys[t]
 			if !has || pk != keys[t] ||
-				!addrsEqual(prior.Structural.PossibleParents[t], r.Structural.PossibleParents[t]) {
+				!slices.Equal(prior.Structural.PossibleParents[t], r.Structural.PossibleParents[t]) {
 				ok = false
 				break
 			}
@@ -361,58 +360,20 @@ func (r *Result) priorFamilyDist(fam []uint64, prior *snapshot.Snapshot) (map[[2
 
 // buildFnSection assembles the snapshot's function-granular section. A
 // run that executed (or reused) bundles persists them with fresh digests;
-// a whole-image warm run carries the prior section forward verbatim
-// (extraction never reran, so it is still exact). A run whose extraction
-// was restored from a snapshot without a function section has no bundles
-// to persist, but still records the context digest and TypeKeys so a
-// later sibling can at least reuse models.
+// a run whose extraction was restored carries the restored section
+// forward verbatim (extraction never reran, so it is still exact).
 func (r *Result) buildFnSection() *snapshot.FnSection {
-	if r.fnExts != nil {
-		digests := r.functionDigests()
-		fs := &snapshot.FnSection{
-			ContextDigest: r.fnCtxDigest,
-			Funcs:         make([]snapshot.FnBundle, len(r.fnExts)),
-			TypeKeys:      r.computeTypeKeys(),
-		}
-		for i, ext := range r.fnExts {
-			fs.Funcs[i] = snapshot.FnBundle{Digest: digests[i], Ext: *ext}
-		}
-		return fs
-	}
-	if r.fnSection != nil {
+	if r.fnExts == nil {
 		return r.fnSection
 	}
-	if r.Tracelets != nil && r.VTables != nil {
-		return &snapshot.FnSection{
-			ContextDigest: objtrace.ContextDigest(r.Image, r.VTables),
-			TypeKeys:      r.computeTypeKeys(),
-		}
+	digests := r.functionDigests()
+	fs := &snapshot.FnSection{
+		ContextDigest: r.fnCtxDigest,
+		Funcs:         make([]snapshot.FnBundle, len(r.fnExts)),
+		TypeKeys:      r.computeTypeKeys(),
 	}
-	return nil
-}
-
-// eventsEqual compares two interned alphabets element-wise.
-func eventsEqual(a, b []objtrace.Event) bool {
-	if len(a) != len(b) {
-		return false
+	for i, ext := range r.fnExts {
+		fs.Funcs[i] = snapshot.FnBundle{Digest: digests[i], Ext: *ext}
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// addrsEqual compares two address slices element-wise.
-func addrsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return fs
 }

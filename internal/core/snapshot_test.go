@@ -124,7 +124,7 @@ func TestSnapshotPartialReuseOnConfigChange(t *testing.T) {
 	assertResultsEqual(t, "salvaged extraction vs fresh depth-3 run", analyzeCached(t, img, depthCold), retrained)
 
 	winCfg := jsCfg
-	winCfg.Trace.Window = 5
+	winCfg.Window = 5
 	if res := analyzeCached(t, img, winCfg); res.SnapshotReuse != snapshot.LevelNone {
 		t.Errorf("window change reused level %d, want cold", res.SnapshotReuse)
 	}

@@ -38,7 +38,6 @@ package subtype
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/evidence"
 	"repro/internal/objtrace"
@@ -61,39 +60,22 @@ const DefaultWeight = 5
 // the index-building fan-out.
 const structGrain = 64
 
-// Config parameterizes the scorer. All fields are behavioral — they
-// appear in the hierarchy-section snapshot canon via Canon.
-type Config struct {
+// The grid-calibrated term weights: fixed, not settings. The
+// hierarchy-section snapshot canon of a fused configuration renders them,
+// so changing one re-keys every cached fused hierarchy.
+const (
 	// SlotWeight scales the vtable slot-overlap term.
-	SlotWeight float64
+	SlotWeight = 1.0
 	// ProxWeight scales the vtable size-proximity term.
-	ProxWeight float64
+	ProxWeight = 0.25
 	// FlowWeight scales the construction install-flow term.
-	FlowWeight float64
+	FlowWeight = 0.5
 	// CallWeight scales the parent-method call term.
-	CallWeight float64
+	CallWeight = 0.5
 	// RootFactor scales the virtual-root weight relative to the largest
-	// score the terms can produce; must be >= 1 so Heuristic 4.1 holds.
-	RootFactor float64
-}
-
-// DefaultConfig returns the grid-calibrated term weights.
-func DefaultConfig() Config {
-	return Config{
-		SlotWeight: 1,
-		ProxWeight: 0.25,
-		FlowWeight: 0.5,
-		CallWeight: 0.5,
-		RootFactor: 8,
-	}
-}
-
-// Canon renders the behavioral configuration canonically for snapshot
-// fingerprinting; equal configurations produce equal strings.
-func (c Config) Canon() string {
-	return fmt.Sprintf("{slot=%.17g prox=%.17g flow=%.17g call=%.17g root=%.17g}",
-		c.SlotWeight, c.ProxWeight, c.FlowWeight, c.CallWeight, c.RootFactor)
-}
+	// score the terms can produce; it must be >= 1 so Heuristic 4.1 holds.
+	RootFactor = 8.0
+)
 
 // Image is the slice of the analysis the provider reads — the discovered
 // vtables plus the objtrace/structural artifacts the constraints mine.
@@ -124,7 +106,6 @@ func newCounts() *counts {
 
 // Provider scores one image's families; build it once with New.
 type Provider struct {
-	cfg      Config
 	byAddr   map[uint64]*vtable.VTable
 	purecall uint64
 	idx      *counts
@@ -135,9 +116,8 @@ type Provider struct {
 // serially); per-chunk partial tallies land in chunk-owned slots and
 // merge in chunk order, and the merged sums are order-independent, so the
 // index is identical at any pool capacity.
-func New(ctx context.Context, cfg Config, img Image, shared *pool.Shared) (*Provider, error) {
+func New(ctx context.Context, img Image, shared *pool.Shared) (*Provider, error) {
 	p := &Provider{
-		cfg:      cfg,
 		byAddr:   make(map[uint64]*vtable.VTable, len(img.VTables)),
 		purecall: img.Purecall,
 	}
@@ -238,8 +218,8 @@ func (p *Provider) Score(_ context.Context, in *evidence.FamilyInput) (*evidence
 	for k, pc := range in.Pairs {
 		out.Edge[k] = p.pairScore(pc[0], pc[1])
 	}
-	maxScore := p.cfg.SlotWeight + p.cfg.ProxWeight + p.cfg.FlowWeight + p.cfg.CallWeight
-	out.Root = maxScore*p.cfg.RootFactor + 1
+	const maxScore = SlotWeight + ProxWeight + FlowWeight + CallWeight
+	out.Root = maxScore*RootFactor + 1
 	return out, nil
 }
 
@@ -253,8 +233,7 @@ func (p *Provider) pairScore(pa, ca uint64) float64 {
 	}
 	flow := 1 / float64(1+p.idx.flow[[2]uint64{pa, ca}])
 	call := 1 / float64(1+p.idx.call[[2]uint64{pa, ca}])
-	return p.cfg.SlotWeight*slot + p.cfg.ProxWeight*prox +
-		p.cfg.FlowWeight*flow + p.cfg.CallWeight*call
+	return SlotWeight*slot + ProxWeight*prox + FlowWeight*flow + CallWeight*call
 }
 
 // slotTerm is 1 minus the fraction of position-wise shared slot targets

@@ -18,7 +18,7 @@ func vt(addr uint64, slots ...uint64) *vtable.VTable {
 
 func mustNew(t *testing.T, img Image, sh *pool.Shared) *Provider {
 	t.Helper()
-	p, err := New(context.Background(), DefaultConfig(), img, sh)
+	p, err := New(context.Background(), img, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,18 +160,5 @@ func TestBuildDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("cap=%d: scores diverged from the serial build", capacity)
 		}
-	}
-}
-
-// TestCanonDistinguishesConfigs pins the snapshot-canon contract: equal
-// configurations render equal strings, different ones differ.
-func TestCanonDistinguishesConfigs(t *testing.T) {
-	a, b := DefaultConfig(), DefaultConfig()
-	if a.Canon() != b.Canon() {
-		t.Error("equal configs rendered different canons")
-	}
-	b.FlowWeight = 0.75
-	if a.Canon() == b.Canon() {
-		t.Error("different configs rendered the same canon")
 	}
 }

@@ -50,7 +50,7 @@ func refExtraction(ex *executor) *FnExtraction {
 }
 
 // refMerge is MergeFunctions with no prior, keyed by the formatted strings.
-func refMerge(exts []*FnExtraction, vts []*vtable.VTable, cfg Config) *Result {
+func refMerge(exts []*FnExtraction, vts []*vtable.VTable) *Result {
 	res := &Result{
 		PerType:    map[uint64][]Tracelet{},
 		RawPerType: map[uint64][][]Event{},
@@ -76,7 +76,7 @@ func refMerge(exts []*FnExtraction, vts []*vtable.VTable, cfg Config) *Result {
 			}
 			for _, t := range types {
 				res.RawPerType[t] = append(res.RawPerType[t], seg.Events)
-				res.PerType[t] = append(res.PerType[t], windows(seg.Events, cfg.Window)...)
+				res.PerType[t] = append(res.PerType[t], windows(seg.Events, window)...)
 			}
 		}
 		for _, os := range ext.Structs {
@@ -158,7 +158,6 @@ func collidingExtractions() []*FnExtraction {
 // binary keys keeps exactly the segments and structs the formatted-string
 // keys kept, in the same order, per function and after the merge.
 func TestBinaryDedupKeysMatchFmtKeys(t *testing.T) {
-	cfg := DefaultConfig().withDefaults()
 	for name, img := range dedupImages(t) {
 		fns, err := disasm.All(img)
 		if err != nil {
@@ -176,20 +175,20 @@ func TestBinaryDedupKeysMatchFmtKeys(t *testing.T) {
 		exts := make([]*FnExtraction, len(fns))
 		refs := make([]*FnExtraction, len(fns))
 		for i, fn := range fns {
-			ex := &executor{img: img, fn: fn, cfg: cfg, vtSet: vtSet, thisTypes: fnVTables[fn.Entry]}
+			ex := &executor{img: img, fn: fn, vtSet: vtSet, thisTypes: fnVTables[fn.Entry]}
 			ex.run()
 			exts[i], refs[i] = ex.extraction(), refExtraction(ex)
 			if !reflect.DeepEqual(exts[i], refs[i]) {
 				t.Fatalf("%s: function %#x: binary-keyed extraction differs from the formatted-key reference", name, fn.Entry)
 			}
 		}
-		if got, want := merge(exts, vts, cfg), refMerge(refs, vts, cfg); !reflect.DeepEqual(got, want) {
+		if got, want := merge(exts, vts), refMerge(refs, vts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: binary-keyed merge differs from the formatted-key reference", name)
 		}
 	}
 	vts := []*vtable.VTable{{Addr: 0x100, Slots: []uint64{0x4000}}, {Addr: 0x200, Slots: []uint64{0x4000, 0x4010}}}
 	exts := collidingExtractions()
-	if got, want := merge(exts, vts, cfg), refMerge(exts, vts, cfg); !reflect.DeepEqual(got, want) {
+	if got, want := merge(exts, vts), refMerge(exts, vts); !reflect.DeepEqual(got, want) {
 		t.Fatal("colliding bundles: binary-keyed merge differs from the formatted-key reference")
 	}
 }

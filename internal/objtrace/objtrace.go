@@ -114,59 +114,20 @@ type ObjStruct struct {
 	Events []StructEvent
 }
 
-// Config bounds the symbolic execution.
-type Config struct {
+// The symbolic execution's bounds: fixed implementation limits, not
+// analysis settings. The extract section of the snapshot key renders them,
+// so changing one re-keys every cached extraction.
+const (
 	// MaxPaths caps explored paths per function.
-	MaxPaths int
+	MaxPaths = 64
 	// MaxSteps caps instructions per path.
-	MaxSteps int
+	MaxSteps = 512
 	// MaxUnroll caps how many times each conditional back-edge may be taken
 	// on one path.
-	MaxUnroll int
-	// Window is the tracelet length bound (the paper uses 7).
-	Window int
+	MaxUnroll = 2
 	// MaxTraceLen caps the raw per-object event sequence length.
-	MaxTraceLen int
-	// Pool, when non-nil, lends the per-function symbolic executions
-	// helper goroutines from a shared worker pool (see internal/pool); nil
-	// runs the extraction serially. Functions are mutually independent
-	// (each executor sees only its own function), the per-function results
-	// land in index-owned slots, and the merge walks them in function
-	// order, so the Result is byte-identical for every pool capacity.
-	Pool *pool.Shared
-}
-
-// DefaultConfig returns the paper-calibrated bounds.
-func DefaultConfig() Config {
-	return Config{MaxPaths: 64, MaxSteps: 512, MaxUnroll: 2, Window: 7, MaxTraceLen: 128}
-}
-
-// WithDefaults returns the config with unset (zero) bounds replaced by the
-// paper defaults, exactly as the extraction resolves them. Snapshot
-// fingerprints hash the resolved values, so an explicit default and an
-// unset field produce the same cache key. Pool is not a bound and stays
-// as-is.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MaxPaths <= 0 {
-		c.MaxPaths = d.MaxPaths
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = d.MaxSteps
-	}
-	if c.MaxUnroll <= 0 {
-		c.MaxUnroll = d.MaxUnroll
-	}
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	if c.MaxTraceLen <= 0 {
-		c.MaxTraceLen = d.MaxTraceLen
-	}
-	return c
-}
+	MaxTraceLen = 128
+)
 
 // Result is the extractor output.
 type Result struct {
@@ -261,9 +222,11 @@ func ContextDigest(img *image.Image, vts []*vtable.VTable) [32]byte {
 // consulted first for every index; a non-nil bundle (typically restored
 // from a prior version's snapshot) is adopted verbatim and the function's
 // execution is skipped — the incremental lane's whole saving. reuse must
-// be safe for concurrent calls with distinct indices.
-func ExtractFunctions(ctx context.Context, img *image.Image, fns []*ir.Function, vts []*vtable.VTable, cfg Config, reuse func(i int) *FnExtraction) ([]*FnExtraction, error) {
-	cfg = cfg.withDefaults()
+// be safe for concurrent calls with distinct indices. The executions
+// borrow helper goroutines from p (see internal/pool); a nil p runs them
+// serially. Each lands in its own slot, so the bundles are identical for
+// every pool capacity.
+func ExtractFunctions(ctx context.Context, img *image.Image, fns []*ir.Function, vts []*vtable.VTable, p *pool.Shared, reuse func(i int) *FnExtraction) ([]*FnExtraction, error) {
 	// Name the fan-out for trace spans; free unless the context carries a
 	// tracing bus.
 	ctx = obs.WithRegion(ctx, obs.BusFrom(ctx), "tracelets")
@@ -276,7 +239,7 @@ func ExtractFunctions(ctx context.Context, img *image.Image, fns []*ir.Function,
 		}
 	}
 	exts := make([]*FnExtraction, len(fns))
-	if err := pool.ForEach(ctx, cfg.Pool, len(fns), func(i int) {
+	if err := pool.ForEach(ctx, p, len(fns), func(i int) {
 		if reuse != nil {
 			if b := reuse(i); b != nil {
 				exts[i] = b
@@ -284,7 +247,7 @@ func ExtractFunctions(ctx context.Context, img *image.Image, fns []*ir.Function,
 			}
 		}
 		ex := &executor{
-			img: img, fn: fns[i], cfg: cfg, vtSet: vtSet,
+			img: img, fn: fns[i], vtSet: vtSet,
 			thisTypes: fnVTables[fns[i].Entry],
 		}
 		ex.run()
@@ -308,9 +271,10 @@ type Prior struct {
 }
 
 // MergeFunctions assembles per-function extractions into the extractor
-// Result: a serial walk in function order, so the (order-sensitive)
-// per-function deduplication and per-type attribution see the segments
-// exactly as a serial extraction would. The Result is byte-identical
+// Result, splitting each event run into tracelets of at most window
+// events (the paper uses 7): a serial walk in function order, so the
+// (order-sensitive) per-function deduplication and per-type attribution
+// see the segments exactly as a serial extraction would. The Result is byte-identical
 // whether each bundle was freshly executed or restored, and whether or
 // not a prior is given.
 //
@@ -322,8 +286,7 @@ type Prior struct {
 // merge verbatim, only affected types are rebuilt, and the affected set
 // is returned so downstream consumers can scope their own invalidation
 // to it. With no prior every type is affected and the set is nil.
-func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, cfg Config, prior *Prior) (*Result, map[uint64]bool) {
-	cfg = cfg.withDefaults()
+func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, window int, prior *Prior) (*Result, map[uint64]bool) {
 	res := &Result{
 		PerType:    map[uint64][]Tracelet{},
 		RawPerType: map[uint64][][]Event{},
@@ -402,7 +365,7 @@ func MergeFunctions(exts []*FnExtraction, vts []*vtable.VTable, cfg Config, prio
 					continue
 				}
 				res.RawPerType[t] = append(res.RawPerType[t], seg.Events)
-				for _, tl := range windows(seg.Events, cfg.Window) {
+				for _, tl := range windows(seg.Events, window) {
 					res.PerType[t] = append(res.PerType[t], tl)
 				}
 			}
@@ -588,7 +551,6 @@ func (s *state) clone() *state {
 type executor struct {
 	img       *image.Image
 	fn        *ir.Function
-	cfg       Config
 	vtSet     map[uint64]bool
 	thisTypes []uint64
 
@@ -608,7 +570,7 @@ func (ex *executor) run() {
 		init.regs[ir.RegThis] = val{kind: vObj, obj: id}
 	}
 	stack := []*state{init}
-	for len(stack) > 0 && ex.paths < ex.cfg.MaxPaths {
+	for len(stack) > 0 && ex.paths < MaxPaths {
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		ex.step(st, &stack)
@@ -622,7 +584,7 @@ func (s *state) newObj() int {
 }
 
 // emit appends a behavioral event to the object's current segment.
-func (s *state) emit(cfg Config, objID int, e Event) {
+func (s *state) emit(objID int, e Event) {
 	os, ok := s.objs[objID]
 	if !ok || os.primary == untypedType {
 		return
@@ -633,7 +595,7 @@ func (s *state) emit(cfg Config, objID int, e Event) {
 		s.objs[objID] = os
 	}
 	seg := &s.segments[os.seg]
-	if len(seg.events) < cfg.MaxTraceLen {
+	if len(seg.events) < MaxTraceLen {
 		seg.events = append(seg.events, e)
 	}
 }
@@ -684,9 +646,8 @@ func (ex *executor) finish(s *state) {
 
 // step executes from s.pc until the path ends, pushing forked states.
 func (ex *executor) step(s *state, stack *[]*state) {
-	cfg := ex.cfg
 	for {
-		if s.pc < 0 || s.pc >= len(ex.fn.Insts) || s.steps >= cfg.MaxSteps {
+		if s.pc < 0 || s.pc >= len(ex.fn.Insts) || s.steps >= MaxSteps {
 			ex.finish(s)
 			return
 		}
@@ -719,7 +680,7 @@ func (ex *executor) step(s *state, stack *[]*state) {
 					s.regs[in.Rd] = val{kind: vVptr, obj: base.obj, n: uint64(in.Off)}
 				} else {
 					if os.primary != untypedType {
-						s.emit(cfg, base.obj, Event{Kind: EvRead, N: uint64(in.Off)})
+						s.emit(base.obj, Event{Kind: EvRead, N: uint64(in.Off)})
 					}
 					s.regs[in.Rd] = val{}
 				}
@@ -735,7 +696,7 @@ func (ex *executor) step(s *state, stack *[]*state) {
 				if sv.kind == vVt {
 					s.install(base.obj, in.Off, sv.n)
 				} else if in.Off != 0 {
-					s.emit(cfg, base.obj, Event{Kind: EvWrite, N: uint64(in.Off)})
+					s.emit(base.obj, Event{Kind: EvWrite, N: uint64(in.Off)})
 				}
 			}
 		case ir.OpCall:
@@ -744,13 +705,13 @@ func (ex *executor) step(s *state, stack *[]*state) {
 				// Receiver and argument events.
 				if rv := s.regs[ir.RegThis]; rv.kind == vObj {
 					s.structs[rv.obj] = append(s.structs[rv.obj], StructEvent{Callee: in.Imm})
-					s.emit(cfg, rv.obj, Event{Kind: EvThis})
-					s.emit(cfg, rv.obj, Event{Kind: EvCallF, N: in.Imm})
+					s.emit(rv.obj, Event{Kind: EvThis})
+					s.emit(rv.obj, Event{Kind: EvCallF, N: in.Imm})
 				}
 				for i := 0; i < ir.NumArgRegs; i++ {
 					if av := s.regs[ir.ArgReg(i)]; av.kind == vObj {
-						s.emit(cfg, av.obj, Event{Kind: EvArg, N: uint64(i)})
-						s.emit(cfg, av.obj, Event{Kind: EvCallF, N: in.Imm})
+						s.emit(av.obj, Event{Kind: EvArg, N: uint64(i)})
+						s.emit(av.obj, Event{Kind: EvCallF, N: in.Imm})
 					}
 				}
 			}
@@ -763,19 +724,19 @@ func (ex *executor) step(s *state, stack *[]*state) {
 		case ir.OpCallInd:
 			t := s.regs[in.Rs]
 			if t.kind == vSlotFn {
-				s.emit(cfg, t.obj, Event{Kind: EvCall, N: t.n})
+				s.emit(t.obj, Event{Kind: EvCall, N: t.n})
 			}
 			for i := 0; i < ir.NumArgRegs; i++ {
 				if av := s.regs[ir.ArgReg(i)]; av.kind == vObj {
 					if t.kind != vSlotFn || av.obj != t.obj {
-						s.emit(cfg, av.obj, Event{Kind: EvArg, N: uint64(i)})
+						s.emit(av.obj, Event{Kind: EvArg, N: uint64(i)})
 					}
 				}
 			}
 			s.clobberCallRegs()
 		case ir.OpRet:
 			if rv := s.regs[ir.RegRet]; rv.kind == vObj {
-				s.emit(cfg, rv.obj, Event{Kind: EvRet})
+				s.emit(rv.obj, Event{Kind: EvRet})
 			}
 			ex.finish(s)
 			return
@@ -792,8 +753,8 @@ func (ex *executor) step(s *state, stack *[]*state) {
 			if idx >= 0 {
 				taken := s.brTaken[s.pc]
 				backEdge := idx <= s.pc
-				if !backEdge || taken < cfg.MaxUnroll {
-					if ex.paths+len(*stack) < cfg.MaxPaths {
+				if !backEdge || taken < MaxUnroll {
+					if ex.paths+len(*stack) < MaxPaths {
 						forked := s.clone()
 						forked.brTaken[s.pc] = taken + 1
 						forked.pc = idx

@@ -27,23 +27,26 @@ func buildAndExtract(t *testing.T, p *cpp.Program, opts compiler.Options) (*imag
 		t.Fatal(err)
 	}
 	vts := vtable.Discover(stripped, fns)
-	return img, extract(t, stripped, fns, vts, DefaultConfig())
+	return img, extract(t, stripped, fns, vts)
 }
+
+// window is the tracelet window the tests merge under, the paper's 7.
+const window = 7
 
 // extract runs every function's symbolic execution and merges the
 // bundles with no prior.
-func extract(t *testing.T, img *image.Image, fns []*ir.Function, vts []*vtable.VTable, cfg Config) *Result {
+func extract(t *testing.T, img *image.Image, fns []*ir.Function, vts []*vtable.VTable) *Result {
 	t.Helper()
-	exts, err := ExtractFunctions(context.Background(), img, fns, vts, cfg, nil)
+	exts, err := ExtractFunctions(context.Background(), img, fns, vts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return merge(exts, vts, cfg)
+	return merge(exts, vts)
 }
 
 // merge is MergeFunctions with no prior.
-func merge(exts []*FnExtraction, vts []*vtable.VTable, cfg Config) *Result {
-	res, _ := MergeFunctions(exts, vts, cfg, nil)
+func merge(exts []*FnExtraction, vts []*vtable.VTable) *Result {
+	res, _ := MergeFunctions(exts, vts, window, nil)
 	return res
 }
 
@@ -214,8 +217,8 @@ func TestLoopUnrollBounded(t *testing.T) {
 	if maxCalls == 0 {
 		t.Fatal("loop body produced no events")
 	}
-	if maxCalls > DefaultConfig().MaxUnroll+1 {
-		t.Errorf("loop unrolled %d times, bound is %d", maxCalls, DefaultConfig().MaxUnroll)
+	if maxCalls > MaxUnroll+1 {
+		t.Errorf("loop unrolled %d times, bound is %d", maxCalls, MaxUnroll)
 	}
 }
 
@@ -234,9 +237,8 @@ func TestSplitExtractionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	vts := vtable.Discover(stripped, fns)
-	cfg := DefaultConfig()
 
-	exts, err := ExtractFunctions(context.Background(), stripped, fns, vts, cfg, nil)
+	exts, err := ExtractFunctions(context.Background(), stripped, fns, vts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +255,11 @@ func TestSplitExtractionEquivalence(t *testing.T) {
 			}
 		}
 	}
-	want := merge(exts, vts, cfg)
+	want := merge(exts, vts)
 
 	// Re-run with every bundle supplied via the reuse hook: no executor
 	// runs, and the merged result is still identical.
-	reused, err := ExtractFunctions(context.Background(), stripped, fns, vts, cfg,
+	reused, err := ExtractFunctions(context.Background(), stripped, fns, vts, nil,
 		func(i int) *FnExtraction { return exts[i] })
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +267,7 @@ func TestSplitExtractionEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(reused, exts) {
 		t.Fatal("reuse hook altered the bundles")
 	}
-	if !reflect.DeepEqual(merge(reused, vts, cfg), want) {
+	if !reflect.DeepEqual(merge(reused, vts), want) {
 		t.Fatal("merge of reused bundles differs from the fresh merge")
 	}
 }
@@ -345,12 +347,11 @@ func TestMergeFunctionsDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	vts := vtable.Discover(stripped, fns)
-	cfg := DefaultConfig()
-	exts, err := ExtractFunctions(context.Background(), stripped, fns, vts, cfg, nil)
+	exts, err := ExtractFunctions(context.Background(), stripped, fns, vts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, all := MergeFunctions(exts, vts, cfg, nil)
+	want, all := MergeFunctions(exts, vts, window, nil)
 	if all != nil {
 		t.Fatalf("merge with no prior built an affected set of %d types", len(all))
 	}
@@ -373,7 +374,7 @@ func TestMergeFunctionsDelta(t *testing.T) {
 				n++
 			}
 		}
-		got, affected := MergeFunctions(exts, vts, cfg, &Prior{Result: want, Fns: priorFns, Changed: changed})
+		got, affected := MergeFunctions(exts, vts, window, &Prior{Result: want, Fns: priorFns, Changed: changed})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("mask %s: merge with a prior differs from the merge without one", name)
 		}
@@ -400,14 +401,14 @@ func TestMergeFunctionsDelta(t *testing.T) {
 	old.Segments = old.Segments[:len(old.Segments)-1]
 	priorExts := append([]*FnExtraction(nil), exts...)
 	priorExts[victim] = &old
-	prior := merge(priorExts, vts, cfg)
+	prior := merge(priorExts, vts)
 	oldFns := map[uint64]*FnExtraction{}
 	for _, e := range priorExts {
 		oldFns[e.Entry] = e
 	}
 	changed := make([]bool, len(exts))
 	changed[victim] = true
-	got, affected := MergeFunctions(exts, vts, cfg, &Prior{Result: prior, Fns: oldFns, Changed: changed})
+	got, affected := MergeFunctions(exts, vts, window, &Prior{Result: prior, Fns: oldFns, Changed: changed})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("merge over a differing prior did not repair the merge without one")
 	}

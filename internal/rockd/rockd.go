@@ -14,9 +14,11 @@
 //     lane), and a cold start with a populated cache directory serves
 //     warm from the first request.
 //   - A patched re-upload of a known binary misses both layers but rides
-//     the incremental version-diff lane automatically: the snapshot
-//     store's v4 NameHash index finds the nearest prior version and
-//     unchanged functions/models/families are reused (see
+//     the incremental version-diff lane automatically: the analysis reads
+//     the header of every .rsnap file in the cache directory, keeps those
+//     with the image's name hash and extraction fingerprint, and diffs
+//     against the one sharing the most function digests, so unchanged
+//     functions/models/families are reused (see
 //     core.Config.IncrementalFrom auto-discovery).
 //   - Two admission classes — interactive and batch — with separate
 //     concurrency slots and queue depths keep bulk jobs from starving

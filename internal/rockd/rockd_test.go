@@ -766,6 +766,17 @@ func TestRejectsOversizedAndGarbage(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeDepthAndWindow: the daemon refuses to start on
+// a negative SLM depth or tracelet window instead of serving defaults.
+func TestNewRejectsNegativeDepthAndWindow(t *testing.T) {
+	for _, opts := range []rock.Options{{SLMDepth: -3}, {Window: -1}} {
+		if s, err := New(Config{Analysis: opts}); err == nil {
+			s.Close()
+			t.Errorf("New accepted depth %d, window %d", opts.SLMDepth, opts.Window)
+		}
+	}
+}
+
 func waitHealthy(t *testing.T, url string) {
 	t.Helper()
 	for i := 0; i < 200; i++ {

@@ -32,8 +32,6 @@ func sampleVariants() []struct {
 	emptyLists.Families = append(emptyLists.Families, Family{Weight: 2, Survivors: arborescence.CoOptimal{Tight: [][]int{nil}}})
 	emptyLists.Funcs.Funcs[0].Ext.Segments = append(emptyLists.Funcs.Funcs[0].Ext.Segments, objtrace.Segment{VT: 0x2010})
 	emptyLists.Funcs.Funcs[0].Ext.Structs = append(emptyLists.Funcs.Funcs[0].Ext.Structs, objtrace.ObjStruct{Fn: 0x4000})
-	noFuncs := sampleSnapshot()
-	noFuncs.Funcs = nil
 	empty := &Snapshot{
 		Key:       sampleSnapshot().Key,
 		Tracelets: &objtrace.Result{PerType: map[uint64][]objtrace.Tracelet{}, RawPerType: map[uint64][][]objtrace.Event{}, FnVTables: map[uint64][]uint64{}},
@@ -59,7 +57,6 @@ func sampleVariants() []struct {
 		{"empty tracelet", emptyTracelet},
 		{"raw entry with no sequences", rawNoSeqs},
 		{"empty segment and struct lists, typeless family", emptyLists},
-		{"nil Funcs", noFuncs},
 		{"empty maps", empty},
 	}
 }

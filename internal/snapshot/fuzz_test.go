@@ -47,6 +47,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(huge)
 	// An alphabet that lists an event twice, behind an intact checksum.
 	f.Add(duplicateEvent(valid, 1, 0))
+	// A snapshot whose function section is flagged absent.
+	f.Add(fnSectionFlag(0))
 	// The sample variants' nil-vs-empty shapes.
 	for _, v := range sampleVariants()[1:] {
 		data, err := v.s.Encode()
@@ -81,5 +83,22 @@ func duplicateEvent(data []byte, i, j int) []byte {
 		return payload[off : off+9]
 	}
 	copy(entry(i), entry(j))
+	return seal(payload)
+}
+
+// fnSectionFlag returns the sample snapshot with an empty function
+// section, cut back to the section's flag byte, set to flag and resealed.
+// With flag 0 these are the bytes of a snapshot that skips the section.
+func fnSectionFlag(flag byte) []byte {
+	s := sampleSnapshot()
+	s.Funcs = &FnSection{}
+	data, err := s.Encode()
+	if err != nil {
+		panic(err)
+	}
+	// The empty section is its flag, a 32-byte context digest, and two
+	// zero u32 counts.
+	payload := append([]byte(nil), data[:len(data)-sha256.Size-32-4-4]...)
+	payload[len(payload)-1] = flag
 	return seal(payload)
 }

@@ -182,9 +182,8 @@ func refDecode(data []byte) (*Snapshot, error) {
 	s.Parents = r.pairsMap()
 	s.MultiParents = r.addrsMap()
 
-	// Function-granular section.
+	// Function-granular section: every snapshot has one (flag 1).
 	switch r.u8() {
-	case 0:
 	case 1:
 		fs := &FnSection{}
 		copy(fs.ContextDigest[:], r.bytes(32))

@@ -14,8 +14,9 @@
 //
 //	image digest   SHA-256 of the image's analysis-relevant content
 //	               (image.ContentDigest)
-//	extract FP     LevelExtraction — front-end config (tracelet bounds +
-//	               structural heuristics) guarding the extraction section
+//	extract FP     LevelExtraction — front-end config (the tracelet
+//	               window, plus the fixed extraction bounds) guarding the
+//	               extraction section
 //	model FP       LevelModels — SLM config (depth) guarding the
 //	               frozen-models section
 //	hier FP        LevelHierarchy — back-end config (metric, root
@@ -286,11 +287,11 @@ type Snapshot struct {
 	// MultiParents maps multiple-inheritance types to their parent sets.
 	MultiParents map[uint64][]uint64
 
-	// Funcs is the function-granular extraction section (nil for producers
-	// that skip it). Its validity is guarded separately:
-	// bundle reuse re-checks per-function digests and the context digest,
-	// so a nil or stale section degrades to re-execution, never to wrong
-	// results.
+	// Funcs is the function-granular extraction section; every snapshot
+	// carries one (Encode fails without it). Its validity is guarded
+	// separately: bundle reuse re-checks per-function digests and the
+	// context digest, so a stale section degrades to re-execution, never
+	// to wrong results.
 	Funcs *FnSection
 }
 
@@ -361,6 +362,9 @@ func (s *Snapshot) WriteFile(path string) error {
 // bytes. The output buffer is sized once, up front (encodedSize), so the
 // encoder never regrows it.
 func (s *Snapshot) Encode() ([]byte, error) {
+	if s.Funcs == nil {
+		return nil, errors.New("snapshot: no function section")
+	}
 	w := &writer{buf: make([]byte, 0, s.encodedSize())}
 	w.buf = appendHeader(w.buf, Header{Version: Version, Key: s.Key, NameHash: s.NameHash})
 
@@ -445,44 +449,40 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	w.pairsMap(s.Parents)
 	w.addrsMap(s.MultiParents)
 
-	// Function-granular section, behind a presence flag so
-	// producers can skip it without ambiguity. Bundle events are stored
-	// raw (kind + operand), not as alphabet indices: a bundle can carry
-	// segments that never reached any type's tracelets (and thus the
-	// alphabet), and a patched sibling's alphabet differs anyway.
-	if s.Funcs == nil {
-		w.u8(0)
-	} else {
-		w.u8(1)
-		w.raw(s.Funcs.ContextDigest[:])
-		w.u32(uint32(len(s.Funcs.Funcs)))
-		for _, fb := range s.Funcs.Funcs {
-			w.raw(fb.Digest[:])
-			w.u64(fb.Ext.Entry)
-			w.u32(uint32(len(fb.Ext.Segments)))
-			for _, seg := range fb.Ext.Segments {
-				w.u64(seg.VT)
-				w.u32(uint32(len(seg.Events)))
-				for _, e := range seg.Events {
-					w.u8(uint8(e.Kind))
-					w.u64(e.N)
-				}
-			}
-			// Struct Fn duplicates the bundle entry; reconstructed on
-			// decode.
-			w.u32(uint32(len(fb.Ext.Structs)))
-			for _, os := range fb.Ext.Structs {
-				w.bool(os.EntryThis)
-				w.structEvents(os.Events)
+	// Function-granular section, behind a flag byte that is always 1 (the
+	// section was once optional). Bundle events are stored raw (kind +
+	// operand), not as alphabet indices: a bundle can carry segments that
+	// never reached any type's tracelets (and thus the alphabet), and a
+	// patched sibling's alphabet differs anyway.
+	w.u8(1)
+	w.raw(s.Funcs.ContextDigest[:])
+	w.u32(uint32(len(s.Funcs.Funcs)))
+	for _, fb := range s.Funcs.Funcs {
+		w.raw(fb.Digest[:])
+		w.u64(fb.Ext.Entry)
+		w.u32(uint32(len(fb.Ext.Segments)))
+		for _, seg := range fb.Ext.Segments {
+			w.u64(seg.VT)
+			w.u32(uint32(len(seg.Events)))
+			for _, e := range seg.Events {
+				w.u8(uint8(e.Kind))
+				w.u64(e.N)
 			}
 		}
-		tk := sortedKeys(s.Funcs.TypeKeys)
-		w.u32(uint32(len(tk)))
-		for _, t := range tk {
-			w.u64(t)
-			k := s.Funcs.TypeKeys[t]
-			w.raw(k[:])
+		// Struct Fn duplicates the bundle entry; reconstructed on
+		// decode.
+		w.u32(uint32(len(fb.Ext.Structs)))
+		for _, os := range fb.Ext.Structs {
+			w.bool(os.EntryThis)
+			w.structEvents(os.Events)
 		}
+	}
+	tk := sortedKeys(s.Funcs.TypeKeys)
+	w.u32(uint32(len(tk)))
+	for _, t := range tk {
+		w.u64(t)
+		k := s.Funcs.TypeKeys[t]
+		w.raw(k[:])
 	}
 	sum := sha256.Sum256(w.buf)
 	return append(w.buf, sum[:]...), nil
@@ -543,20 +543,18 @@ func (s *Snapshot) encodedSize() int {
 		}
 	}
 	n += 4 + 16*len(s.Parents) + addrsMapSize(s.MultiParents) + 1
-	if fs := s.Funcs; fs != nil {
-		n += 32 + 4
-		for _, fb := range fs.Funcs {
-			n += 32 + 8 + 4
-			for _, seg := range fb.Ext.Segments {
-				n += 12 + 9*len(seg.Events)
-			}
-			n += 4
-			for _, os := range fb.Ext.Structs {
-				n += 5 + 21*len(os.Events)
-			}
+	n += 32 + 4
+	for _, fb := range s.Funcs.Funcs {
+		n += 32 + 8 + 4
+		for _, seg := range fb.Ext.Segments {
+			n += 12 + 9*len(seg.Events)
 		}
-		n += 4 + 40*len(fs.TypeKeys)
+		n += 4
+		for _, os := range fb.Ext.Structs {
+			n += 5 + 21*len(os.Events)
+		}
 	}
+	n += 4 + 40*len(s.Funcs.TypeKeys)
 	return n + sha256.Size
 }
 
@@ -734,12 +732,10 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.Parents = r.pairsMap()
 	s.MultiParents = r.addrsMap()
 
-	// Function-granular section.
-	switch r.u8() {
-	case 0:
-	case 1:
+	// Function-granular section: its flag byte must be 1.
+	if r.u8() == 1 {
 		s.Funcs = r.fnSection()
-	default:
+	} else {
 		r.fail(fmt.Errorf("snapshot: bad function-section flag"))
 	}
 	if r.err != nil {
@@ -813,7 +809,7 @@ func (r *reader) seqEvents() int {
 }
 
 // fnSection decodes the function-granular section's body (after its
-// presence flag).
+// flag byte).
 func (r *reader) fnSection() *FnSection {
 	fs := &FnSection{}
 	copy(fs.ContextDigest[:], r.bytes(32))

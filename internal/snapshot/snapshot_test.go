@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/arborescence"
@@ -332,16 +333,18 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
 		t.Errorf("first query of a depth-2^24 model allocated %d bytes", b)
 	}
-	// A snapshot without a function section stays encodable and decodes
-	// with Funcs nil (the presence flag, not heuristics, carries that).
+	// Every snapshot carries a function section: Encode refuses one
+	// without, and Decode rejects the flag-0 bytes an encoder that skipped
+	// the section would write, like any flag other than 1.
 	s = sampleSnapshot()
 	s.Funcs = nil
-	noFn, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := s.Encode(); err == nil {
+		t.Error("Encode accepted a snapshot without a function section")
 	}
-	if got, err := Decode(noFn); err != nil || got.Funcs != nil {
-		t.Errorf("nil-Funcs round trip: funcs=%v err=%v", got.Funcs, err)
+	for _, flag := range []byte{0, 2} {
+		if _, err := Decode(fnSectionFlag(flag)); err == nil || !strings.Contains(err.Error(), "function-section flag") {
+			t.Errorf("function-section flag %d: err = %v, want a bad-flag error", flag, err)
+		}
 	}
 }
 

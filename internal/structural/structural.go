@@ -34,23 +34,6 @@ import (
 	"repro/internal/vtable"
 )
 
-// Config toggles the individual structural heuristics (for the ablation
-// benchmarks).
-type Config struct {
-	// DisableSharedSlots turns off vtable-intersection family evidence.
-	DisableSharedSlots bool
-	// DisableInstanceInstalls turns off same-object multi-install family
-	// evidence.
-	DisableInstanceInstalls bool
-	// DisableCtorCalls turns off rule 3 (definitive parents via ctor/dtor
-	// chains) and its family joins.
-	DisableCtorCalls bool
-	// DisableSizeRule turns off elimination rule 1.
-	DisableSizeRule bool
-	// DisablePurecallRule turns off elimination rule 2.
-	DisablePurecallRule bool
-}
-
 // Result is the output of the structural analysis.
 type Result struct {
 	// Families partitions the vtable addresses; each family is sorted.
@@ -73,8 +56,8 @@ type Result struct {
 	InstallerOf map[uint64][]uint64
 }
 
-// Analyze runs both phases.
-func Analyze(img *image.Image, fns []*ir.Function, vts []*vtable.VTable, tr *objtrace.Result, cfg Config) *Result {
+// Analyze runs both phases, every heuristic above always applied.
+func Analyze(img *image.Image, fns []*ir.Function, vts []*vtable.VTable, tr *objtrace.Result) *Result {
 	res := &Result{
 		FamilyOf:          map[uint64]int{},
 		PossibleParents:   map[uint64][]uint64{},
@@ -91,18 +74,16 @@ func Analyze(img *image.Image, fns []*ir.Function, vts []*vtable.VTable, tr *obj
 	}
 
 	// Phase I evidence 1: shared slots.
-	if !cfg.DisableSharedSlots {
-		owner := map[uint64]uint64{} // function -> first vtable seen containing it
-		for _, v := range vts {
-			for _, f := range v.Slots {
-				if f == res.Purecall {
-					continue
-				}
-				if prev, ok := owner[f]; ok {
-					uf.union(prev, v.Addr)
-				} else {
-					owner[f] = v.Addr
-				}
+	owner := map[uint64]uint64{} // function -> first vtable seen containing it
+	for _, v := range vts {
+		for _, f := range v.Slots {
+			if f == res.Purecall {
+				continue
+			}
+			if prev, ok := owner[f]; ok {
+				uf.union(prev, v.Addr)
+			} else {
+				owner[f] = v.Addr
 			}
 		}
 	}
@@ -143,13 +124,11 @@ func Analyze(img *image.Image, fns []*ir.Function, vts []*vtable.VTable, tr *obj
 		// The most-derived type of the object is the last primary install
 		// in a construction sequence; destructors install their own type
 		// first. Either way every installed vtable shares the family.
-		if !cfg.DisableInstanceInstalls {
-			for _, vt := range primaries[1:] {
-				uf.union(primaries[0], vt)
-			}
-			for _, vt := range secondaries {
-				uf.union(primaries[0], vt)
-			}
+		for _, vt := range primaries[1:] {
+			uf.union(primaries[0], vt)
+		}
+		for _, vt := range secondaries {
+			uf.union(primaries[0], vt)
 		}
 		self := primaries[len(primaries)-1]
 		if _, ok := byAddr[self]; !ok {
@@ -158,14 +137,12 @@ func Analyze(img *image.Image, fns []*ir.Function, vts []*vtable.VTable, tr *obj
 		for _, vt := range secondaries {
 			res.SecondaryInstalls[self] = appendUnique(res.SecondaryInstalls[self], vt)
 		}
-		if !cfg.DisableCtorCalls {
-			for _, g := range installerCallees {
-				installed := res.InstallerOf[g]
-				parent := installed[len(installed)-1]
-				if parent != self {
-					res.DefinitiveParent[self] = parent
-					uf.union(self, parent)
-				}
+		for _, g := range installerCallees {
+			installed := res.InstallerOf[g]
+			parent := installed[len(installed)-1]
+			if parent != self {
+				res.DefinitiveParent[self] = parent
+				uf.union(self, parent)
 			}
 		}
 	}
@@ -205,10 +182,10 @@ func Analyze(img *image.Image, fns []*ir.Function, vts []*vtable.VTable, tr *obj
 					continue
 				}
 				pv := byAddr[p]
-				if !cfg.DisableSizeRule && cv.NumSlots() < pv.NumSlots() {
+				if cv.NumSlots() < pv.NumSlots() {
 					continue
 				}
-				if !cfg.DisablePurecallRule && res.Purecall != 0 && violatesPurecall(cv, pv, res.Purecall) {
+				if res.Purecall != 0 && violatesPurecall(cv, pv, res.Purecall) {
 					continue
 				}
 				cands = append(cands, p)

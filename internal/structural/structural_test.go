@@ -17,16 +17,15 @@ import (
 // executed, the bundles merged with no prior.
 func extract(t *testing.T, img *image.Image, fns []*ir.Function, vts []*vtable.VTable) *objtrace.Result {
 	t.Helper()
-	cfg := objtrace.DefaultConfig()
-	exts, err := objtrace.ExtractFunctions(context.Background(), img, fns, vts, cfg, nil)
+	exts, err := objtrace.ExtractFunctions(context.Background(), img, fns, vts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := objtrace.MergeFunctions(exts, vts, cfg, nil)
+	tr, _ := objtrace.MergeFunctions(exts, vts, 7, nil)
 	return tr
 }
 
-func analyze(t *testing.T, p *cpp.Program, opts compiler.Options, cfg Config) (*image.Image, *Result) {
+func analyze(t *testing.T, p *cpp.Program, opts compiler.Options) (*image.Image, *Result) {
 	t.Helper()
 	img, err := compiler.Compile(p, opts)
 	if err != nil {
@@ -38,7 +37,7 @@ func analyze(t *testing.T, p *cpp.Program, opts compiler.Options, cfg Config) (*
 		t.Fatal(err)
 	}
 	vts := vtable.Discover(stripped, fns)
-	return img, Analyze(stripped, fns, vts, extract(t, stripped, fns, vts), cfg)
+	return img, Analyze(stripped, fns, vts, extract(t, stripped, fns, vts))
 }
 
 func family(name string) *cpp.Program {
@@ -56,7 +55,7 @@ func family(name string) *cpp.Program {
 }
 
 func TestFamilyClusteringBySharedSlots(t *testing.T) {
-	img, res := analyze(t, family("t"), compiler.DefaultOptions(), Config{})
+	img, res := analyze(t, family("t"), compiler.DefaultOptions())
 	if len(res.Families) != 2 {
 		t.Fatalf("got %d families, want 2 (P-family and X alone): %v", len(res.Families), res.Families)
 	}
@@ -68,7 +67,7 @@ func TestFamilyClusteringBySharedSlots(t *testing.T) {
 }
 
 func TestSizeRuleEliminatesLargerParents(t *testing.T) {
-	img, res := analyze(t, family("t"), compiler.DefaultOptions(), Config{})
+	img, res := analyze(t, family("t"), compiler.DefaultOptions())
 	p := img.Meta.TypeByName("P").VTable
 	c1 := img.Meta.TypeByName("C1").VTable
 	c2 := img.Meta.TypeByName("C2").VTable
@@ -83,15 +82,10 @@ func TestSizeRuleEliminatesLargerParents(t *testing.T) {
 	if got := res.PossibleParents[c2]; len(got) != 2 {
 		t.Errorf("C2 candidates = %v, want [P C1]", got)
 	}
-	// Ablation: with the size rule disabled, P picks up candidates.
-	_, res = analyze(t, family("t"), compiler.DefaultOptions(), Config{DisableSizeRule: true})
-	if len(res.PossibleParents[p]) == 0 {
-		t.Error("size-rule ablation had no effect")
-	}
 }
 
 func TestCtorCallsGiveDefinitiveParents(t *testing.T) {
-	img, res := analyze(t, family("t"), compiler.DebugFriendlyOptions(), Config{})
+	img, res := analyze(t, family("t"), compiler.DebugFriendlyOptions())
 	p := img.Meta.TypeByName("P").VTable
 	c2 := img.Meta.TypeByName("C2").VTable
 	if got := res.DefinitiveParent[c2]; got != p {
@@ -102,11 +96,6 @@ func TestCtorCallsGiveDefinitiveParents(t *testing.T) {
 	}
 	if !res.Resolvable() {
 		t.Error("cue-preserving build should be structurally resolvable")
-	}
-	// Ablation: without rule 3 the same build is unresolvable.
-	_, res = analyze(t, family("t"), compiler.DebugFriendlyOptions(), Config{DisableCtorCalls: true})
-	if res.Resolvable() {
-		t.Error("ctor-rule ablation had no effect")
 	}
 }
 
@@ -133,7 +122,7 @@ func TestPurecallRule(t *testing.T) {
 	stripped := img.Strip()
 	fns, _ := disasm.All(stripped)
 	vts := vtable.Discover(stripped, fns)
-	res := Analyze(stripped, fns, vts, extract(t, stripped, fns, vts), Config{})
+	res := Analyze(stripped, fns, vts, extract(t, stripped, fns, vts))
 	if res.Purecall == 0 {
 		t.Fatal("purecall stub not detected")
 	}
@@ -153,7 +142,7 @@ func TestPurecallRule(t *testing.T) {
 }
 
 func TestInstallerSummaries(t *testing.T) {
-	img, res := analyze(t, family("t"), compiler.DebugFriendlyOptions(), Config{})
+	img, res := analyze(t, family("t"), compiler.DebugFriendlyOptions())
 	found := 0
 	for _, vts := range res.InstallerOf {
 		found += len(vts)

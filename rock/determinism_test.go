@@ -98,18 +98,16 @@ func TestExtractDeterminismAcrossWorkers(t *testing.T) {
 				t.Fatalf("disasm: %v", err)
 			}
 			vts := vtable.Discover(img, fns)
-			extract := func(cfg objtrace.Config) *objtrace.Result {
-				exts, err := objtrace.ExtractFunctions(context.Background(), img, fns, vts, cfg, nil)
+			extract := func(p *pool.Shared) *objtrace.Result {
+				exts, err := objtrace.ExtractFunctions(context.Background(), img, fns, vts, p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, _ := objtrace.MergeFunctions(exts, vts, cfg, nil)
+				res, _ := objtrace.MergeFunctions(exts, vts, 7, nil)
 				return res
 			}
-			cfg := objtrace.DefaultConfig()
-			serial := extract(cfg)
-			cfg.Pool = pool.NewShared(8)
-			parallel := extract(cfg)
+			serial := extract(nil)
+			parallel := extract(pool.NewShared(8))
 			if reflect.DeepEqual(serial, parallel) {
 				return
 			}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/evidence"
 	"repro/internal/image"
-	"repro/internal/objtrace"
 	"repro/internal/obs"
 	"repro/internal/slm"
 )
@@ -60,9 +59,11 @@ func NewTrace() *Trace { return obs.NewTrace() }
 // defaults (SLM depth 2, tracelet window 7, DKL metric, behavioral analysis
 // enabled).
 type Options struct {
-	// SLMDepth is the maximum order of the per-type language models.
+	// SLMDepth is the maximum order of the per-type language models. 0
+	// selects 2; a negative depth is an error.
 	SLMDepth int
-	// Window is the object-tracelet length bound.
+	// Window is the object-tracelet length bound. 0 selects 7; a negative
+	// window is an error.
 	Window int
 	// Metric selects the pairwise distance: "kl" (default),
 	// "js-divergence", or "js-distance".
@@ -184,13 +185,14 @@ func AnalyzeContext(ctx context.Context, binary []byte, opts Options) (*Report, 
 // config translates the public Options into a pipeline configuration.
 func config(opts Options) (core.Config, error) {
 	cfg := core.DefaultConfig()
-	if opts.SLMDepth > 0 {
-		cfg.SLMDepth = opts.SLMDepth
+	if opts.SLMDepth < 0 {
+		return cfg, fmt.Errorf("rock: negative SLM depth %d (0 selects the default)", opts.SLMDepth)
 	}
-	if opts.Window > 0 {
-		cfg.Trace = objtrace.DefaultConfig()
-		cfg.Trace.Window = opts.Window
+	if opts.Window < 0 {
+		return cfg, fmt.Errorf("rock: negative tracelet window %d (0 selects the default)", opts.Window)
 	}
+	cfg.SLMDepth = opts.SLMDepth
+	cfg.Window = opts.Window
 	switch strings.ToLower(opts.Metric) {
 	case "", "kl", "dkl":
 		cfg.Metric = slm.MetricKL

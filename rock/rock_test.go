@@ -1,6 +1,7 @@
 package rock
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -74,6 +75,32 @@ func TestMetricSelection(t *testing.T) {
 	}
 	if _, err := Analyze(bin, Options{Metric: "cosine"}); err == nil {
 		t.Error("unknown metric accepted")
+	}
+}
+
+// TestNegativeDepthAndWindowRejected: 0 selects the default SLM depth and
+// tracelet window, and a negative value is an error, never a silent
+// default.
+func TestNegativeDepthAndWindowRejected(t *testing.T) {
+	bin := motivatingBinary(t)
+	def, err := Analyze(bin, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := Analyze(bin, Options{SLMDepth: 2, Window: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def.Edges, explicit.Edges) {
+		t.Error("zero depth and window differ from the explicit defaults 2 and 7")
+	}
+	for _, opts := range []Options{{SLMDepth: -3}, {Window: -1}, {SLMDepth: -3, Window: -1}} {
+		if _, err := Analyze(bin, opts); err == nil {
+			t.Errorf("depth %d, window %d accepted", opts.SLMDepth, opts.Window)
+		}
+		if _, err := NewEngine(opts); err == nil {
+			t.Errorf("engine with depth %d, window %d accepted", opts.SLMDepth, opts.Window)
+		}
 	}
 }
 
