@@ -5,7 +5,7 @@
 //
 //	rock [-metric kl|js-divergence|js-distance] [-depth D] [-window W]
 //	     [-workers N] [-cache DIR] [-incr-from SNAP]
-//	     [-evidence slm,subtype] [-fuse-weights slm=1,subtype=5]
+//	     [-evidence slm|slm,subtype]
 //	     [-structural-only] [-stats] [-trace FILE] [-v] image.rbin
 //	rock -corpus DIR [flags]
 //
@@ -36,14 +36,15 @@
 // fn_digest_hit/fn_digest_miss, types_retrained, and families_resolved
 // counters.
 //
-// With -evidence, additional edge-evidence providers are fused into the
-// hierarchy solve: "slm" is the paper's behavioral divergence sweep,
-// "subtype" a constraint-based structural subtyping scorer (vtable-slot
-// overlap, construction install flow, parent-method calls) that holds up
-// on binaries whose behavioral evidence was erased by devirtualization,
-// COMDAT folding, or ctor inlining. -fuse-weights overrides the weighted
-// ensemble, e.g. -fuse-weights slm=1,subtype=5; with -stats each
-// provider reports its own evidence:NAME stage row.
+// -evidence selects the edge evidence of the hierarchy solve: "slm" (the
+// default) is the paper's behavioral divergence sweep alone, and
+// "slm,subtype" adds a constraint-based structural subtyping scorer
+// (vtable-slot overlap, construction install flow, parent-method calls)
+// at its calibrated weight, 5. The scorer holds up on binaries whose
+// behavioral evidence was erased by devirtualization, COMDAT folding, or
+// ctor inlining. With -stats each provider reports its own evidence:NAME
+// stage row. Any other -evidence value is a usage error, and so is an
+// invalid -metric, a negative -depth or a negative -window (exit 2).
 //
 // -stats prints the per-stage observability table after the analysis:
 // wall time, allocation estimates, and cache-hit attribution (stages
@@ -81,7 +82,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print families and candidate parents")
 	flag.Parse()
 	if err := shared.Resolve(); err != nil {
-		cliutil.Usage("rock", err.Error())
+		cliutil.Fatal("rock", err)
 	}
 	// Ctrl-C / SIGTERM cancels the analysis cleanly (workers drain, the
 	// snapshot store is never left mid-write); a second signal kills.
@@ -94,8 +95,7 @@ func main() {
 		Workers:         shared.Workers,
 		CacheDir:        shared.CacheDir,
 		IncrementalFrom: shared.IncrFrom,
-		Evidence:        shared.Evidence,
-		FuseWeights:     shared.FuseWeights,
+		Subtype:         shared.Subtype,
 		StructuralOnly:  *structuralOnly,
 	}
 	var trace *rock.Trace

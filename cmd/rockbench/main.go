@@ -32,9 +32,10 @@
 // measured by the one benchmark harness, cmd/rockperf (BENCHMARK.json).
 //
 // The global -workers flag bounds the analysis worker pool in every mode
-// (0 = all CPUs, 1 = serial), and -cache, -incr-from, -evidence and
-// -fuse-weights thread the snapshot cache and evidence settings into every
-// analysis. -cpuprofile FILE and
+// (0 = all CPUs, 1 = serial), and -cache, -incr-from and -evidence
+// (slm, the default, or slm,subtype; anything else exits 2) thread the
+// snapshot cache and evidence settings into every analysis. -fusion runs
+// both evidence settings whatever -evidence says. -cpuprofile FILE and
 // -memprofile FILE write pprof profiles covering whichever experiments
 // ran:
 //
@@ -51,8 +52,8 @@ import (
 	"repro/internal/core"
 )
 
-// shared holds the analysis flags (-workers, -cache, -incr-from, -evidence,
-// -fuse-weights) every mode obeys.
+// shared holds the analysis flags (-workers, -cache, -incr-from,
+// -evidence) every mode obeys.
 var shared *cliutil.Flags
 
 // benchConfig returns the paper-default pipeline configuration with the
@@ -84,7 +85,7 @@ func main() {
 	shared = cliutil.Register(flag.CommandLine)
 	flag.Parse()
 	if err := shared.Resolve(); err != nil {
-		cliutil.Usage("rockbench", err.Error())
+		cliutil.Fatal("rockbench", err)
 	}
 	if *all {
 		*table2, *motivating, *slmdump, *fig9, *metrics, *scale, *synthGrid, *fusionMode = true, true, true, true, true, true, true, true

@@ -6,7 +6,7 @@
 //
 //	rockd [-listen ADDR] [-metric kl|js-divergence|js-distance]
 //	      [-depth D] [-window W] [-workers N] [-cache DIR]
-//	      [-evidence slm,subtype] [-fuse-weights slm=1,subtype=5]
+//	      [-evidence slm|slm,subtype]
 //	      [-hot-cache-mb MB] [-max-body-mb MB]
 //	      [-interactive-slots N] [-interactive-queue N]
 //	      [-batch-slots N] [-batch-queue N] [-drain SECONDS]
@@ -26,7 +26,9 @@
 // submissions restore warm, and new versions of known binaries ride the
 // incremental lane automatically. SIGINT/SIGTERM drains gracefully:
 // intake stops, in-flight analyses finish (bounded by -drain), then the
-// process exits.
+// process exits. An invalid analysis option (an unknown -metric or
+// -evidence, a negative -depth or -window) refuses to start with exit
+// code 2, as rock does.
 package main
 
 import (
@@ -60,18 +62,17 @@ func main() {
 		cliutil.Usage("rockd", "usage: rockd [flags] (no positional arguments)")
 	}
 	if err := shared.Resolve(); err != nil {
-		cliutil.Usage("rockd", err.Error())
+		cliutil.Fatal("rockd", err)
 	}
 
 	srv, err := rockd.New(rockd.Config{
 		Analysis: rock.Options{
-			Metric:      *metric,
-			SLMDepth:    *depth,
-			Window:      *window,
-			Workers:     shared.Workers,
-			CacheDir:    shared.CacheDir,
-			Evidence:    shared.Evidence,
-			FuseWeights: shared.FuseWeights,
+			Metric:   *metric,
+			SLMDepth: *depth,
+			Window:   *window,
+			Workers:  shared.Workers,
+			CacheDir: shared.CacheDir,
+			Subtype:  shared.Subtype,
 			// IncrementalFrom stays empty: the daemon analyzes many
 			// different binaries, so each image's prior is auto-discovered
 			// by reading the header of every snapshot in the cache

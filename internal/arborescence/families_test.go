@@ -8,7 +8,6 @@ import (
 	"repro/internal/arborescence"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/evidence"
 	"repro/internal/image"
 )
 
@@ -59,13 +58,13 @@ func TestEnumerateFamilyGraphsMatchReference(t *testing.T) {
 		mu.Unlock()
 	})
 	defer core.SetFamilyHook(nil)
-	for _, ev := range [][]string{nil, {evidence.NameSLM, evidence.NameSubtype}} {
+	for _, fused := range []bool{false, true} {
 		cfg := core.DefaultConfig()
-		cfg.Evidence = ev
+		cfg.Subtype = fused
 		for _, img := range imgs {
 			mu.Lock()
 			cur = familyGraph{image: img.Name, evidenceSet: "default"}
-			if ev != nil {
+			if fused {
 				cur.evidenceSet = "slm,subtype"
 			}
 			mu.Unlock()

@@ -508,15 +508,6 @@ func (b *builder) useAllExcept(reps int, except ...string) {
 	}
 }
 
-// names returns all class names in declaration order.
-func (b *builder) names() []string {
-	out := make([]string, 0, len(b.p.Classes))
-	for _, c := range b.p.Classes {
-		out = append(out, c.Name)
-	}
-	return out
-}
-
 // cueOptions are the above-the-line compile options: constructor calls to
 // parents are preserved, so structural rule 3 resolves hierarchies.
 func cueOptions() compiler.Options {
@@ -530,18 +521,4 @@ func cueOptions() compiler.Options {
 // build with every structural parent cue removed.
 func optOptions() compiler.Options {
 	return compiler.DefaultOptions()
-}
-
-func without(names []string, drop ...string) []string {
-	d := map[string]bool{}
-	for _, n := range drop {
-		d[n] = true
-	}
-	var out []string
-	for _, n := range names {
-		if !d[n] {
-			out = append(out, n)
-		}
-	}
-	return out
 }

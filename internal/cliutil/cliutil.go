@@ -1,13 +1,14 @@
 // Package cliutil holds the command-line plumbing the rock, rockbench and
 // rockd commands share: the analysis flags every mode accepts (-workers,
-// -cache, -incr-from, -evidence, -fuse-weights), their validation, the
-// signal convention, and the error-reporting conventions — diagnostics go
-// to stderr, usage mistakes exit with code 2, runtime failures with
-// code 1.
+// -cache, -incr-from, -evidence), their validation, the signal
+// convention, and the error-reporting conventions — diagnostics go to
+// stderr, usage mistakes (invalid analysis options included) exit with
+// code 2, runtime failures with code 1.
 package cliutil
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/evidence"
+	"repro/rock"
 )
 
 // Exit codes. Usage problems (bad flags, wrong arity) and runtime
@@ -35,12 +37,37 @@ type Flags struct {
 	// IncrFrom names a prior version's snapshot to diff the analysis
 	// against ("" = auto-discover in the cache directory).
 	IncrFrom string
-	// Evidence is the comma-separated evidence-provider list ("" = the
-	// default SLM-only configuration), e.g. "slm,subtype".
-	Evidence string
-	// FuseWeights is the comma-separated per-provider fusion weight
-	// override list, e.g. "slm=1,subtype=5" ("" = defaults).
-	FuseWeights string
+	// Subtype fuses the subtype evidence into the SLM sweep: -evidence
+	// slm,subtype sets it, "" and "slm" leave it false.
+	Subtype bool
+}
+
+// fused is the -evidence spelling that sets Flags.Subtype.
+const fused = evidence.NameSLM + "," + evidence.NameSubtype
+
+// evidenceFlag parses -evidence into Flags.Subtype.
+type evidenceFlag struct{ subtype *bool }
+
+// String renders the current setting. The flag package also calls it on
+// a zero evidenceFlag, whose pointer is nil, to print defaults.
+func (e evidenceFlag) String() string {
+	if e.subtype != nil && *e.subtype {
+		return fused
+	}
+	return ""
+}
+
+// Set accepts exactly "", "slm" and "slm,subtype".
+func (e evidenceFlag) Set(s string) error {
+	switch s {
+	case "", evidence.NameSLM:
+		*e.subtype = false
+	case fused:
+		*e.subtype = true
+	default:
+		return fmt.Errorf("want %q or %q", evidence.NameSLM, fused)
+	}
+	return nil
 }
 
 // Register installs the shared flags on fs and returns their destination.
@@ -50,20 +77,12 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Workers, "workers", 0, "analysis worker pool size (0 = all CPUs, 1 = serial)")
 	fs.StringVar(&f.CacheDir, "cache", "", "snapshot cache directory (created if missing); repeat analyses of the same binary reuse cached stages")
 	fs.StringVar(&f.IncrFrom, "incr-from", "", "prior version's snapshot (.rsnap) to diff against for incremental re-analysis; with -cache, priors are auto-discovered")
-	fs.StringVar(&f.Evidence, "evidence", "", "comma-separated edge-evidence providers to fuse: slm, subtype (default: slm alone)")
-	fs.StringVar(&f.FuseWeights, "fuse-weights", "", "per-provider fusion weight overrides, e.g. slm=1,subtype=5")
+	fs.Var(evidenceFlag{&f.Subtype}, "evidence", "edge-evidence `providers`: slm (the SLM sweep alone, the default) or slm,subtype (fuse the subtype scores in)")
 	return f
 }
 
-// Resolve validates the parsed flags: the evidence and fusion-weight
-// spellings must parse, and a requested cache directory is created.
+// Resolve creates a requested cache directory.
 func (f *Flags) Resolve() error {
-	if _, err := evidence.ParseNames(f.Evidence); err != nil {
-		return err
-	}
-	if _, err := evidence.ParseWeights(f.FuseWeights); err != nil {
-		return err
-	}
 	if f.CacheDir != "" {
 		if err := os.MkdirAll(f.CacheDir, 0o755); err != nil {
 			return fmt.Errorf("creating cache directory: %w", err)
@@ -80,8 +99,7 @@ func (f *Flags) Apply(cfg *core.Config) error {
 	cfg.Workers = f.Workers
 	cfg.CacheDir = f.CacheDir
 	cfg.IncrementalFrom = f.IncrFrom
-	cfg.Evidence, _ = evidence.ParseNames(f.Evidence)
-	cfg.FuseWeights, _ = evidence.ParseWeights(f.FuseWeights)
+	cfg.Subtype = f.Subtype
 	return nil
 }
 
@@ -94,10 +112,14 @@ func WithSignals(parent context.Context) (ctx context.Context, stop context.Canc
 	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
 }
 
-// Fatal reports a runtime failure as "prog: err" on stderr and exits
-// with ExitRuntime.
+// Fatal reports err as "prog: err" on stderr and exits: with ExitUsage
+// when err is an invalid analysis option (rock.ErrInvalidOption), with
+// ExitRuntime otherwise.
 func Fatal(prog string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+	if errors.Is(err, rock.ErrInvalidOption) {
+		os.Exit(ExitUsage)
+	}
 	os.Exit(ExitRuntime)
 }
 

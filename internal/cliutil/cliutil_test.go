@@ -2,9 +2,9 @@ package cliutil
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -21,28 +21,50 @@ func TestRegisterAndApply(t *testing.T) {
 	if err := f.Apply(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 3 || cfg.CacheDir != dir || !slices.Equal(cfg.Evidence, []string{"slm", "subtype"}) {
-		t.Fatalf("applied config wrong: workers=%d cache=%q evidence=%v", cfg.Workers, cfg.CacheDir, cfg.Evidence)
+	if cfg.Workers != 3 || cfg.CacheDir != dir || !cfg.Subtype {
+		t.Fatalf("applied config wrong: workers=%d cache=%q subtype=%v", cfg.Workers, cfg.CacheDir, cfg.Subtype)
 	}
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		t.Fatalf("cache dir not created: %v", err)
 	}
 }
 
-func TestResolveDefaultsAndErrors(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
+// TestEvidenceSpellings: -evidence accepts exactly "", "slm" and
+// "slm,subtype"; every other spelling, and the deleted -fuse-weights
+// flag, fails the parse (which the commands turn into exit code 2).
+func TestEvidenceSpellings(t *testing.T) {
+	parse := func(args ...string) (*Flags, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := Register(fs)
+		return f, fs.Parse(args)
 	}
-	if err := f.Resolve(); err != nil {
-		t.Fatalf("defaults: %v", err)
+	for _, tc := range []struct {
+		args    []string
+		subtype bool
+	}{
+		{nil, false},
+		{[]string{"-evidence", ""}, false},
+		{[]string{"-evidence", "slm"}, false},
+		{[]string{"-evidence", "slm,subtype"}, true},
+		{[]string{"-evidence", "slm,subtype", "-evidence", "slm"}, false},
+	} {
+		f, err := parse(tc.args...)
+		if err != nil || f.Subtype != tc.subtype {
+			t.Errorf("%q: subtype=%v err=%v, want subtype=%v", tc.args, f.Subtype, err, tc.subtype)
+		}
 	}
-
-	if err := fs.Parse([]string{"-evidence", "bogus"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Resolve(); err == nil {
-		t.Fatal("bogus evidence provider accepted")
+	for _, bad := range [][]string{
+		{"-evidence", "bogus"},
+		{"-evidence", "subtype"},
+		{"-evidence", "subtype,slm"},
+		{"-evidence", "slm,slm"},
+		{"-evidence", " slm"},
+		{"-evidence", "slm, subtype"},
+		{"-fuse-weights", "slm=1"},
+	} {
+		if _, err := parse(bad...); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
 	}
 }

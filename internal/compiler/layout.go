@@ -39,9 +39,6 @@ type Options struct {
 	// RemoveAbstractClasses drops vtables/ctors of pure-virtual classes
 	// (they cannot be instantiated), splitting hierarchies (§4.1, Fig. 9).
 	RemoveAbstractClasses bool
-	// RemoveUninstantiated additionally drops classes that are concrete but
-	// never instantiated anywhere in the program.
-	RemoveUninstantiated bool
 	// FoldIdenticalBodies enables identical-code folding: functions with
 	// byte-identical bodies are merged, so vtables of unrelated classes can
 	// point to the same implementation (error source 1 of §6.4).
@@ -263,9 +260,6 @@ func layouts(p *cpp.Program, opts Options) (map[string]*classInfo, error) {
 		polymorphic := len(ci.slots) > 0
 		ci.emitted = polymorphic
 		if opts.RemoveAbstractClasses && ci.abstract {
-			ci.emitted = false
-		}
-		if opts.RemoveUninstantiated && !ci.instantiated && !ci.abstract {
 			ci.emitted = false
 		}
 	}

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/arborescence"
 	"repro/internal/evidence"
+	"repro/internal/evidence/subtype"
 	"repro/internal/hierarchy"
 	"repro/internal/image"
 	"repro/internal/ir"
@@ -56,21 +57,12 @@ type Config struct {
 	// Window is the tracelet length bound (§3.2; the paper uses 7). 0
 	// selects 7.
 	Window int
-	// Evidence selects the edge-evidence providers whose scores the
-	// hierarchy solve fuses, in fusion order (see internal/evidence). Nil
-	// or empty selects the paper's configuration: the SLM/KL behavioral
-	// sweep alone. Every name must be evidence.Known and appear once;
-	// "slm" requires UseSLM. Non-default provider sets change the
-	// hierarchy-section snapshot fingerprint (and only that section).
-	Evidence []string
-	// FuseWeights overrides the per-provider fusion weights by name.
-	// Providers absent from the map keep their defaults (slm: 1, subtype:
-	// subtype.DefaultWeight). Weights must be finite and non-negative,
-	// may only name enabled providers, and at least one must be nonzero.
-	// With exactly one nonzero weight equal to 1 the fusion is an exact
-	// passthrough of that provider — {slm: 1, subtype: 0} is bit-identical
-	// to the pure-SLM pipeline.
-	FuseWeights map[string]float64
+	// Subtype fuses the constraint-based subtyping scores
+	// (internal/evidence/subtype) into the SLM/KL sweep at
+	// subtype.DefaultWeight. False is the paper's configuration: the
+	// sweep alone. Setting it changes the hierarchy-section snapshot
+	// fingerprint (and only that section).
+	Subtype bool
 	// Workers bounds the analysis's concurrency: AnalyzeContext runs on a
 	// fresh Shared of this capacity, so per-function tracelet extraction,
 	// SLM training, per-family pairwise distance matrices, and per-family
@@ -206,11 +198,9 @@ type Result struct {
 	// licenses copying their prior TypeKeys without re-hashing. Nil means
 	// no delta information: every type must be treated as affected.
 	affected map[uint64]bool
-	// providers are the constructed evidence backends, in fusion order,
-	// with provWeights their parallel fusion weights (built by the
-	// evidence stage; see evidence.go).
-	providers   []evidence.Provider
-	provWeights []float64
+	// providers are the constructed evidence backends, in fusion order
+	// (built by the evidence stage; see evidence.go).
+	providers []evidence.Provider
 	// provStats accumulates per-provider wall/alloc attribution across
 	// the concurrent family fan-out (observed runs only), folded into one
 	// stage row per provider after the hierarchy stage.
@@ -607,9 +597,7 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 			solving = append(solving, fam...)
 		}
 	}
-	if cfg.hasSLM() {
-		r.buildWordsFor(solving)
-	}
+	r.buildWordsFor(solving)
 	if err := pool.ForEach(ctx, cfg.pool, len(r.Structural.Families), func(i int) {
 		if outs[i] == nil {
 			outs[i] = r.analyzeFamily(ctx, cfg, r.Structural.Families[i])
@@ -623,7 +611,7 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 	// captured inside the providers (observed and unobserved runs of the
 	// same analysis must stay deep-equal — observation may measure, never
 	// steer).
-	r.providers, r.provWeights, r.provStats = nil, nil, nil
+	r.providers, r.provStats = nil, nil
 
 	for i, out := range outs {
 		if out.err != nil {
@@ -648,10 +636,9 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 // (family order, candidate order) order; each provider scores that one
 // layout (the SLM provider runs the chunked divergence sweep over the
 // frozen flat tries, the subtype provider reads its constraint index),
-// and evidence.Fuse reduces the score vectors to the edge weights the
-// solve consumes. Under the default configuration the fusion is an exact
-// passthrough of the SLM scores, so the solve input is bit-identical to
-// the pre-provider pipeline.
+// and with cfg.Subtype evidence.Fuse adds the weighted subtype scores to
+// the SLM ones. Without it the SLM scores are the edge weights as they
+// are, so the solve input is bit-identical to the pre-provider pipeline.
 func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *familyOutcome {
 	out := &familyOutcome{fr: FamilyResult{Types: append([]uint64(nil), fam...)}}
 	if len(fam) == 1 {
@@ -669,15 +656,16 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 			pairs = append(pairs, [2]uint64{p, c})
 		}
 	}
-	in := &evidence.FamilyInput{Types: out.fr.Types, Pairs: pairs}
-	if cfg.hasSLM() {
-		in.Words = r.familyWords(fam)
-		models := make([]*slm.Frozen, n)
-		for i, t := range fam {
-			models[i] = r.Frozen[t]
-		}
-		in.Models = models
-		in.ModelOf = func(t uint64) *slm.Frozen { return r.Frozen[t] }
+	models := make([]*slm.Frozen, n)
+	for i, t := range fam {
+		models[i] = r.Frozen[t]
+	}
+	in := &evidence.FamilyInput{
+		Types:   out.fr.Types,
+		Pairs:   pairs,
+		Words:   r.familyWords(fam),
+		Models:  models,
+		ModelOf: func(t uint64) *slm.Frozen { return r.Frozen[t] },
 	}
 	all := make([]*evidence.Scores, len(r.providers))
 	for i, p := range r.providers {
@@ -698,7 +686,10 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 		all[i] = s
 	}
 	cfg.Obs.Add(obs.CntEvidenceEdges, int64(len(pairs)*len(r.providers)))
-	fused := evidence.Fuse(all, r.provWeights)
+	fused := all[0]
+	if cfg.Subtype {
+		fused = evidence.Fuse(all[0], all[1], subtype.DefaultWeight)
+	}
 	out.dist = make(map[[2]uint64]float64, len(pairs))
 	for k, pc := range pairs {
 		out.dist[pc] = fused.Edge[k]

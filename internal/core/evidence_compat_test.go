@@ -56,7 +56,7 @@ func TestEvidenceSnapshotCompat(t *testing.T) {
 	// cached SLM-only one (different Dist/edge payload) but still reuse
 	// the evidence-independent extraction and model sections.
 	fusedCfg := cfg
-	fusedCfg.Evidence = []string{"slm", "subtype"}
+	fusedCfg.Subtype = true
 	fused := analyzeCached(t, img, fusedCfg)
 	if fused.SnapshotReuse != snapshot.LevelModels {
 		t.Fatalf("fused config reused level %d, want exactly the model sections", fused.SnapshotReuse)

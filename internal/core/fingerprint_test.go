@@ -64,39 +64,21 @@ func TestFingerprintCompat(t *testing.T) {
 }
 
 // TestEvidenceFingerprints pins the fingerprint model of the evidence
-// layer: spelling out the default provider set must not change any
-// bytes, enabling the subtype provider must re-key the hierarchy section
-// alone (the model and extraction sections are evidence-independent),
-// and the fusion weights must be part of that key.
+// switch: fusing the subtype provider in must re-key the hierarchy
+// section alone (the model and extraction sections are
+// evidence-independent).
 func TestEvidenceFingerprints(t *testing.T) {
 	const ext, mod, hier = snapshot.LevelExtraction - 1, snapshot.LevelModels - 1, snapshot.LevelHierarchy - 1
 	def := DefaultConfig().withDefaults().fingerprints()
 
-	explicit := DefaultConfig()
-	explicit.Evidence = []string{"slm"}
-	explicit.FuseWeights = map[string]float64{"slm": 1}
-	if explicit.withDefaults().fingerprints() != def {
-		t.Error("spelling out the default evidence configuration changed the snapshot fingerprints")
-	}
-
 	fused := DefaultConfig()
-	fused.Evidence = []string{"slm", "subtype"}
+	fused.Subtype = true
 	ffps := fused.withDefaults().fingerprints()
 	if ffps[ext] != def[ext] || ffps[mod] != def[mod] {
 		t.Error("enabling the subtype provider re-keyed the extraction/models sections; staged reuse lost")
 	}
 	if ffps[hier] == def[hier] {
 		t.Error("fused and SLM-only configs share a hierarchy fingerprint; stale edge payloads would cross modes")
-	}
-
-	reweighted := fused
-	reweighted.FuseWeights = map[string]float64{"subtype": 2}
-	rfps := reweighted.withDefaults().fingerprints()
-	if rfps[hier] == ffps[hier] {
-		t.Error("changing a fusion weight did not change the hierarchy fingerprint")
-	}
-	if rfps[ext] != def[ext] || rfps[mod] != def[mod] {
-		t.Error("fusion weights leaked into the extraction/models fingerprints")
 	}
 }
 
@@ -134,7 +116,7 @@ func TestFingerprintLiterals(t *testing.T) {
 		"934e8053894a2fb57275bea2affa3e13df89c917c021b72c0d5a34b6d5c4235b")
 
 	fused := DefaultConfig()
-	fused.Evidence = []string{"slm", "subtype"}
+	fused.Subtype = true
 	check("slm+subtype", fused, snapshot.LevelHierarchy-1,
 		"b818588631c36903c077ea62962a3001e2000e4fddac19311a5d5b0c6f51ce0b")
 }

@@ -146,16 +146,15 @@ func (c Config) fingerprints() [snapshot.NumSections][32]byte {
 // names the KL kernel (selfEnt minus a dot product, see slm.klEntries):
 // the hierarchy section persists Dist bits, so snapshots written under
 // the earlier per-term kernel must not warm-restore values a cold run no
-// longer computes. A non-default evidence configuration (providers
-// beyond the SLM sweep, or a non-unit SLM weight) appends a further
-// marker; the default appends nothing. Extraction and model sections are
-// unaffected either way — kernel and evidence changes invalidate only
-// the hierarchy section.
+// longer computes. The fused evidence configuration (Subtype) appends
+// a further marker; the paper's configuration appends nothing.
+// Extraction and model sections are unaffected either way — kernel and
+// evidence changes invalidate only the hierarchy section.
 func (c Config) hierarchyCanon() string {
 	canon := fmt.Sprintf("metric=%d rootw=%.17g enumeps=%.17g sweep=sparse kl=dot",
 		c.Metric, slmkl.RootWeightFactor, enumEps)
-	if !c.evidenceDefault() {
-		canon += " evidence=" + c.evidenceCanon()
+	if c.Subtype {
+		canon += " evidence=" + evidenceCanon()
 	}
 	return canon
 }
@@ -229,11 +228,6 @@ func probe(img *image.Image, cfg Config) (int, snapshot.Key) {
 // observer bus. Every fan-out draws its helpers from cfg.pool. cfg has
 // its defaults resolved, and key is the one probe derived for it.
 func analyze(ctx context.Context, img *image.Image, cfg Config, key snapshot.Key) (*Result, error) {
-	if cfg.UseSLM {
-		if err := cfg.validateEvidence(); err != nil {
-			return nil, err
-		}
-	}
 	bus := cfg.Obs
 	if bus != nil {
 		// Only an observed run pays for the context plumbing; the nil-bus

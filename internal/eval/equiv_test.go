@@ -9,14 +9,12 @@ import (
 	"repro/internal/image"
 )
 
-// analyzeWith runs one image under the given evidence configuration.
-func analyzeWith(t *testing.T, label string, img *image.Image, workers int, providers []string, weights map[string]float64) *core.Result {
+// analyzeWith runs one image with or without the subtype evidence.
+func analyzeWith(t *testing.T, label string, img *image.Image, workers int, subtype bool) *core.Result {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	cfg.UseSLM = true
 	cfg.Workers = workers
-	cfg.Evidence = providers
-	cfg.FuseWeights = weights
+	cfg.Subtype = subtype
 	res, err := core.Analyze(img, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -24,26 +22,18 @@ func analyzeWith(t *testing.T, label string, img *image.Image, workers int, prov
 	return res
 }
 
-// assertProviderEquivalence pins the evidence-provider refactor on one
-// image: the default (SLM-only) run must be deep-equal across a serial
-// and a contended worker count, fusing the subtype provider at weight 0
-// must reproduce the pure-SLM result exactly (the fusion layer passes
-// the sole live provider's scores through untouched), and the default
-// fused configuration must itself be deterministic across worker counts.
+// assertProviderEquivalence pins both evidence configurations on one
+// image: the default (SLM-only) run and the fused one must each be
+// deep-equal across a serial and a contended worker count.
 func assertProviderEquivalence(t *testing.T, label string, img *image.Image) {
 	t.Helper()
-	slm1 := analyzeWith(t, label+"/slm/w1", img, 1, nil, nil)
-	slm8 := analyzeWith(t, label+"/slm/w8", img, 8, nil, nil)
+	slm1 := analyzeWith(t, label+"/slm/w1", img, 1, false)
+	slm8 := analyzeWith(t, label+"/slm/w8", img, 8, false)
 	if !reflect.DeepEqual(slm1, slm8) {
 		t.Errorf("%s: SLM-only result differs between workers 1 and 8", label)
 	}
-	zero := analyzeWith(t, label+"/zero", img, 8,
-		[]string{"slm", "subtype"}, map[string]float64{"slm": 1, "subtype": 0})
-	if !reflect.DeepEqual(zero, slm8) {
-		t.Errorf("%s: fusion with weights {slm:1, subtype:0} diverged from pure SLM", label)
-	}
-	fused1 := analyzeWith(t, label+"/fused/w1", img, 1, []string{"slm", "subtype"}, nil)
-	fused8 := analyzeWith(t, label+"/fused/w8", img, 8, []string{"slm", "subtype"}, nil)
+	fused1 := analyzeWith(t, label+"/fused/w1", img, 1, true)
+	fused8 := analyzeWith(t, label+"/fused/w8", img, 8, true)
 	if !reflect.DeepEqual(fused1, fused8) {
 		t.Errorf("%s: fused result differs between workers 1 and 8", label)
 	}

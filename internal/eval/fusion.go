@@ -53,35 +53,23 @@ type FusionReport struct {
 // and pairs the per-config scores. Both halves run through the corpus
 // batch engine with cfg's worker budget.
 func RunFusionGrid(ctx context.Context, cfg core.Config) (*FusionReport, error) {
-	base := cfg
-	base.Evidence = nil
-	base.FuseWeights = nil
-	slmRep, err := RunSynthGrid(ctx, base)
+	cfg.Subtype = false
+	slmRep, err := RunSynthGrid(ctx, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("slm-only grid: %w", err)
 	}
-	fusedCfg := cfg
-	if len(fusedCfg.Evidence) == 0 {
-		fusedCfg.Evidence = []string{evidence.NameSLM, evidence.NameSubtype}
-	}
-	fusedRep, err := RunSynthGrid(ctx, fusedCfg)
+	cfg.Subtype = true
+	fusedRep, err := RunSynthGrid(ctx, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fused grid: %w", err)
 	}
 	if len(slmRep.Configs) != len(fusedRep.Configs) {
 		return nil, fmt.Errorf("grid halves disagree: %d vs %d configs", len(slmRep.Configs), len(fusedRep.Configs))
 	}
-	rep := &FusionReport{Schema: FusionSchema, Weights: map[string]float64{}}
-	for _, name := range fusedCfg.Evidence {
-		w := 1.0
-		if name == evidence.NameSubtype {
-			w = subtype.DefaultWeight
-		}
-		if ow, ok := fusedCfg.FuseWeights[name]; ok {
-			w = ow
-		}
-		rep.Weights[name] = w
-	}
+	rep := &FusionReport{Schema: FusionSchema, Weights: map[string]float64{
+		evidence.NameSLM:     1,
+		evidence.NameSubtype: subtype.DefaultWeight,
+	}}
 	for i, s := range slmRep.Configs {
 		f := fusedRep.Configs[i]
 		if s.Name != f.Name {

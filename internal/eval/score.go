@@ -101,17 +101,13 @@ type Floors struct {
 	// of the SLM-only (paper default) configuration.
 	MinF1 map[string]float64 `json:"min_f1"`
 	// MinF1Fused maps a grid config name to the minimum acceptable
-	// per-edge F1 of the fused slm+subtype configuration (schema v2; nil
-	// in a v1 file, which then gates only the SLM-only half).
-	MinF1Fused map[string]float64 `json:"min_f1_fused,omitempty"`
+	// per-edge F1 of the fused slm+subtype configuration.
+	MinF1Fused map[string]float64 `json:"min_f1_fused"`
 }
 
-// Floors file schemas: v1 carries SLM-only floors, v2 adds the fused
-// configuration's floors. LoadFloors accepts both.
-const (
-	FloorsSchema   = "rock-acc-floors/v1"
-	FloorsSchemaV2 = "rock-acc-floors/v2"
-)
+// FloorsSchema identifies the floors file format: SLM-only and fused
+// floors per grid config.
+const FloorsSchema = "rock-acc-floors/v2"
 
 // LoadFloors reads a floors file from disk.
 func LoadFloors(path string) (*Floors, error) {
@@ -123,8 +119,8 @@ func LoadFloors(path string) (*Floors, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("floors %s: %w", path, err)
 	}
-	if f.Schema != FloorsSchema && f.Schema != FloorsSchemaV2 {
-		return nil, fmt.Errorf("floors %s: schema %q, want %q or %q", path, f.Schema, FloorsSchema, FloorsSchemaV2)
+	if f.Schema != FloorsSchema {
+		return nil, fmt.Errorf("floors %s: schema %q, want %q", path, f.Schema, FloorsSchema)
 	}
 	return &f, nil
 }
@@ -157,8 +153,8 @@ func CheckFloors(rep *AccuracyReport, floors *Floors) error {
 	return fmt.Errorf("accuracy floor check failed:\n  %s", strings.Join(problems, "\n  "))
 }
 
-// CheckFusionFloors gates both halves of a fusion report against a v2
-// floors file: the SLM-only scores against MinF1 and the fused scores
+// CheckFusionFloors gates both halves of a fusion report against the
+// floors: the SLM-only scores against MinF1 and the fused scores
 // against MinF1Fused. A regression in either half — or a fused config
 // with no fused floor — is an error.
 func CheckFusionFloors(rep *FusionReport, floors *Floors) error {

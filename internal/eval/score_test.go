@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -117,7 +119,15 @@ func TestLoadFloors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Schema != FloorsSchemaV2 || len(f.MinF1) == 0 || len(f.MinF1Fused) == 0 {
+	if f.Schema != FloorsSchema || len(f.MinF1) == 0 || len(f.MinF1Fused) == 0 {
 		t.Fatalf("bad floors: %+v", f)
+	}
+	// The SLM-only v1 schema is gone: its files no longer load.
+	v1 := filepath.Join(t.TempDir(), "v1.json")
+	if err := os.WriteFile(v1, []byte(`{"schema": "rock-acc-floors/v1", "min_f1": {"a/x": 0.5}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFloors(v1); err == nil {
+		t.Error("a rock-acc-floors/v1 file loaded")
 	}
 }

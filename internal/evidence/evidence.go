@@ -25,25 +25,20 @@
 //   - Score must be deterministic at any worker count: parallel sweeps
 //     write index-owned slots and merge in a fixed order.
 //
-// Fusion is a plain weighted sum, fused(e) = Σᵖ wₚ·scoreₚ(e), with one
-// load-bearing special case: when exactly one provider has a nonzero
-// weight and that weight is 1, Fuse returns that provider's Scores
-// unchanged. This makes the default configuration (SLM at weight 1) and
-// the {slm:1, subtype:0} ablation bit-identical to the pre-provider
-// sweep — not merely numerically close.
+// Fusion is a weighted sum of the two providers the analysis runs:
+// fused(e) = slm(e) + w·subtype(e). The paper's configuration runs the
+// SLM provider alone, and its scores reach the solve untouched, so that
+// configuration stays bit-identical to the pre-provider sweep.
 package evidence
 
 import (
 	"context"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/slm"
 )
 
-// Provider names. The spellings appear in CLI flags, fusion-weight maps,
-// observability stage rows, and (for non-default configurations) the
+// Provider names. The spellings appear in the -evidence flag,
+// observability stage rows, and the fused configuration's
 // hierarchy-section snapshot canon — they must not change.
 const (
 	// NameSLM is the behavioral SLM/KL divergence sweep.
@@ -51,15 +46,6 @@ const (
 	// NameSubtype is the constraint-based structural subtyping scorer.
 	NameSubtype = "subtype"
 )
-
-// KnownNames lists every provider the analysis can construct, in
-// canonical order.
-func KnownNames() []string { return []string{NameSLM, NameSubtype} }
-
-// Known reports whether name is a constructible provider.
-func Known(name string) bool {
-	return name == NameSLM || name == NameSubtype
-}
 
 // FamilyInput is everything one provider invocation may read about a
 // family. One FamilyInput is shared by every enabled provider, so the
@@ -74,14 +60,12 @@ type FamilyInput struct {
 	Pairs [][2]uint64
 	// Words is the family's deduplicated word-set union, the SLM
 	// provider's measurement domain (Remark 4.1: distances must be
-	// measured over one word set to rank). Nil when no SLM provider is
-	// enabled.
+	// measured over one word set to rank).
 	Words [][]int32
-	// Models holds each member's frozen SLM, parallel to Types. Nil
-	// when no SLM provider is enabled.
+	// Models holds each member's frozen SLM, parallel to Types.
 	Models []*slm.Frozen
 	// ModelOf resolves a member address to its frozen SLM (the map-free
-	// per-pair accessor). Nil when no SLM provider is enabled.
+	// per-pair accessor).
 	ModelOf func(uint64) *slm.Frozen
 }
 
@@ -105,97 +89,13 @@ type Provider interface {
 	Score(ctx context.Context, in *FamilyInput) (*Scores, error)
 }
 
-// Fuse combines the providers' scores into the single edge score the
-// arborescence solve consumes: fused.Edge[k] = Σᵢ weights[i]·scores[i].Edge[k]
-// and fused.Root = Σᵢ weights[i]·scores[i].Root. When exactly one
-// provider has a nonzero weight and that weight is 1, the provider's
-// Scores is returned unchanged, making the
-// single-provider path bit-identical to running that provider alone.
-// scores and weights are parallel; callers guarantee at least one
-// nonzero weight.
-func Fuse(scores []*Scores, weights []float64) *Scores {
-	live := -1
-	for i, w := range weights {
-		if w == 0 {
-			continue
-		}
-		if live >= 0 {
-			live = -2
-			break
-		}
-		live = i
-	}
-	if live >= 0 && weights[live] == 1 {
-		return scores[live]
-	}
-	out := &Scores{}
-	for i, s := range scores {
-		w := weights[i]
-		if w == 0 {
-			continue
-		}
-		if out.Edge == nil {
-			out.Edge = make([]float64, len(s.Edge))
-		}
-		for k, e := range s.Edge {
-			out.Edge[k] += w * e
-		}
-		out.Root += w * s.Root
+// Fuse adds the subtype scores at weight w to the SLM scores:
+// fused.Edge[k] = kl.Edge[k] + w·sub.Edge[k] and fused.Root = kl.Root +
+// w·sub.Root. kl and sub score the same pairs.
+func Fuse(kl, sub *Scores, w float64) *Scores {
+	out := &Scores{Edge: make([]float64, len(kl.Edge)), Root: kl.Root + w*sub.Root}
+	for k, e := range kl.Edge {
+		out.Edge[k] = e + w*sub.Edge[k]
 	}
 	return out
-}
-
-// ParseNames parses the CLI provider-list spelling ("slm,subtype").
-// Empty input returns nil — the caller's default. Unknown and duplicate
-// names are errors.
-func ParseNames(s string) ([]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var names []string
-	seen := map[string]bool{}
-	for _, n := range strings.Split(s, ",") {
-		n = strings.TrimSpace(n)
-		if !Known(n) {
-			return nil, fmt.Errorf("unknown evidence provider %q (want a comma list of %s)",
-				n, strings.Join(KnownNames(), ", "))
-		}
-		if seen[n] {
-			return nil, fmt.Errorf("evidence provider %q named twice", n)
-		}
-		seen[n] = true
-		names = append(names, n)
-	}
-	return names, nil
-}
-
-// ParseWeights parses the CLI fusion-weight spelling
-// ("slm=1,subtype=5"). Empty input returns nil — per-provider
-// defaults. Name validity against the enabled provider set is the
-// analysis's job (the weights may be parsed before the provider list).
-func ParseWeights(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[string]float64{}
-	for _, kv := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return nil, fmt.Errorf("fusion weight %q is not name=weight", kv)
-		}
-		name = strings.TrimSpace(name)
-		if !Known(name) {
-			return nil, fmt.Errorf("fusion weight names unknown provider %q (want %s)",
-				name, strings.Join(KnownNames(), ", "))
-		}
-		if _, dup := out[name]; dup {
-			return nil, fmt.Errorf("fusion weight for %q given twice", name)
-		}
-		w, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return nil, fmt.Errorf("fusion weight for %q: %v", name, err)
-		}
-		out[name] = w
-	}
-	return out, nil
 }

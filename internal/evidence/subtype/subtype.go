@@ -45,15 +45,15 @@ import (
 	"repro/internal/vtable"
 )
 
-// DefaultWeight is the default fusion weight of this provider when it is
-// enabled without an explicit -fuse-weights entry (the SLM provider
-// defaults to 1). It is calibrated on the adversarial grid
-// (internal/eval): the grid improves strictly on three devirtualized
-// configurations with no regression anywhere for weights in roughly
-// [3, 6], while above ~8 the slot-sharing term starts to overrule the
-// divergence ranking on COMDAT-folded binaries (folded methods make
-// unrelated vtables share entries). 5 sits in the middle of the safe
-// window.
+// DefaultWeight is this provider's fusion weight against the SLM
+// provider's 1 (core.Config.Subtype, -evidence slm,subtype). It is
+// calibrated on the adversarial grid (internal/eval): the grid improves
+// strictly on three devirtualized configurations with no regression
+// anywhere for weights in roughly [3, 6], while above ~8 the
+// slot-sharing term starts to overrule the divergence ranking on
+// COMDAT-folded binaries (folded methods make unrelated vtables share
+// entries). 5 sits in the middle of the safe window; rockbench -fusion
+// re-measures the contract at it.
 const DefaultWeight = 5
 
 // structGrain groups objtrace observation sequences per claimed range of

@@ -60,8 +60,7 @@ const (
 	CntDistPairs
 	// CntDistPairsPruned counts the family-internal ordered pairs the
 	// sparse sweep skipped because the structural analysis had already
-	// ruled them out as parent candidates (always zero in the dense
-	// reporting mode, which reduces every pair).
+	// ruled them out as parent candidates.
 	CntDistPairsPruned
 	// CntDistMemoHits counts distance-sweep word-distribution memo hits.
 	CntDistMemoHits

@@ -766,13 +766,18 @@ func TestRejectsOversizedAndGarbage(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNegativeDepthAndWindow: the daemon refuses to start on
-// a negative SLM depth or tracelet window instead of serving defaults.
-func TestNewRejectsNegativeDepthAndWindow(t *testing.T) {
-	for _, opts := range []rock.Options{{SLMDepth: -3}, {Window: -1}} {
-		if s, err := New(Config{Analysis: opts}); err == nil {
+// TestNewRejectsInvalidOptions: the daemon refuses to start on a
+// negative SLM depth or tracelet window, or an unknown metric, instead of
+// serving defaults, and the error is one cmd/rockd reports as a usage
+// mistake.
+func TestNewRejectsInvalidOptions(t *testing.T) {
+	for _, opts := range []rock.Options{{SLMDepth: -3}, {Window: -1}, {Metric: "cosine"}} {
+		s, err := New(Config{Analysis: opts})
+		if err == nil {
 			s.Close()
-			t.Errorf("New accepted depth %d, window %d", opts.SLMDepth, opts.Window)
+		}
+		if !errors.Is(err, rock.ErrInvalidOption) {
+			t.Errorf("New(%+v): err = %v, want rock.ErrInvalidOption", opts, err)
 		}
 	}
 }

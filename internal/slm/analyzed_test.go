@@ -103,17 +103,17 @@ func TestAnalyzedModelsMatchReference(t *testing.T) {
 // also equal the distance derived word by word.
 func TestFamilyRowsMatchPerWordKernel(t *testing.T) {
 	images := analyzedImages(t)
-	for _, evidence := range [][]string{nil, {"slm", "subtype"}} {
+	for _, fused := range []bool{false, true} {
 		for _, workers := range []int{1, 8} {
 			cfg := core.DefaultConfig()
-			cfg.Evidence, cfg.Workers = evidence, workers
+			cfg.Subtype, cfg.Workers = fused, workers
 			for _, in := range images {
 				res, err := core.Analyze(in.img, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", in.name, err)
 				}
-				label := fmt.Sprintf("%s evidence=%v workers=%d", in.name, evidence, workers)
-				checkFamilyRows(t, label, res, evidence == nil)
+				label := fmt.Sprintf("%s subtype=%v workers=%d", in.name, fused, workers)
+				checkFamilyRows(t, label, res, !fused)
 			}
 		}
 	}

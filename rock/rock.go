@@ -21,12 +21,12 @@ package rock
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/evidence"
 	"repro/internal/image"
 	"repro/internal/obs"
 	"repro/internal/slm"
@@ -95,17 +95,11 @@ type Options struct {
 	// prior of the same image name in the cache directory. The Report is
 	// identical to a cold run either way.
 	IncrementalFrom string
-	// Evidence selects the edge-evidence providers whose scores are fused
-	// into the hierarchy solve, as a comma-separated list: "slm" (the
-	// paper's behavioral divergence sweep), "subtype" (the
-	// constraint-based structural subtyping scorer), or "slm,subtype".
-	// Empty selects the default SLM-only configuration.
-	Evidence string
-	// FuseWeights overrides per-provider fusion weights as a
-	// comma-separated "name=weight" list, e.g. "slm=1,subtype=5".
-	// Providers absent from the list keep their defaults. Empty keeps
-	// every default.
-	FuseWeights string
+	// Subtype fuses a constraint-based structural subtyping scorer
+	// (vtable-slot overlap, construction install flow, parent-method
+	// calls) into the paper's behavioral divergence sweep at its
+	// calibrated weight. False runs the sweep alone.
+	Subtype bool
 	// Observer, when non-nil, records the analysis on an observability bus;
 	// the collected Stats land in Report.Stats. Attach a Trace to the
 	// Observer to additionally capture chrome-tracing spans. Observation
@@ -182,14 +176,19 @@ func AnalyzeContext(ctx context.Context, binary []byte, opts Options) (*Report, 
 	return AnalyzeImageContext(ctx, img, opts)
 }
 
+// ErrInvalidOption is wrapped by every error an invalid Options value
+// causes, so callers can tell a usage mistake from a failed analysis
+// with errors.Is.
+var ErrInvalidOption = errors.New("invalid analysis option")
+
 // config translates the public Options into a pipeline configuration.
 func config(opts Options) (core.Config, error) {
 	cfg := core.DefaultConfig()
 	if opts.SLMDepth < 0 {
-		return cfg, fmt.Errorf("rock: negative SLM depth %d (0 selects the default)", opts.SLMDepth)
+		return cfg, fmt.Errorf("%w: negative SLM depth %d (0 selects the default)", ErrInvalidOption, opts.SLMDepth)
 	}
 	if opts.Window < 0 {
-		return cfg, fmt.Errorf("rock: negative tracelet window %d (0 selects the default)", opts.Window)
+		return cfg, fmt.Errorf("%w: negative tracelet window %d (0 selects the default)", ErrInvalidOption, opts.Window)
 	}
 	cfg.SLMDepth = opts.SLMDepth
 	cfg.Window = opts.Window
@@ -201,19 +200,13 @@ func config(opts Options) (core.Config, error) {
 	case "js-distance", "jsd":
 		cfg.Metric = slm.MetricJSDistance
 	default:
-		return cfg, fmt.Errorf("rock: unknown metric %q", opts.Metric)
+		return cfg, fmt.Errorf("%w: unknown metric %q (want kl, js-divergence or js-distance)", ErrInvalidOption, opts.Metric)
 	}
 	cfg.UseSLM = !opts.StructuralOnly
 	cfg.Workers = opts.Workers
 	cfg.CacheDir = opts.CacheDir
 	cfg.IncrementalFrom = opts.IncrementalFrom
-	var err error
-	if cfg.Evidence, err = evidence.ParseNames(opts.Evidence); err != nil {
-		return cfg, fmt.Errorf("rock: %w", err)
-	}
-	if cfg.FuseWeights, err = evidence.ParseWeights(opts.FuseWeights); err != nil {
-		return cfg, fmt.Errorf("rock: %w", err)
-	}
+	cfg.Subtype = opts.Subtype
 	cfg.Obs = opts.Observer
 	return cfg, nil
 }

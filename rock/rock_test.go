@@ -1,11 +1,14 @@
 package rock
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/compiler"
+	"repro/internal/image"
 )
 
 func motivatingBinary(t *testing.T) []byte {
@@ -73,15 +76,11 @@ func TestMetricSelection(t *testing.T) {
 			t.Errorf("metric %q rejected: %v", m, err)
 		}
 	}
-	if _, err := Analyze(bin, Options{Metric: "cosine"}); err == nil {
-		t.Error("unknown metric accepted")
-	}
 }
 
-// TestNegativeDepthAndWindowRejected: 0 selects the default SLM depth and
-// tracelet window, and a negative value is an error, never a silent
-// default.
-func TestNegativeDepthAndWindowRejected(t *testing.T) {
+// TestZeroDepthAndWindowSelectDefaults: 0 selects the default SLM depth
+// and tracelet window.
+func TestZeroDepthAndWindowSelectDefaults(t *testing.T) {
 	bin := motivatingBinary(t)
 	def, err := Analyze(bin, Options{})
 	if err != nil {
@@ -94,19 +93,48 @@ func TestNegativeDepthAndWindowRejected(t *testing.T) {
 	if !reflect.DeepEqual(def.Edges, explicit.Edges) {
 		t.Error("zero depth and window differ from the explicit defaults 2 and 7")
 	}
-	for _, opts := range []Options{{SLMDepth: -3}, {Window: -1}, {SLMDepth: -3, Window: -1}} {
-		if _, err := Analyze(bin, opts); err == nil {
-			t.Errorf("depth %d, window %d accepted", opts.SLMDepth, opts.Window)
-		}
-		if _, err := NewEngine(opts); err == nil {
-			t.Errorf("engine with depth %d, window %d accepted", opts.SLMDepth, opts.Window)
-		}
+}
+
+// TestInvalidOptions: each invalid option is an error wrapping
+// ErrInvalidOption from every entry point, never a silent default, so
+// the commands can report it as a usage mistake.
+func TestInvalidOptions(t *testing.T) {
+	bin := motivatingBinary(t)
+	img, err := image.Load(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"metric", Options{Metric: "cosine"}},
+		{"depth", Options{SLMDepth: -3}},
+		{"window", Options{Window: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Analyze(bin, tc.opts)
+			if !errors.Is(err, ErrInvalidOption) {
+				t.Errorf("Analyze: err = %v, want ErrInvalidOption", err)
+			}
+			if _, err := NewEngine(tc.opts); !errors.Is(err, ErrInvalidOption) {
+				t.Errorf("NewEngine: err = %v, want ErrInvalidOption", err)
+			}
+			_, err = AnalyzeCorpus(context.Background(), []*image.Image{img}, CorpusOptions{Options: tc.opts})
+			if !errors.Is(err, ErrInvalidOption) {
+				t.Errorf("AnalyzeCorpus: err = %v, want ErrInvalidOption", err)
+			}
+		})
 	}
 }
 
 func TestAnalyzeRejectsGarbage(t *testing.T) {
-	if _, err := Analyze([]byte("not a binary"), Options{}); err == nil {
+	_, err := Analyze([]byte("not a binary"), Options{})
+	if err == nil {
 		t.Error("garbage input accepted")
+	}
+	if errors.Is(err, ErrInvalidOption) {
+		t.Errorf("a bad image reported as an invalid option: %v", err)
 	}
 }
 
