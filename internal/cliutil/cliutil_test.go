@@ -29,6 +29,30 @@ func TestRegisterAndApply(t *testing.T) {
 	}
 }
 
+// TestResolveDefaultsAndErrors: the zero flags resolve, and a cache
+// directory that cannot be created is an error.
+func TestResolveDefaultsAndErrors(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Resolve(); err != nil {
+		t.Fatalf("defaults: %v", err)
+	}
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Parse([]string{"-cache", filepath.Join(file, "cache")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Resolve(); err == nil {
+		t.Fatal("cache directory under a regular file accepted")
+	}
+}
+
 // TestEvidenceSpellings: -evidence accepts exactly "", "slm" and
 // "slm,subtype"; every other spelling, and the deleted -fuse-weights
 // flag, fails the parse (which the commands turn into exit code 2).

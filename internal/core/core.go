@@ -636,9 +636,10 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 // (family order, candidate order) order; each provider scores that one
 // layout (the SLM provider runs the chunked divergence sweep over the
 // frozen flat tries, the subtype provider reads its constraint index),
-// and with cfg.Subtype evidence.Fuse adds the weighted subtype scores to
-// the SLM ones. Without it the SLM scores are the edge weights as they
-// are, so the solve input is bit-identical to the pre-provider pipeline.
+// and evidence.Fuse adds the weighted subtype scores to the SLM ones when
+// cfg.Subtype ran that provider. Without it Fuse passes the SLM scores
+// through, so the solve input is bit-identical to the pre-provider
+// pipeline.
 func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *familyOutcome {
 	out := &familyOutcome{fr: FamilyResult{Types: append([]uint64(nil), fam...)}}
 	if len(fam) == 1 {
@@ -686,10 +687,7 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 		all[i] = s
 	}
 	cfg.Obs.Add(obs.CntEvidenceEdges, int64(len(pairs)*len(r.providers)))
-	fused := all[0]
-	if cfg.Subtype {
-		fused = evidence.Fuse(all[0], all[1], subtype.DefaultWeight)
-	}
+	fused := evidence.Fuse(all, subtype.DefaultWeight)
 	out.dist = make(map[[2]uint64]float64, len(pairs))
 	for k, pc := range pairs {
 		out.dist[pc] = fused.Edge[k]

@@ -89,10 +89,16 @@ type Provider interface {
 	Score(ctx context.Context, in *FamilyInput) (*Scores, error)
 }
 
-// Fuse adds the subtype scores at weight w to the SLM scores:
-// fused.Edge[k] = kl.Edge[k] + w·sub.Edge[k] and fused.Root = kl.Root +
-// w·sub.Root. kl and sub score the same pairs.
-func Fuse(kl, sub *Scores, w float64) *Scores {
+// Fuse combines the scores of the providers the analysis ran, SLM first.
+// One provider passes through untouched (the same pointer, so the SLM
+// scores reach the solve bit-identical); two give the SLM scores plus
+// the subtype scores at weight w: fused.Edge[k] = slm.Edge[k] +
+// w·subtype.Edge[k] and fused.Root = slm.Root + w·subtype.Root.
+func Fuse(all []*Scores, w float64) *Scores {
+	if len(all) == 1 {
+		return all[0]
+	}
+	kl, sub := all[0], all[1]
 	out := &Scores{Edge: make([]float64, len(kl.Edge)), Root: kl.Root + w*sub.Root}
 	for k, e := range kl.Edge {
 		out.Edge[k] = e + w*sub.Edge[k]

@@ -5,10 +5,24 @@ import (
 	"testing"
 )
 
+func TestFusePassthrough(t *testing.T) {
+	a := &Scores{Edge: []float64{1, 2}, Root: 9}
+	// A single provider passes through untouched — pointer identity, so
+	// its scores survive bit-identical, at any weight.
+	for _, w := range []float64{1, 5} {
+		if got := Fuse([]*Scores{a}, w); got != a {
+			t.Errorf("single provider at weight %v was not passed through", w)
+		}
+	}
+	if !reflect.DeepEqual(a.Edge, []float64{1, 2}) || a.Root != 9 {
+		t.Error("passthrough modified its input")
+	}
+}
+
 func TestFuseWeightedSum(t *testing.T) {
 	a := &Scores{Edge: []float64{1, 2}, Root: 10}
 	b := &Scores{Edge: []float64{0.5, 0.25}, Root: 4}
-	got := Fuse(a, b, 2)
+	got := Fuse([]*Scores{a, b}, 2)
 	want := []float64{1 + 2*0.5, 2 + 2*0.25}
 	if !reflect.DeepEqual(got.Edge, want) {
 		t.Errorf("Edge = %v, want %v", got.Edge, want)

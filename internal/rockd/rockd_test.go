@@ -766,11 +766,11 @@ func TestRejectsOversizedAndGarbage(t *testing.T) {
 	}
 }
 
-// TestNewRejectsInvalidOptions: the daemon refuses to start on a
+// TestNewRejectsNegativeDepthAndWindow: the daemon refuses to start on a
 // negative SLM depth or tracelet window, or an unknown metric, instead of
 // serving defaults, and the error is one cmd/rockd reports as a usage
 // mistake.
-func TestNewRejectsInvalidOptions(t *testing.T) {
+func TestNewRejectsNegativeDepthAndWindow(t *testing.T) {
 	for _, opts := range []rock.Options{{SLMDepth: -3}, {Window: -1}, {Metric: "cosine"}} {
 		s, err := New(Config{Analysis: opts})
 		if err == nil {

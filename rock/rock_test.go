@@ -78,9 +78,10 @@ func TestMetricSelection(t *testing.T) {
 	}
 }
 
-// TestZeroDepthAndWindowSelectDefaults: 0 selects the default SLM depth
-// and tracelet window.
-func TestZeroDepthAndWindowSelectDefaults(t *testing.T) {
+// TestNegativeDepthAndWindowRejected: 0 selects the default SLM depth
+// and tracelet window, and a negative one, alone or both together, is an
+// invalid option rather than a silent default.
+func TestNegativeDepthAndWindowRejected(t *testing.T) {
 	bin := motivatingBinary(t)
 	def, err := Analyze(bin, Options{})
 	if err != nil {
@@ -92,6 +93,14 @@ func TestZeroDepthAndWindowSelectDefaults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(def.Edges, explicit.Edges) {
 		t.Error("zero depth and window differ from the explicit defaults 2 and 7")
+	}
+	for _, opts := range []Options{{SLMDepth: -3}, {Window: -1}, {SLMDepth: -3, Window: -1}} {
+		if _, err := Analyze(bin, opts); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("depth %d, window %d: err = %v, want ErrInvalidOption", opts.SLMDepth, opts.Window, err)
+		}
+		if _, err := NewEngine(opts); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("engine with depth %d, window %d: err = %v, want ErrInvalidOption", opts.SLMDepth, opts.Window, err)
+		}
 	}
 }
 
