@@ -42,8 +42,8 @@
 // (vtable-slot overlap, construction install flow, parent-method calls)
 // at its calibrated weight, 5. The scorer holds up on binaries whose
 // behavioral evidence was erased by devirtualization, COMDAT folding, or
-// ctor inlining. With -stats each provider reports its own evidence:NAME
-// stage row. Any other -evidence value is a usage error, and so is an
+// ctor inlining. With -stats the two scorers report their cost in the
+// evidence:slm and evidence:subtype rows. Any other -evidence value is a usage error, and so is an
 // invalid -metric, a negative -depth or a negative -window (exit 2).
 //
 // -stats prints the per-stage observability table after the analysis:
@@ -74,7 +74,7 @@ func main() {
 	metric := flag.String("metric", "kl", "pairwise distance: kl, js-divergence, js-distance")
 	depth := flag.Int("depth", 2, "SLM maximum order D")
 	window := flag.Int("window", 7, "object tracelet window length")
-	shared := cliutil.Register(flag.CommandLine)
+	shared := cliutil.Register(flag.CommandLine, true)
 	structuralOnly := flag.Bool("structural-only", false, "skip the behavioral analysis (type families and possible parents only)")
 	corpusDir := flag.String("corpus", "", "analyze every *.rbin under this directory as one batch on a shared worker pool")
 	stats := flag.Bool("stats", false, "print the per-stage observability table (wall time, allocs, cache attribution)")

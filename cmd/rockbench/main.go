@@ -19,7 +19,7 @@
 //	                        -floors FILE gates it against checked-in
 //	                        accuracy floors (non-zero exit on regression)
 //	rockbench -fusion       evidence fusion: rerun the adversarial grid with
-//	                        the subtype provider fused into the SLM sweep
+//	                        the subtype scores fused into the SLM sweep
 //	                        and pair the per-config scores against SLM-only
 //	                        (-json FILE writes ACC_fusion.json); the fusion
 //	                        contract gates the run and -floors FILE also
@@ -75,14 +75,14 @@ func main() {
 	scale := flag.Bool("scale", false, "benchmark the sparse distance sweep on one wide synthetic family")
 	sizes := flag.String("sizes", "1000,3000,10000", "with -scale: comma-separated family sizes (types per family)")
 	synthGrid := flag.Bool("synth", false, "run the adversarial accuracy grid and score reconstruction per edge")
-	fusionMode := flag.Bool("fusion", false, "rerun the adversarial grid with the subtype evidence provider fused in and compare against SLM-only")
+	fusionMode := flag.Bool("fusion", false, "rerun the adversarial grid with the subtype evidence fused in and compare against SLM-only")
 	floors := flag.String("floors", "", "with -synth or -fusion: compare the report against this accuracy-floors JSON file and exit non-zero on regression")
 	jsonOut := flag.String("json", "", "write the -synth or -fusion report to this JSON file")
 	emit := flag.String("emit", "", "write benchmark images to this directory")
 	all := flag.Bool("all", false, "run every experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap pprof profile to this file")
-	shared = cliutil.Register(flag.CommandLine)
+	shared = cliutil.Register(flag.CommandLine, true)
 	flag.Parse()
 	if err := shared.Resolve(); err != nil {
 		cliutil.Fatal("rockbench", err)

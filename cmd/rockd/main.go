@@ -49,7 +49,7 @@ func main() {
 	metric := flag.String("metric", "kl", "pairwise distance: kl, js-divergence, js-distance")
 	depth := flag.Int("depth", 2, "SLM maximum order D")
 	window := flag.Int("window", 7, "object tracelet window length")
-	shared := cliutil.Register(flag.CommandLine)
+	shared := cliutil.Register(flag.CommandLine, false)
 	hotMB := flag.Int("hot-cache-mb", 256, "in-memory hot result cache budget in MiB")
 	maxBodyMB := flag.Int("max-body-mb", 64, "largest accepted image in MiB")
 	iSlots := flag.Int("interactive-slots", 0, "concurrent interactive analyses (0 = worker count)")
@@ -73,10 +73,11 @@ func main() {
 			Workers:  shared.Workers,
 			CacheDir: shared.CacheDir,
 			Subtype:  shared.Subtype,
-			// IncrementalFrom stays empty: the daemon analyzes many
-			// different binaries, so each image's prior is auto-discovered
-			// by reading the header of every snapshot in the cache
-			// directory and matching the image's name hash.
+			// IncrementalFrom stays empty, and rockd registers no
+			// -incr-from: the daemon analyzes many different binaries, so
+			// each image's prior is auto-discovered by reading the header
+			// of every snapshot in the cache directory and matching the
+			// image's name hash.
 		},
 		HotCacheBytes:    int64(*hotMB) << 20,
 		MaxBodyBytes:     int64(*maxBodyMB) << 20,

@@ -11,11 +11,11 @@
 // most eps, and a contracted set binds iff its dual exceeds eps.
 //
 // The solver is agnostic to where the edge weights come from: by default
-// they are the SLM KL divergences, but under a fused evidence
-// configuration (internal/evidence) each weight is a weighted sum of
-// several providers' scores. Root edges must still dominate — every
-// provider's Root score bounds its edge scores, so any positive-weighted
-// combination preserves Heuristic 4.1.
+// they are the SLM KL divergences, but under the fused evidence
+// configuration (core.Config.Subtype) each weight is the SLM score plus
+// a weighted subtype score (internal/evidence/subtype). Root edges must
+// still dominate — each scorer's root weight bounds its edge scores, so
+// any positive-weighted combination preserves Heuristic 4.1.
 package arborescence
 
 import (

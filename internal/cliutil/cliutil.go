@@ -1,6 +1,7 @@
 // Package cliutil holds the command-line plumbing the rock, rockbench and
-// rockd commands share: the analysis flags every mode accepts (-workers,
-// -cache, -incr-from, -evidence), their validation, the signal
+// rockd commands share: the analysis flags (-workers, -cache, -evidence,
+// and -incr-from for the commands that analyze one binary at a time),
+// their validation, the signal
 // convention, and the error-reporting conventions — diagnostics go to
 // stderr, usage mistakes (invalid analysis options included) exit with
 // code 2, runtime failures with code 1.
@@ -16,7 +17,6 @@ import (
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/evidence"
 	"repro/rock"
 )
 
@@ -35,15 +35,20 @@ type Flags struct {
 	// directory ("" = no caching). Created by Resolve if missing.
 	CacheDir string
 	// IncrFrom names a prior version's snapshot to diff the analysis
-	// against ("" = auto-discover in the cache directory).
+	// against ("" = auto-discover in the cache directory). Only set when
+	// Register installed -incr-from.
 	IncrFrom string
 	// Subtype fuses the subtype evidence into the SLM sweep: -evidence
 	// slm,subtype sets it, "" and "slm" leave it false.
 	Subtype bool
 }
 
-// fused is the -evidence spelling that sets Flags.Subtype.
-const fused = evidence.NameSLM + "," + evidence.NameSubtype
+// The -evidence spellings: the SLM/KL sweep alone, and fused with the
+// subtype scorer (sets Flags.Subtype).
+const (
+	slmOnly = "slm"
+	fused   = "slm,subtype"
+)
 
 // evidenceFlag parses -evidence into Flags.Subtype.
 type evidenceFlag struct{ subtype *bool }
@@ -60,24 +65,29 @@ func (e evidenceFlag) String() string {
 // Set accepts exactly "", "slm" and "slm,subtype".
 func (e evidenceFlag) Set(s string) error {
 	switch s {
-	case "", evidence.NameSLM:
+	case "", slmOnly:
 		*e.subtype = false
 	case fused:
 		*e.subtype = true
 	default:
-		return fmt.Errorf("want %q or %q", evidence.NameSLM, fused)
+		return fmt.Errorf("want %q or %q", slmOnly, fused)
 	}
 	return nil
 }
 
 // Register installs the shared flags on fs and returns their destination.
-// Both CLIs pass flag.CommandLine.
-func Register(fs *flag.FlagSet) *Flags {
+// The commands pass flag.CommandLine. incremental installs -incr-from,
+// an explicit prior for one binary; rockd, which analyzes many different
+// binaries and auto-discovers each one's prior in its cache, leaves it
+// off, so the flag parser rejects it there.
+func Register(fs *flag.FlagSet, incremental bool) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Workers, "workers", 0, "analysis worker pool size (0 = all CPUs, 1 = serial)")
 	fs.StringVar(&f.CacheDir, "cache", "", "snapshot cache directory (created if missing); repeat analyses of the same binary reuse cached stages")
-	fs.StringVar(&f.IncrFrom, "incr-from", "", "prior version's snapshot (.rsnap) to diff against for incremental re-analysis; with -cache, priors are auto-discovered")
-	fs.Var(evidenceFlag{&f.Subtype}, "evidence", "edge-evidence `providers`: slm (the SLM sweep alone, the default) or slm,subtype (fuse the subtype scores in)")
+	if incremental {
+		fs.StringVar(&f.IncrFrom, "incr-from", "", "prior version's snapshot (.rsnap) to diff against for incremental re-analysis; with -cache, priors are auto-discovered")
+	}
+	fs.Var(evidenceFlag{&f.Subtype}, "evidence", "edge-evidence `scorers`: slm (the SLM sweep alone, the default) or slm,subtype (fuse the subtype scores in)")
 	return f
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -12,7 +13,7 @@ import (
 
 func TestRegisterAndApply(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fs)
+	f := Register(fs, true)
 	dir := filepath.Join(t.TempDir(), "cache")
 	if err := fs.Parse([]string{"-workers", "3", "-cache", dir, "-evidence", "slm,subtype"}); err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func TestRegisterAndApply(t *testing.T) {
 // directory that cannot be created is an error.
 func TestResolveDefaultsAndErrors(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fs)
+	f := Register(fs, true)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestEvidenceSpellings(t *testing.T) {
 	parse := func(args ...string) (*Flags, error) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		f := Register(fs)
+		f := Register(fs, true)
 		return f, fs.Parse(args)
 	}
 	for _, tc := range []struct {
@@ -89,6 +90,30 @@ func TestEvidenceSpellings(t *testing.T) {
 	} {
 		if _, err := parse(bad...); err == nil {
 			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
+// TestIncrFromOnlyWhenIncremental: -incr-from exists only when Register
+// is asked for it. rockd registers without it, so its usage does not
+// list the flag and the parser rejects it (exit code 2 in the commands)
+// instead of accepting a prior the daemon would never read.
+func TestIncrFromOnlyWhenIncremental(t *testing.T) {
+	for _, incremental := range []bool{true, false} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		var usage strings.Builder
+		fs.SetOutput(&usage)
+		f := Register(fs, incremental)
+		fs.PrintDefaults()
+		if listed := strings.Contains(usage.String(), "-incr-from"); listed != incremental {
+			t.Errorf("incremental=%v: usage lists -incr-from: %v", incremental, listed)
+		}
+		err := fs.Parse([]string{"-incr-from", "/nonexistent.rsnap"})
+		if incremental && (err != nil || f.IncrFrom != "/nonexistent.rsnap") {
+			t.Errorf("incremental: -incr-from not parsed: IncrFrom=%q err=%v", f.IncrFrom, err)
+		}
+		if !incremental && err == nil {
+			t.Error("non-incremental: -incr-from accepted")
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/arborescence"
-	"repro/internal/evidence"
 	"repro/internal/evidence/subtype"
 	"repro/internal/hierarchy"
 	"repro/internal/image"
@@ -118,6 +117,24 @@ func DefaultConfig() Config {
 // most enumEps, and a contracted set binds iff its dual exceeds it.
 const enumEps = 1e-9
 
+// rootWeightFactor scales the virtual-root weight relative to the
+// family's largest pairwise distance; it exceeds 1 so that being a derived
+// type is always preferred (Heuristic 4.1). The hierarchy canon renders it.
+const rootWeightFactor float64 = 8
+
+// Fan-out grains for the SLM/KL sweep's chunked fan-outs
+// (pool.ForEachChunk): each claimed range must amortize the shared index
+// counter over enough work without starving workers on small families.
+// Grain choice never affects scores (every slot is index-owned).
+const (
+	// modelGrain groups word-distribution derivations, one
+	// slm.DistanceCalculator.Precompute per member; each derivation reads
+	// the family's gram table, interned before the fan-out.
+	modelGrain = 8
+	// pairGrain groups admissible-pair divergence reductions.
+	pairGrain = 32
+)
+
 // FamilyResult is the per-family outcome.
 type FamilyResult struct {
 	// Types lists the family members (vtable addresses), ascending.
@@ -198,21 +215,6 @@ type Result struct {
 	// licenses copying their prior TypeKeys without re-hashing. Nil means
 	// no delta information: every type must be treated as affected.
 	affected map[uint64]bool
-	// providers are the constructed evidence backends, in fusion order
-	// (built by the evidence stage; see evidence.go).
-	providers []evidence.Provider
-	// provStats accumulates per-provider wall/alloc attribution across
-	// the concurrent family fan-out (observed runs only), folded into one
-	// stage row per provider after the hierarchy stage.
-	provMu    sync.Mutex
-	provStats []provStat
-}
-
-// provStat is one provider's accumulated score-sweep attribution.
-type provStat struct {
-	wall               time.Duration
-	allocBytes, allocs uint64
-	families           int64
 }
 
 // IncrementalStats attributes the incremental lane's reuse.
@@ -598,20 +600,31 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 		}
 	}
 	r.buildWordsFor(solving)
+	// The subtype scorer indexes the structural observations once per
+	// analysis, on the shared pool, before the family fan-out reads it.
+	var sub *subtype.Scorer
+	if cfg.Subtype {
+		var err error
+		sub, err = subtype.New(ctx, subtype.Image{
+			VTables:     r.VTables,
+			Purecall:    r.Structural.Purecall,
+			Structs:     r.Tracelets.Structs,
+			InstallerOf: r.Structural.InstallerOf,
+			FnVTables:   r.Tracelets.FnVTables,
+		}, cfg.pool)
+		if err != nil {
+			return fmt.Errorf("core: building subtype evidence index: %w", err)
+		}
+	}
+	var stats scoreStats
 	if err := pool.ForEach(ctx, cfg.pool, len(r.Structural.Families), func(i int) {
 		if outs[i] == nil {
-			outs[i] = r.analyzeFamily(ctx, cfg, r.Structural.Families[i])
+			outs[i] = r.analyzeFamily(ctx, cfg, r.Structural.Families[i], sub, &stats)
 		}
 	}); err != nil {
 		return err
 	}
-	r.recordProviderStages(cfg)
-	// The providers are stage-local scaffolding; drop them so the Result
-	// does not retain the subtype index or the observation configuration
-	// captured inside the providers (observed and unobserved runs of the
-	// same analysis must stay deep-equal — observation may measure, never
-	// steer).
-	r.providers, r.provStats = nil, nil
+	stats.record(cfg.Obs, sub != nil)
 
 	for i, out := range outs {
 		if out.err != nil {
@@ -630,17 +643,13 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 	return nil
 }
 
-// analyzeFamily scores one family's candidate edges through the enabled
-// evidence providers, fuses the scores, and solves the arborescence. The
-// admissible (parent, child) pairs are laid out once in the deterministic
-// (family order, candidate order) order; each provider scores that one
-// layout (the SLM provider runs the chunked divergence sweep over the
-// frozen flat tries, the subtype provider reads its constraint index),
-// and evidence.Fuse adds the weighted subtype scores to the SLM ones when
-// cfg.Subtype ran that provider. Without it Fuse passes the SLM scores
-// through, so the solve input is bit-identical to the pre-provider
-// pipeline.
-func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *familyOutcome {
+// analyzeFamily scores one family's candidate edges and solves the
+// arborescence. The admissible (parent, child) pairs are laid out once in
+// the deterministic (family order, candidate order) order. The SLM/KL
+// sweep (slmScores) scores that layout, and with sub (cfg.Subtype) the
+// subtype scorer's scores are added at subtype.DefaultWeight (fuse).
+// Without it the solve input is the sweep's scores, bit for bit.
+func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64, sub *subtype.Scorer, stats *scoreStats) *familyOutcome {
 	out := &familyOutcome{fr: FamilyResult{Types: append([]uint64(nil), fam...)}}
 	if len(fam) == 1 {
 		out.fr.Survivors = arborescence.CoOptimal{Tight: [][]int{nil, {0}}}
@@ -661,36 +670,26 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 	for i, t := range fam {
 		models[i] = r.Frozen[t]
 	}
-	in := &evidence.FamilyInput{
-		Types:   out.fr.Types,
-		Pairs:   pairs,
-		Words:   r.familyWords(fam),
-		Models:  models,
-		ModelOf: func(t uint64) *slm.Frozen { return r.Frozen[t] },
+	words := r.familyWords(fam)
+	var edge []float64
+	var root float64
+	stats.timed(cfg.Obs, &stats.slm, func() {
+		edge, root, out.err = r.slmScores(ctx, cfg, words, models, pairs)
+	})
+	if out.err != nil {
+		return out
 	}
-	all := make([]*evidence.Scores, len(r.providers))
-	for i, p := range r.providers {
-		var t0 time.Time
-		var bytes0, objs0 uint64
-		if cfg.Obs != nil {
-			bytes0, objs0 = obs.AllocSample()
-			t0 = time.Now()
-		}
-		s, err := p.Score(ctx, in)
-		if err != nil {
-			out.err = err
-			return out
-		}
-		if cfg.Obs != nil {
-			r.recordProvider(i, time.Since(t0), bytes0, objs0)
-		}
-		all[i] = s
+	cfg.Obs.Add(obs.CntEvidenceEdges, int64(len(pairs)))
+	if sub != nil {
+		var subEdge []float64
+		var subRoot float64
+		stats.timed(cfg.Obs, &stats.sub, func() { subEdge, subRoot = sub.Score(pairs) })
+		cfg.Obs.Add(obs.CntEvidenceEdges, int64(len(pairs)))
+		root = fuse(edge, root, subEdge, subRoot)
 	}
-	cfg.Obs.Add(obs.CntEvidenceEdges, int64(len(pairs)*len(r.providers)))
-	fused := evidence.Fuse(all, subtype.DefaultWeight)
 	out.dist = make(map[[2]uint64]float64, len(pairs))
 	for k, pc := range pairs {
-		out.dist[pc] = fused.Edge[k]
+		out.dist[pc] = edge[k]
 	}
 	// Graph: node 0 is the virtual root; types follow in family order.
 	nodeOf := map[uint64]int{}
@@ -699,11 +698,11 @@ func (r *Result) analyzeFamily(ctx context.Context, cfg Config, fam []uint64) *f
 	}
 	edges := make([]arborescence.Edge, 0, n+admissible)
 	for i := range fam {
-		edges = append(edges, arborescence.Edge{From: 0, To: i + 1, W: fused.Root})
+		edges = append(edges, arborescence.Edge{From: 0, To: i + 1, W: root})
 	}
 	for k, pc := range pairs {
 		edges = append(edges, arborescence.Edge{
-			From: nodeOf[pc[0]], To: nodeOf[pc[1]], W: fused.Edge[k],
+			From: nodeOf[pc[0]], To: nodeOf[pc[1]], W: edge[k],
 		})
 	}
 	if familyHook != nil {
@@ -746,15 +745,84 @@ func saturate(n *big.Int) int64 {
 	return n.Int64()
 }
 
-// recordProvider folds one provider invocation's wall/alloc deltas into
-// the per-provider aggregate. Families score concurrently, so under
-// parallelism the process-wide allocation gauges attribute estimates,
-// not exact per-provider measurements — the same caveat as the stage
-// records themselves.
-func (r *Result) recordProvider(i int, wall time.Duration, bytes0, objs0 uint64) {
+// slmScores runs the paper's SLM/KL sweep (§4.3) over one family's
+// admissible pairs, given the family's word set and its members' models
+// in family order. Each member's word distribution over the word set is
+// derived exactly once (the DistanceCalculator memoizes per model and
+// queries each model once per distinct gram of the word set); then the
+// sweep reduces the cached distributions over pairs in
+// deterministically-owned chunks. edge[k] scores pairs[k], lower is a
+// more likely child→parent edge; root is the virtual-root weight.
+func (r *Result) slmScores(ctx context.Context, cfg Config, words [][]int32, models []*slm.Frozen, pairs [][2]uint64) (edge []float64, root float64, err error) {
+	n := len(models)
+	calc := slm.NewDistanceCalculator(cfg.Metric, words)
+	calc.SetObserver(cfg.Obs)
+	calc.Reserve(models)
+	if err := pool.ForEachChunk(ctx, cfg.pool, n, modelGrain, func(lo, hi int) {
+		for _, m := range models[lo:hi] {
+			calc.Precompute(m)
+		}
+	}); err != nil {
+		return nil, 0, err
+	}
+	edge = make([]float64, len(pairs))
+	if err := pool.ForEachChunk(ctx, cfg.pool, len(pairs), pairGrain, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			edge[k] = calc.Distance(r.Frozen[pairs[k][0]], r.Frozen[pairs[k][1]])
+		}
+	}); err != nil {
+		return nil, 0, err
+	}
+	cfg.Obs.Add(obs.CntDistPairs, int64(len(pairs)))
+	cfg.Obs.Add(obs.CntDistPairsPruned, int64(n*(n-1)-len(pairs)))
+	// PairBound ≥ the largest distance over all n(n-1) ordered pairs, so
+	// Heuristic 4.1's "root edges are always the worst choice" ordering
+	// holds although only the admissible pairs were scored.
+	return edge, calc.PairBound(models)*rootWeightFactor + 1, nil
+}
+
+// fuse adds the subtype scores at subtype.DefaultWeight to the SLM/KL
+// ones, in that order: edge[k] becomes edge[k] + w·subEdge[k] in place,
+// and the fused root root + w·subRoot is returned. Each scorer's root
+// dominates its own edges, so the fused root dominates every fused edge
+// term by term (Heuristic 4.1).
+func fuse(edge []float64, root float64, subEdge []float64, subRoot float64) float64 {
+	for k, e := range subEdge {
+		edge[k] += subtype.DefaultWeight * e
+	}
+	return root + subtype.DefaultWeight*subRoot
+}
+
+// scoreStat is one scorer's accumulated wall/alloc attribution across
+// the family fan-out.
+type scoreStat struct {
+	wall               time.Duration
+	allocBytes, allocs uint64
+	families           int64
+}
+
+// scoreStats accumulates the two scorers' attribution on observed runs.
+// Families score concurrently, so under parallelism the process-wide
+// allocation gauges attribute estimates, not exact per-scorer
+// measurements — the same caveat as the stage records themselves.
+type scoreStats struct {
+	mu       sync.Mutex
+	slm, sub scoreStat
+}
+
+// timed runs f and, when bus is non-nil, folds its wall time and
+// allocation deltas into st, one of s's accumulators.
+func (s *scoreStats) timed(bus *obs.Bus, st *scoreStat, f func()) {
+	if bus == nil {
+		f()
+		return
+	}
+	bytes0, objs0 := obs.AllocSample()
+	t0 := time.Now()
+	f()
+	wall := time.Since(t0)
 	bytes1, objs1 := obs.AllocSample()
-	r.provMu.Lock()
-	st := &r.provStats[i]
+	s.mu.Lock()
 	st.wall += wall
 	if bytes1 > bytes0 {
 		st.allocBytes += bytes1 - bytes0
@@ -763,22 +831,22 @@ func (r *Result) recordProvider(i int, wall time.Duration, bytes0, objs0 uint64)
 		st.allocs += objs1 - objs0
 	}
 	st.families++
-	r.provMu.Unlock()
+	s.mu.Unlock()
 }
 
-// recordProviderStages emits one aggregate stage row per evidence
-// provider after the family fan-out: Name "evidence:<provider>" in the
-// hierarchy section, with Count carrying how many families the provider
-// scored. The rows flow through obs.Report.Merge like any stage, so
-// rockd's /metrics rollup attributes fleet-level per-provider cost.
-func (r *Result) recordProviderStages(cfg Config) {
-	if cfg.Obs == nil {
+// record emits one aggregate stage row per scorer after the family
+// fan-out: "evidence:slm", and "evidence:subtype" when the subtype scorer
+// ran, in the hierarchy section, with Count carrying how many families
+// the scorer scored. The rows flow through obs.Report.Merge like any
+// stage, so rockd's /metrics rollup attributes fleet-level per-scorer
+// cost.
+func (s *scoreStats) record(bus *obs.Bus, withSubtype bool) {
+	if bus == nil {
 		return
 	}
-	for i, p := range r.providers {
-		st := r.provStats[i]
-		cfg.Obs.StageRecord(obs.StageStats{
-			Name:       "evidence:" + p.Name(),
+	row := func(name string, st scoreStat) {
+		bus.StageRecord(obs.StageStats{
+			Name:       name,
 			Section:    snapshot.Tag(snapshot.LevelHierarchy),
 			Status:     obs.StageRan,
 			Wall:       st.wall,
@@ -786,6 +854,10 @@ func (r *Result) recordProviderStages(cfg Config) {
 			Allocs:     st.allocs,
 			Count:      st.families,
 		})
+	}
+	row("evidence:slm", s.slm)
+	if withSubtype {
+		row("evidence:subtype", s.sub)
 	}
 }
 

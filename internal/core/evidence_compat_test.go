@@ -20,12 +20,12 @@ func cacheFile(t *testing.T, dir string) string {
 }
 
 // TestEvidenceSnapshotCompat proves that snapshots written before the
-// evidence-provider refactor stay valid: a default SLM-only run today
+// evidence-scorer refactor stay valid: a default SLM-only run today
 // writes the same key bytes the pre-refactor core did (pinned by
 // TestFingerprintCompat), so re-encoding today's snapshot stands in for a
 // pre-refactor cache file. It must still validate and warm-restore the
 // whole pipeline under the default configuration, while enabling the
-// subtype provider must NOT claim the cached hierarchy section — its
+// subtype scores must NOT claim the cached hierarchy section — its
 // canon is different — yet still salvage the extraction and model
 // sections.
 func TestEvidenceSnapshotCompat(t *testing.T) {

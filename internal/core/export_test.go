@@ -12,3 +12,6 @@ func MultiParents(r *Result, dist map[[2]uint64]float64, forest *hierarchy.Fores
 
 // EnumEps is the co-optimal near-tie tolerance the hierarchy stage uses.
 const EnumEps = enumEps
+
+// RootWeightFactor scales the virtual-root weight the SLM/KL sweep sets.
+const RootWeightFactor = rootWeightFactor

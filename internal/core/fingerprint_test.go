@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
-	"repro/internal/evidence/slmkl"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
@@ -38,7 +37,7 @@ func TestFingerprintCompat(t *testing.T) {
 			snapshot.LevelModels - 1: legacy("model", fmt.Sprintf("depth=%d", cfg.SLMDepth)),
 			snapshot.LevelHierarchy - 1: legacy("hier", fmt.Sprintf(
 				"metric=%d rootw=%.17g enumeps=%.17g sweep=sparse kl=dot",
-				cfg.Metric, slmkl.RootWeightFactor, enumEps)),
+				cfg.Metric, rootWeightFactor, enumEps)),
 		}
 		for i := range fps {
 			if fps[i] != want[i] {
@@ -64,7 +63,7 @@ func TestFingerprintCompat(t *testing.T) {
 }
 
 // TestEvidenceFingerprints pins the fingerprint model of the evidence
-// switch: fusing the subtype provider in must re-key the hierarchy
+// switch: fusing the subtype scores in must re-key the hierarchy
 // section alone (the model and extraction sections are
 // evidence-independent).
 func TestEvidenceFingerprints(t *testing.T) {
@@ -75,7 +74,7 @@ func TestEvidenceFingerprints(t *testing.T) {
 	fused.Subtype = true
 	ffps := fused.withDefaults().fingerprints()
 	if ffps[ext] != def[ext] || ffps[mod] != def[mod] {
-		t.Error("enabling the subtype provider re-keyed the extraction/models sections; staged reuse lost")
+		t.Error("enabling the subtype scores re-keyed the extraction/models sections; staged reuse lost")
 	}
 	if ffps[hier] == def[hier] {
 		t.Error("fused and SLM-only configs share a hierarchy fingerprint; stale edge payloads would cross modes")
@@ -90,7 +89,7 @@ func TestEvidenceFingerprints(t *testing.T) {
 // TestFingerprintCompat recomputes them with the code's own format
 // strings; only a literal catches a refactor that shifts both together.
 // Two non-default literals pin the canon's variable parts: the extract
-// section at window 5, and the hier section with the subtype provider
+// section at window 5, and the hier section with the subtype scores
 // fused in (its term weights render as "{slot=1 prox=0.25 flow=0.5
 // call=0.5 root=8}").
 func TestFingerprintLiterals(t *testing.T) {

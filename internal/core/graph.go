@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/disasm"
-	"repro/internal/evidence/slmkl"
+	"repro/internal/evidence/subtype"
 	"repro/internal/image"
 	"repro/internal/objtrace"
 	"repro/internal/obs"
@@ -35,7 +35,7 @@ type stage struct {
 //
 //	extraction   disasm → vtables → tracelets → structural → alphabet
 //	models       train (SLM training into the frozen form)
-//	hierarchy    evidence → hierarchy (distances + arborescences) → multiparents
+//	hierarchy    hierarchy (edge scores + arborescences) → multiparents
 var stages = []stage{
 	{name: "disasm", level: snapshot.LevelExtraction, run: func(ctx context.Context, res *Result, c Config) error {
 		fns, err := disasm.All(res.Image)
@@ -78,12 +78,6 @@ var stages = []stage{
 		}
 		c.Obs.Add(obs.CntModels, int64(len(res.Frozen)))
 		return nil
-	}},
-	// The evidence stage constructs the scoring backends the hierarchy
-	// stage fuses (internal/evidence); provider choice is fingerprinted
-	// with the hierarchy section by hierarchyCanon.
-	{name: "evidence", level: snapshot.LevelHierarchy, behavioral: true, run: func(ctx context.Context, res *Result, c Config) error {
-		return res.buildEvidence(ctx, c)
 	}},
 	{name: "hierarchy", level: snapshot.LevelHierarchy, behavioral: true, run: func(ctx context.Context, res *Result, c Config) error {
 		return res.buildHierarchy(ctx, c)
@@ -152,11 +146,21 @@ func (c Config) fingerprints() [snapshot.NumSections][32]byte {
 // evidence changes invalidate only the hierarchy section.
 func (c Config) hierarchyCanon() string {
 	canon := fmt.Sprintf("metric=%d rootw=%.17g enumeps=%.17g sweep=sparse kl=dot",
-		c.Metric, slmkl.RootWeightFactor, enumEps)
+		c.Metric, rootWeightFactor, enumEps)
 	if c.Subtype {
 		canon += " evidence=" + evidenceCanon()
 	}
 	return canon
+}
+
+// evidenceCanon renders the fused evidence configuration for the
+// hierarchy-section fingerprint: each scorer's name with its fusion
+// weight, plus the subtype scorer's fixed term weights. The bytes are the
+// ones every fused snapshot was keyed with.
+func evidenceCanon() string {
+	return fmt.Sprintf("slm:1,subtype:%.17g{slot=%.17g prox=%.17g flow=%.17g call=%.17g root=%.17g}",
+		float64(subtype.DefaultWeight), subtype.SlotWeight, subtype.ProxWeight,
+		subtype.FlowWeight, subtype.CallWeight, subtype.RootFactor)
 }
 
 // countStructural records the structural stage's domain counters: the

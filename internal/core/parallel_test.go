@@ -71,9 +71,8 @@ func TestOneShotBoundsConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		// Families larger than the sweep's model grain (slmkl's modelGrain)
+		// Families larger than the sweep's model grain (modelGrain)
 		// split into several chunks, so their sweep fans out again.
-		const modelGrain = 8
 		large := 0
 		for _, fam := range res.Structural.Families {
 			if len(fam) > modelGrain {

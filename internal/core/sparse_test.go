@@ -7,7 +7,6 @@ import (
 	"repro/internal/arborescence"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/evidence/slmkl"
 	"repro/internal/hierarchy"
 	"repro/internal/image"
 	"repro/internal/slm"
@@ -51,7 +50,7 @@ func reference(t *testing.T, res *core.Result, cfg core.Config) (map[[2]uint64]f
 		var edges []arborescence.Edge
 		for i, t := range fam {
 			nodeOf[t] = i + 1
-			edges = append(edges, arborescence.Edge{From: 0, To: i + 1, W: maxD*slmkl.RootWeightFactor + 1})
+			edges = append(edges, arborescence.Edge{From: 0, To: i + 1, W: maxD*core.RootWeightFactor + 1})
 		}
 		for _, c := range fam {
 			for _, p := range res.Structural.PossibleParents[c] {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/evidence"
 	"repro/internal/evidence/subtype"
 )
 
@@ -30,7 +29,7 @@ type FusionRow struct {
 	Types int  `json:"types"`
 	// SLM is the per-edge score of the SLM-only (paper default) run.
 	SLM EdgeScore `json:"slm"`
-	// Fused is the per-edge score with the subtype provider fused in.
+	// Fused is the per-edge score with the subtype scores fused in.
 	Fused EdgeScore `json:"fused"`
 	// Improved marks a strictly higher fused F1.
 	Improved bool `json:"improved"`
@@ -49,7 +48,7 @@ type FusionReport struct {
 }
 
 // RunFusionGrid runs the adversarial grid twice — once under the paper's
-// SLM-only configuration and once with the subtype provider fused in —
+// SLM-only configuration and once with the subtype scores fused in —
 // and pairs the per-config scores. Both halves run through the corpus
 // batch engine with cfg's worker budget.
 func RunFusionGrid(ctx context.Context, cfg core.Config) (*FusionReport, error) {
@@ -67,8 +66,8 @@ func RunFusionGrid(ctx context.Context, cfg core.Config) (*FusionReport, error) 
 		return nil, fmt.Errorf("grid halves disagree: %d vs %d configs", len(slmRep.Configs), len(fusedRep.Configs))
 	}
 	rep := &FusionReport{Schema: FusionSchema, Weights: map[string]float64{
-		evidence.NameSLM:     1,
-		evidence.NameSubtype: subtype.DefaultWeight,
+		"slm":     1,
+		"subtype": subtype.DefaultWeight,
 	}}
 	for i, s := range slmRep.Configs {
 		f := fusedRep.Configs[i]

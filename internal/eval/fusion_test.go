@@ -8,7 +8,7 @@ import (
 )
 
 // TestFusionGrid pins the fusion acceptance contract on the adversarial
-// grid: fusing the subtype provider with the SLM sweep at default
+// grid: fusing the subtype scores with the SLM sweep at default
 // weights must never score below the SLM-only run on any configuration,
 // must strictly improve at least 3 hard-mode configurations
 // (devirt/comdat/partial — the modes that erase behavioral evidence),

@@ -1,5 +1,5 @@
-// Package subtype is the constraint-based structural subtyping evidence
-// provider: it scores child→parent edges from machine-code facts alone,
+// Package subtype is the constraint-based structural subtyping scorer:
+// it scores child→parent edges from machine-code facts alone,
 // with no statistical language models — in the spirit of Noonan et
 // al.'s polymorphic type inference for machine code and BinSub's
 // algebraic subtyping (see PAPERS.md).
@@ -24,29 +24,29 @@
 //   - Parent-method calls: c's code calling a function that appears in
 //     p's vtable (e.g. Base::method(this) after devirtualization).
 //
-// Unlike the SLM provider, every signal here survives the hard cases
+// Unlike the SLM/KL sweep, every signal here survives the hard cases
 // that erase behavioral evidence — devirtualized monomorphic sites,
 // COMDAT-folded methods, partially inlined constructors — because
 // vtable layout and install order are what the compiler cannot remove.
 //
-// The provider is built once per analysis: an index over the objtrace
+// The scorer is built once per analysis: an index over the objtrace
 // structural observations is assembled on the shared worker pool
 // (deterministically — per-chunk partial counts merged in chunk order,
 // and counts are order-independent sums), then each family's Score is a
-// read-only sweep over that index.
+// read-only sweep over that index. Core fuses the scores into the SLM/KL
+// sweep's at DefaultWeight when core.Config.Subtype is set.
 package subtype
 
 import (
 	"context"
 
-	"repro/internal/evidence"
 	"repro/internal/objtrace"
 	"repro/internal/pool"
 	"repro/internal/vtable"
 )
 
-// DefaultWeight is this provider's fusion weight against the SLM
-// provider's 1 (core.Config.Subtype, -evidence slm,subtype). It is
+// DefaultWeight is this scorer's fusion weight against the SLM/KL
+// sweep's 1 (core.Config.Subtype, -evidence slm,subtype). It is
 // calibrated on the adversarial grid (internal/eval): the grid improves
 // strictly on three devirtualized configurations with no regression
 // anywhere for weights in roughly [3, 6], while above ~8 the
@@ -77,7 +77,7 @@ const (
 	RootFactor = 8.0
 )
 
-// Image is the slice of the analysis the provider reads — the discovered
+// Image is the slice of the analysis the scorer reads — the discovered
 // vtables plus the objtrace/structural artifacts the constraints mine.
 type Image struct {
 	// VTables are the discovered vtables.
@@ -104,20 +104,20 @@ func newCounts() *counts {
 	return &counts{flow: map[[2]uint64]int{}, call: map[[2]uint64]int{}}
 }
 
-// Provider scores one image's families; build it once with New.
-type Provider struct {
+// Scorer scores one image's families; build it once with New.
+type Scorer struct {
 	byAddr   map[uint64]*vtable.VTable
 	purecall uint64
 	idx      *counts
 }
 
 // New indexes the image's structural observations and returns the
-// provider. The fan-out draws its helpers from shared (nil runs it
+// scorer. The fan-out draws its helpers from shared (nil runs it
 // serially); per-chunk partial tallies land in chunk-owned slots and
 // merge in chunk order, and the merged sums are order-independent, so the
 // index is identical at any pool capacity.
-func New(ctx context.Context, img Image, shared *pool.Shared) (*Provider, error) {
-	p := &Provider{
+func New(ctx context.Context, img Image, shared *pool.Shared) (*Scorer, error) {
+	p := &Scorer{
 		byAddr:   make(map[uint64]*vtable.VTable, len(img.VTables)),
 		purecall: img.Purecall,
 	}
@@ -148,7 +148,7 @@ func New(ctx context.Context, img Image, shared *pool.Shared) (*Provider, error)
 }
 
 // tally mines one object's observation sequence into part.
-func (p *Provider) tally(part *counts, os objtrace.ObjStruct, img Image) {
+func (p *Scorer) tally(part *counts, os objtrace.ObjStruct, img Image) {
 	// The object's own types: every primary (offset-0) install observed
 	// on it, with the last one — the most-derived type of a construction
 	// sequence — as the principal self. A receiver object with no install
@@ -206,25 +206,23 @@ func (p *Provider) tally(part *counts, os objtrace.ObjStruct, img Image) {
 	}
 }
 
-// Name implements evidence.Provider.
-func (p *Provider) Name() string { return evidence.NameSubtype }
-
-// Score implements evidence.Provider: a read-only sweep of the index
-// over the family's admissible pairs. Each pair is a few map lookups and
+// Score is a read-only sweep of the index over one family's admissible
+// (parent, child) pairs: edge[k] scores pairs[k], lower is a more likely
+// child→parent edge, and root, the virtual-root edge weight, is at least
+// every edge score (Heuristic 4.1). Each pair is a few map lookups and
 // one slot walk — no fan-out is worth it (the caller already runs
-// families concurrently).
-func (p *Provider) Score(_ context.Context, in *evidence.FamilyInput) (*evidence.Scores, error) {
-	out := &evidence.Scores{Edge: make([]float64, len(in.Pairs))}
-	for k, pc := range in.Pairs {
-		out.Edge[k] = p.pairScore(pc[0], pc[1])
+// families concurrently). Score is safe for concurrent calls.
+func (p *Scorer) Score(pairs [][2]uint64) (edge []float64, root float64) {
+	edge = make([]float64, len(pairs))
+	for k, pc := range pairs {
+		edge[k] = p.pairScore(pc[0], pc[1])
 	}
 	const maxScore = SlotWeight + ProxWeight + FlowWeight + CallWeight
-	out.Root = maxScore*RootFactor + 1
-	return out, nil
+	return edge, maxScore*RootFactor + 1
 }
 
 // pairScore scores candidate parent pv for child cv; lower is better.
-func (p *Provider) pairScore(pa, ca uint64) float64 {
+func (p *Scorer) pairScore(pa, ca uint64) float64 {
 	pv, cv := p.byAddr[pa], p.byAddr[ca]
 	slot, prox := 0.5, 0.5
 	if pv != nil && cv != nil {
@@ -241,7 +239,7 @@ func (p *Provider) pairScore(pa, ca uint64) float64 {
 // excluded from both numerator and denominator: a pure slot in the
 // parent is satisfied by any override, so it neither confirms nor
 // refutes inheritance.
-func (p *Provider) slotTerm(pv, cv *vtable.VTable) float64 {
+func (p *Scorer) slotTerm(pv, cv *vtable.VTable) float64 {
 	n := min(len(pv.Slots), len(cv.Slots))
 	shared, denom := 0, 0
 	for i := 0; i < n; i++ {
@@ -275,11 +273,4 @@ func proxTerm(pv, cv *vtable.VTable) float64 {
 		return 1
 	}
 	return t
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

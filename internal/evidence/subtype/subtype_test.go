@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/evidence"
 	"repro/internal/objtrace"
 	"repro/internal/pool"
 	"repro/internal/vtable"
@@ -16,7 +15,7 @@ func vt(addr uint64, slots ...uint64) *vtable.VTable {
 	return &vtable.VTable{Addr: addr, Slots: slots}
 }
 
-func mustNew(t *testing.T, img Image, sh *pool.Shared) *Provider {
+func mustNew(t *testing.T, img Image, sh *pool.Shared) *Scorer {
 	t.Helper()
 	p, err := New(context.Background(), img, sh)
 	if err != nil {
@@ -25,13 +24,15 @@ func mustNew(t *testing.T, img Image, sh *pool.Shared) *Provider {
 	return p
 }
 
-func score(t *testing.T, p *Provider, pairs ...[2]uint64) *evidence.Scores {
-	t.Helper()
-	s, err := p.Score(context.Background(), &evidence.FamilyInput{Pairs: pairs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+// scores is one Score call's output.
+type scores struct {
+	Edge []float64
+	Root float64
+}
+
+func score(p *Scorer, pairs ...[2]uint64) scores {
+	edge, root := p.Score(pairs)
+	return scores{edge, root}
 }
 
 // TestSlotOverlapOrdering pins the core constraint: a candidate parent
@@ -46,7 +47,7 @@ func TestSlotOverlapOrdering(t *testing.T) {
 	img := Image{VTables: []*vtable.VTable{parent, stranger, child}, Purecall: purecall}
 	p := mustNew(t, img, nil)
 
-	s := score(t, p, [2]uint64{0x100, 0x300}, [2]uint64{0x200, 0x300})
+	s := score(p, [2]uint64{0x100, 0x300}, [2]uint64{0x200, 0x300})
 	if s.Edge[0] >= s.Edge[1] {
 		t.Errorf("slot-sharing parent scored %v, stranger %v; want parent strictly lower", s.Edge[0], s.Edge[1])
 	}
@@ -60,7 +61,7 @@ func TestSlotOverlapOrdering(t *testing.T) {
 	abstract := vt(0x400, purecall, purecall, purecall)
 	img2 := Image{VTables: []*vtable.VTable{abstract, stranger, child}, Purecall: purecall}
 	p2 := mustNew(t, img2, nil)
-	s2 := score(t, p2, [2]uint64{0x400, 0x300}, [2]uint64{0x200, 0x300})
+	s2 := score(p2, [2]uint64{0x400, 0x300}, [2]uint64{0x200, 0x300})
 	if s2.Edge[0] >= s2.Edge[1] {
 		t.Errorf("pure-slot parent scored %v, mismatching stranger %v; want neutral < mismatch", s2.Edge[0], s2.Edge[1])
 	}
@@ -75,7 +76,7 @@ func TestProximityTieBreak(t *testing.T) {
 	child := vt(0x300, 10, 11, 20, 21, 30)
 	img := Image{VTables: []*vtable.VTable{grand, parent, child}}
 	p := mustNew(t, img, nil)
-	s := score(t, p, [2]uint64{0x200, 0x300}, [2]uint64{0x100, 0x300})
+	s := score(p, [2]uint64{0x200, 0x300}, [2]uint64{0x100, 0x300})
 	if s.Edge[0] >= s.Edge[1] {
 		t.Errorf("direct parent scored %v, grandparent %v; want direct parent strictly lower", s.Edge[0], s.Edge[1])
 	}
@@ -100,7 +101,7 @@ func TestInstallFlowEvidence(t *testing.T) {
 		}},
 	}
 	p := mustNew(t, img, nil)
-	s := score(t, p, [2]uint64{0x100, 0x300}, [2]uint64{0x100, 0x400})
+	s := score(p, [2]uint64{0x100, 0x300}, [2]uint64{0x100, 0x400})
 	if s.Edge[0] >= s.Edge[1] {
 		t.Errorf("flow-observed child scored %v, flow-free child %v; want observed strictly lower", s.Edge[0], s.Edge[1])
 	}
@@ -125,7 +126,7 @@ func TestParentCallEvidence(t *testing.T) {
 		}},
 	}
 	p := mustNew(t, img, nil)
-	s := score(t, p, [2]uint64{0x100, 0x300}, [2]uint64{0x100, 0x400})
+	s := score(p, [2]uint64{0x100, 0x300}, [2]uint64{0x100, 0x400})
 	if s.Edge[0] >= s.Edge[1] {
 		t.Errorf("parent-calling child scored %v, silent child %v; want caller strictly lower", s.Edge[0], s.Edge[1])
 	}
@@ -154,9 +155,9 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 	img := Image{VTables: vts, Structs: structs}
-	want := score(t, mustNew(t, img, nil), pairs...)
+	want := score(mustNew(t, img, nil), pairs...)
 	for _, capacity := range []int{2, 8, 32} {
-		got := score(t, mustNew(t, img, pool.NewShared(capacity)), pairs...)
+		got := score(mustNew(t, img, pool.NewShared(capacity)), pairs...)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("cap=%d: scores diverged from the serial build", capacity)
 		}

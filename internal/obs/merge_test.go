@@ -142,9 +142,9 @@ func TestReportMerge(t *testing.T) {
 	}
 }
 
-// TestReportMergeProviderStages pins the multi-provider attribution rows:
+// TestReportMergeProviderStages pins the per-scorer attribution rows:
 // caller-built evidence:NAME records (StageRecord) from several analyses
-// merge per provider — Count accumulates the per-run family totals, wall
+// merge per scorer — Count accumulates the per-run family totals, wall
 // and allocation columns sum — and never collapse into each other or
 // into the pipeline's own stage rows.
 func TestReportMergeProviderStages(t *testing.T) {
@@ -163,7 +163,7 @@ func TestReportMergeProviderStages(t *testing.T) {
 	agg.Merge(runB)
 
 	if len(agg.Stages) != 3 {
-		t.Fatalf("got %d aggregate rows, want hierarchy + one per provider: %+v", len(agg.Stages), agg.Stages)
+		t.Fatalf("got %d aggregate rows, want hierarchy + one per scorer: %+v", len(agg.Stages), agg.Stages)
 	}
 	find := func(name string) *StageStats {
 		for i := range agg.Stages {

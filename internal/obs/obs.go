@@ -96,11 +96,9 @@ const (
 	// CntFamiliesResolved counts families re-solved on the incremental
 	// lane (the rest restored verbatim from the prior snapshot).
 	CntFamiliesResolved
-	// CntEvidenceProviders counts the evidence providers constructed for
-	// the run (1 for the default SLM-only configuration).
-	CntEvidenceProviders
-	// CntEvidenceEdges counts candidate-edge scores produced across all
-	// evidence providers (provider count × admissible pairs).
+	// CntEvidenceEdges counts candidate-edge scores produced across the
+	// edge scorers: the admissible pairs, twice when the subtype scores
+	// are fused in.
 	CntEvidenceEdges
 
 	numCounters
@@ -114,7 +112,7 @@ var counterNames = [numCounters]string{
 	"dist_positions", "co_optimal", "arbs_kept",
 	"multi_parents", "pool_helpers",
 	"fn_digest_hit", "fn_digest_miss", "types_retrained", "families_resolved",
-	"evidence_providers", "evidence_edges_scored",
+	"evidence_edges_scored",
 }
 
 // String returns the counter's report name.
@@ -250,7 +248,7 @@ func (b *Bus) SetSnapshotReuse(level int) {
 
 // AllocSample reads the cumulative heap allocation gauges — the same
 // process-wide estimate StageStart/End bracket a stage with. Callers
-// that account sub-stage work (e.g. per-provider attribution inside the
+// that account sub-stage work (e.g. per-scorer attribution inside the
 // hierarchy fan-out) sample around their region and feed the deltas to
 // StageRecord.
 func AllocSample() (bytes, objects uint64) {
@@ -318,7 +316,7 @@ func (h StageHandle) End(err error) {
 
 // StageRecord appends a caller-built stage record verbatim. It is the
 // escape hatch for sub-stage attribution that StageStart/End cannot
-// bracket — e.g. one aggregate row per evidence provider, accumulated
+// bracket — e.g. one aggregate row per edge scorer, accumulated
 // across the concurrent per-family hierarchy fan-out — where the caller
 // owns the wall/alloc accounting (and may pre-set Count, which Merge
 // then treats as an aggregate of that many occurrences). Nil-safe.

@@ -96,7 +96,7 @@ func TestAnalyzedModelsMatchReference(t *testing.T) {
 // grid, default and fused ("slm,subtype") evidence, at workers 1 and 8.
 // For every solved family it rebuilds the family word set (the distinct
 // encoded tracelets of the members, in member order) and, through a
-// calculator prepared as the SLM provider prepares it, requires each
+// calculator prepared as core's SLM/KL sweep prepares it, requires each
 // member's gram-kernel row and cached distribution to equal
 // Querier.LogProbWords over that set bit for bit. Under default evidence
 // the pipeline's Dist is the SLM distance itself, so every entry must

@@ -22,7 +22,6 @@
 // models over a word set (§4.2.1) and the JS-divergence/JS-distance
 // variants the paper evaluates and rejects ("Other Metrics", §6.4),
 // through a DistanceCalculator. The per-family divergence sweep that
-// turns these metrics into hierarchy edge scores lives behind the
-// evidence-provider abstraction (internal/evidence/slmkl); this package
-// stays metric-only.
+// turns these metrics into hierarchy edge scores lives in internal/core's
+// hierarchy stage; this package stays metric-only.
 package slm

@@ -21,7 +21,7 @@
 //	               frozen-models section
 //	hier FP        LevelHierarchy — back-end config (metric, root
 //	               weight, co-optimal tie tolerance, plus the
-//	               evidence-provider configuration whenever it differs
+//	               fused evidence configuration whenever it differs
 //	               from the SLM-only default) guarding the hierarchy
 //	               section
 //
