@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compiler"
 	"repro/internal/image"
+	"repro/internal/slm"
 	"repro/internal/synth"
 )
 
@@ -83,6 +84,47 @@ func BenchmarkWordSets(b *testing.B) {
 		res.buildWords()
 		for _, fam := range res.Structural.Families {
 			res.familyWords(fam)
+		}
+	}
+}
+
+// BenchmarkFamilyDerivations times deriving every model's word
+// distribution over its family's word set on one deep synthetic image,
+// serially: the SLM/KL sweep's precompute, which the pair reductions then
+// only read. Each iteration gets fresh calculators whose gram tables are
+// interned outside the timer, so it times the derivations alone.
+func BenchmarkFamilyDerivations(b *testing.B) {
+	res := deepResult(b)
+	cfg := DefaultConfig()
+	type family struct {
+		words  [][]int32
+		models []*slm.Frozen
+	}
+	var fams []family
+	for _, fam := range res.Structural.Families {
+		if len(fam) == 1 {
+			continue // analyzeFamily derives nothing for a singleton
+		}
+		f := family{words: res.FamilyWords(fam)}
+		for _, t := range fam {
+			f.models = append(f.models, res.Frozen[t])
+		}
+		fams = append(fams, f)
+	}
+	calcs := make([]*slm.DistanceCalculator, len(fams))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		for i, f := range fams {
+			calcs[i] = slm.NewDistanceCalculator(cfg.Metric, f.words)
+			calcs[i].Reserve(f.models)
+		}
+		b.StartTimer()
+		for i, f := range fams {
+			for _, m := range f.models {
+				calcs[i].Precompute(m)
+			}
 		}
 	}
 }

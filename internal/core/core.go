@@ -748,8 +748,9 @@ func saturate(n *big.Int) int64 {
 // slmScores runs the paper's SLM/KL sweep (§4.3) over one family's
 // admissible pairs, given the family's word set and its members' models
 // in family order. Each member's word distribution over the word set is
-// derived exactly once (the DistanceCalculator memoizes per model and
-// queries each model once per distinct gram of the word set); then the
+// derived exactly once (the DistanceCalculator memoizes per model,
+// queries each model once per distinct gram of the word set and derives
+// each backoff chain once per derivation); then the
 // sweep reduces the cached distributions over pairs in
 // deterministically-owned chunks. edge[k] scores pairs[k], lower is a
 // more likely child→parent edge; root is the virtual-root weight.

@@ -74,6 +74,10 @@ const (
 	// the model queries one derivation would run word by word, so
 	// dist_positions / dist_grams is the factoring ratio.
 	CntDistPositions
+	// CntDistChains counts the escape chains the derivations built: the
+	// backoff below a context's first level, derived once per deepest
+	// context node and shared by every gram query that escapes there.
+	CntDistChains
 	// CntCoOptimal counts the co-optimal arborescences across all
 	// families before majority voting, exactly (arborescence.CoOptimal).
 	CntCoOptimal
@@ -109,7 +113,7 @@ var counterNames = [numCounters]string{
 	"vtables", "tracelets", "raw_tracelets", "alphabet", "families",
 	"candidate_edges", "edges_pruned", "models", "train_words", "dist_pairs",
 	"dist_pairs_pruned", "dist_memo_hits", "dist_memo_misses", "dist_grams",
-	"dist_positions", "co_optimal", "arbs_kept",
+	"dist_positions", "dist_chains", "co_optimal", "arbs_kept",
 	"multi_parents", "pool_helpers",
 	"fn_digest_hit", "fn_digest_miss", "types_retrained", "families_resolved",
 	"evidence_edges_scored",

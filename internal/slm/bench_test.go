@@ -125,7 +125,8 @@ func BenchmarkWordDist(b *testing.B) {
 		s := &queryScratch{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			distFromLogProbs(s.logProbWords(f, tab))
+			lps, _ := s.logProbWords(f, tab)
+			distFromLogProbs(lps)
 		}
 	})
 }

@@ -157,7 +157,11 @@ func jsDist(pa, pb []float64) float64 {
 // not one per word position: the calculator interns the word set's grams
 // once per model depth (gramTable) and sums each word's gram
 // log-probabilities in position order, which reproduces a per-position
-// sum of queries bit for bit.
+// sum of queries bit for bit. The queries share work too: the trie is
+// walked once per distinct gram history, and the PPM-C backoff below a
+// context's first level (its escape chain) is derived once per deepest
+// context node and reused by every gram that escapes there, so a query
+// past the first level costs a binary search per level and one Log.
 //
 // The distance from A to B over the word set W is, for the paper's metric,
 //
@@ -216,8 +220,9 @@ func (c *DistanceCalculator) Reserve(ms []*Frozen) {
 
 // SetObserver attaches an observer bus: every distribution lookup is then
 // attributed as a memo hit (cached vector reused) or miss (derivation
-// actually ran), and each gram table interned adds its distinct grams
-// and word positions. A nil bus (the default) costs nothing.
+// actually ran), each derivation adds the escape chains it built, and
+// each gram table interned adds its distinct grams and word positions. A
+// nil bus (the default) costs nothing.
 func (c *DistanceCalculator) SetObserver(b *obs.Bus) { c.obs = b }
 
 // Precompute derives and caches the word distribution of m. Calling it
@@ -303,8 +308,10 @@ func (c *DistanceCalculator) distribution(m *Frozen) *distEntry {
 	c.obs.Add(obs.CntDistMemoMisses, 1)
 	t := c.grams(m.depth)
 	s := getScratch()
-	e = newDistEntry(s.logProbWords(m, t))
+	lps, chains := s.logProbWords(m, t)
+	e = newDistEntry(lps)
 	putScratch(s)
+	c.obs.Add(obs.CntDistChains, int64(chains))
 	c.mu.Lock()
 	if prev, ok := c.cache[m]; ok {
 		e = prev

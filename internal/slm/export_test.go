@@ -16,7 +16,8 @@ func ReferenceKL(lpsA, lpsB []float64) float64 {
 // derives for m over c's word set.
 func GramRow(c *DistanceCalculator, m *Frozen) []float64 {
 	s := &queryScratch{}
-	return append([]float64(nil), s.logProbWords(m, c.grams(m.depth))...)
+	lps, _ := s.logProbWords(m, c.grams(m.depth))
+	return append([]float64(nil), lps...)
 }
 
 // CachedEntryIs reports whether c's cached distribution of m equals, bit

@@ -68,19 +68,19 @@ func (f *Frozen) child(n int32, s int32) int32 {
 	return -1
 }
 
-// Querier carries the per-query scratch state of a frozen model so the
+// Querier carries the query-side scratch state of a frozen model so the
 // hot loop performs zero allocations: an epoch-stamped exclusion array
-// sized to the alphabet (clearing it per query is a single counter
-// increment, not an O(alphabet) wipe), the context-node stack, and the
-// bound model's exclusion-free log terms. A Querier is not safe for
+// sized to the alphabet (clearing it per exclusion pass is a single
+// counter increment, not an O(alphabet) wipe), the context-node stack,
+// the bound model's exclusion-free log terms, and the memo of escape
+// chains built since the last Rebind. A Querier is not safe for
 // concurrent use; give each goroutine its own.
 type Querier struct {
 	f *Frozen
-	// exclEpoch[s] == epoch marks symbol s excluded in the current query.
+	// exclEpoch[s] == epoch marks symbol s excluded in the current
+	// exclusion pass (see newExclusion).
 	exclEpoch []uint32
 	epoch     uint32
-	// nexcl counts the distinct symbols excluded in the current query.
-	nexcl int
 	// ctx is the reusable context-node stack (root..deepest). It grows
 	// with the deepest trie walk, never from the declared depth, which a
 	// decoded model does not bound.
@@ -91,6 +91,34 @@ type Querier struct {
 	// these instead of recounting its span and taking a log (see
 	// deriveLogTerms). The buffers are reused across Rebind.
 	lnSym, lnEsc []float64
+	// chains[n] memoises the escape chain of the context chain whose
+	// deepest node is n; it is current when its epoch equals chainEpoch,
+	// which every Rebind advances. The slice has one entry per node of
+	// the bound model.
+	chains     []escapeChain
+	chainEpoch uint32
+	// levels holds the levels of every chain built since the last
+	// Rebind; built counts those chains.
+	levels []escapeLevel
+	built  int
+}
+
+// escapeChain is the symbol-independent part of every query whose
+// context chain ends at one node and whose symbol the first level that
+// holds symbols does not: the levels below that one, levels[lo:hi] in
+// backoff order, and tail, the answer for a symbol none of them holds.
+type escapeChain struct {
+	epoch  uint32
+	lo, hi int32
+	tail   float64
+}
+
+// escapeLevel is one context level below the first escape: the node's
+// symbol span, the escape log-probability accumulated above the level,
+// and the level's denominator under the exclusions above it.
+type escapeLevel struct {
+	symOff, symN int32
+	lp, denom    float64
 }
 
 // NewQuerier returns fresh scratch state for querying f.
@@ -101,13 +129,13 @@ func (f *Frozen) NewQuerier() *Querier {
 }
 
 // deriveLogTerms fills lnSym and lnEsc for the bound model with the exact
-// expressions logProbCtx evaluates at a level where nothing is excluded yet
-// (total and distinct summed over the whole span, remaining = alphabet),
-// so answering from the tables is bit-identical to recomputing. The
-// tables live in the Querier, not in Frozen, so a decoded model that is
-// never queried (a warm snapshot restore) pays nothing for them. Symbol
-// spans tile the arena (Build lays them out so, validate enforces it),
-// so every slot belongs to exactly one node.
+// expressions the backoff evaluates at a level where nothing is excluded
+// yet (total and distinct summed over the whole span, remaining =
+// alphabet), so answering from the tables is bit-identical to
+// recomputing. The tables live in the Querier, not in Frozen, so a
+// decoded model that is never queried (a warm snapshot restore) pays
+// nothing for them. Symbol spans tile the arena (Build lays them out so,
+// validate enforces it), so every slot belongs to exactly one node.
 func (q *Querier) deriveLogTerms() {
 	f := q.f
 	if cap(q.lnSym) < len(f.syms) {
@@ -139,32 +167,45 @@ func (q *Querier) deriveLogTerms() {
 
 // Rebind points the querier at another frozen model, reusing its scratch
 // buffers when they are large enough (the corpus engine pools queriers
-// across analyses this way instead of allocating one per model). Stale
-// exclusion stamps in a retained buffer are harmless: every stamp is at
-// most the querier's current epoch, and each query runs under a fresh
-// epoch, so old stamps can never read as "excluded".
+// across analyses this way instead of allocating one per model), and
+// forgets every escape chain built for the previous one. Stale stamps in
+// a retained buffer are harmless: every stamp is at most the current
+// epoch of its kind, and each exclusion pass and each binding run under
+// a fresh one, so old stamps can never read as "excluded" or "built".
 func (q *Querier) Rebind(f *Frozen) {
 	q.f = f
-	if cap(q.exclEpoch) < f.alphabet {
-		q.exclEpoch = make([]uint32, f.alphabet)
-		q.epoch = 0
-	} else {
-		old := len(q.exclEpoch)
-		q.exclEpoch = q.exclEpoch[:f.alphabet]
-		// Region beyond the previous length may hold stamps that predate
-		// an epoch wraparound (the wrap wipe only covers the then-current
-		// length); zero is always safe — queries run at epoch >= 1.
-		for i := old; i < f.alphabet; i++ {
-			q.exclEpoch[i] = 0
-		}
+	q.exclEpoch = resize(q.exclEpoch, f.alphabet)
+	q.chains = resize(q.chains, len(f.nodes))
+	q.chainEpoch++
+	if q.chainEpoch == 0 {
+		clear(q.chains)
+		q.chainEpoch = 1
 	}
+	q.levels, q.built = q.levels[:0], 0
 	q.deriveLogTerms()
+}
+
+// resize returns buf resliced to n entries, made afresh when too small,
+// with any region beyond the previous length zeroed. The epoch-stamped
+// buffers rely on that: such a region may hold stamps that predate a
+// wraparound (the wrap wipe only covers the then-current length), and
+// zero is always stale, because stamps are compared against epochs >= 1.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	old := len(buf)
+	buf = buf[:n]
+	if old < n {
+		clear(buf[old:])
+	}
+	return buf
 }
 
 // descend sets q.ctx to hist's context chain: the root, then each deeper
 // context seen in training, up to the model's depth. It is generic over
-// the symbol type so that the gram tables' int32 windows take the same
-// walk as int histories.
+// the symbol type so that the gram tables' int32 histories take the same
+// walk as the tests' int histories.
 func descend[S int | int32](q *Querier, hist []S) {
 	f := q.f
 	q.ctx = append(q.ctx[:0], 0)
@@ -183,94 +224,130 @@ func descend[S int | int32](q *Querier, hist []S) {
 	}
 }
 
-// logProbCtx returns ln Pr(sym | the context chain descend set) under
-// PPM-C with update exclusion at query time, allocation-free: once a
-// context level is escaped, the symbols it accounted for are excluded from
-// lower-order estimates (they cannot be the escaped symbol), which
-// renormalizes the backoff chain into a proper distribution. When a
-// context has seen every remaining alphabet symbol there is nothing to
-// escape to, so the escape mass is dropped and the seen counts are fully
-// normalized. Each level sums its integer counts and takes one Log; the
-// first level that holds a symbol reads that Log from the querier's
-// tables, derived by the same expression, so the result is bit-identical
-// to recomputing it.
-func (q *Querier) logProbCtx(sym int) float64 {
-	f := q.f
-	// New exclusion epoch; on uint32 wraparound wipe the stale stamps once.
+// newExclusion starts an exclusion pass with no symbol excluded: a new
+// epoch, with the stale stamps wiped once on uint32 wraparound.
+func (q *Querier) newExclusion() {
 	q.epoch++
 	if q.epoch == 0 {
-		for i := range q.exclEpoch {
-			q.exclEpoch[i] = 0
-		}
+		clear(q.exclEpoch)
 		q.epoch = 1
 	}
-	q.nexcl = 0
+}
 
-	inAlphabet := sym >= 0 && sym < f.alphabet
+// logProbSym returns ln Pr(sym | the context chain descend set) under
+// PPM-C with update exclusion at query time, allocation-free once the
+// querier is warm. Once a context level is escaped, the symbols it
+// accounted for are excluded from lower-order estimates (they cannot be
+// the escaped symbol), which renormalizes the backoff chain into a
+// proper distribution. When a context has seen every remaining alphabet
+// symbol there is nothing to escape to, so the escape mass is dropped and
+// the seen counts are fully normalized.
+//
+// The first level that holds a symbol answers from the querier's tables.
+// A symbol it lacks escapes into the chain below it, which depends on
+// the deepest context node alone, not on the symbol: chain builds it
+// once per node and binding, and each such query then costs one
+// binary search per level and at most one Log. Every result is the same
+// float expression, over the same integer counts in the same order, as
+// a per-query backoff that recounts each level, so it is that backoff's
+// value bit for bit.
+func (q *Querier) logProbSym(sym int32) float64 {
+	f := q.f
+	if k := q.firstLevel(); k >= 0 {
+		nd := &f.nodes[q.ctx[k]]
+		if i, ok := slices.BinarySearch(f.syms[nd.symOff:nd.symOff+nd.symN], sym); ok {
+			return q.lnSym[int(nd.symOff)+i]
+		}
+	}
+	c := q.chain()
+	for _, l := range q.levels[c.lo:c.hi] {
+		if i, ok := slices.BinarySearch(f.syms[l.symOff:l.symOff+l.symN], sym); ok {
+			return l.lp + math.Log(float64(f.counts[int(l.symOff)+i])/l.denom)
+		}
+	}
+	return c.tail
+}
+
+// firstLevel returns the index in q.ctx of the deepest context level
+// that holds a symbol, or -1 when none does (an untrained model).
+func (q *Querier) firstLevel() int {
+	k := len(q.ctx) - 1
+	for k >= 0 && q.f.nodes[q.ctx[k]].symN == 0 {
+		k--
+	}
+	return k
+}
+
+// chain returns the memoised escape chain of the context chain
+// descend set, building it on first use since the last Rebind: one
+// exclusion pass over the levels below the first that holds a symbol,
+// recording each level that has a symbol left, up to a level that holds
+// every remaining symbol (whose tail is ln 1e-12) or past the root
+// (whose tail is the uniform ln(1/remaining)). A symbol that some level
+// holds is excluded at none above it, or the query would have ended
+// there, so the levels' searches need no exclusion stamps.
+func (q *Querier) chain() *escapeChain {
+	c := &q.chains[q.ctx[len(q.ctx)-1]]
+	if c.epoch == q.chainEpoch {
+		return c
+	}
+	f := q.f
+	q.newExclusion()
+	q.built++
+	c.epoch = q.chainEpoch
+	c.lo = int32(len(q.levels))
+	nexcl := 0
 	lp := 0.0
-	for k := len(q.ctx) - 1; k >= 0; k-- {
+	k := q.firstLevel()
+	if k >= 0 {
 		n := q.ctx[k]
 		nd := &f.nodes[n]
-		if q.nexcl == 0 {
-			// Nothing excluded yet: the level's terms are in the tables.
-			if nd.symN == 0 {
-				continue
-			}
-			span := f.syms[nd.symOff : nd.symOff+nd.symN]
-			if i, ok := slices.BinarySearch(span, int32(sym)); ok && inAlphabet {
-				return lp + q.lnSym[int(nd.symOff)+i]
-			}
-			if int(nd.symN) >= f.alphabet {
-				return lp + math.Log(1e-12)
-			}
-			lp += q.lnEsc[n] // escape
-			for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
-				q.exclEpoch[f.syms[i]] = q.epoch
-			}
-			q.nexcl = int(nd.symN)
-			continue
+		if int(nd.symN) >= f.alphabet {
+			c.hi, c.tail = c.lo, lp+math.Log(1e-12)
+			return c
 		}
-		total, distinct := 0, 0
-		symCount := -1
+		lp += q.lnEsc[n] // escape
 		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
-			s := f.syms[i]
-			if q.exclEpoch[s] == q.epoch {
-				continue
-			}
-			c := int(f.counts[i])
-			total += c
-			distinct++
-			if int(s) == sym {
-				symCount = c
+			q.exclEpoch[f.syms[i]] = q.epoch
+		}
+		nexcl = int(nd.symN)
+		k--
+	}
+	for ; k >= 0; k-- {
+		nd := &f.nodes[q.ctx[k]]
+		total, distinct := 0, 0
+		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+			if q.exclEpoch[f.syms[i]] != q.epoch {
+				total += int(f.counts[i])
+				distinct++
 			}
 		}
 		if distinct == 0 {
 			continue // every symbol here already excluded: free backoff
 		}
-		remaining := f.alphabet - q.nexcl
+		remaining := f.alphabet - nexcl
 		denom := float64(total + distinct)
 		if distinct >= remaining {
 			denom = float64(total)
 		}
-		if symCount >= 0 {
-			return lp + math.Log(float64(symCount)/denom)
-		}
+		q.levels = append(q.levels, escapeLevel{nd.symOff, nd.symN, lp, denom})
 		if distinct >= remaining {
-			return lp + math.Log(1e-12)
+			c.hi, c.tail = int32(len(q.levels)), lp+math.Log(1e-12)
+			return c
 		}
 		lp += math.Log(float64(distinct) / denom) // escape
 		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
 			if s := f.syms[i]; q.exclEpoch[s] != q.epoch {
 				q.exclEpoch[s] = q.epoch
-				q.nexcl++
+				nexcl++
 			}
 		}
 	}
-	remaining := f.alphabet - q.nexcl
-	if remaining < 1 {
-		remaining = 1
-	}
-	return lp + math.Log(1.0/float64(remaining))
+	// remaining >= 1: a level escapes only when it lacks some symbol
+	// that is not excluded yet.
+	remaining := f.alphabet - nexcl
+	c.hi, c.tail = int32(len(q.levels)), lp+math.Log(1.0/float64(remaining))
+	return c
 }
 
 // Dump renders the trained context tree with the probability each context

@@ -196,8 +196,10 @@ func TestFrozenQueryAllocs(t *testing.T) {
 
 // TestQuerierRebind: a querier rebound across models (the pooled corpus
 // scratch path) answers bit-identically to a fresh querier per model,
-// including when the new alphabet is smaller, equal, or larger than the
-// buffers it inherited.
+// including when the new alphabet or node count is smaller, equal, or
+// larger than the buffers it inherited. The chain kernel's memo of the
+// previous model is never read: right after Rebind no chain is current,
+// and every later chain query matches the builder.
 func TestQuerierRebind(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	models := make([]*refModel, 12)
@@ -213,10 +215,21 @@ func TestQuerierRebind(t *testing.T) {
 		} else {
 			q.Rebind(f)
 		}
+		for n, c := range q.chains {
+			if c.epoch == q.chainEpoch {
+				t.Fatalf("trial %d: node %d's chain is current right after Rebind", trial, n)
+			}
+		}
+		if q.built != 0 || len(q.levels) != 0 {
+			t.Fatalf("trial %d: %d chains and %d levels survive Rebind", trial, q.built, len(q.levels))
+		}
 		for i := 0; i < 8; i++ {
-			sym := rng.Intn(m.Alphabet())
+			sym := rng.Intn(m.Alphabet() + 1)
 			hist := randomSeq(rng, m.Alphabet(), m.Depth()+2)
-			sameBits(t, "rebound LogProb", q.LogProb(sym, hist), m.LogProb(sym, hist))
+			sameBits(t, "rebound chain kernel", q.chainLogProb(int32(sym), hist), m.LogProb(sym, hist))
+			if sym < m.Alphabet() {
+				sameBits(t, "rebound LogProb", q.LogProb(sym, hist), m.LogProb(sym, hist))
+			}
 		}
 	}
 }
@@ -243,8 +256,10 @@ func TestQuerierRebindAfterWraparound(t *testing.T) {
 	}
 }
 
-// TestQuerierEpochWraparound: a querier whose epoch counter wraps must
-// wipe its stale exclusion stamps instead of treating them as current.
+// TestQuerierEpochWraparound: a querier whose epoch counters wrap must
+// wipe its stale stamps instead of treating them as current: exclusion
+// stamps, and chain memos from before a wraparound of the chain epoch,
+// in the retained region and in one regrown after a shrink.
 func TestQuerierEpochWraparound(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randomModel(rng)
@@ -259,6 +274,37 @@ func TestQuerierEpochWraparound(t *testing.T) {
 		hist := randomSeq(rng, m.Alphabet(), m.Depth()+2)
 		sameBits(t, "post-wrap LogProb", q.LogProb(sym, hist), m.LogProb(sym, hist))
 	}
+
+	// Chain memos: poison every entry with the epochs the counter reaches
+	// after wrapping, pointing at a bogus tail, then bind a smaller model
+	// across the wrap and regrow to the larger one.
+	big := newRef(3, 12)
+	for n := 0; n < 30; n++ {
+		big.Train(randomSeq(rng, 12, 9))
+	}
+	small := newRef(1, 12)
+	small.Train([]int{0, 1, 0, 2})
+	fb, fs := build(big), build(small)
+	q = fb.NewQuerier()
+	for i := range q.chains {
+		q.chains[i] = escapeChain{epoch: 1 + uint32(i%2), tail: 1}
+	}
+	q.chainEpoch = math.MaxUint32
+	q.Rebind(fs) // wraps: the wipe covers only the small model's nodes
+	if q.chainEpoch != 1 {
+		t.Fatalf("chain epoch %d after the wrap, want 1", q.chainEpoch)
+	}
+	check := func(label string, ref *refModel) {
+		t.Helper()
+		for i := 0; i < 40; i++ {
+			sym := rng.Intn(ref.Alphabet() + 1)
+			hist := randomSeq(rng, ref.Alphabet(), ref.Depth()+2)
+			sameBits(t, label, q.chainLogProb(int32(sym), hist), ref.LogProb(sym, hist))
+		}
+	}
+	check("post-wrap chain kernel", small)
+	q.Rebind(fb) // epoch 2: the regrown region must not read as built
+	check("regrown chain kernel", big)
 }
 
 // TestFrozenOutOfAlphabetHistory: history symbols outside the alphabet

@@ -1,8 +1,10 @@
 package slm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -68,15 +70,92 @@ func sameEntry(got, want *distEntry) bool {
 	return true
 }
 
+// wantChains counts the escape chains a derivation of f over tab must
+// build: the distinct deepest context nodes among the grams whose symbol
+// the first symbol-holding level of their context chain lacks.
+func wantChains(f *Frozen, tab *gramTable) int {
+	q := f.NewQuerier()
+	deepest := map[int32]bool{}
+	for _, win := range tab.grams {
+		descend(q, win[:len(win)-1])
+		sym := win[len(win)-1]
+		found := false
+		for k := len(q.ctx) - 1; k >= 0; k-- {
+			nd := &f.nodes[q.ctx[k]]
+			if nd.symN == 0 {
+				continue
+			}
+			found = slices.Contains(f.syms[nd.symOff:nd.symOff+nd.symN], sym)
+			break
+		}
+		if !found {
+			deepest[q.ctx[len(q.ctx)-1]] = true
+		}
+	}
+	return len(deepest)
+}
+
+// trainOn trains a depth-depth model over [0, alpha) on seqs.
+func trainOn(depth, alpha int, seqs ...[]int) *Frozen {
+	return build(refTrain(depth, alpha, seqs))
+}
+
 // TestGramKernelBitIdentical is the gram kernel's contract: on random
 // trained models and word sets, every word's log-probability summed from
-// the gram row equals Querier.LogProbWords bit for bit, and so does the
-// distribution the calculator caches. It covers depths 0–3, families
-// mixing two depths (each depth gets its own table), empty and 1-symbol
-// words, duplicate words and symbols outside the alphabet, with one
-// scratch rebound across models of differing depth and alphabet.
+// the gram row equals Querier.LogProbWords (the per-query backoff
+// logProbCtx) bit for bit, and so does the distribution the calculator
+// caches. It covers depths 0–3, families mixing two depths (each depth
+// gets its own table), empty and 1-symbol words, duplicate words and
+// symbols outside the alphabet, with one scratch rebound across models of
+// differing depth and alphabet. Hand-made models then cover the escape
+// chain's edge cases, and dist_chains must count exactly the chains
+// built: one per deepest context node that some gram escapes from.
 func TestGramKernelBitIdentical(t *testing.T) {
 	s := &queryScratch{}
+	check := func(label string, m *Frozen, words [][]int) int {
+		t.Helper()
+		tab := newGramTable(m.depth, words32(words))
+		want := m.NewQuerier().LogProbWords(words, nil)
+		got, chains := s.logProbWords(m, tab)
+		for w := range want {
+			if math.Float64bits(got[w]) != math.Float64bits(want[w]) {
+				t.Fatalf("%s: word %v: chain kernel %v, per-query backoff %v", label, words[w], got[w], want[w])
+			}
+		}
+		if wc := wantChains(m, tab); chains != wc {
+			t.Errorf("%s: %d escape chains built, want %d", label, chains, wc)
+		}
+		return chains
+	}
+
+	// A context holding the whole alphabet: an out-of-alphabet symbol
+	// takes ln 1e-12 at the first level (the root, after an
+	// out-of-alphabet history) and at an exclusion level (the root below
+	// context [0], which holds {1, 2}).
+	full := trainOn(1, 3, []int{0, 1, 2, 0, 2, 1})
+	check("full alphabet", full, [][]int{{3}, {-1}, {5, 3}, {0, 3}, {0, 0}, {0, 1, 0, 2}, {1, 7, 2}})
+	// Context [0 1] and context [1] both hold {0} alone, so below the
+	// first escape the middle level has no symbol left (distinct == 0).
+	check("all excluded", trainOn(2, 3, []int{0, 1, 0, 1, 0, 1}), [][]int{{0, 1, 2}, {0, 1, 1}, {1, 0, 1, 0, 2}})
+	// Alphabets of 1 and 2 symbols at depths 0 and 3, and untrained.
+	rng := rand.New(rand.NewSource(99))
+	for _, alpha := range []int{1, 2} {
+		for _, depth := range []int{0, 3} {
+			for trial := 0; trial < 8; trial++ {
+				check(fmt.Sprintf("alphabet %d depth %d", alpha, depth), trainRandom(rng, depth, alpha), gramWords(rng, alpha))
+			}
+			check(fmt.Sprintf("untrained alphabet %d depth %d", alpha, depth), trainOn(depth, alpha), gramWords(rng, alpha))
+		}
+	}
+	check("untrained", trainOn(2, 5), gramWords(rng, 5))
+	// Histories cut short by out-of-alphabet symbols, each the first
+	// symbol of its window: every gram's chain ends at the root, whose
+	// symbols none of the grams has, so all of them share one chain.
+	shared := trainOn(2, 8, []int{0, 1, 0, 1, 2})
+	if n := check("one shared chain", shared, [][]int{{9, 3}, {9, 4}, {-1, 5}, {7}, {-1, 6, -2, 7}, {8, 3, 4}}); n != 1 {
+		t.Errorf("one shared chain: %d chains built, want 1", n)
+	}
+
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		alpha := 1 + rng.Intn(12)
@@ -95,12 +174,14 @@ func TestGramKernelBitIdentical(t *testing.T) {
 		if seed%2 == 0 {
 			c.Reserve(ms) // odd seeds intern lazily, on first derivation
 		}
+		chains := int64(0)
 		for _, m := range ms {
 			want := m.NewQuerier().LogProbWords(words, nil)
-			got := s.logProbWords(m, c.grams(m.depth))
+			got, _ := s.logProbWords(m, c.grams(m.depth))
 			for w := range want {
 				sameBits(t, "word log-probability", got[w], want[w])
 			}
+			chains += int64(wantChains(m, c.grams(m.depth)))
 			c.Precompute(m)
 			if !sameEntry(c.cache[m], newDistEntry(want)) {
 				t.Fatalf("seed %d: cached distribution differs from the per-word kernel's", seed)
@@ -126,6 +207,7 @@ func TestGramKernelBitIdentical(t *testing.T) {
 			if len(tab.grams) > positions {
 				t.Fatalf("seed %d depth %d: %d grams for %d positions", seed, tab.depth, len(tab.grams), positions)
 			}
+			checkByHist(t, tab)
 			grams += int64(len(tab.grams))
 		}
 		rep := bus.Report()
@@ -134,6 +216,36 @@ func TestGramKernelBitIdentical(t *testing.T) {
 		}
 		if got, want := rep.Counters["dist_positions"], int64(positions*len(distinct)); got != want {
 			t.Errorf("seed %d: dist_positions %d, want %d", seed, got, want)
+		}
+		if got := rep.Counters["dist_chains"]; got != chains {
+			t.Errorf("seed %d: dist_chains %d, want %d", seed, got, chains)
+		}
+	}
+}
+
+// checkByHist fails unless tab's history index is sound: the histories
+// are distinct, and byHist lists every gram once, each in its history's
+// run in ascending gram order.
+func checkByHist(t *testing.T, tab *gramTable) {
+	t.Helper()
+	if len(tab.byHist) != len(tab.grams) || len(tab.histOff) != len(tab.hists)+1 {
+		t.Fatalf("%d grams in byHist for %d grams, %d offsets for %d histories",
+			len(tab.byHist), len(tab.grams), len(tab.histOff), len(tab.hists))
+	}
+	seen := make([]bool, len(tab.grams))
+	for h, hist := range tab.hists {
+		for _, other := range tab.hists[:h] {
+			if slices.Equal(hist, other) {
+				t.Fatalf("history %v interned twice", hist)
+			}
+		}
+		run := tab.byHist[tab.histOff[h]:tab.histOff[h+1]]
+		for i, g := range run {
+			win := tab.grams[g]
+			if seen[g] || !slices.Equal(win[:len(win)-1], hist) || i > 0 && g <= run[i-1] {
+				t.Fatalf("history %v: run %v", hist, run)
+			}
+			seen[g] = true
 		}
 	}
 }
@@ -160,6 +272,12 @@ func TestGramTableSharesGrams(t *testing.T) {
 			}
 		}
 	}
+	checkByHist(t, tab)
+	// Histories in first occurrence: [] holds grams 0, 3 and 5, then [1]
+	// gram 1, [1 2] gram 2, [2] gram 4, [0] gram 6 and [0 2] gram 7.
+	if want := []int32{0, 3, 5, 1, 2, 4, 6, 7}; !slices.Equal(tab.byHist, want) || len(tab.hists) != 6 {
+		t.Errorf("byHist %v over %d histories, want %v over 6", tab.byHist, len(tab.hists), want)
+	}
 	// At depth 0 every gram is its symbol alone.
 	if n := len(newGramTable(0, words32(words)).grams); n != 4 {
 		t.Errorf("depth 0: %d grams, want 4", n)
@@ -185,7 +303,8 @@ func TestGramKernelZeroAlloc(t *testing.T) {
 	entryAllocs := testing.AllocsPerRun(100, func() { entrySink = newDistEntry(lps) })
 	i := 0
 	if n := testing.AllocsPerRun(100, func() {
-		entrySink = newDistEntry(s.logProbWords(fleet[i%len(fleet)], tab))
+		lps, _ := s.logProbWords(fleet[i%len(fleet)], tab)
+		entrySink = newDistEntry(lps)
 		i++
 	}); n != entryAllocs {
 		t.Errorf("warm derivation allocates %v per model, want %v (the distEntry alone)", n, entryAllocs)

@@ -3,15 +3,17 @@ package slm
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 )
 
 // This file holds the reference implementation the production code is
 // pinned against: a map-trie PPM-C builder (training, queries and the
 // Fig. 8 dump) written independently of the Trainer, its copy into the
-// flat layout, the divergences over a word set that the
-// DistanceCalculator must reproduce, and the Go-map interning of windows
-// and grams that WindowTable replaced.
+// flat layout, the per-query frozen backoff the chain kernel replaced,
+// the divergences over a word set that the DistanceCalculator must
+// reproduce, and the Go-map interning of windows and grams that
+// WindowTable replaced.
 
 // refModel is a PPM-C variable-order Markov model over [0, alphabet)
 // stored as a pointer trie of Go maps.
@@ -259,11 +261,96 @@ func build(m *refModel) *Frozen {
 	return t.Build()
 }
 
-// LogProb returns ln Pr(sym | hist): the query the gram kernel makes once
-// per distinct gram, made here for one history.
+// logProbCtx is the per-query backoff the chain kernel
+// (Querier.logProbSym) reproduces: ln Pr(sym | the context chain descend
+// set), with one exclusion pass per query that recounts every level
+// below the first escape and takes its own Log. The first level that
+// holds a symbol reads the querier's tables, as production does.
+func (q *Querier) logProbCtx(sym int) float64 {
+	f := q.f
+	q.newExclusion()
+	nexcl := 0
+	inAlphabet := sym >= 0 && sym < f.alphabet
+	lp := 0.0
+	for k := len(q.ctx) - 1; k >= 0; k-- {
+		n := q.ctx[k]
+		nd := &f.nodes[n]
+		if nexcl == 0 {
+			// Nothing excluded yet: the level's terms are in the tables.
+			if nd.symN == 0 {
+				continue
+			}
+			span := f.syms[nd.symOff : nd.symOff+nd.symN]
+			if i, ok := slices.BinarySearch(span, int32(sym)); ok && inAlphabet {
+				return lp + q.lnSym[int(nd.symOff)+i]
+			}
+			if int(nd.symN) >= f.alphabet {
+				return lp + math.Log(1e-12)
+			}
+			lp += q.lnEsc[n] // escape
+			for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+				q.exclEpoch[f.syms[i]] = q.epoch
+			}
+			nexcl = int(nd.symN)
+			continue
+		}
+		total, distinct := 0, 0
+		symCount := -1
+		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+			s := f.syms[i]
+			if q.exclEpoch[s] == q.epoch {
+				continue
+			}
+			c := int(f.counts[i])
+			total += c
+			distinct++
+			if int(s) == sym {
+				symCount = c
+			}
+		}
+		if distinct == 0 {
+			continue // every symbol here already excluded: free backoff
+		}
+		remaining := f.alphabet - nexcl
+		denom := float64(total + distinct)
+		if distinct >= remaining {
+			denom = float64(total)
+		}
+		if symCount >= 0 {
+			return lp + math.Log(float64(symCount)/denom)
+		}
+		if distinct >= remaining {
+			return lp + math.Log(1e-12)
+		}
+		lp += math.Log(float64(distinct) / denom) // escape
+		for i := nd.symOff; i < nd.symOff+nd.symN; i++ {
+			if s := f.syms[i]; q.exclEpoch[s] != q.epoch {
+				q.exclEpoch[s] = q.epoch
+				nexcl++
+			}
+		}
+	}
+	remaining := f.alphabet - nexcl
+	if remaining < 1 {
+		remaining = 1
+	}
+	return lp + math.Log(1.0/float64(remaining))
+}
+
+// LogProb returns ln Pr(sym | hist) through the per-query backoff
+// logProbCtx: the bit-identity oracle for the chain kernel's gram
+// queries.
 func (q *Querier) LogProb(sym int, hist []int) float64 {
 	descend(q, hist)
 	return q.logProbCtx(sym)
+}
+
+// chainLogProb returns ln Pr(sym | hist) through the production kernel
+// (descend, then logProbSym), reading and extending the querier's chain
+// memo.
+func (q *Querier) chainLogProb(sym int32, hist []int) float64 {
+	descend(q, hist)
+	return q.logProbSym(sym)
 }
 
 // LogProbSeq returns ln Pr(seq), allocation-free: the per-position sum

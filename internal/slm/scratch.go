@@ -14,27 +14,30 @@ type queryScratch struct {
 	lps     []float64
 }
 
-// logProbWords returns ln Pr(w) under f for every word of t: one query
-// per distinct gram into the gram row, then each word's row of gram
-// log-probabilities summed left to right from 0 — the addends of a
-// per-position sum of queries, in its order, so each result equals that
-// sum (the tests' Querier.LogProbSeq) bit for bit. t must be interned at
-// f's depth. A
-// warm scratch does not allocate; the returned slice is valid until the
-// next use of the scratch.
-func (s *queryScratch) logProbWords(f *Frozen, t *gramTable) []float64 {
+// logProbWords returns ln Pr(w) under f for every word of t, and the
+// number of escape chains it built: one trie walk per distinct history
+// and one query per distinct gram into the gram row, each escape chain
+// built once and shared by every gram that reaches it, then each word's
+// row of gram log-probabilities summed left to right from 0 — the
+// addends of a per-position sum of queries, in its order, so each result
+// equals that sum (the tests' Querier.LogProbSeq) bit for bit. t must be
+// interned at f's depth. A warm scratch does not allocate; the returned
+// slice is valid until the next use of the scratch.
+func (s *queryScratch) logProbWords(f *Frozen, t *gramTable) ([]float64, int) {
 	if s.q == nil {
 		s.q = f.NewQuerier()
 	} else {
 		s.q.Rebind(f)
 	}
-	s.gramLps = grow(s.gramLps, len(t.grams))
-	for g, win := range t.grams {
-		last := len(win) - 1
-		descend(s.q, win[:last])
-		s.gramLps[g] = s.q.logProbCtx(int(win[last]))
+	s.gramLps = resize(s.gramLps, len(t.grams))
+	for h, hist := range t.hists {
+		descend(s.q, hist)
+		for _, g := range t.byHist[t.histOff[h]:t.histOff[h+1]] {
+			win := t.grams[g]
+			s.gramLps[g] = s.q.logProbSym(win[len(win)-1])
+		}
 	}
-	s.lps = grow(s.lps, len(t.off)-1)
+	s.lps = resize(s.lps, len(t.off)-1)
 	for w := range s.lps {
 		lp := 0.0
 		for _, g := range t.rows[t.off[w]:t.off[w+1]] {
@@ -42,15 +45,7 @@ func (s *queryScratch) logProbWords(f *Frozen, t *gramTable) []float64 {
 		}
 		s.lps[w] = lp
 	}
-	return s.lps
-}
-
-// grow returns buf resliced to n, reallocated only when too small.
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+	return s.lps, s.q.built
 }
 
 // sharedScratch recycles queryScratch values across goroutines and across

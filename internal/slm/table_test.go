@@ -65,9 +65,10 @@ func refLogProb(f *Frozen, sym int, hist []int) float64 {
 	return lp + math.Log(1.0/float64(remaining))
 }
 
-// checkQuerier compares q (bound to f) with the reference on random
-// queries: symbols one past either end of the alphabet included, and
-// histories that may hold out-of-alphabet symbols.
+// checkQuerier compares q (bound to f), through the per-query backoff and
+// through the chain kernel, with the reference on random queries: symbols
+// one past either end of the alphabet included, and histories that may
+// hold out-of-alphabet symbols.
 func checkQuerier(t *testing.T, label string, rng *rand.Rand, q *Querier, f *Frozen) {
 	t.Helper()
 	for i := 0; i < 40; i++ {
@@ -76,8 +77,12 @@ func checkQuerier(t *testing.T, label string, rng *rand.Rand, q *Querier, f *Fro
 		if len(hist) > 0 && rng.Intn(4) == 0 {
 			hist[rng.Intn(len(hist))] = f.alphabet + rng.Intn(3)
 		}
-		if got, want := q.LogProb(sym, hist), refLogProb(f, sym, hist); math.Float64bits(got) != math.Float64bits(want) {
+		want := refLogProb(f, sym, hist)
+		if got := q.LogProb(sym, hist); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: LogProb(%d, %v) = %v, reference %v", label, sym, hist, got, want)
+		}
+		if got := q.chainLogProb(int32(sym), hist); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: chain kernel (%d, %v) = %v, reference %v", label, sym, hist, got, want)
 		}
 	}
 }
