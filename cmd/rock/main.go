@@ -20,16 +20,18 @@
 // snapshots are fully warm bypass the analysis queue entirely.
 //
 // With -cache DIR, analysis artifacts are persisted as content-addressed
-// snapshots under DIR: re-analyzing an unchanged binary under an unchanged
-// configuration skips the whole pipeline, and configuration changes
-// invalidate only the stages they affect. To force a cold run, omit -cache
-// or delete the image's .rsnap file.
+// snapshots under DIR, one slot per binary: re-analyzing an unchanged
+// binary under an unchanged configuration skips the whole pipeline. To
+// force a cold run, omit -cache or delete the image's .rsnap file.
 //
-// When the binary itself changed (a new version of the same program), the
-// exact snapshot misses, but the analysis can still diff against a prior
-// version: -incr-from names that version's .rsnap explicitly, and with
-// -cache alone the nearest prior of the same image name is auto-discovered
-// in the cache directory. Functions whose content digests are unchanged
+// Any other cache miss runs the analysis on the version-diff lane when a
+// usable prior snapshot exists. Under a changed configuration that prior is
+// the binary's own slot, as long as -window is unchanged: -metric or
+// -evidence reuses every function and model, -depth every function. When
+// the binary itself changed (a new version of the same program), -incr-from
+// names the prior version's .rsnap explicitly, and with -cache alone the
+// nearest prior of the same image name is auto-discovered in the cache
+// directory. Functions whose content digests are unchanged
 // skip re-extraction, types whose training inputs are unchanged keep their
 // models, and untouched families restore verbatim — the report is
 // identical to a cold run either way. -stats shows the reuse as the
@@ -47,8 +49,8 @@
 // invalid -metric, a negative -depth or a negative -window (exit 2).
 //
 // -stats prints the per-stage observability table after the analysis:
-// wall time, allocation estimates, and cache-hit attribution (stages
-// restored from a snapshot show as "cached", disabled ones as "off"). In
+// wall time, allocation estimates, and cache-hit attribution (on a warm
+// run every stage shows as "cached"; disabled ones show as "off"). In
 // corpus mode the table is printed per image. -trace FILE additionally
 // writes the run as chrome-tracing JSON — open it in Perfetto
 // (ui.perfetto.dev) to see the stages and every pool fan-out helper; in

@@ -32,9 +32,11 @@
 // measured by the one benchmark harness, cmd/rockperf (BENCHMARK.json).
 //
 // The global -workers flag bounds the analysis worker pool in every mode
-// (0 = all CPUs, 1 = serial), and -cache, -incr-from and -evidence
-// (slm, the default, or slm,subtype; anything else exits 2) thread the
-// snapshot cache and evidence settings into every analysis. -fusion runs
+// (0 = all CPUs, 1 = serial), and -cache and -evidence (slm, the
+// default, or slm,subtype; anything else exits 2) thread the snapshot
+// cache and evidence settings into every analysis. There is no
+// -incr-from: one explicit prior cannot serve the many different images
+// a mode analyzes, so each image's prior comes from the -cache directory. -fusion runs
 // both evidence settings whatever -evidence says. -cpuprofile FILE and
 // -memprofile FILE write pprof profiles covering whichever experiments
 // ran:
@@ -52,8 +54,8 @@ import (
 	"repro/internal/core"
 )
 
-// shared holds the analysis flags (-workers, -cache, -incr-from,
-// -evidence) every mode obeys.
+// shared holds the analysis flags (-workers, -cache, -evidence) every
+// mode obeys.
 var shared *cliutil.Flags
 
 // benchConfig returns the paper-default pipeline configuration with the
@@ -82,7 +84,7 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU pprof profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap pprof profile to this file")
-	shared = cliutil.Register(flag.CommandLine, true)
+	shared = cliutil.Register(flag.CommandLine, false)
 	flag.Parse()
 	if err := shared.Resolve(); err != nil {
 		cliutil.Fatal("rockbench", err)

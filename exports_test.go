@@ -46,6 +46,18 @@ var testSettings = map[string]string{
 	"cpp.NVCall.Obj":    "statement kept for control-flow programs",
 }
 
+// paperData are fields that non-test code writes but never reads, kept
+// on purpose. Each entry names the field as the check reports it, with
+// the reason it stays.
+var paperData = map[string]string{
+	// Table 2 of the paper, transcribed with each benchmark: the size
+	// and type count describe the original binaries, and the notes the
+	// paper's remarks on them.
+	"bench.Benchmark.Notes": "paper reference data",
+	"bench.PaperRow.SizeKB": "paper reference data",
+	"bench.PaperRow.Types":  "paper reference data",
+}
+
 // repoLeastCode is the least-code report of this tree, computed once for
 // the tests that read it. Callers are the root module (examples
 // included) and the cmd/rockperf module, which resolves repro to this
@@ -89,6 +101,19 @@ func TestNoTestOnlySettings(t *testing.T) {
 	checkAllowlist(t, lc.settings, testSettings,
 		"is read but set only by tests, if at all: delete it and the code that reads it",
 		"is set outside tests now: drop it from testSettings")
+}
+
+// TestNoWriteOnlyFields fails when non-test code writes an exported
+// field of an internal struct type but never reads it: a result nothing
+// consumes is deleted, with the code that computes it.
+func TestNoWriteOnlyFields(t *testing.T) {
+	lc, err := repoLeastCode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllowlist(t, lc.writeOnly, paperData,
+		"is written but never read outside tests: delete it and the code that computes it",
+		"is read outside tests now: drop it from paperData")
 }
 
 // checkAllowlist reports every found name that allow lacks, and every
@@ -141,6 +166,18 @@ func TestNoTestOnlySettingsFixture(t *testing.T) {
 	}
 }
 
+// TestNoWriteOnlyFieldsFixture runs the write-only rule on the fixture:
+// a field only assigned, and one that only a test reads, are reported. A
+// field read back, one updated by an operator assignment, one whose
+// address is taken, one written through a sub-field and one with a json
+// tag are not.
+func TestNoWriteOnlyFieldsFixture(t *testing.T) {
+	lc := fixtureLeastCode(t)
+	if want := []string{"lib.Outcome.OnlyTestRead", "lib.Outcome.Stored"}; !reflect.DeepEqual(lc.writeOnly, want) {
+		t.Fatalf("check reported %q, want %q", lc.writeOnly, want)
+	}
+}
+
 func fixtureLeastCode(t *testing.T) *leastCode {
 	t.Helper()
 	lc, err := checkLeastCode("testdata/testonly", "fixture")
@@ -165,6 +202,10 @@ type leastCode struct {
 	// non-test code reads but never writes, as "pkg.Type.Field". A field
 	// with a json tag is exempt: decoding writes it.
 	settings []string
+	// writeOnly are the exported fields of internal struct types that
+	// non-test code writes but never reads, as "pkg.Type.Field". A field
+	// with a json tag is exempt: encoding reads it.
+	writeOnly []string
 }
 
 // checkLeastCode type-checks the non-test Go files of every package under
@@ -282,8 +323,14 @@ func checkLeastCode(root, module string) (*leastCode, error) {
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
-				if f.Exported() && reads[f] && !writes[f] && reflect.StructTag(st.Tag(i)).Get("json") == "" {
+				if !f.Exported() || reflect.StructTag(st.Tag(i)).Get("json") != "" {
+					continue
+				}
+				switch {
+				case reads[f] && !writes[f]:
 					lc.settings = append(lc.settings, label+"."+name+"."+f.Name())
+				case writes[f] && !reads[f]:
+					lc.writeOnly = append(lc.writeOnly, label+"."+name+"."+f.Name())
 				}
 			}
 		}
@@ -291,6 +338,7 @@ func checkLeastCode(root, module string) (*leastCode, error) {
 	sort.Strings(lc.exports)
 	sort.Strings(lc.unexported)
 	sort.Strings(lc.settings)
+	sort.Strings(lc.writeOnly)
 	return lc, nil
 }
 
@@ -400,10 +448,11 @@ func mentionsIota(d *ast.GenDecl) bool {
 }
 
 // fieldAccess returns the struct fields the loaded non-test files read
-// (name them in a selector) and write. A write is an assignment, an
-// increment, a composite-literal element, taking the field's address, or
-// calling a pointer method on it; writing x.F.G, x.F[i] or *x.F writes
-// x.F too.
+// and write. A read is naming the field in a selector anywhere but as the
+// target of a plain assignment (= or a range clause's =). A write is an
+// assignment, an increment, a composite-literal element, taking the
+// field's address, or calling a pointer method on it; writing x.F.G,
+// x.F[i] or *x.F writes x.F too.
 func (l *loader) fieldAccess() (reads, writes map[*types.Var]bool) {
 	reads, writes = map[*types.Var]bool{}, map[*types.Var]bool{}
 	// fields returns the fields a field selection passes through,
@@ -440,6 +489,32 @@ func (l *loader) fieldAccess() (reads, writes map[*types.Var]bool) {
 			}
 		}
 	}
+	// stored are the selectors that are plain assignment targets: the
+	// field they end in is written there, not read.
+	stored := map[*ast.SelectorExpr]bool{}
+	store := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			stored[sel] = true
+		}
+	}
+	for _, f := range l.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN {
+					for _, lhs := range n.Lhs {
+						store(lhs)
+					}
+				}
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					store(n.Key)
+					store(n.Value)
+				}
+			}
+			return true
+		})
+	}
 	for _, f := range l.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -450,7 +525,11 @@ func (l *loader) fieldAccess() (reads, writes map[*types.Var]bool) {
 				}
 				switch sel.Kind() {
 				case types.FieldVal:
-					for _, f := range fields(sel) {
+					path := fields(sel)
+					if stored[n] {
+						path = path[:len(path)-1]
+					}
+					for _, f := range path {
 						reads[f] = true
 					}
 				case types.MethodVal:

@@ -77,13 +77,13 @@ func (e evidenceFlag) Set(s string) error {
 
 // Register installs the shared flags on fs and returns their destination.
 // The commands pass flag.CommandLine. incremental installs -incr-from,
-// an explicit prior for one binary; rockd, which analyzes many different
-// binaries and auto-discovers each one's prior in its cache, leaves it
-// off, so the flag parser rejects it there.
+// an explicit prior for one binary, which only rock takes; rockd and
+// rockbench, which analyze many different binaries and find each one's
+// prior in the cache, leave it off, so the flag parser rejects it there.
 func Register(fs *flag.FlagSet, incremental bool) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Workers, "workers", 0, "analysis worker pool size (0 = all CPUs, 1 = serial)")
-	fs.StringVar(&f.CacheDir, "cache", "", "snapshot cache directory (created if missing); repeat analyses of the same binary reuse cached stages")
+	fs.StringVar(&f.CacheDir, "cache", "", "snapshot cache directory (created if missing); a repeat analysis under the same configuration restores warm, other analyses reuse unchanged functions, models and families")
 	if incremental {
 		fs.StringVar(&f.IncrFrom, "incr-from", "", "prior version's snapshot (.rsnap) to diff against for incremental re-analysis; with -cache, priors are auto-discovered")
 	}

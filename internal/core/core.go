@@ -9,11 +9,12 @@
 //
 // The pipeline itself is one fixed stage list (graph.go): each stage names
 // the snapshot section it persists under (internal/snapshot owns the
-// section chain), and analyze is a short driver that consults the
-// snapshot cache, skips restored stages, and runs the rest, optionally
-// recorded on an observer bus (internal/obs). graph.go also renders the
-// per-section configuration canons the snapshot key hashes. Every
-// analysis runs on a Shared (shared.go), the one resource model;
+// section chain), and analyze is a short driver that either restores a
+// cached snapshot whose key equals the run's or runs every stage — on the
+// version-diff lane (incremental.go) when another usable snapshot exists
+// — optionally recorded on an observer bus (internal/obs). graph.go also
+// renders the per-section configuration canons the snapshot key hashes.
+// Every analysis runs on a Shared (shared.go), the one resource model;
 // AnalyzeContext runs one image on a Shared of its own. This file holds
 // the configuration, the Result type, and the per-stage algorithm bodies
 // the stages call.
@@ -73,23 +74,25 @@ type Config struct {
 	// index-owned slots and are merged in a fixed order.
 	Workers int
 	// CacheDir, when non-empty, enables the content-addressed snapshot
-	// cache (internal/snapshot): after a cold analysis the derived
-	// artifacts are persisted under this directory keyed by the image's
-	// content digest and per-stage config fingerprints, and later runs
-	// reuse every section whose fingerprint still matches. The directory
-	// must exist. Caching applies only to full (UseSLM) analyses.
+	// cache (internal/snapshot): one slot per image in this directory,
+	// keyed by the image's content digest and per-section config
+	// fingerprints. A slot whose key equals the run's restores warm; any
+	// other usable slot is the version-diff lane's prior (IncrementalFrom).
+	// The directory must exist. Caching applies only to full (UseSLM)
+	// analyses.
 	CacheDir string
 	// IncrementalFrom, when non-empty, names a snapshot file of a prior
 	// version of this image to diff against when the exact snapshot
-	// misses: unchanged functions (by image.FunctionDigest) reuse their
-	// extraction bundles, types whose training input is unchanged reuse
-	// their frozen models, and families untouched by any retrained type
-	// restore verbatim. The file must load (an unreadable path is an
-	// error), but a snapshot that fails to decode, or one in another
-	// format version, silently degrades to a cold run. When
-	// empty but CacheDir is set, the lane auto-discovers the nearest prior
-	// snapshot of the same image family (matched by hashed module name) in
-	// the cache directory.
+	// misses and the image's own cache slot is no usable prior: unchanged
+	// functions (by image.FunctionDigest) reuse their extraction bundles,
+	// types whose training input is unchanged reuse their frozen models,
+	// and families untouched by any retrained type restore verbatim. The
+	// file must load (an unreadable or corrupt file is an error), but a
+	// snapshot in another format version, or one written under another
+	// extraction fingerprint, silently degrades to a cold run. When empty
+	// but CacheDir is set, the lane auto-discovers the nearest prior
+	// snapshot of the same image family (matched by hashed module name)
+	// in the cache directory.
 	IncrementalFrom string
 	// Obs, when non-nil, records the run on an observer bus: per-stage
 	// wall time, allocation estimates, cache-hit attribution, and domain
@@ -152,8 +155,8 @@ type FamilyResult struct {
 // Result is the pipeline output.
 type Result struct {
 	Image *image.Image
-	// Funcs holds the disassembled functions. It is nil on a warm run that
-	// restored the extraction from a snapshot (disassembly was skipped).
+	// Funcs holds the disassembled functions. It is nil on a warm run
+	// (disassembly was skipped).
 	Funcs      []*ir.Function
 	VTables    []*vtable.VTable
 	Structural *structural.Result
@@ -176,12 +179,13 @@ type Result struct {
 	MultiParents map[uint64][]uint64
 	// Alphabet is the interned event alphabet (symbol -> event).
 	Alphabet []objtrace.Event
-	// SnapshotReuse reports how much of a cached snapshot this run reused:
-	// snapshot.LevelNone (cold), LevelExtraction, LevelModels, or
-	// LevelHierarchy (fully warm). Always LevelNone without a CacheDir.
+	// SnapshotReuse is snapshot.LevelHierarchy when the run restored warm
+	// from a cached snapshot whose key equals the run's, and
+	// snapshot.LevelNone otherwise — on the version-diff lane too, whose
+	// reuse Incremental reports. Always LevelNone without a CacheDir.
 	SnapshotReuse int
 	// Incremental reports the version-diff warm lane's reuse when it
-	// engaged (a prior sibling snapshot was diffed against); nil otherwise.
+	// engaged (a prior snapshot was diffed against); nil otherwise.
 	// The lane never changes the Result — every reused artifact is
 	// deep-equal to what recomputation would produce.
 	Incremental *IncrementalStats
@@ -203,10 +207,6 @@ type Result struct {
 	fnExts []*objtrace.FnExtraction
 	// fnCtxDigest is objtrace.ContextDigest for this run's extraction.
 	fnCtxDigest [32]byte
-	// fnSection is a function section carried forward verbatim from a
-	// whole-image warm restore (the extraction never reran, so the prior
-	// section is still exact).
-	fnSection *snapshot.FnSection
 	// typeKeys memoizes each type's training-input digest (TypeKey).
 	typeKeys map[uint64][32]byte
 	// affected, when non-nil, is the set of types whose tracelet lists may
@@ -219,16 +219,15 @@ type Result struct {
 
 // IncrementalStats attributes the incremental lane's reuse.
 type IncrementalStats struct {
-	// PriorPath is the snapshot file the lane diffed against.
-	PriorPath string
 	// FnHits/FnMisses count functions whose extraction bundle was reused
 	// vs re-executed.
 	FnHits, FnMisses int
-	// TypesReused/TypesRetrained count frozen models adopted vs retrained.
-	TypesReused, TypesRetrained int
-	// FamiliesRestored/FamiliesResolved count families restored verbatim
-	// vs re-solved.
-	FamiliesRestored, FamiliesResolved int
+	// TypesRetrained counts the types whose models were retrained; the
+	// rest adopted the prior's frozen models.
+	TypesRetrained int
+	// FamiliesResolved counts the families re-solved; the rest were
+	// restored verbatim.
+	FamiliesResolved int
 }
 
 // TypeNamer returns a display-name function backed by metadata when
@@ -248,10 +247,11 @@ func TypeNamer(meta *image.Metadata) func(uint64) string {
 }
 
 // Analyze runs the full pipeline on a stripped image. With a CacheDir it
-// first consults the content-addressed snapshot cache and reruns only the
-// stages whose configuration fingerprints no longer match (see
-// internal/snapshot); a fully warm run restores every derived artifact
-// and recomputes nothing.
+// first consults the image's slot in the content-addressed snapshot
+// cache: a slot whose key equals the run's restores every derived
+// artifact and recomputes nothing; any other slot whose extraction
+// fingerprint matches is the prior the version-diff lane diffs against
+// (see Config.CacheDir and incremental.go).
 func Analyze(img *image.Image, cfg Config) (*Result, error) {
 	return AnalyzeContext(context.Background(), img, cfg)
 }
@@ -279,8 +279,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// restoreHierarchy rebuilds the hierarchy-stage outputs from a snapshot.
-func (r *Result) restoreHierarchy(snap *snapshot.Snapshot) {
+// restore adopts every section of a snapshot whose key equals the run's:
+// a warm run. Funcs stays nil (documented Result behavior), since
+// disassembly is skipped entirely.
+func (r *Result) restore(snap *snapshot.Snapshot) {
+	r.SnapshotReuse = snapshot.LevelHierarchy
+	r.VTables = snap.VTables
+	r.Tracelets = snap.Tracelets
+	r.Structural = snap.Structural
+	r.Alphabet = snap.Alphabet
+	r.Frozen = snap.Frozen
 	r.Dist = snap.Dist
 	r.Families = make([]FamilyResult, len(snap.Families))
 	for i, fr := range snap.Families {
@@ -509,7 +517,6 @@ func (r *Result) trainModels(ctx context.Context, cfg Config) error {
 		cfg.Obs.Add(obs.CntTrainWords, int64(words))
 	}
 	if r.Incremental != nil {
-		r.Incremental.TypesReused = len(reuse)
 		r.Incremental.TypesRetrained = len(r.VTables) - len(reuse)
 		cfg.Obs.Add(obs.CntTypesRetrained, int64(r.Incremental.TypesRetrained))
 	}
@@ -589,9 +596,8 @@ func (r *Result) buildHierarchy(ctx context.Context, cfg Config) error {
 	outs := make([]*familyOutcome, len(r.Structural.Families))
 	restored := r.restoreFamilies(outs)
 	if r.Incremental != nil {
-		r.Incremental.FamiliesRestored = restored
 		r.Incremental.FamiliesResolved = len(outs) - restored
-		cfg.Obs.Add(obs.CntFamiliesResolved, int64(len(outs)-restored))
+		cfg.Obs.Add(obs.CntFamiliesResolved, int64(r.Incremental.FamiliesResolved))
 	}
 	var solving []uint64
 	for i, fam := range r.Structural.Families {

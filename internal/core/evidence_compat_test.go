@@ -25,9 +25,9 @@ func cacheFile(t *testing.T, dir string) string {
 // TestFingerprintCompat), so re-encoding today's snapshot stands in for a
 // pre-refactor cache file. It must still validate and warm-restore the
 // whole pipeline under the default configuration, while enabling the
-// subtype scores must NOT claim the cached hierarchy section — its
-// canon is different — yet still salvage the extraction and model
-// sections.
+// subtype scores must NOT warm-restore the cached hierarchy — its canon
+// is different — yet still reuse, through the version-diff lane, every
+// function bundle and every model.
 func TestEvidenceSnapshotCompat(t *testing.T) {
 	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
 	cfg := DefaultConfig()
@@ -54,21 +54,29 @@ func TestEvidenceSnapshotCompat(t *testing.T) {
 
 	// A fused configuration must key its hierarchy section apart from the
 	// cached SLM-only one (different Dist/edge payload) but still reuse
-	// the evidence-independent extraction and model sections.
+	// the evidence-independent functions and models.
+	modelsOnly := func(label string, res *Result) {
+		t.Helper()
+		st := res.Incremental
+		if res.SnapshotReuse != snapshot.LevelNone || st == nil {
+			t.Fatalf("%s: reuse level %d, lane %+v; want a cold level on the lane", label, res.SnapshotReuse, st)
+		}
+		if st.FnMisses != 0 || st.TypesRetrained != 0 || st.FamiliesResolved != len(res.Families) {
+			t.Errorf("%s: %+v, want every function and model reused and every family re-solved", label, *st)
+		}
+	}
 	fusedCfg := cfg
 	fusedCfg.Subtype = true
-	fused := analyzeCached(t, img, fusedCfg)
-	if fused.SnapshotReuse != snapshot.LevelModels {
-		t.Fatalf("fused config reused level %d, want exactly the model sections", fused.SnapshotReuse)
-	}
+	modelsOnly("fused config", analyzeCached(t, img, fusedCfg))
 	// The fused run overwrote the per-image slot under its own key; it
 	// must warm-restore fully on the next fused run, while the default
-	// configuration now sees a foreign hierarchy section and falls back
-	// to the shared model sections — the two canons never cross-restore.
+	// configuration now sees a foreign hierarchy section and reuses only
+	// the shared functions and models — the two canons never
+	// cross-restore.
 	if rewarm := analyzeCached(t, img, fusedCfg); rewarm.SnapshotReuse != snapshot.LevelHierarchy {
 		t.Errorf("fused config did not warm-restore from its own snapshot: level %d", rewarm.SnapshotReuse)
 	}
-	if back := analyzeCached(t, img, cfg); back.SnapshotReuse != snapshot.LevelModels {
-		t.Errorf("default config reused level %d from a fused snapshot, want exactly the model sections", back.SnapshotReuse)
-	}
+	back := analyzeCached(t, img, cfg)
+	modelsOnly("default config after a fused snapshot", back)
+	assertResultsEqual(t, "default after fused vs cold", cold, back)
 }

@@ -141,9 +141,9 @@ func TestGraphLevels(t *testing.T) {
 }
 
 // TestRunStages checks the driver loop: stages run in declared order,
-// skipped stages are recorded with their status (cached when the restore
-// level covers their section, off when behavioral under a structural-only
-// run), and the first stage error aborts the run.
+// skipped stages are recorded with their status (cached on a warm run,
+// off when behavioral under a structural-only run), and the first stage
+// error aborts the run.
 func TestRunStages(t *testing.T) {
 	var order []string
 	mk := func(name string, level int, behavioral, fail bool) stage {
@@ -162,11 +162,11 @@ func TestRunStages(t *testing.T) {
 		mk("c", snapshot.LevelHierarchy, false, false),
 		mk("d", snapshot.LevelHierarchy, true, false),
 	}
-	run := func(useSLM bool, level int) string {
+	run := func(useSLM, warm bool) string {
 		t.Helper()
 		order = nil
 		bus := obs.NewBus()
-		if err := runStages(context.Background(), list, &Result{}, Config{UseSLM: useSLM, Obs: bus}, level); err != nil {
+		if err := runStages(context.Background(), list, &Result{}, Config{UseSLM: useSLM, Obs: bus}, warm); err != nil {
 			t.Fatal(err)
 		}
 		got := fmt.Sprint(order)
@@ -177,22 +177,22 @@ func TestRunStages(t *testing.T) {
 	}
 	for _, c := range []struct {
 		useSLM bool
-		level  int
+		warm   bool
 		want   string
 	}{
-		{true, snapshot.LevelNone, "[a b c d] a/extract:ran b/model:ran c/hier:ran d/hier:ran"},
-		{true, snapshot.LevelModels, "[c d] a/extract:cached b/model:cached c/hier:ran d/hier:ran"},
-		{false, snapshot.LevelNone, "[a c] a/extract:ran b/model:off c/hier:ran d/hier:off"},
+		{true, false, "[a b c d] a/extract:ran b/model:ran c/hier:ran d/hier:ran"},
+		{true, true, "[] a/extract:cached b/model:cached c/hier:cached d/hier:cached"},
+		{false, false, "[a c] a/extract:ran b/model:off c/hier:ran d/hier:off"},
 	} {
-		if got := run(c.useSLM, c.level); got != c.want {
-			t.Errorf("useSLM=%v level=%d:\n got %s\nwant %s", c.useSLM, c.level, got, c.want)
+		if got := run(c.useSLM, c.warm); got != c.want {
+			t.Errorf("useSLM=%v warm=%v:\n got %s\nwant %s", c.useSLM, c.warm, got, c.want)
 		}
 	}
 
 	// A failing stage aborts and later stages never run.
 	order = nil
 	list[1] = mk("boom", snapshot.LevelModels, false, true)
-	err := runStages(context.Background(), list, &Result{}, Config{}, snapshot.LevelNone)
+	err := runStages(context.Background(), list, &Result{}, Config{}, false)
 	if err == nil || err.Error() != "boom exploded" {
 		t.Fatalf("err = %v", err)
 	}

@@ -20,8 +20,8 @@ type stage struct {
 	// name identifies the stage in reports and traces.
 	name string
 	// level is the snapshot section the stage's outputs persist under,
-	// named by the reuse level it completes: a restore at that level or
-	// beyond skips the stage as cached.
+	// named by the reuse level it completes; reports and traces tag the
+	// stage with that section.
 	level int
 	// behavioral marks the stages that exist only for the full (UseSLM)
 	// analysis; under StructuralOnly they are reported as disabled.
@@ -30,8 +30,8 @@ type stage struct {
 }
 
 // stages is the analysis in execution order. Each stage reads what the
-// stages before it produced, and levels never decrease, so the snapshot's
-// staged-validity chain is meaningful:
+// stages before it produced, and levels never decrease, so the stages
+// follow the snapshot's section chain:
 //
 //	extraction   disasm → vtables → tracelets → structural → alphabet
 //	models       train (SLM training into the frozen form)
@@ -91,17 +91,17 @@ var stages = []stage{
 
 // runStages executes list in order on res, each stage recorded on c.Obs
 // (nil: free). A behavioral stage of a structural-only run is recorded
-// as off and skipped; so is, as cached, a stage whose section the
-// snapshot restore at level already covers. The first stage error aborts
-// the run.
-func runStages(ctx context.Context, list []stage, res *Result, c Config, level int) error {
+// as off and skipped; on a warm run every other stage is recorded as
+// cached and skipped, since the snapshot restored its outputs. The first
+// stage error aborts the run.
+func runStages(ctx context.Context, list []stage, res *Result, c Config, warm bool) error {
 	bus := c.Obs
 	for _, st := range list {
 		section := snapshot.Tag(st.level)
 		switch {
 		case st.behavioral && !c.UseSLM:
 			bus.StageSkipped(st.name, section, obs.StageOff)
-		case level >= st.level:
+		case warm:
 			bus.StageSkipped(st.name, section, obs.StageCached)
 		default:
 			h := bus.StageStart(st.name, section)
@@ -190,19 +190,19 @@ func (c Config) snapshotKey(img *image.Image) snapshot.Key {
 	return snapshot.Key{Digest: img.ContentDigest(), FPs: c.fingerprints()}
 }
 
-// ProbeSnapshot predicts, without running anything, how much of a cached
-// snapshot an AnalyzeContext(img, cfg) call could reuse, by reading only
-// the snapshot file's header. It returns one of the snapshot reuse levels
-// (snapshot.LevelNone .. LevelHierarchy). The probe is advisory — the
-// analysis re-validates the full checksummed snapshot on load — but cheap
-// enough for an admission scheduler to classify images as warm or cold
-// before committing a worker slot.
-func ProbeSnapshot(img *image.Image, cfg Config) int {
+// ProbeSnapshot predicts, without running anything, whether an
+// AnalyzeContext(img, cfg) call would restore warm from the snapshot
+// cache, by reading only the snapshot file's header: the slot's key must
+// equal the run's. The probe is advisory — the analysis re-validates the
+// full checksummed snapshot on load — but cheap enough for an admission
+// scheduler to classify images as warm or cold before committing a
+// worker slot.
+func ProbeSnapshot(img *image.Image, cfg Config) bool {
 	if cfg.CacheDir == "" {
-		return snapshot.LevelNone
+		return false
 	}
-	level, _ := probe(img, cfg.withDefaults())
-	return level
+	warm, _ := probe(img, cfg.withDefaults())
+	return warm
 }
 
 // probe is ProbeSnapshot for a cfg with defaults already resolved. It also
@@ -210,27 +210,27 @@ func ProbeSnapshot(img *image.Image, cfg Config) int {
 // digest the image again. The key is derived only when the analysis
 // needs one — a cache to consult or a prior to diff against — and is the
 // zero Key otherwise.
-func probe(img *image.Image, cfg Config) (int, snapshot.Key) {
+func probe(img *image.Image, cfg Config) (bool, snapshot.Key) {
 	if !cfg.UseSLM || (cfg.CacheDir == "" && cfg.IncrementalFrom == "") {
-		return snapshot.LevelNone, snapshot.Key{}
+		return false, snapshot.Key{}
 	}
 	key := cfg.snapshotKey(img)
 	if cfg.CacheDir == "" {
-		return snapshot.LevelNone, key
+		return false, key
 	}
 	h, err := snapshot.ReadHeader(filepath.Join(cfg.CacheDir, key.FileName()))
-	if err != nil {
-		return snapshot.LevelNone, key
-	}
-	return key.Usable(&snapshot.Snapshot{Key: h.Key}), key
+	return err == nil && h.Key == key, key
 }
 
 // analyze is the driver Shared.Analyze runs once the analysis is
-// admitted: consult the snapshot cache, restore every section the
-// staged-validity chain covers, then run the stages with the restored
-// (and disabled) ones skipped, each remaining stage recorded on the
-// observer bus. Every fan-out draws its helpers from cfg.pool. cfg has
-// its defaults resolved, and key is the one probe derived for it.
+// admitted. It applies the one reuse rule: a cached slot whose key
+// equals the run's restores warm and every stage is skipped as cached;
+// any other usable snapshot — the image's own slot under a changed
+// configuration first, then IncrementalFrom or a cached sibling version —
+// becomes the prior of the version-diff lane (incremental.go), which
+// reuses whatever its gates certify. The stages that run are recorded on
+// the observer bus. Every fan-out draws its helpers from cfg.pool. cfg
+// has its defaults resolved, and key is the one probe derived for it.
 func analyze(ctx context.Context, img *image.Image, cfg Config, key snapshot.Key) (*Result, error) {
 	bus := cfg.Obs
 	if bus != nil {
@@ -239,65 +239,40 @@ func analyze(ctx context.Context, img *image.Image, cfg Config, key snapshot.Key
 		ctx = obs.WithBus(ctx, bus)
 	}
 
-	// Snapshot lookup: usable level = sections whose fingerprints match.
-	// Any read or decode failure is a cache miss.
-	var snap *snapshot.Snapshot
-	level := snapshot.LevelNone
+	// Snapshot lookup. Any read or decode failure is a cache miss.
+	var slot *snapshot.Snapshot
 	cachePath := ""
 	if cfg.CacheDir != "" && cfg.UseSLM {
 		h := bus.StageStart("snapshot-load", "cache")
 		cachePath = filepath.Join(cfg.CacheDir, key.FileName())
 		if s, err := snapshot.Load(cachePath); err == nil {
-			snap = s
-			level = key.Usable(s)
+			slot = s
 		}
 		h.End(nil)
 	}
-	bus.SetSnapshotReuse(level)
-
-	res := &Result{Image: img, SnapshotReuse: level}
-
-	// Version-diff warm lane: on an exact miss, diff against the nearest
-	// prior snapshot of the same image family so unchanged functions,
-	// models, and families skip recomputation (see incremental.go).
-	if cfg.UseSLM && level == snapshot.LevelNone &&
-		(cfg.IncrementalFrom != "" || cfg.CacheDir != "") {
+	warm := slot != nil && slot.Key == key
+	res := &Result{Image: img, SnapshotReuse: snapshot.LevelNone}
+	if warm {
+		res.restore(slot)
+	} else if cfg.UseSLM && (cfg.IncrementalFrom != "" || cfg.CacheDir != "") {
 		h := bus.StageStart("snapshot-diff", "cache")
-		prior, priorPath, err := res.findPrior(cfg, key)
+		prior, err := res.findPrior(cfg, key, slot)
 		h.End(err)
 		if err != nil {
 			return nil, err
 		}
 		if prior != nil {
 			res.incr = &incrState{prior: prior, key: key}
-			res.Incremental = &IncrementalStats{PriorPath: priorPath}
+			res.Incremental = &IncrementalStats{}
 		}
 	}
+	bus.SetSnapshotReuse(res.SnapshotReuse)
 
-	// Restore every section the chain covers; the corresponding stages
-	// are then skipped as cached. Funcs stays nil on a restored extraction
-	// (documented Result behavior): disassembly is skipped entirely.
-	if level >= snapshot.LevelExtraction {
-		res.VTables = snap.VTables
-		res.Tracelets = snap.Tracelets
-		res.Structural = snap.Structural
-		res.Alphabet = snap.Alphabet
-		// The extraction never reran, so the prior function section is
-		// still exact; carry it into any rewrite.
-		res.fnSection = snap.Funcs
-	}
-	if level >= snapshot.LevelModels {
-		res.Frozen = snap.Frozen
-	}
-	if level >= snapshot.LevelHierarchy {
-		res.restoreHierarchy(snap)
-	}
-
-	if err := runStages(ctx, stages, res, cfg, level); err != nil {
+	if err := runStages(ctx, stages, res, cfg, warm); err != nil {
 		return nil, err
 	}
 
-	if cachePath != "" && level < snapshot.LevelHierarchy {
+	if cachePath != "" && !warm {
 		h := bus.StageStart("snapshot-write", "cache")
 		err := res.writeSnapshot(cachePath, key)
 		h.End(err)

@@ -1,8 +1,10 @@
 // Incremental re-analysis: the version-diff warm lane. When the exact
-// snapshot misses (the image changed), the lane diffs the run against a
-// prior version's snapshot — explicitly named (Config.IncrementalFrom) or
-// auto-discovered in the cache directory by hashed module name — and
-// reuses every artifact whose inputs provably did not change:
+// snapshot misses (the image or the configuration changed), the lane
+// diffs the run against a prior snapshot — the image's own cache slot
+// written under another configuration, a prior version explicitly named
+// (Config.IncrementalFrom), or one auto-discovered in the cache directory
+// by hashed module name — and reuses every artifact whose inputs provably
+// did not change:
 //
 //	function bundles   reused when the function's content digest
 //	                   (image.FunctionDigest) and the extraction context
@@ -63,35 +65,41 @@ func priorUsable(s *snapshot.Snapshot, key snapshot.Key) bool {
 	return key.MatchLevel(s.Key) >= snapshot.LevelExtraction
 }
 
-// findPrior locates the snapshot to diff against. An explicit
-// IncrementalFrom that cannot be loaded is an error (the caller asked for
-// a specific file); one that loads but is unusable, or is written in
-// another format version, degrades to nil (cold): a snapshot is a cache.
-// Auto-discovery scans the cache directory's headers for prior versions
-// of the same image family — same hashed name, same extraction
-// fingerprint, different content digest — and picks the candidate whose
-// function-digest table overlaps the current image most (ties go to the
-// lexicographically first file; os.ReadDir returns sorted names).
-func (r *Result) findPrior(cfg Config, key snapshot.Key) (*snapshot.Snapshot, string, error) {
+// findPrior locates the snapshot to diff against: own (the image's cache
+// slot, already loaded under a key that differs from the run's) when its
+// extraction fingerprint matches, else the explicit IncrementalFrom, else
+// a cached sibling version. An explicit IncrementalFrom that cannot be
+// loaded is an error (the caller asked for a specific file); one that
+// loads but is unusable, or is written in another format version,
+// degrades to nil (cold): a snapshot is a cache. Auto-discovery scans the
+// cache directory's headers for prior versions of the same image family —
+// same hashed name, same extraction fingerprint, different content digest
+// — and picks the candidate whose function-digest table overlaps the
+// current image most (ties go to the lexicographically first file;
+// os.ReadDir returns sorted names).
+func (r *Result) findPrior(cfg Config, key snapshot.Key, own *snapshot.Snapshot) (*snapshot.Snapshot, error) {
+	if own != nil && priorUsable(own, key) {
+		return own, nil
+	}
 	if cfg.IncrementalFrom != "" {
 		s, err := snapshot.Load(cfg.IncrementalFrom)
 		if errors.Is(err, snapshot.ErrVersion) {
-			return nil, "", nil
+			return nil, nil
 		}
 		if err != nil {
-			return nil, "", fmt.Errorf("core: incremental-from %s: %w", cfg.IncrementalFrom, err)
+			return nil, fmt.Errorf("core: incremental-from %s: %w", cfg.IncrementalFrom, err)
 		}
 		if !priorUsable(s, key) {
-			return nil, "", nil
+			return nil, nil
 		}
-		return s, cfg.IncrementalFrom, nil
+		return s, nil
 	}
 	if cfg.CacheDir == "" {
-		return nil, "", nil
+		return nil, nil
 	}
 	entries, err := os.ReadDir(cfg.CacheDir)
 	if err != nil {
-		return nil, "", nil
+		return nil, nil
 	}
 	nameHash := snapshot.HashName(r.Image.Name)
 	cur := make(map[[32]byte]bool, len(r.Image.Entries))
@@ -99,7 +107,7 @@ func (r *Result) findPrior(cfg Config, key snapshot.Key) (*snapshot.Snapshot, st
 		cur[d] = true
 	}
 	var best *snapshot.Snapshot
-	bestPath, bestOverlap := "", -1
+	bestOverlap := -1
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".rsnap") {
 			continue
@@ -121,10 +129,10 @@ func (r *Result) findPrior(cfg Config, key snapshot.Key) (*snapshot.Snapshot, st
 			}
 		}
 		if overlap > bestOverlap {
-			best, bestPath, bestOverlap = s, p, overlap
+			best, bestOverlap = s, overlap
 		}
 	}
-	return best, bestPath, nil
+	return best, nil
 }
 
 // functionDigests memoizes the image's per-function digest table.
@@ -169,8 +177,8 @@ func (r *Result) extractTracelets(ctx context.Context, cfg Config) error {
 		}
 		r.Incremental.FnHits = hits
 		r.Incremental.FnMisses = len(r.Funcs) - hits
-		cfg.Obs.Add(obs.CntFnDigestHits, int64(hits))
-		cfg.Obs.Add(obs.CntFnDigestMisses, int64(len(r.Funcs)-hits))
+		cfg.Obs.Add(obs.CntFnDigestHits, int64(r.Incremental.FnHits))
+		cfg.Obs.Add(obs.CntFnDigestMisses, int64(r.Incremental.FnMisses))
 	}
 	exts, err := objtrace.ExtractFunctions(ctx, r.Image, r.Funcs, r.VTables, cfg.pool, reuse)
 	if err != nil {
@@ -358,14 +366,9 @@ func (r *Result) priorFamilyDist(fam []uint64, prior *snapshot.Snapshot) (map[[2
 	return out, true
 }
 
-// buildFnSection assembles the snapshot's function-granular section. A
-// run that executed (or reused) bundles persists them with fresh digests;
-// a run whose extraction was restored carries the restored section
-// forward verbatim (extraction never reran, so it is still exact).
+// buildFnSection assembles the snapshot's function-granular section from
+// the bundles the tracelets stage executed or reused, with fresh digests.
 func (r *Result) buildFnSection() *snapshot.FnSection {
-	if r.fnExts == nil {
-		return r.fnSection
-	}
 	digests := r.functionDigests()
 	fs := &snapshot.FnSection{
 		ContextDigest: r.fnCtxDigest,

@@ -86,17 +86,13 @@ func TestIncrementalMatchesCold(t *testing.T) {
 		t.Errorf("fn reuse = %d hits / %d misses, want %d / 1",
 			st.FnHits, st.FnMisses, len(patched.Entries)-1)
 	}
-	if st.TypesReused == 0 || st.TypesRetrained == 0 {
-		t.Errorf("a 1-function patch must split the types (%d reused, %d retrained)",
-			st.TypesReused, st.TypesRetrained)
+	if st.TypesRetrained == 0 || st.TypesRetrained >= len(incr.VTables) {
+		t.Errorf("a 1-function patch must split the types (%d of %d retrained)",
+			st.TypesRetrained, len(incr.VTables))
 	}
-	if st.TypesReused+st.TypesRetrained != len(incr.VTables) {
-		t.Errorf("type accounting %d+%d != %d types",
-			st.TypesReused, st.TypesRetrained, len(incr.VTables))
-	}
-	if st.FamiliesRestored == 0 || st.FamiliesResolved == 0 {
-		t.Errorf("a 1-function patch must split the families (%d restored, %d re-solved)",
-			st.FamiliesRestored, st.FamiliesResolved)
+	if st.FamiliesResolved == 0 || st.FamiliesResolved >= len(incr.Families) {
+		t.Errorf("a 1-function patch must split the families (%d of %d re-solved)",
+			st.FamiliesResolved, len(incr.Families))
 	}
 	assertResultsEqual(t, "incr vs cold", cold, incr)
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/image"
 	"repro/internal/pool"
-	"repro/internal/snapshot"
 )
 
 // Shared is the execution state analyses share: one bounded worker pool
@@ -65,8 +64,8 @@ func (s *Shared) Analyze(ctx context.Context, img *image.Image, cfg Config) (*Re
 	}
 	cfg.pool = s.pool
 	cfg = cfg.withDefaults()
-	level, key := probe(img, cfg)
-	ad := Admission{Warm: level == snapshot.LevelHierarchy}
+	warm, key := probe(img, cfg)
+	ad := Admission{Warm: warm}
 	t0 := time.Now()
 	if ad.Warm {
 		select {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -85,12 +86,14 @@ func TestSnapshotWarmRunMatchesCold(t *testing.T) {
 	}
 }
 
-// TestSnapshotPartialReuseOnConfigChange checks the staged-validity chain
-// end to end: changing only the distance metric salvages the extraction
-// and model sections (LevelModels), changing the SLM depth salvages only
-// the extraction (LevelExtraction), and each still reproduces a
-// from-scratch run under the new configuration; changing the tracelet
-// window invalidates everything.
+// TestSnapshotPartialReuseOnConfigChange checks the reuse rule end to
+// end on the image's own slot: a configuration change is never a warm
+// restore (SnapshotReuse stays LevelNone), but while the extraction
+// fingerprint matches the slot becomes the version-diff lane's prior.
+// Changing only the distance metric re-extracts no function and retrains
+// no type, changing the SLM depth retrains every type, and each still
+// reproduces a from-scratch run under the new configuration; changing
+// the tracelet window runs cold.
 func TestSnapshotPartialReuseOnConfigChange(t *testing.T) {
 	img, _ := buildStripped(t, motivating(), compiler.DefaultOptions())
 	cfg := DefaultConfig()
@@ -100,8 +103,12 @@ func TestSnapshotPartialReuseOnConfigChange(t *testing.T) {
 	jsCfg := cfg
 	jsCfg.Metric = slm.MetricJSDivergence
 	partial := analyzeCached(t, img, jsCfg)
-	if partial.SnapshotReuse != snapshot.LevelModels {
-		t.Fatalf("metric change reused level %d, want %d", partial.SnapshotReuse, snapshot.LevelModels)
+	st := partial.Incremental
+	if partial.SnapshotReuse != snapshot.LevelNone || st == nil {
+		t.Fatalf("metric change: reuse level %d, lane %+v; want a cold level on the lane", partial.SnapshotReuse, st)
+	}
+	if st.FnMisses != 0 || st.TypesRetrained != 0 || st.FamiliesResolved != len(partial.Families) {
+		t.Errorf("metric change: %+v, want every function and model reused and every family re-solved", *st)
 	}
 	jsCold := jsCfg
 	jsCold.CacheDir = ""
@@ -116,8 +123,12 @@ func TestSnapshotPartialReuseOnConfigChange(t *testing.T) {
 	depthCfg := jsCfg
 	depthCfg.SLMDepth = 3
 	retrained := analyzeCached(t, img, depthCfg)
-	if retrained.SnapshotReuse != snapshot.LevelExtraction {
-		t.Fatalf("depth change reused level %d, want %d", retrained.SnapshotReuse, snapshot.LevelExtraction)
+	st = retrained.Incremental
+	if retrained.SnapshotReuse != snapshot.LevelNone || st == nil {
+		t.Fatalf("depth change: reuse level %d, lane %+v; want a cold level on the lane", retrained.SnapshotReuse, st)
+	}
+	if st.FnMisses != 0 || st.TypesRetrained != len(retrained.VTables) {
+		t.Errorf("depth change: %+v, want every function reused and all %d types retrained", *st, len(retrained.VTables))
 	}
 	depthCold := depthCfg
 	depthCold.CacheDir = ""
@@ -125,8 +136,78 @@ func TestSnapshotPartialReuseOnConfigChange(t *testing.T) {
 
 	winCfg := jsCfg
 	winCfg.Window = 5
-	if res := analyzeCached(t, img, winCfg); res.SnapshotReuse != snapshot.LevelNone {
-		t.Errorf("window change reused level %d, want cold", res.SnapshotReuse)
+	if res := analyzeCached(t, img, winCfg); res.SnapshotReuse != snapshot.LevelNone || res.Incremental != nil {
+		t.Errorf("window change reused level %d on lane %+v, want cold", res.SnapshotReuse, res.Incremental)
+	}
+}
+
+// TestReuseRuleOwnSlotFirst puts a patched sibling's snapshot, also
+// named as an explicit IncrementalFrom, beside the image's own slot and
+// changes one setting at a time. The own slot is the prior whenever its
+// extraction fingerprint matches: a metric or Subtype change re-extracts
+// no function and retrains no type (the sibling would cost both), a
+// depth change retrains every type, and a window change, which no cached
+// snapshot survives, runs cold. Every result is deep-equal to a cold run.
+func TestReuseRuleOwnSlotFirst(t *testing.T) {
+	img, cands := synthPatchable(t)
+	patched := patchedCopy(t, img, cands, 1)
+	base := DefaultConfig()
+	base.CacheDir = t.TempDir()
+	analyzeCached(t, img, base)
+	analyzeCached(t, patched, base)
+	ownName := base.withDefaults().snapshotKey(img).FileName()
+	siblingName := base.withDefaults().snapshotKey(patched).FileName()
+
+	for _, c := range []struct {
+		name   string
+		change func(*Config)
+		lane   bool
+	}{
+		{"metric", func(c *Config) { c.Metric = slm.MetricJSDistance }, true},
+		{"subtype", func(c *Config) { c.Subtype = true }, true},
+		{"depth", func(c *Config) { c.SLMDepth = 3 }, true},
+		{"window", func(c *Config) { c.Window = 5 }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			c.change(&cfg)
+			cold := analyzeCached(t, img, cfg)
+
+			cfg.CacheDir = t.TempDir()
+			for _, name := range []string{ownName, siblingName} {
+				data, err := os.ReadFile(filepath.Join(base.CacheDir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(cfg.CacheDir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg.IncrementalFrom = filepath.Join(cfg.CacheDir, siblingName)
+			res := analyzeCached(t, img, cfg)
+			if res.SnapshotReuse != snapshot.LevelNone {
+				t.Errorf("reuse level %d, want cold", res.SnapshotReuse)
+			}
+			st := res.Incremental
+			switch {
+			case !c.lane:
+				if st != nil {
+					t.Errorf("lane engaged (%+v), want a cold run", *st)
+				}
+			case st == nil:
+				t.Fatal("lane did not engage on the own slot")
+			case st.FnMisses != 0:
+				t.Errorf("%d functions re-extracted, want 0: the prior is not the own slot", st.FnMisses)
+			case c.name == "depth" && st.TypesRetrained != len(res.VTables):
+				t.Errorf("%d types retrained, want all %d", st.TypesRetrained, len(res.VTables))
+			case c.name != "depth" && st.TypesRetrained != 0:
+				t.Errorf("%d types retrained, want 0", st.TypesRetrained)
+			}
+			if !reflect.DeepEqual(res.Funcs, cold.Funcs) {
+				t.Error("Funcs diverged from a cold run")
+			}
+			assertResultsEqual(t, c.name+" reuse vs cold", cold, res)
+		})
 	}
 }
 

@@ -25,14 +25,17 @@
 //	               from the SLM-only default) guarding the hierarchy
 //	               section
 //
-// The sections form a strict dependency chain (models are trained on the
-// extraction, the hierarchy is solved over the models), so a snapshot is
-// usable up to the first fingerprint that disagrees: changing only the
-// distance metric reuses extraction and models and recomputes the
-// hierarchy; changing the SLM depth reuses only the extraction; changing
-// the tracelet window invalidates everything. Worker counts appear in no
-// fingerprint — the pipeline's results are identical for every worker
-// count.
+// A snapshot restores warm only under a key equal to the run's. The
+// sections form a strict dependency chain (models are trained on the
+// extraction, the hierarchy is solved over the models), so Key.MatchLevel
+// grades how far a snapshot written under another configuration (or for
+// another version of the image) agrees, up to the first fingerprint that
+// disagrees; internal/core's version-diff lane gates its reuse on it.
+// Changing only the distance metric reuses extraction and models and
+// recomputes the hierarchy; changing the SLM depth reuses only the
+// extraction; changing the tracelet window makes the snapshot unusable.
+// Worker counts appear in no fingerprint — the pipeline's results are
+// identical for every worker count.
 //
 // Every variable-length count is validated against the bytes actually
 // remaining before anything is allocated, so a corrupted or truncated
@@ -140,19 +143,10 @@ type Key struct {
 // FileName returns the snapshot's file name within a cache directory. It
 // is derived from the image digest alone, so one image owns one cache slot
 // regardless of configuration: re-analyzing under a changed config
-// overwrites the slot (after salvaging whatever sections still match).
+// overwrites the slot (after diffing against it, while its extraction
+// fingerprint matches, on internal/core's version-diff lane).
 func (k Key) FileName() string {
 	return hex.EncodeToString(k.Digest[:16]) + ".rsnap"
-}
-
-// Usable returns the highest reuse level the snapshot supports for this
-// key: sections are valid only up to the first fingerprint mismatch, and
-// nothing is valid across an image-digest mismatch.
-func (k Key) Usable(s *Snapshot) int {
-	if s == nil || s.Key.Digest != k.Digest {
-		return LevelNone
-	}
-	return k.MatchLevel(s.Key)
 }
 
 // MatchLevel returns the reuse level up to which o's fingerprint chain

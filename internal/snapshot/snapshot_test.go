@@ -182,17 +182,16 @@ func TestSnapshotWriteFileLoad(t *testing.T) {
 	}
 }
 
-// TestKeyUsable walks the staged-validity chain: reuse extends exactly up
-// to the first fingerprint mismatch, and an image-digest mismatch (or a
-// missing snapshot) invalidates everything.
+// TestKeyUsable pins the two ways a key grades a snapshot: a warm
+// restore needs the whole key to be equal, so any digest or fingerprint
+// flip rules it out, while MatchLevel grades the fingerprint chain alone
+// for the version-diff lane's gates — reuse extends up to the first
+// fingerprint mismatch, and a digest flip leaves the chain whole.
 func TestKeyUsable(t *testing.T) {
 	s := sampleSnapshot()
 	k := s.Key
-	if got := k.Usable(s); got != LevelHierarchy {
-		t.Errorf("matching key: level %d, want %d", got, LevelHierarchy)
-	}
-	if got := k.Usable(nil); got != LevelNone {
-		t.Errorf("nil snapshot: level %d, want %d", got, LevelNone)
+	if k != s.Key || k.MatchLevel(s.Key) != LevelHierarchy {
+		t.Errorf("matching key: equal %v, MatchLevel %d", k == s.Key, k.MatchLevel(s.Key))
 	}
 	flipDigest := k
 	flipDigest.Digest[0] ^= 1
@@ -206,22 +205,17 @@ func TestKeyUsable(t *testing.T) {
 		k    Key
 		want int
 	}{
-		{"digest", flipDigest, LevelNone},
+		{"digest", flipDigest, LevelHierarchy},
 		{"extract", flipFP(LevelExtraction), LevelNone},
 		{"model", flipFP(LevelModels), LevelExtraction},
 		{"hier", flipFP(LevelHierarchy), LevelModels},
 	}
 	for _, c := range cases {
-		if got := c.k.Usable(s); got != c.want {
-			t.Errorf("%s mismatch: level %d, want %d", c.name, got, c.want)
+		if c.k == s.Key {
+			t.Errorf("%s mismatch: key still equals the snapshot's", c.name)
 		}
-		// MatchLevel grades the chain alone: a digest flip leaves it whole.
-		want := c.want
-		if c.name == "digest" {
-			want = LevelHierarchy
-		}
-		if got := k.MatchLevel(c.k); got != want {
-			t.Errorf("%s mismatch: MatchLevel %d, want %d", c.name, got, want)
+		if got := k.MatchLevel(c.k); got != c.want {
+			t.Errorf("%s mismatch: MatchLevel %d, want %d", c.name, got, c.want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/image"
-	"repro/internal/snapshot"
 )
 
 // Engine is a long-lived analyzer for serving workloads: where each
@@ -44,11 +43,7 @@ func (e *Engine) Workers() int { return e.sh.Workers() }
 // engine's configuration. Advisory, like core.ProbeSnapshot: the real run
 // still validates the checksummed snapshot.
 func (e *Engine) ProbeWarm(img *image.Image) bool {
-	stripped := img
-	if img.Meta != nil {
-		stripped = img.Strip()
-	}
-	return core.ProbeSnapshot(stripped, e.cfg) == snapshot.LevelHierarchy
+	return core.ProbeSnapshot(img, e.cfg)
 }
 
 // AnalyzeImage analyzes one image on the engine's shared pool under

@@ -82,10 +82,13 @@ type Options struct {
 	// identical for every value.
 	Workers int
 	// CacheDir, when non-empty, enables the content-addressed snapshot
-	// cache: analysis artifacts are persisted under this directory keyed
-	// by the image's content digest and config fingerprints, and repeat
-	// analyses of the same binary reuse every stage whose configuration
-	// is unchanged. The directory must exist. The Report of a warm run is
+	// cache: analysis artifacts are persisted under this directory, one
+	// slot per binary keyed by the image's content digest and config
+	// fingerprints. A repeat analysis of the same binary under the same
+	// configuration restores warm; under a changed configuration with the
+	// same tracelet window, the slot is the version-diff prior
+	// (IncrementalFrom) and unchanged functions, models and families are
+	// reused. The directory must exist. The Report of a warm run is
 	// identical to a cold one.
 	CacheDir string
 	// IncrementalFrom names a prior version's snapshot (.rsnap) to diff
@@ -144,9 +147,10 @@ type Report struct {
 	// GroundTruthEdges holds the metadata hierarchy when the input image
 	// carried one (for the caller's convenience; never used by analysis).
 	GroundTruthEdges []Edge
-	// SnapshotReuse reports how much of a cached snapshot this run reused
-	// (snapshot reuse levels 0..3; 3 means fully warm — the whole analysis
-	// was restored from disk). Always 0 without a CacheDir.
+	// SnapshotReuse is 3 (the snapshot reuse level LevelHierarchy) when
+	// the run restored warm — the whole analysis was restored from disk —
+	// and 0 otherwise; Incremental reports the version-diff lane's reuse.
+	// Always 0 without a CacheDir.
 	SnapshotReuse int
 	// Incremental reports that the version-diff warm lane engaged: the
 	// exact snapshot missed but a prior version of the same binary was

@@ -10,7 +10,9 @@ type Label int
 func (l Label) String() string { return fmt.Sprintf("label %d", int(l)) }
 
 // Used has a non-test caller.
-func Used() Label { return Label(len(walk([]stmt{leaf{}})) + helper() + Configure().Read()) }
+func Used() Label {
+	return Label(len(walk([]stmt{leaf{}})) + helper() + Configure().Read() + Record())
+}
 
 // OnlyTested has no caller outside lib_test.go; its own recursive call
 // does not count as one.
@@ -95,4 +97,29 @@ func (o *Options) Read() int {
 		n++
 	}
 	return n
+}
+
+// Outcome exercises the write-only rule: Record writes every field, and
+// reads back every one but Stored, Encoded and OnlyTestRead.
+type Outcome struct {
+	Stored       int
+	ReadBack     int
+	Summed       int
+	Pointed      int
+	Nested       Sub
+	Encoded      int `json:"encoded"`
+	OnlyTestRead int
+}
+
+// Record fills an Outcome and sums what it reads back.
+func Record() int {
+	var o Outcome
+	o.Stored = 1
+	o.ReadBack = 2
+	o.Summed += 3
+	p := &o.Pointed
+	o.Nested.Hits = 4
+	o.Encoded = 5
+	o.OnlyTestRead = 6
+	return o.ReadBack + o.Summed + *p
 }

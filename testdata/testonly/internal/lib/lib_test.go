@@ -11,4 +11,7 @@ func TestOnlyTested(t *testing.T) {
 	if (&Options{OnlyTestSet: true}).Read() != 1 {
 		t.Fatal("Read without OnlyTestSet")
 	}
+	if (Outcome{OnlyTestRead: 6}).OnlyTestRead != 6 {
+		t.Fatal("OnlyTestRead lost")
+	}
 }
